@@ -16,12 +16,12 @@ from psdapprox import (
     bound_d1,
     bound_d2,
     bound_min,
+    build_smoothing,
     compute_moments,
     dp_distribution,
     exact_tv,
     nb_fit_from_moments,
     poisson_family,
-    smoothing_from_runs_model,
     theorem31_bound,
     two_runs_automaton,
     two_runs_bound,
@@ -46,7 +46,7 @@ for name, spec in targets.items():
     print()
     print(f"--- target: {name}  (a = {spec.a:.4f}, b = {spec.b:.4f}) ---")
     print(f"exact d_TV = {tv.value:.6f}  (+/- {tv.slack:.1e})")
-    smoothing = smoothing_from_runs_model(model)
+    smoothing = build_smoothing(model)
     reports = {
         "theorem31": theorem31_bound(moments, ExactConditionalTerms(model), spec),
         "d1": bound_d1(moments, smoothing, spec),
@@ -62,5 +62,5 @@ for name, spec in targets.items():
 print()
 print("--- itemized report (min variant, NB target), serialized ---")
 spec = targets["negative binomial (two-moment fit)"]
-report = bound_min(moments, smoothing_from_runs_model(model), spec)
+report = bound_min(moments, build_smoothing(model), spec)
 print(json.dumps(report.to_json(), indent=2, sort_keys=True))

@@ -40,7 +40,6 @@ from .runs import (
     TwoRunsModel,
     k1k2_bound,
     nb_fit_from_moments,
-    smoothing_from_runs_model,
     table1,
     table1_mismatches,
     two_runs_bound,
@@ -102,12 +101,6 @@ def _fit_target(kind: str, moments):
     raise PsdApproxError(f"unknown fit target {kind!r}")
 
 
-def _smoothing_for(seq):
-    if hasattr(seq, "roellin_smoothing"):
-        return smoothing_from_runs_model(seq)
-    return build_smoothing(seq)
-
-
 def cmd_bound(args) -> int:
     seq = sequence_from_json(_load_json(args.model))
     moments = compute_moments(seq)
@@ -126,12 +119,12 @@ def cmd_bound(args) -> int:
             allow_small_n=args.allow_small_n,
         )
     elif variant == "d1":
-        report = bound_d1(moments, _smoothing_for(seq), spec,
+        report = bound_d1(moments, build_smoothing(seq), spec,
                           allow_small_n=args.allow_small_n)
     elif variant == "d2":
         report = bound_d2(moments, spec)
     elif variant == "min":
-        report = bound_min(moments, _smoothing_for(seq), spec,
+        report = bound_min(moments, build_smoothing(seq), spec,
                            allow_small_n=args.allow_small_n)
     elif variant == "crude":
         report = bound_crude(moments, spec)
@@ -283,7 +276,7 @@ def cmd_verify(args) -> int:
             variants["theorem31"] = theorem31_bound(
                 oracle_moments, ExactConditionalTerms(seq), spec
             ).total
-            smoothing = _smoothing_for(seq)
+            smoothing = build_smoothing(seq)
             variants["d1"] = bound_d1(oracle_moments, smoothing, spec).total
             variants["min"] = bound_min(oracle_moments, smoothing, spec).total
         except PsdApproxError:

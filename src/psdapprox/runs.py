@@ -13,19 +13,18 @@ moment-matched target fitting, and the published comparison table.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, SmoothingEstimate, SmoothingEntry, default_delta_g as _default_delta_g, m_star
-from .errors import (
-    EnumerationLimitError,
-    MomentMatchError,
-    NBFitError,
-    PreconditionError,
-)
+from .bounds import BoundReport, build_smoothing, default_delta_g as _default_delta_g, m_star
+from .errors import MomentMatchError, NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family, poisson_family
+from .oracle import k1k2_automaton
 from .sequences import DependentSequence, MomentSet, register_model
 
 MEAN_MATCH_TOL = 1e-9
@@ -339,6 +338,9 @@ class K1K2Model(DependentSequence):
     ``(n+1) m`` trials with ``m = k1+k2-1``; window ``j`` (of ``nm``) spans
     trials ``j..j+m``, and block ``i`` sums windows ``(i-1)m+1..im``.  Block
     variables are 0/1 because occurrences closer than ``m`` cannot coexist.
+    Moments have closed forms and the smoothing constants a DP over at most
+    ``4m`` trials per index, so no bound path enumerates the trial space and
+    ``k1+k2`` is not limited.
     """
 
     def __init__(self, k1: int, k2: int, n: int, p: Sequence[float]):
@@ -549,8 +551,12 @@ def k1k2_moment_set(model: K1K2Model) -> MomentSet:
 def conditional_zero_max(model: K1K2Model, ell: int) -> float:
     """``max over neighbor-block values of P(X_ell = 0 | those values)``.
 
-    Computed by exact enumeration of the trials underlying blocks
-    ``ell-1..ell+1`` (clipped at the ends), over attainable neighbor values.
+    Exact, by a forward DP (Markov-chain imbedding) over the at most ``4m``
+    trials under blocks ``ell-1..ell+1``, clipped at the ends.  The state is
+    the pattern automaton's match length and the 0/1 value of each block;
+    an occurrence ending at trial ``t`` belongs to the block of window
+    ``t-m``.  The cost is ``O(m (k1+k2))`` per index, for any ``k1+k2``.
+    The max runs over attainable neighbor values.
     """
     if not 1 <= ell <= model.n:
         raise ValueError(f"index {ell} outside 1..{model.n}")
@@ -560,50 +566,39 @@ def conditional_zero_max(model: K1K2Model, ell: int) -> float:
     m = model.m
     lo_block = max(1, ell - 1)
     hi_block = min(model.n, ell + 1)
+    automaton = k1k2_automaton(model.k1, model.k2)
+    codes = np.arange(1 << (hi_block - lo_block + 1))
+    layer = np.zeros((automaton.n_states, len(codes)))
+    layer[0, 0] = 1.0
     t_lo = (lo_block - 1) * m + 1
-    t_hi = (hi_block + 1) * m  # last trial touched by the last window
-    width = t_hi - t_lo + 1
-    if width > 24:
-        raise EnumerationLimitError("conditional window too wide to enumerate")
-
-    idx = np.arange(1 << width, dtype=np.uint64)
-    bits = np.empty((len(idx), width), dtype=np.uint8)
-    for t in range(width):
-        bits[:, t] = (idx >> np.uint64(t)) & np.uint64(1)
-    probs = np.ones(len(idx))
-    for t in range(width):
-        p = model.trial_probs[t_lo - 1 + t]
-        probs *= np.where(bits[:, t] == 1, p, 1.0 - p)
-
-    def block_value(block: int) -> np.ndarray:
-        out = np.zeros(len(idx), dtype=np.int64)
-        for j in range((block - 1) * m + 1, block * m + 1):
-            col = np.ones(len(idx), dtype=np.int64)
-            for off in range(model.k1):
-                col *= 1 - bits[:, j - t_lo + off]
-            for off in range(model.k1, model.k1 + model.k2):
-                col *= bits[:, j - t_lo + off]
-            out += col
-        return out
-
-    x_ell = block_value(ell)
-    neighbors = [block_value(b) for b in range(lo_block, hi_block + 1) if b != ell]
-    if neighbors:
-        key = np.zeros(len(idx), dtype=np.int64)
-        for colv in neighbors:
-            key = key * (int(colv.max()) + 1) + colv
-    else:
-        key = np.zeros(len(idx), dtype=np.int64)
-    denom = np.bincount(key, weights=probs)
-    numer = np.bincount(key, weights=probs * (x_ell == 0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
-    val = float(ratios.max())
+    for t in range(t_lo, (hi_block + 1) * m + 1):
+        p = model.trial_probs[t - 1]
+        # Block of window t - m (nothing completes before t_lo + m); a block
+        # holds at most one occurrence, so codes with its bit set carry none.
+        bit = 1 << ((max(t - m, t_lo) - 1) // m + 1 - lo_block)
+        free = codes[(codes & bit) == 0]
+        nxt = np.zeros_like(layer)
+        for s, row in enumerate(automaton.transitions):
+            for (s_next, inc), weight in zip(row, (1.0 - p, p)):
+                if inc:
+                    nxt[s_next, free | bit] += layer[s, free] * weight
+                else:
+                    nxt[s_next] += layer[s] * weight
+        layer = nxt
+    joint = layer.sum(axis=0)  # law of the block values
+    ell_bit = 1 << (ell - lo_block)
+    others = codes[(codes & ell_bit) == 0]
+    numer = joint[others]  # X_ell = 0, per neighbor values
+    denom = numer + joint[others | ell_bit]
+    val = float((numer[denom > 0] / denom[denom > 0]).max())
     cache[ell] = val
     return val
 
 
 def _k1k2_check_conditions(model: K1K2Model):
+    """Refuse instances outside the stated validity; a pass is cached."""
+    if model._cache.get("conditions_ok"):
+        return
     if model.n < 3 * model.m:
         raise PreconditionError(
             f"stated validity requires n >= 3m = {3 * model.m} (got n={model.n})"
@@ -616,6 +611,7 @@ def _k1k2_check_conditions(model: K1K2Model):
             f"stated validity requires every occurrence probability <= 1/3 "
             f"(max is {worst:.6f})"
         )
+    model._cache["conditions_ok"] = True
 
 
 def k1k2_ci_star_parts(model: K1K2Model, i: int) -> tuple:
@@ -625,25 +621,30 @@ def k1k2_ci_star_parts(model: K1K2Model, i: int) -> tuple:
     ``2 (min{1, sum_j (1 - cond-zero-max of the remaining summand)}/2)^{-1/2}``,
     where the sums run over summands whose index is farther than 2 from
     ``i``.  Degenerate smoothing information (empty or forced-zero sums)
-    yields ``inf``.
+    yields ``inf``.  Each parity's sum is formed once per model, so all
+    ``n`` constants cost ``O(n)`` in total.
     """
     _k1k2_check_conditions(model)
     if not 1 <= i <= model.n:
         raise ValueError(f"index {i} outside 1..{model.n}")
 
-    def v_value(summand_indices) -> float:
-        terms = [
-            1.0 - conditional_zero_max(model, ell)
-            for ell in summand_indices
-            if abs(ell - i) > 2
-        ]
-        s = min(1.0, math.fsum(terms))
+    def v_value(first: int) -> float:
+        # Exact prefix sums: dropping the summands near i by subtraction still
+        # rounds once, to the fsum of the rest, and exactly to 0 when it is 0.
+        ells = range(first, model.n + 1, 2)
+        prefix = model._cache.get(("smoothing_sums", first))
+        if prefix is None:
+            terms = (Fraction(1.0 - conditional_zero_max(model, ell)) for ell in ells)
+            prefix = model._cache[("smoothing_sums", first)] = list(
+                accumulate(terms, initial=Fraction(0)))
+        lo, hi = bisect_left(ells, i - 2), bisect_right(ells, i + 2)
+        s = min(1.0, float(prefix[-1] - prefix[hi] + prefix[lo]))
         if s <= 0:
             return math.inf
         return 2.0 * (0.5 * s) ** -0.5
 
-    v_even = v_value(range(1, 2 * m_star(model.n), 2))  # odd summands remain
-    v_odd = v_value(range(2, 2 * (model.n // 2) + 1, 2))  # even summands remain
+    v_even = v_value(1)  # odd summands remain
+    v_odd = v_value(2)  # even summands remain
     if v_even <= v_odd:
         return v_even, "roellin-even"
     return v_odd, "roellin-odd"
@@ -701,10 +702,5 @@ def k1k2_bound(
     )
 
 
-def smoothing_from_runs_model(model) -> SmoothingEstimate:
-    """SmoothingEstimate from the model's own constants (capped at 2)."""
-    entries = []
-    for i in range(1, model.n + 1):
-        raw, method = model.roellin_smoothing(i)
-        entries.append(SmoothingEntry(min(raw, 2.0), method, raw))
-    return SmoothingEstimate(tuple(entries), m_star(model.n))
+# Former name of ``build_smoothing``, still bound by the benchmark's spans.
+smoothing_from_runs_model = build_smoothing

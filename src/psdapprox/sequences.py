@@ -5,8 +5,10 @@ and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  It
 exposes three backends: exact vectorized enumeration of the full outcome
 space (the certified route, refused above ``MAX_ENUM_OUTCOMES``), exact
 rational enumeration for small instances, and a seeded sampler whose moment
-estimates are flagged non-certified.  Blocking reduces an m-dependent
-sequence to a 1-dependent one without changing the total sum.
+estimates are flagged non-certified.  Enumerated moments stream over the
+indices, one float64 column and dot product at a time, with sliding window
+sums.  Blocking reduces an m-dependent sequence to a 1-dependent one without
+changing the total sum.
 """
 
 from __future__ import annotations
@@ -123,13 +125,14 @@ class DependentSequence:
         return bits
 
     def outcome_probs(self) -> np.ndarray:
+        """Outcome probabilities in :meth:`enumerate_bits` row order, built
+        by doubling the table once per trial: factors multiply in trial order."""
         probs = self._cache.get("probs")
         if probs is None:
-            bits = self.enumerate_bits()
-            probs = np.ones(self.outcome_count, dtype=float)
-            for t, p in enumerate(self.trial_probs):
-                col = bits[:, t]
-                probs *= np.where(col == 1, p, 1.0 - p)
+            self._require_enumerable()
+            probs = np.ones(1)
+            for p in self.trial_probs:
+                probs = np.concatenate((probs * (1.0 - p), probs * p))
             self._cache["probs"] = probs
         return probs
 
@@ -330,46 +333,61 @@ def _window_matrix(xs: np.ndarray, n: int, ell: int) -> np.ndarray:
     return out
 
 
+def _moment_columns(x: np.ndarray, xn1: np.ndarray, xn2: np.ndarray) -> Iterator:
+    """The six per-outcome integrands of :class:`MomentSet`, one at a time."""
+    yield x
+    yield xn1
+    yield x * xn1
+    bracket = xn1 * (2 * xn2 - xn1 - 1)
+    yield bracket
+    yield x * bracket
+    yield x * (xn2 - 1)
+
+
 def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
-    xs = seq.x_values().astype(np.int64)
+    """Exact moments, streamed over indices with one ``w @ column`` each.
+
+    Radius-1 and radius-2 window sums slide along the indices in float64.
+    Every column holds small integers, so it equals the integer column of a
+    full ``(outcomes, n)`` matrix evaluation, and each moment is the same
+    dot product bit for bit; only one transposed copy of the summand values
+    is held.
+    """
+    xt = np.ascontiguousarray(seq.x_values().T)
     w = seq.outcome_probs()
     n = seq.n
-    xn1 = _window_matrix(xs, n, 1)
-    xn2 = _window_matrix(xs, n, 2)
-    bracket = xn1 * (2 * xn2 - xn1 - 1)
+    pad = np.zeros(len(w))
+    cols: dict = {}
 
-    def expect(cols: np.ndarray) -> tuple:
-        return tuple(float(w @ cols[:, i].astype(float)) for i in range(n))
+    def col(j: int) -> np.ndarray:
+        if 0 <= j < n and j not in cols:
+            cols[j] = xt[j].astype(float)
+        return cols.get(j, pad)
 
-    e_x = expect(xs)
-    e_xn1 = expect(xn1)
-    e_x_xn1 = expect(xs * xn1)
-    e_n1_bracket = expect(bracket)
-    e_x_n1_bracket = expect(xs * bracket)
-    e_x_n2m1 = expect(xs * (xn2 - 1))
-    total = xs.sum(axis=1).astype(float)
+    xn1, xn2, total = pad.copy(), pad.copy(), pad.copy()
+    fields = tuple([] for _ in range(6))
+    for i in range(-2, n):  # 0-based; the first two steps fill the windows
+        xn1 += col(i + 1) - col(i - 2)
+        xn2 += col(i + 2) - col(i - 3)
+        cols.pop(i - 3, None)
+        if i >= 0:
+            for out, v in zip(fields, _moment_columns(cols[i], xn1, xn2)):
+                out.append(float(w @ v))
+            total += cols[i]
     mean_w = float(w @ total)
     var_w = float(w @ total**2) - mean_w**2
-    return MomentSet(e_x, e_xn1, e_x_xn1, e_n1_bracket, e_x_n1_bracket,
-                     e_x_n2m1, mean_w, var_w, certified=True)
+    return MomentSet(*(tuple(f) for f in fields), mean_w, var_w, certified=True)
 
 
 def _moments_by_sampling(seq: DependentSequence, rng: np.random.Generator,
                          samples: int) -> MomentSet:
     xs = seq.sample_x(rng, samples).astype(np.int64)
     n = seq.n
-    xn1 = _window_matrix(xs, n, 1)
-    xn2 = _window_matrix(xs, n, 2)
-    bracket = xn1 * (2 * xn2 - xn1 - 1)
-
-    def mean_cols(cols: np.ndarray) -> tuple:
-        return tuple(float(cols[:, i].mean()) for i in range(n))
-
+    cols = _moment_columns(xs, _window_matrix(xs, n, 1), _window_matrix(xs, n, 2))
     total = xs.sum(axis=1).astype(float)
     se = float(total.std(ddof=1) / math.sqrt(samples))
     return MomentSet(
-        mean_cols(xs), mean_cols(xn1), mean_cols(xs * xn1), mean_cols(bracket),
-        mean_cols(xs * bracket), mean_cols(xs * (xn2 - 1)),
+        *(tuple(float(c[:, i].mean()) for i in range(n)) for c in cols),
         float(total.mean()), float(total.var(ddof=1)),
         certified=False, std_error=se,
     )
@@ -405,15 +423,6 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e
             if abs(mass - pm[a] * sm[b]) > tol:
                 return False
     return True
-
-
-def sum_distribution(seq: DependentSequence):
-    """Exact law of the total sum via enumeration, as (values, masses)."""
-    xs = seq.x_values()
-    w = seq.outcome_probs()
-    total = xs.sum(axis=1).astype(np.int64)
-    masses = np.bincount(total, weights=w)
-    return np.arange(len(masses)), masses
 
 
 def sequence_from_json(obj: dict) -> DependentSequence:

@@ -17,6 +17,7 @@ from psdapprox.bounds import (
     bound_d1,
     bound_d2,
     bound_min,
+    build_smoothing,
     exact_tv,
     m_star,
     theorem31_bound,
@@ -235,9 +236,7 @@ def test_criterion_7_bound_domination():
         targets = [poisson_family(moments.mean_w)]
         if moments.var_w > moments.mean_w:
             targets.append(nb_fit_from_moments(moments.mean_w, moments.var_w))
-        from psdapprox.runs import smoothing_from_runs_model
-
-        smoothing = smoothing_from_runs_model(model)
+        smoothing = build_smoothing(model)
         for spec in targets:
             totals = {
                 "theorem31": theorem31_bound(

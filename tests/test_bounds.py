@@ -32,7 +32,6 @@ from psdapprox.runs import (
     K1K2Model,
     TwoRunsModel,
     nb_moment_match_2runs,
-    smoothing_from_runs_model,
 )
 from psdapprox.sequences import BernoulliProductSequence, compute_moments
 
@@ -292,6 +291,6 @@ def test_k1k2_theorem31_domination():
 
 def test_smoothing_from_runs_model_matches_entry():
     model = TwoRunsModel([0.2] * 21)
-    est = smoothing_from_runs_model(model)
+    est = build_smoothing(model)
     entry = smoothing_roellin(model, 3)
     assert est.c[2] == entry.c

@@ -1,16 +1,24 @@
 """Tests for the run-statistic closed forms, smoothing constants, and bounds."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from psdapprox.bounds import SmoothingEstimate, bound_d1, exact_tv, m_star
+from psdapprox.bounds import SmoothingEstimate, bound_d1, build_smoothing, exact_tv, m_star
 from psdapprox.errors import MomentMatchError, NBFitError, PreconditionError
-from psdapprox.families import PanjerPSD, delta_g_uniform_bound, poisson_family
+from psdapprox.cli import main
+from psdapprox.families import (
+    PanjerPSD,
+    delta_g_uniform_bound,
+    family_from_json,
+    poisson_family,
+)
 from psdapprox.oracle import (
     brute_force_distribution,
     dp_distribution,
+    k1k2_automaton,
     moment_oracle,
     two_runs_automaton,
 )
@@ -27,7 +35,6 @@ from psdapprox.runs import (
     nb_bound_closed_form,
     nb_fit_from_moments,
     nb_moment_match_2runs,
-    smoothing_from_runs_model,
     table1,
     table1_mismatches,
     two_runs_bound,
@@ -331,20 +338,26 @@ def test_k1k2_blocks_are_bernoulli():
 def test_conditional_zero_max_matches_full_enumeration():
     # The windowed computation must agree with conditioning computed from the
     # full joint law.
-    model = K1K2Model(1, 2, 3, [0.35] * 8)
-    xs = model.x_values()
-    w = model.outcome_probs()
-    for ell in range(1, model.n + 1):
-        neighbors = [b - 1 for b in (ell - 1, ell + 1) if 1 <= b <= model.n]
-        groups = {}
-        zeros = {}
-        for row, mass in zip(xs, w):
-            key = tuple(int(row[j]) for j in neighbors)
-            groups[key] = groups.get(key, 0.0) + mass
-            if row[ell - 1] == 0:
-                zeros[key] = zeros.get(key, 0.0) + mass
-        direct = max(zeros.get(k, 0.0) / v for k, v in groups.items() if v > 0)
-        assert conditional_zero_max(model, ell) == pytest.approx(direct, abs=1e-12)
+    for k1, k2, n, p in [
+        (1, 2, 3, [0.35] * 8),
+        (2, 2, 3, [0.3, 0.6, 0.45, 0.5, 0.2, 0.7, 0.55, 0.4, 0.35, 0.65, 0.25, 0.5]),
+        (2, 1, 4, [0.4, 0.0, 0.5, 0.3, 1.0, 0.6, 0.45, 0.2, 0.55, 0.35]),
+        (1, 3, 3, [0.3, 0.7, 0.5, 0.6, 0.4, 0.65, 0.2, 0.55, 0.45, 0.5, 0.35, 0.6]),
+    ]:
+        model = K1K2Model(k1, k2, n, p)
+        xs = model.x_values()
+        w = model.outcome_probs()
+        for ell in range(1, model.n + 1):
+            neighbors = [b - 1 for b in (ell - 1, ell + 1) if 1 <= b <= model.n]
+            groups = {}
+            zeros = {}
+            for row, mass in zip(xs, w):
+                key = tuple(int(row[j]) for j in neighbors)
+                groups[key] = groups.get(key, 0.0) + mass
+                if row[ell - 1] == 0:
+                    zeros[key] = zeros.get(key, 0.0) + mass
+            direct = max(zeros.get(k, 0.0) / v for k, v in groups.items() if v > 0)
+            assert conditional_zero_max(model, ell) == pytest.approx(direct, abs=1e-12)
 
 
 def test_k1k2_ci_star_finite_and_capped_below():
@@ -361,6 +374,85 @@ def test_k1k2_ci_star_degenerate_for_k1_equals_k2_equals_1():
     model = K1K2Model(1, 1, 12, [0.3] * 13)
     assert conditional_zero_max(model, 5) == pytest.approx(1.0)
     assert k1k2_ci_star(model, 4) == math.inf
+
+
+def test_k1k2_ci_star_equals_fsum_over_remaining_summands():
+    # The per-parity prefix sums round once, to the fsum of the summands
+    # farther than 2 from i, as a direct sum per index does.
+    rng = np.random.default_rng(3)
+    for k1, k2, n in [(1, 2, 9), (2, 2, 14), (1, 1, 12)]:
+        m = k1 + k2 - 1
+        model = K1K2Model(k1, k2, n, rng.uniform(0.1, 0.3, (n + 1) * m).tolist())
+        for i in range(1, n + 1):
+            vals = []
+            for first in (1, 2):
+                s = min(1.0, math.fsum(
+                    1.0 - conditional_zero_max(model, ell)
+                    for ell in range(first, n + 1, 2)
+                    if abs(ell - i) > 2
+                ))
+                vals.append(math.inf if s <= 0 else 2.0 * (0.5 * s) ** -0.5)
+            assert k1k2_ci_star(model, i) == min(vals)
+
+
+# -- (k1,k2)-runs beyond the enumerable conditioning window ------------------------
+
+
+def _wide_model() -> K1K2Model:
+    # m = 7: the middle conditioning windows span 4m = 28 trials.
+    k1, k2, n = 4, 4, 21
+    rng = np.random.default_rng(8)
+    return K1K2Model(k1, k2, n, rng.uniform(0.3, 0.7, (n + 1) * 7).tolist())
+
+
+def test_wide_window_ci_star_finite():
+    model = _wide_model()
+    for i in range(1, model.n + 1):
+        c = k1k2_ci_star(model, i)
+        assert math.isfinite(c)
+        assert c >= 2 * math.sqrt(2) - 1e-12
+
+
+def test_wide_window_edge_block_matches_direct_enumeration():
+    # Block 1 conditioned on block 2: trials 1..3m, enumerated outright and
+    # scanned window by window for k1 failures followed by k2 successes.
+    model = _wide_model()
+    m, k1, k2 = model.m, model.k1, model.k2
+    width = 3 * m
+    idx = np.arange(1 << width, dtype=np.uint32)
+    bits = [((idx >> t) & 1).astype(bool) for t in range(width)]
+    probs = np.ones(len(idx))
+    for t, b in enumerate(bits):
+        probs *= np.where(b, model.trial_probs[t], 1.0 - model.trial_probs[t])
+
+    def block(first_window: int) -> np.ndarray:
+        total = np.zeros(len(idx), dtype=np.int64)
+        for j in range(first_window, first_window + m):
+            hit = np.ones(len(idx), dtype=bool)
+            for off in range(k1 + k2):
+                hit &= bits[j + off] if off >= k1 else ~bits[j + off]
+            total += hit
+        return total
+
+    x1, x2 = block(0), block(m)
+    direct = max(
+        probs[(x1 == 0) & (x2 == v)].sum() / probs[x2 == v].sum()
+        for v in np.unique(x2)
+    )
+    assert conditional_zero_max(model, 1) == pytest.approx(direct, abs=1e-12)
+
+
+def test_wide_window_cli_closed_form_bound_dominates_exact_tv(tmp_path, capsys):
+    model = _wide_model()
+    path = tmp_path / "k44.json"
+    path.write_text(json.dumps(model.to_json()))
+    assert main(["bound", "--model", str(path), "--fit", "poisson",
+                 "--variant", "closed-form"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    law = dp_distribution(k1k2_automaton(model.k1, model.k2), model.trial_probs)
+    tv = exact_tv(law, family_from_json(payload["target"]).pmf())
+    assert math.isfinite(payload["total"])
+    assert payload["total"] >= tv.upper
 
 
 def test_k1k2_ci_star_preconditions():
@@ -392,6 +484,6 @@ def test_k1k2_bound_dominates_exact_tv_poisson():
 
 def test_smoothing_from_runs_model_capped():
     model = TwoRunsModel([0.2] * 9)  # n = 8, cbar = 4
-    est = smoothing_from_runs_model(model)
+    est = build_smoothing(model)
     assert all(c == 2.0 for c in est.c)
     assert est.entries[0].raw == pytest.approx(4.0)

@@ -8,13 +8,14 @@ import pytest
 from psdapprox.errors import EnumerationLimitError
 from psdapprox.sequences import (
     BernoulliProductSequence,
+    MomentSet,
     block_m_dependent,
     compute_moments,
     dependence_certificate,
     neighborhood_sum,
     sequence_from_json,
-    sum_distribution,
 )
+from psdapprox.oracle import brute_force_distribution
 from psdapprox.runs import K1K2Model, K1K2WindowSequence, TwoRunsModel
 
 
@@ -150,7 +151,7 @@ def test_enumeration_cutoff_enforced():
 
 def test_sum_distribution_matches_binomial():
     seq = BernoulliProductSequence([0.5] * 4)
-    _, masses = sum_distribution(seq)
+    masses = brute_force_distribution(seq).as_array()
     assert np.allclose(masses, np.array([1, 4, 6, 4, 1]) / 16.0)
 
 
@@ -177,3 +178,71 @@ def test_json_round_trip():
         assert type(clone) is type(seq)
         assert clone.trial_probs == seq.trial_probs
         assert clone.n == seq.n
+
+
+# -- streaming moments against the full-matrix evaluation ------------------------
+
+
+def _reference_outcome_probs(seq) -> np.ndarray:
+    """Per-trial product over the bit matrix, in trial order."""
+    bits = seq.enumerate_bits()
+    probs = np.ones(seq.outcome_count, dtype=float)
+    for t, p in enumerate(seq.trial_probs):
+        probs *= np.where(bits[:, t] == 1, p, 1.0 - p)
+    return probs
+
+
+def _reference_window_matrix(xs: np.ndarray, n: int, ell: int) -> np.ndarray:
+    padded = np.zeros((xs.shape[0], n + 2 * ell), dtype=np.int64)
+    padded[:, ell : ell + n] = xs
+    out = np.zeros((xs.shape[0], n), dtype=np.int64)
+    for off in range(-ell, ell + 1):
+        out += padded[:, ell + off : ell + off + n]
+    return out
+
+
+def _reference_moments(seq) -> MomentSet:
+    """Every moment as one dot product over full (outcomes, n) matrices."""
+    xs = seq.x_values().astype(np.int64)
+    w = _reference_outcome_probs(seq)
+    n = seq.n
+    xn1 = _reference_window_matrix(xs, n, 1)
+    xn2 = _reference_window_matrix(xs, n, 2)
+    bracket = xn1 * (2 * xn2 - xn1 - 1)
+
+    def expect(cols: np.ndarray) -> tuple:
+        return tuple(float(w @ cols[:, i].astype(float)) for i in range(n))
+
+    total = xs.sum(axis=1).astype(float)
+    mean_w = float(w @ total)
+    var_w = float(w @ total**2) - mean_w**2
+    return MomentSet(expect(xs), expect(xn1), expect(xs * xn1), expect(bracket),
+                     expect(xs * bracket), expect(xs * (xn2 - 1)),
+                     mean_w, var_w, certified=True)
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(2024)
+    return {
+        "two-runs n=12": TwoRunsModel(rng.uniform(0.02, 0.5, 13).tolist()),
+        "two-runs n=1": TwoRunsModel([0.3, 0.7]),
+        "two-runs n=2": TwoRunsModel([0.3, 0.7, 0.45]),
+        "(1,2)-runs n=5": K1K2Model(1, 2, 5, rng.uniform(0.1, 0.6, 12).tolist()),
+        "bernoulli product": BernoulliProductSequence(
+            rng.uniform(0.0, 1.0, 10).tolist() + [0.0, 1.0]
+        ),
+        "blocked windows": block_m_dependent(
+            K1K2WindowSequence(1, 2, 4, rng.uniform(0.1, 0.6, 10).tolist())
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bit_identity_cases()))
+def test_streamed_moments_bit_identical_to_full_matrix(name):
+    seq = _bit_identity_cases()[name]
+    assert np.array_equal(seq.outcome_probs(), _reference_outcome_probs(seq))
+    got = compute_moments(seq, method="enumerate")
+    want = _reference_moments(seq)
+    for field in ("e_x", "e_xn1", "e_x_xn1", "e_n1_bracket", "e_x_n1_bracket",
+                  "e_x_n2m1", "mean_w", "var_w", "certified", "std_error"):
+        assert getattr(got, field) == getattr(want, field), field
