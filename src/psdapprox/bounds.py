@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PMFTable, delta_g_uniform_bound, g_norm_bound
-from .oracle import exact_conditional_D
+from .oracle import exact_conditional_D, shift_regularity
 from .sequences import DependentSequence, MomentSet
 
 MEAN_MATCH_TOL = 1e-9
@@ -35,9 +35,7 @@ def m_star(n: int) -> int:
 
 def D_statistic(pmf: PMFTable) -> float:
     """Shift regularity ``D(Y) = 2 d_TV(Y, Y+1) = sum_k |p_k - p_{k-1}|``."""
-    masses = pmf.as_array()
-    padded = np.concatenate(([0.0], masses, [0.0]))
-    return float(np.abs(np.diff(padded)).sum())
+    return shift_regularity(pmf.as_array())
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,10 @@ class SmoothingEntry:
 class SmoothingEstimate:
     """Per-index smoothing constants ``c_i(n)`` with their provenance.
 
-    Entries are capped at 2 (the shift regularity of any law is at most 2),
-    so a model formula may exceed the cap only through ``raw``.
+    :func:`build_smoothing` caps entries at 2 (the shift regularity of any
+    law is at most 2), so there a model formula may exceed the cap only
+    through ``raw``.  The runs closed-form bounds pass their model constants
+    uncapped, as the model bounds state them.
     """
 
     entries: tuple
@@ -338,12 +338,9 @@ def bound_d1(
     if delta_g is None:
         delta_g = default_delta_g(spec)
     b = spec.b
-    c = smoothing.c
-    term_quadratic = abs(1 - b) / 2 * math.fsum(
-        c[i] * (moments.e_x[i] * moments.e_n1_bracket[i] + moments.e_x_n1_bracket[i])
-        for i in range(moments.n)
-    )
-    term_linear = math.fsum(c[i] * moments.e_x_n2m1[i] for i in range(moments.n))
+    weights = list(zip(smoothing.c, moments.smoothing_weights()))
+    term_quadratic = abs(1 - b) / 2 * math.fsum(c * quad for c, (quad, _) in weights)
+    term_linear = math.fsum(c * lin for c, (_, lin) in weights)
     term_tau, _ = _tau_term(spec, moments.var_w)
     total = delta_g * (term_quadratic + term_linear + term_tau)
     return BoundReport(

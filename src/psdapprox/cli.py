@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 check/precondition failure, 2 usage error.
 All numeric output is fixed-precision and deterministic for a fixed
-configuration and seed.
+configuration.
 """
 
 from __future__ import annotations
@@ -101,6 +101,15 @@ def _fit_target(kind: str, moments):
     raise PsdApproxError(f"unknown fit target {kind!r}")
 
 
+def _closed_form_bound(seq, spec):
+    """The runs model's closed-form bound report, or None for other models."""
+    if isinstance(seq, TwoRunsModel):
+        return two_runs_bound(seq, spec)
+    if isinstance(seq, K1K2Model):
+        return k1k2_bound(seq, spec)
+    return None
+
+
 def cmd_bound(args) -> int:
     seq = sequence_from_json(_load_json(args.model))
     moments = compute_moments(seq)
@@ -129,11 +138,8 @@ def cmd_bound(args) -> int:
     elif variant == "crude":
         report = bound_crude(moments, spec)
     elif variant == "closed-form":
-        if isinstance(seq, TwoRunsModel):
-            report = two_runs_bound(seq, spec)
-        elif isinstance(seq, K1K2Model):
-            report = k1k2_bound(seq, spec)
-        else:
+        report = _closed_form_bound(seq, spec)
+        if report is None:
             sys.stderr.write("closed-form variant needs a runs model\n")
             return 2
     else:  # pragma: no cover - argparse restricts choices
@@ -161,12 +167,20 @@ def cmd_bound(args) -> int:
 # -- oracle --------------------------------------------------------------------------
 
 
-def _model_law(seq):
+def _automaton(seq):
+    """The pattern automaton counting a runs model, or None for other models."""
     if isinstance(seq, TwoRunsModel):
-        return dp_distribution(two_runs_automaton(), seq.trial_probs)
+        return two_runs_automaton()
     if isinstance(seq, K1K2Model):
-        return dp_distribution(k1k2_automaton(seq.k1, seq.k2), seq.trial_probs)
-    return brute_force_distribution(seq)
+        return k1k2_automaton(seq.k1, seq.k2)
+    return None
+
+
+def _model_law(seq):
+    automaton = _automaton(seq)
+    if automaton is None:
+        return brute_force_distribution(seq)
+    return dp_distribution(automaton, seq.trial_probs)
 
 
 def cmd_oracle(args) -> int:
@@ -225,13 +239,9 @@ def cmd_verify(args) -> int:
     )
     check("dp-vs-enumeration", agree)
     rational = _rationalize(seq.trial_probs)
-    if rational is not None and isinstance(seq, (TwoRunsModel, K1K2Model)):
-        auto = (
-            two_runs_automaton()
-            if isinstance(seq, TwoRunsModel)
-            else k1k2_automaton(seq.k1, seq.k2)
-        )
-        exact_dp = dp_distribution(auto, rational, exact=True)
+    automaton = _automaton(seq)
+    if rational is not None and automaton is not None:
+        exact_dp = dp_distribution(automaton, rational, exact=True)
         exact_bf = brute_force_distribution(seq, exact=True, exact_probs=rational)
         check("dp-vs-enumeration-exact", exact_dp.masses == exact_bf.masses)
 
@@ -283,16 +293,12 @@ def cmd_verify(args) -> int:
             pass  # n below stated validity: d2/crude still apply
         variants["d2"] = bound_d2(oracle_moments, spec).total
         variants["crude"] = bound_crude(oracle_moments, spec).total
-        if isinstance(seq, TwoRunsModel):
-            try:
-                variants["closed-form"] = two_runs_bound(seq, spec).total
-            except PsdApproxError:
-                pass
-        elif isinstance(seq, K1K2Model):
-            try:
-                variants["closed-form"] = k1k2_bound(seq, spec).total
-            except PsdApproxError:
-                pass
+        try:
+            closed_form = _closed_form_bound(seq, spec)
+        except PsdApproxError:
+            closed_form = None  # outside the model's stated validity
+        if closed_form is not None:
+            variants["closed-form"] = closed_form.total
         for vname, total in sorted(variants.items()):
             check(
                 f"domination-{name}-{vname}",
@@ -331,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--precision", type=int, default=12)
     b.add_argument("--allow-small-n", action="store_true",
                    help="evaluate below the stated minimum n (experimentation)")
-    b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bound)
 
     v = sub.add_parser("verify", help="run the oracle cross-check suite")

@@ -185,8 +185,9 @@ def brute_force_distribution(
     return PMFTable(0, tuple(float(m) for m in masses), 0.0)
 
 
-def _d_of_masses(masses: np.ndarray) -> float:
-    """``sum_k |q_k - q_{k-1}|`` of a mass vector (zero-padded both sides)."""
+def shift_regularity(masses: np.ndarray) -> float:
+    """``D = 2 d_TV(Y, Y+1) = sum_k |q_k - q_{k-1}|`` of a mass vector
+    (zero-padded both sides)."""
     padded = np.concatenate(([0.0], masses, [0.0]))
     return float(np.abs(np.diff(padded)).sum())
 
@@ -240,7 +241,7 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
             rem //= r
         value = tuple(reversed(value))
         key = value[0] if len(value) == 1 else value
-        out[key] = _d_of_masses(cond)
+        out[key] = shift_regularity(cond)
     return out
 
 

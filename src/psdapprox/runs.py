@@ -4,10 +4,13 @@ Both models are 1-dependent Bernoulli-block sequences over independent
 trials: the 2-runs count sums ``X_i = trial_i * trial_{i+1}`` over ``n+1``
 trials, and the (k1,k2)-runs count sums block variables built from
 occurrences of ``k1`` failures followed by ``k2`` successes over
-``(n+1)(k1+k2-1)`` trials.  The module supplies their neighborhood moments in
-closed form (certified against enumeration elsewhere), the model-specific
-smoothing constants, the bound statements specialized to each model,
-moment-matched target fitting, and the published comparison table.
+``(n+1)(k1+k2-1)`` trials.  Both are 0/1 summands, so one formula,
+:func:`neighborhood_moment_set`, gives their neighborhood moments from the
+per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
+(certified against enumeration elsewhere).  Each model's closed-form bound is
+``bounds.bound_d1`` over that moment set with the model's uncapped smoothing
+constants.  The module also supplies those constants, moment-matched target
+fitting, and the published comparison table.
 """
 
 from __future__ import annotations
@@ -21,13 +24,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, build_smoothing, default_delta_g as _default_delta_g, m_star
-from .errors import MomentMatchError, NBFitError, PreconditionError
-from .families import PanjerPSD, negative_binomial_family, poisson_family
+from .bounds import (
+    BoundReport,
+    SmoothingEntry,
+    SmoothingEstimate,
+    bound_d1,
+    build_smoothing,
+    m_star,
+)
+from .errors import NBFitError, PreconditionError
+from .families import PanjerPSD, negative_binomial_family
 from .oracle import k1k2_automaton
 from .sequences import DependentSequence, MomentSet, register_model
-
-MEAN_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,64 @@ class RunsBoundReport(BoundReport):
         if self.comparison is not None:
             out["comparison_brown_xia"] = self.comparison
         return out
+
+
+# -- shared by both models: 1-dependent 0/1 summands -------------------------------
+
+
+def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
+    """Closed-form moment set of 1-dependent 0/1 summands ``X_1..X_n``.
+
+    The inputs are the per-index arrays ``E X_i``, ``E X_i X_{i+1}`` and
+    ``E X_i X_{i+1} X_{i+2}``, each of length ``n`` and zero where an index
+    passes ``n``.  Every neighborhood moment the bounds consume is a
+    polynomial in these: products across a gap of two or more factorize, and
+    ``X_i^2 = X_i``.  Terms whose indices leave ``1..n`` vanish, so every
+    value equals the corresponding exact expectation at the boundary.
+    """
+    n = len(mean)
+    a, q, t = (np.pad(np.asarray(v, dtype=float), 2) for v in (mean, pair, triple))
+
+    def at(v, k):  # v at index i + k, for i = 1..n
+        return v[2 + k : 2 + k + n]
+
+    e_x = at(a, 0)
+    e_xn1 = at(a, -1) + at(a, 0) + at(a, 1)
+    e_x_xn1 = at(q, -1) + at(a, 0) + at(q, 0)
+    e_n1_bracket = 2 * (at(q, -2) + at(q, -1) + at(q, 0) + at(q, 1)) + 2 * (
+        at(a, -1) * at(a, 1)
+        + at(a, -2) * (at(a, 0) + at(a, 1))
+        + at(a, 2) * (at(a, -1) + at(a, 0))
+    )
+    e_x_n1_bracket = (
+        2 * at(a, 0) * (at(a, -2) + at(a, 2))
+        + 2 * at(q, -1) * (1 + at(a, 2))
+        + 2 * at(q, 0) * (1 + at(a, -2))
+        + 2 * (at(t, -2) + at(t, -1) + at(t, 0))
+    )
+    e_x_n2m1 = at(a, 0) * (at(a, -2) + at(a, 2)) + at(q, -1) + at(q, 0)
+    fields = [tuple(v.tolist()) for v in (e_x, e_xn1, e_x_xn1, e_n1_bracket,
+                                          e_x_n1_bracket, e_x_n2m1)]
+    return MomentSet(*fields, mean_w=math.fsum(fields[0]),
+                     var_w=math.fsum(e_x_xn1 - e_x * e_xn1), certified=True)
+
+
+def _closed_form_bound(moments: MomentSet, parts: list, spec, delta_g, term_weights,
+                       c_constant, comparison=None) -> RunsBoundReport:
+    """``bound_d1`` with a model's uncapped smoothing constants, as ``closed-form``.
+
+    ``parts`` holds ``(c_i, label)`` per index; the model's own validity
+    replaces the generic ``n >= 6``.  ``moment_terms`` lists the per-index
+    quadratic and linear summands, each times ``term_weights[i]``.
+    """
+    smoothing = SmoothingEstimate(
+        tuple(SmoothingEntry(c, label, c) for c, label in parts), m_star(moments.n))
+    d1 = bound_d1(moments, smoothing, spec, delta_g, allow_small_n=True)
+    half = abs(d1.one_minus_b) / 2
+    terms = tuple((w * half * quad, w * lin)
+                  for w, (quad, lin) in zip(term_weights, moments.smoothing_weights()))
+    return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
+                           moment_terms=terms, c_constant=c_constant, comparison=comparison)
 
 
 # -- 2-runs model -------------------------------------------------------------------
@@ -86,83 +152,20 @@ class TwoRunsModel(DependentSequence):
 register_model("two-runs", lambda obj: TwoRunsModel([float(x) for x in obj["p"]]))
 
 
-def _trial(model: TwoRunsModel, j: int) -> float:
-    """Trial probability ``p_j`` (1-based), zero outside ``1..n+1``."""
-    if 1 <= j <= model.n + 1:
-        return model.trial_probs[j - 1]
-    return 0.0
-
-
-def _a1(model: TwoRunsModel, i: int) -> float:
-    if not 1 <= i <= model.n:
-        return 0.0
-    return _trial(model, i) * _trial(model, i + 1)
-
-
-def _a2(model: TwoRunsModel, i: int) -> float:
-    if not 1 <= i <= model.n - 1:
-        return 0.0
-    return _trial(model, i) * _trial(model, i + 1) * _trial(model, i + 2)
-
-
-def _a3(model: TwoRunsModel, i: int) -> float:
-    if not 1 <= i <= model.n - 2:
-        return 0.0
-    return (
-        _trial(model, i)
-        * _trial(model, i + 1)
-        * _trial(model, i + 2)
-        * _trial(model, i + 3)
-    )
-
-
-def two_runs_moments(model: TwoRunsModel, i: int) -> tuple:
-    """Closed-form ``(a1, a2, a3, abar1, abar2, abar3)`` at index ``i``.
-
-    Terms whose summand indices leave ``1..n`` vanish, which keeps every
-    value equal to the corresponding exact expectation at the boundary.
-    """
-    if not 1 <= i <= model.n:
-        raise ValueError(f"index {i} outside 1..{model.n}")
-    a1 = lambda j: _a1(model, j)  # noqa: E731
-    a2 = lambda j: _a2(model, j)  # noqa: E731
-    a3 = lambda j: _a3(model, j)  # noqa: E731
-
-    abar1 = 2 * math.fsum(a2(j) for j in range(i - 2, i + 2)) + 2 * (
-        a1(i - 1) * a1(i + 1)
-        + a1(i - 2) * (a1(i) + a1(i + 1))
-        + a1(i + 2) * (a1(i - 1) + a1(i))
-    )
-    abar2 = (
-        2 * a1(i) * (a1(i - 2) + a1(i + 2))
-        + 2 * a2(i - 1) * (1 + a1(i + 2))
-        + 2 * a2(i) * (1 + a1(i - 2))
-        + 2 * math.fsum(a3(j) for j in range(i - 2, i + 1))
-    )
-    abar3 = a1(i) * (a1(i - 2) + a1(i + 2)) + a2(i - 1) + a2(i)
-    return a1(i), a2(i), a3(i), abar1, abar2, abar3
+def _trial_products(model: TwoRunsModel) -> list:
+    """``E X_i``, ``E X_i X_{i+1}``, ``E X_i X_{i+1} X_{i+2}`` of the 2-runs
+    summands: products of 2, 3 and 4 consecutive trials, zero past ``n``."""
+    p = np.asarray(model.trial_probs)
+    out, prod = [], p
+    for shift in (1, 2, 3):
+        prod = prod[:-1] * p[shift:]
+        out.append(np.pad(prod, (0, model.n - len(prod))))
+    return out
 
 
 def two_runs_moment_set(model: TwoRunsModel) -> MomentSet:
     """Full closed-form moment set (no enumeration)."""
-    n = model.n
-    vals = [two_runs_moments(model, i) for i in range(1, n + 1)]
-    e_x = tuple(v[0] for v in vals)
-    e_xn1 = tuple(
-        _a1(model, i - 1) + _a1(model, i) + _a1(model, i + 1) for i in range(1, n + 1)
-    )
-    e_x_xn1 = tuple(
-        _a2(model, i - 1) + _a1(model, i) + _a2(model, i) for i in range(1, n + 1)
-    )
-    e_n1_bracket = tuple(v[3] for v in vals)
-    e_x_n1_bracket = tuple(v[4] for v in vals)
-    e_x_n2m1 = tuple(v[5] for v in vals)
-    mean_w = math.fsum(e_x)
-    var_w = math.fsum(
-        e_x_xn1[i] - e_x[i] * e_xn1[i] for i in range(n)
-    )
-    return MomentSet(e_x, e_xn1, e_x_xn1, e_n1_bracket, e_x_n1_bracket,
-                     e_x_n2m1, mean_w, var_w, certified=True)
+    return neighborhood_moment_set(*_trial_products(model))
 
 
 def two_runs_cbar_parts(n: int) -> tuple:
@@ -204,15 +207,6 @@ def nb_moment_match_2runs(n: int, p: float) -> PanjerPSD:
     return nb_fit_from_moments(n * p**2, two_runs_var(n, p))
 
 
-def poisson_fit(mean: float) -> PanjerPSD:
-    return poisson_family(mean)
-
-
-def _check_mean(spec, mean_w: float):
-    if abs(spec.mean - mean_w) > MEAN_MATCH_TOL * (1.0 + abs(mean_w)):
-        raise MomentMatchError(spec.mean, mean_w)
-
-
 def two_runs_bound(
     model: TwoRunsModel,
     spec: PanjerPSD,
@@ -221,41 +215,20 @@ def two_runs_bound(
 ) -> RunsBoundReport:
     """Model-specialized bound: ``|Dg| { cbar(n) sum_i [(|1-b|/2)(a1 abar1 +
     abar2) + abar3] + |tau(1-b)| }``; requires ``n >= 8``, trials <= 1/2, and
-    matched first moments."""
+    matched first moments.  ``moment_terms`` holds the per-index summands
+    before the factor ``cbar``."""
     n = model.n
     if not model.assumption_ok:
         raise PreconditionError("trial probabilities must satisfy p_i <= 1/2")
-    cbar, _ = two_runs_cbar_parts(n)  # enforces n >= 8
-    moments = two_runs_moment_set(model)
-    _check_mean(spec, moments.mean_w)
-    if delta_g is None:
-        delta_g = _default_delta_g(spec)
-    b = spec.b
-    per_index = []
-    for i in range(1, n + 1):
-        a1, _, _, abar1, abar2, abar3 = two_runs_moments(model, i)
-        per_index.append((abs(1 - b) / 2 * (a1 * abar1 + abar2), abar3))
-    term_quadratic = cbar * math.fsum(t[0] for t in per_index)
-    term_linear = cbar * math.fsum(t[1] for t in per_index)
-    var_z = spec.a / (1 - b) ** 2
-    term_tau = abs((moments.var_w - var_z) * (1 - b))
-    total = delta_g * (term_quadratic + term_linear + term_tau)
+    cbar, label = two_runs_cbar_parts(n)  # enforces n >= 8
     cmp_val = None
     if comparison:
         probs = set(model.trial_probs)
         if len(probs) == 1:
             cmp_val = brown_xia_bound(n, next(iter(probs)))
-    return RunsBoundReport(
-        variant="closed-form",
-        delta_g_factor=delta_g,
-        term_quadratic=term_quadratic,
-        term_linear=term_linear,
-        term_tau=term_tau,
-        total=total,
-        one_minus_b=1 - b,
-        moment_terms=tuple(per_index),
-        c_constant=cbar,
-        comparison=cmp_val,
+    return _closed_form_bound(
+        two_runs_moment_set(model), [(cbar, label)] * n, spec, delta_g,
+        term_weights=[1.0] * n, c_constant=cbar, comparison=cmp_val,
     )
 
 
@@ -359,15 +332,24 @@ class K1K2Model(DependentSequence):
         self.k2 = k2
         self.m = m
 
+    def window(self, trials, j: int):
+        """``(1-t_j)...(1-t_{j+k1-1}) t_{j+k1}...t_{j+k1+k2-1}`` for window ``j``
+        (1-based), multiplied in trial order.
+
+        On a tuple of 0/1 trials this is the occurrence indicator of window
+        ``j``; on the bit columns of many outcomes, the column of indicators;
+        on the trial probabilities, the occurrence probability.
+        """
+        val = 1
+        for off in range(self.k1 + self.k2):
+            t = trials[j - 1 + off]
+            val = val * (1 - t if off < self.k1 else t)
+        return val
+
     def _y_columns(self, bits: np.ndarray) -> np.ndarray:
-        n_windows = self.n * self.m
-        cols = np.ones((bits.shape[0], n_windows), dtype=bits.dtype)
-        for j in range(n_windows):
-            for off in range(self.k1):
-                cols[:, j] = cols[:, j] * (1 - bits[:, j + off])
-            for off in range(self.k1, self.k1 + self.k2):
-                cols[:, j] = cols[:, j] * bits[:, j + off]
-        return cols
+        cols = bits.T
+        return np.stack([self.window(cols, j) for j in range(1, self.n * self.m + 1)],
+                        axis=1)
 
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
         y = self._y_columns(bits)
@@ -377,16 +359,8 @@ class K1K2Model(DependentSequence):
         )
 
     def x_scalar(self, bits: tuple) -> tuple:
-        def y(j):  # 1-based window index
-            val = 1
-            for off in range(self.k1):
-                val *= 1 - bits[j - 1 + off]
-            for off in range(self.k1, self.k1 + self.k2):
-                val *= bits[j - 1 + off]
-            return val
-
         return tuple(
-            sum(y(j) for j in range((i - 1) * self.m + 1, i * self.m + 1))
+            sum(self.window(bits, j) for j in range((i - 1) * self.m + 1, i * self.m + 1))
             for i in range(1, self.n + 1)
         )
 
@@ -423,29 +397,14 @@ class K1K2WindowSequence(DependentSequence):
         return self._model._y_columns(bits)
 
     def x_scalar(self, bits: tuple) -> tuple:
-        m, n = self._model.m, self._model.n
-
-        def y(j):
-            val = 1
-            for off in range(self._model.k1):
-                val *= 1 - bits[j - 1 + off]
-            for off in range(self._model.k1, self._model.k1 + self._model.k2):
-                val *= bits[j - 1 + off]
-            return val
-
-        return tuple(y(j) for j in range(1, n * m + 1))
+        return tuple(self._model.window(bits, j) for j in range(1, self.n + 1))
 
 
 def window_probability(model: K1K2Model, j: int) -> float:
     """Occurrence probability ``a(p_j)`` of window ``j`` (1-based), 0 off-range."""
     if not 1 <= j <= model.n * model.m:
         return 0.0
-    val = 1.0
-    for off in range(model.k1):
-        val *= 1.0 - model.trial_probs[j - 1 + off]
-    for off in range(model.k1, model.k1 + model.k2):
-        val *= model.trial_probs[j - 1 + off]
-    return val
+    return model.window(model.trial_probs, j)
 
 
 def _block_mean(model: K1K2Model, i: int) -> float:
@@ -498,54 +457,12 @@ def _block_triple(model: K1K2Model, i: int) -> float:
     return total
 
 
-def k1k2_moments(model: K1K2Model, i: int) -> tuple:
-    """``(a*, pair, triple, a1*, a2*, a3*)`` at block index ``i``.
-
-    The pair/triple sums count each admissible window tuple once, which keeps
-    them equal to the exact cross moments of the 0/1 block variables; the
-    starred bound terms then follow the same neighborhood expansion as the
-    2-runs case.
-    """
-    if not 1 <= i <= model.n:
-        raise ValueError(f"index {i} outside 1..{model.n}")
-    astar = lambda j: _block_mean(model, j)  # noqa: E731
-    pair = lambda j: _block_pair(model, j)  # noqa: E731
-    triple = lambda j: _block_triple(model, j)  # noqa: E731
-
-    a1_star = 2 * math.fsum(pair(j) for j in range(i - 2, i + 2)) + 2 * (
-        astar(i - 1) * astar(i + 1)
-        + astar(i - 2) * (astar(i) + astar(i + 1))
-        + astar(i + 2) * (astar(i - 1) + astar(i))
-    )
-    a2_star = (
-        2 * astar(i) * (astar(i - 2) + astar(i + 2))
-        + 2 * pair(i - 1) * (1 + astar(i + 2))
-        + 2 * pair(i) * (1 + astar(i - 2))
-        + 2 * math.fsum(triple(j) for j in range(i - 2, i + 1))
-    )
-    a3_star = astar(i) * (astar(i - 2) + astar(i + 2)) + pair(i - 1) + pair(i)
-    return astar(i), pair(i), triple(i), a1_star, a2_star, a3_star
-
-
 def k1k2_moment_set(model: K1K2Model) -> MomentSet:
-    n = model.n
-    vals = [k1k2_moments(model, i) for i in range(1, n + 1)]
-    e_x = tuple(v[0] for v in vals)
-    e_xn1 = tuple(
-        _block_mean(model, i - 1) + _block_mean(model, i) + _block_mean(model, i + 1)
-        for i in range(1, n + 1)
+    """Closed-form moment set from the block means, pairs and triples."""
+    blocks = range(1, model.n + 1)
+    return neighborhood_moment_set(
+        *([f(model, i) for i in blocks] for f in (_block_mean, _block_pair, _block_triple))
     )
-    e_x_xn1 = tuple(
-        _block_pair(model, i - 1) + _block_mean(model, i) + _block_pair(model, i)
-        for i in range(1, n + 1)
-    )
-    e_n1_bracket = tuple(v[3] for v in vals)
-    e_x_n1_bracket = tuple(v[4] for v in vals)
-    e_x_n2m1 = tuple(v[5] for v in vals)
-    mean_w = math.fsum(e_x)
-    var_w = math.fsum(e_x_xn1[i] - e_x[i] * e_xn1[i] for i in range(n))
-    return MomentSet(e_x, e_xn1, e_x_xn1, e_n1_bracket, e_x_n1_bracket,
-                     e_x_n2m1, mean_w, var_w, certified=True)
 
 
 def conditional_zero_max(model: K1K2Model, ell: int) -> float:
@@ -664,42 +581,15 @@ def k1k2_bound(
     <= 1/3, and matched first moments."""
     _k1k2_check_conditions(model)
     moments = k1k2_moment_set(model)
-    _check_mean(spec, moments.mean_w)
-    if delta_g is None:
-        delta_g = _default_delta_g(spec)
-    b = spec.b
-    cs = []
-    per_index = []
-    for i in range(1, model.n + 1):
-        astar, _, _, a1s, a2s, a3s = k1k2_moments(model, i)
-        quad = astar * a1s + a2s
-        if quad == 0.0 and a3s == 0.0:
-            # Nothing to weight; skip the smoothing constant (may be inf on
-            # degenerate instances) so the vanishing term stays zero.
-            cs.append(0.0)
-            per_index.append((0.0, 0.0))
-            continue
-        c_i = k1k2_ci_star(model, i)
-        cs.append(c_i)
-        per_index.append(
-            (c_i * abs(1 - b) / 2 * quad, c_i * a3s)
-        )
-    term_quadratic = math.fsum(t[0] for t in per_index)
-    term_linear = math.fsum(t[1] for t in per_index)
-    var_z = spec.a / (1 - b) ** 2
-    term_tau = abs((moments.var_w - var_z) * (1 - b))
-    total = delta_g * (term_quadratic + term_linear + term_tau)
-    return RunsBoundReport(
-        variant="closed-form",
-        delta_g_factor=delta_g,
-        term_quadratic=term_quadratic,
-        term_linear=term_linear,
-        term_tau=term_tau,
-        total=total,
-        one_minus_b=1 - b,
-        moment_terms=tuple(per_index),
-        c_constant=tuple(cs),
-    )
+    # An index with nothing to weight gets c = 0 instead of its constant,
+    # which may be inf on degenerate instances (and inf * 0 is NaN).
+    parts = [
+        k1k2_ci_star_parts(model, i) if quad != 0.0 or lin != 0.0 else (0.0, "zero-weight")
+        for i, (quad, lin) in enumerate(moments.smoothing_weights(), start=1)
+    ]
+    cs = tuple(c for c, _ in parts)
+    return _closed_form_bound(moments, parts, spec, delta_g,
+                              term_weights=cs, c_constant=cs)
 
 
 # Former name of ``build_smoothing``, still bound by the benchmark's spans.

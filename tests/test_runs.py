@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from psdapprox.bounds import SmoothingEstimate, bound_d1, build_smoothing, exact_tv, m_star
+from psdapprox.bounds import (
+    SmoothingEntry,
+    SmoothingEstimate,
+    bound_d1,
+    build_smoothing,
+    exact_tv,
+    m_star,
+)
 from psdapprox.errors import MomentMatchError, NBFitError, PreconditionError
 from psdapprox.cli import main
 from psdapprox.families import (
@@ -24,14 +31,18 @@ from psdapprox.oracle import (
 )
 from psdapprox.runs import (
     K1K2Model,
+    K1K2WindowSequence,
     TABLE1_PRINTED,
     TwoRunsModel,
+    _block_mean,
+    _block_pair,
+    _block_triple,
+    _trial_products,
     brown_xia_bound,
     conditional_zero_max,
     k1k2_bound,
     k1k2_ci_star,
     k1k2_moment_set,
-    k1k2_moments,
     nb_bound_closed_form,
     nb_fit_from_moments,
     nb_moment_match_2runs,
@@ -40,22 +51,143 @@ from psdapprox.runs import (
     two_runs_bound,
     two_runs_cbar,
     two_runs_moment_set,
-    two_runs_moments,
     two_runs_var,
+    window_probability,
 )
+
+
+def _at(arrays, moments, i: int) -> tuple:
+    """``(E X_i, E X_i X_{i+1}, E X_i X_{i+1} X_{i+2})`` from the per-index
+    arrays, then the three bracket moments at ``i``, from the moment set."""
+    return tuple(float(v[i - 1]) for v in arrays) + (
+        moments.e_n1_bracket[i - 1],
+        moments.e_x_n1_bracket[i - 1],
+        moments.e_x_n2m1[i - 1],
+    )
+
+
+def _two_runs_at(model: TwoRunsModel, i: int) -> tuple:
+    """``(a1, a2, a3, abar1, abar2, abar3)`` at index ``i``."""
+    return _at(_trial_products(model), two_runs_moment_set(model), i)
+
+
+def _k1k2_at(model: K1K2Model, i: int) -> tuple:
+    """``(a*, pair, triple, a1*, a2*, a3*)`` at block index ``i``."""
+    blocks = range(1, model.n + 1)
+    arrays = [[f(model, j) for j in blocks] for f in (_block_mean, _block_pair, _block_triple)]
+    return _at(arrays, k1k2_moment_set(model), i)
+
+
+# -- per-index reference: the neighborhood expansion index by index ------------
+
+
+def _reference_moments(n: int, a1, a2, a3) -> dict:
+    """The per-index neighborhood expansion, one ``fsum`` per index, over the
+    callables ``a1(i) = E X_i``, ``a2(i) = E X_i X_{i+1}``,
+    ``a3(i) = E X_i X_{i+1} X_{i+2}`` (each zero outside ``1..n``)."""
+    brackets = []
+    for i in range(1, n + 1):
+        abar1 = 2 * math.fsum(a2(j) for j in range(i - 2, i + 2)) + 2 * (
+            a1(i - 1) * a1(i + 1)
+            + a1(i - 2) * (a1(i) + a1(i + 1))
+            + a1(i + 2) * (a1(i - 1) + a1(i))
+        )
+        abar2 = (
+            2 * a1(i) * (a1(i - 2) + a1(i + 2))
+            + 2 * a2(i - 1) * (1 + a1(i + 2))
+            + 2 * a2(i) * (1 + a1(i - 2))
+            + 2 * math.fsum(a3(j) for j in range(i - 2, i + 1))
+        )
+        abar3 = a1(i) * (a1(i - 2) + a1(i + 2)) + a2(i - 1) + a2(i)
+        brackets.append((abar1, abar2, abar3))
+    idx = range(1, n + 1)
+    e_x = tuple(a1(i) for i in idx)
+    e_xn1 = tuple(a1(i - 1) + a1(i) + a1(i + 1) for i in idx)
+    e_x_xn1 = tuple(a2(i - 1) + a1(i) + a2(i) for i in idx)
+    return {
+        "e_x": e_x,
+        "e_xn1": e_xn1,
+        "e_x_xn1": e_x_xn1,
+        "e_n1_bracket": tuple(b[0] for b in brackets),
+        "e_x_n1_bracket": tuple(b[1] for b in brackets),
+        "e_x_n2m1": tuple(b[2] for b in brackets),
+        "mean_w": math.fsum(e_x),
+        "var_w": math.fsum(e_x_xn1[i] - e_x[i] * e_xn1[i] for i in range(n)),
+    }
+
+
+def _reference_two_runs(model: TwoRunsModel) -> dict:
+    n = model.n
+
+    def trial(j):  # 1-based, zero outside 1..n+1
+        return model.trial_probs[j - 1] if 1 <= j <= n + 1 else 0.0
+
+    def a1(i):
+        return trial(i) * trial(i + 1) if 1 <= i <= n else 0.0
+
+    def a2(i):
+        return trial(i) * trial(i + 1) * trial(i + 2) if 1 <= i <= n - 1 else 0.0
+
+    def a3(i):
+        if not 1 <= i <= n - 2:
+            return 0.0
+        return trial(i) * trial(i + 1) * trial(i + 2) * trial(i + 3)
+
+    return _reference_moments(n, a1, a2, a3)
+
+
+def _reference_k1k2(model: K1K2Model) -> dict:
+    return _reference_moments(
+        model.n,
+        lambda i: _block_mean(model, i),
+        lambda i: _block_pair(model, i),
+        lambda i: _block_triple(model, i),
+    )
+
+
+def _assert_matches_reference(moments, reference: dict):
+    for field in ("e_x", "e_xn1", "e_x_xn1", "mean_w", "var_w"):
+        assert getattr(moments, field) == reference[field], field
+    for field in ("e_n1_bracket", "e_x_n1_bracket", "e_x_n2m1"):
+        got, want = getattr(moments, field), reference[field]
+        assert len(got) == len(want)
+        assert all(math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, want)), field
+
+
+def _reference_models() -> list:
+    rng = np.random.default_rng(5)
+    models = []
+    for n in (1, 2, 3, 8, 37):
+        for p in ([0.0] * (n + 1), [0.5] * (n + 1), rng.uniform(0, 0.5, n + 1).tolist()):
+            models.append((TwoRunsModel(p), _reference_two_runs))
+        for k1, k2 in ((1, 1), (1, 2), (2, 3)):
+            size = (n + 1) * (k1 + k2 - 1)
+            for p in ([0.0] * size, [0.5] * size, rng.uniform(0, 1, size).tolist()):
+                models.append((K1K2Model(k1, k2, n, p), _reference_k1k2))
+    return models
+
+
+def test_moment_sets_match_per_index_reference():
+    # e_x, e_xn1, e_x_xn1, mean_w and var_w keep the per-index add order and
+    # fsum; the brackets sum their few terms in numpy and may differ by ulps.
+    for model, reference in _reference_models():
+        moments = model.closed_form_moments()
+        assert moments.certified
+        _assert_matches_reference(moments, reference(model))
+
 
 # -- 2-runs closed forms -------------------------------------------------------
 
 
 def test_two_runs_moments_all_zero_probabilities():
     model = TwoRunsModel([0.0] * 9)
-    assert two_runs_moments(model, 4) == (0.0,) * 6
+    assert _two_runs_at(model, 4) == (0.0,) * 6
 
 
 def test_two_runs_moments_iid_interior():
     p = 0.3
     model = TwoRunsModel([p] * 12)  # n = 11, index 6 is fully interior
-    a1, a2, a3, abar1, abar2, abar3 = two_runs_moments(model, 6)
+    a1, a2, a3, abar1, abar2, abar3 = _two_runs_at(model, 6)
     assert a1 == pytest.approx(p**2)
     assert a2 == pytest.approx(p**3)
     assert a3 == pytest.approx(p**4)
@@ -228,7 +360,7 @@ def test_two_runs_bound_iid_reduction():
     assert report.total <= display + 1e-12
     assert report.total >= 0.8 * display  # boundary effect is a few indices
     # Fully interior index reproduces the display's per-index bracket exactly.
-    a1, _, _, abar1, abar2, abar3 = two_runs_moments(model, 10)
+    a1, _, _, abar1, abar2, abar3 = _two_runs_at(model, 10)
     per_index = abs(1 - b) / 2 * (a1 * abar1 + abar2) + abar3
     assert per_index == pytest.approx(interior, rel=1e-12)
 
@@ -241,6 +373,20 @@ def test_two_runs_bound_matches_d1_with_same_constants():
     closed = two_runs_bound(model, spec, delta_g=dg)
     smoothing = SmoothingEstimate.constant(two_runs_cbar(n), n)
     generic = bound_d1(two_runs_moment_set(model), smoothing, spec, delta_g=dg)
+    assert closed.total == pytest.approx(generic.total, rel=1e-12)
+    # (k1,k2): c*_i >= 2 sqrt 2 exceeds the cap of SmoothingEstimate.constant,
+    # so the generic side gets the uncapped constants.
+    rng = np.random.default_rng(12)
+    n = 9
+    model = K1K2Model(1, 2, n, rng.uniform(0.1, 0.3, (n + 1) * 2).tolist())
+    moments = k1k2_moment_set(model)
+    spec = poisson_family(moments.mean_w)
+    closed = k1k2_bound(model, spec)
+    cs = [k1k2_ci_star(model, i) for i in range(1, n + 1)]
+    smoothing = SmoothingEstimate(
+        tuple(SmoothingEntry(c, "roellin", c) for c in cs), m_star(n))
+    generic = bound_d1(moments, smoothing, spec, allow_small_n=True)
+    assert closed.c_constant == tuple(cs)
     assert closed.total == pytest.approx(generic.total, rel=1e-12)
 
 
@@ -282,14 +428,14 @@ def test_two_runs_report_recomputable_and_serializable():
 
 def test_k1k2_all_success_trials_vanish():
     model = K1K2Model(1, 2, 3, [1.0] * 8)
-    assert all(v == 0.0 for v in k1k2_moments(model, 2))
+    assert all(v == 0.0 for v in _k1k2_at(model, 2))
 
 
 def test_k1k2_smallest_case_formulas():
     # k1 = k2 = 1: windows are (1-I_j) I_{j+1}, pair and triple sums collapse.
     p = [0.3, 0.6, 0.2, 0.5, 0.4]
     model = K1K2Model(1, 1, 4, p)
-    astar, pair, triple, *_ = k1k2_moments(model, 2)
+    astar, pair, triple, *_ = _k1k2_at(model, 2)
     assert astar == pytest.approx((1 - p[1]) * p[2])
     assert pair == 0.0
     assert triple == 0.0
@@ -328,6 +474,29 @@ def test_k1k2_closed_forms_match_enumeration_random_models():
                 closed.e_x_n1_bracket, oracle.e_x_n1_bracket, atol=1e-12
             )
             np.testing.assert_allclose(closed.e_x_n2m1, oracle.e_x_n2m1, atol=1e-12)
+
+
+def test_window_indicator_agrees_across_trial_representations():
+    # One product serves bit tuples, bit columns and probabilities; on
+    # probabilities it multiplies in trial order, as a plain loop does.
+    rng = np.random.default_rng(19)
+    for k1, k2, n in [(1, 1, 4), (1, 2, 3), (2, 3, 2)]:
+        m = k1 + k2 - 1
+        p = rng.uniform(0.05, 0.95, (n + 1) * m).tolist()
+        windows = K1K2WindowSequence(k1, k2, n, p)
+        model = K1K2Model(k1, k2, n, p)
+        xs = windows.x_values()
+        for row, bits in zip(xs, windows.enumerate_bits()):
+            assert windows.x_scalar(tuple(int(b) for b in bits)) == tuple(int(v) for v in row)
+        assert np.array_equal(xs.reshape(-1, n, m).sum(axis=2), model.x_values())
+        for j in range(1, n * m + 1):
+            loop = 1.0
+            for off in range(k1):
+                loop *= 1.0 - p[j - 1 + off]
+            for off in range(k1, k1 + k2):
+                loop *= p[j - 1 + off]
+            assert window_probability(model, j) == loop
+        assert window_probability(model, 0) == window_probability(model, n * m + 1) == 0.0
 
 
 def test_k1k2_blocks_are_bernoulli():
@@ -469,6 +638,17 @@ def test_k1k2_bound_all_success_is_zero():
     model = K1K2Model(1, 2, 6, [1.0] * 14)
     report = k1k2_bound(model, PanjerPSD(0.0, 0.0), delta_g=1.0)
     assert report.total == 0.0
+
+
+def test_k1k2_bound_below_generic_minimum_n_dominates_exact_tv():
+    # n = 4 is below the generic n >= 6 of bound_d1 but inside the model's
+    # own n >= 3m, so the closed form must still give a bound (infinite here:
+    # (1,1)-runs have c*_i = inf).
+    model = K1K2Model(1, 1, 4, [0.3, 0.2, 0.25, 0.3, 0.15])
+    spec = poisson_family(k1k2_moment_set(model).mean_w)
+    report = k1k2_bound(model, spec)
+    law = dp_distribution(k1k2_automaton(1, 1), model.trial_probs)
+    assert report.total >= exact_tv(law, spec.pmf()).upper
 
 
 def test_k1k2_bound_dominates_exact_tv_poisson():
