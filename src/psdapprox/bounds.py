@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PMFTable, delta_g_uniform_bound, g_norm_bound
 from .oracle import exact_conditional_D, shift_regularity
-from .sequences import DependentSequence, MomentSet
+from .sequences import DependentSequence, MomentSet, group_rows
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -272,14 +272,14 @@ class ExactConditionalTerms:
             v2 = seq._window_values(xs, i, 2).astype(np.int64)
             bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
 
+            # One lookup per conditioning value, gathered per outcome.  Values of
+            # zero mass are absent from the maps; any finite default works.
             d12 = exact_conditional_D(seq, i, "n1n2")
+            ids, first = group_rows((v1, v2), len(w))
+            d12_w = np.array([d12.get((int(v1[f]), int(v2[f])), 0.0) for f in first])[ids]
             d2m = exact_conditional_D(seq, i, "n2")
-            # Conditioning values carrying zero mass never appear in the maps;
-            # their outcomes have zero weight, so any default works.
-            d12_w = np.asarray(
-                [d12.get((int(a), int(b)), 0.0) for a, b in zip(v1, v2)]
-            )
-            d2_w = np.asarray([d2m.get(int(b), 0.0) for b in v2])
+            ids, first = group_rows((v2,), len(w))
+            d2_w = np.array([d2m.get(int(v2[f]), 0.0) for f in first])[ids]
 
             e_x = float(w @ xi)
             sum_q1 += e_x * float(w @ (bracket * d12_w))

@@ -1,6 +1,7 @@
 """Command-line front end: published table, bound evaluation, oracle checks.
 
-Exit codes: 0 success, 1 check/precondition failure, 2 usage error.
+Exit codes: 0 success, 1 check/precondition failure, 2 usage error (which
+includes a model or target file that does not parse).
 All numeric output is fixed-precision and deterministic for a fixed
 configuration.
 """
@@ -44,14 +45,33 @@ from .runs import (
     table1_mismatches,
     two_runs_bound,
 )
-from .sequences import compute_moments, sequence_from_json
+from .sequences import compute_moments, dependence_certificate, sequence_from_json
 
 BOUND_VARIANTS = ("theorem", "d1", "d2", "crude", "min", "closed-form")
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+class InputError(Exception):
+    """A model or target file that does not parse; a usage error (exit 2)."""
+
+
+def _read_input(path: str, parse):
+    """``parse`` applied to the JSON object in ``path``.
+
+    An unreadable file, malformed JSON, unknown kinds, missing keys and
+    out-of-range values raised while parsing become one :class:`InputError`
+    naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise TypeError("expected a JSON object")
+        return parse(obj)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InputError(f"{path}: {reason}") from exc
 
 
 def _print(line: str = "") -> None:
@@ -111,12 +131,12 @@ def _closed_form_bound(seq, spec):
 
 
 def cmd_bound(args) -> int:
-    seq = sequence_from_json(_load_json(args.model))
+    seq = _read_input(args.model, sequence_from_json)
     moments = compute_moments(seq)
     if args.fit:
         spec = _fit_target(args.fit, moments)
     elif args.target:
-        spec = family_from_json(_load_json(args.target))
+        spec = _read_input(args.target, family_from_json)
     else:
         sys.stderr.write("one of --target or --fit is required\n")
         return 2
@@ -184,7 +204,7 @@ def _model_law(seq):
 
 
 def cmd_oracle(args) -> int:
-    seq = sequence_from_json(_load_json(args.model))
+    seq = _read_input(args.model, sequence_from_json)
     law = _model_law(seq)
     payload = {"distribution": law.to_json()}
     if args.conditional is not None:
@@ -196,7 +216,7 @@ def cmd_oracle(args) -> int:
             },
         }
     if args.target:
-        spec = family_from_json(_load_json(args.target))
+        spec = _read_input(args.target, family_from_json)
         tv = exact_tv(law, spec.pmf())
         payload["tv"] = {"value": tv.value, "slack": tv.slack}
     _print(json.dumps(payload, sort_keys=True))
@@ -217,7 +237,7 @@ def _rationalize(probs):
 
 
 def cmd_verify(args) -> int:
-    seq = sequence_from_json(_load_json(args.model))
+    seq = _read_input(args.model, sequence_from_json)
     if seq.outcome_count > args.max_outcomes:
         sys.stderr.write(
             f"model has 2^{seq.trial_count} outcomes, above --max-outcomes\n"
@@ -229,6 +249,9 @@ def cmd_verify(args) -> int:
     def check(name: str, ok: bool, note: str = ""):
         results.append((name, ok))
         _print(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + note) if note else ''}")
+
+    def skip(name: str, reason: Exception):
+        _print(f"SKIP {name} {reason}")
 
     # DP law vs direct enumeration of the trial space.
     law = _model_law(seq)
@@ -266,8 +289,6 @@ def cmd_verify(args) -> int:
     )
 
     # 1-dependence factorization.
-    from .sequences import dependence_certificate
-
     gap = 2 if seq.dependence_radius >= 1 else 1
     check("dependence-certificate", dependence_certificate(seq, gap=gap))
 
@@ -289,14 +310,17 @@ def cmd_verify(args) -> int:
             smoothing = build_smoothing(seq)
             variants["d1"] = bound_d1(oracle_moments, smoothing, spec).total
             variants["min"] = bound_min(oracle_moments, smoothing, spec).total
-        except PsdApproxError:
-            pass  # n below stated validity: d2/crude still apply
+        except PsdApproxError as exc:  # n below stated validity: d2/crude still apply
+            for vname in ("theorem31", "d1", "min"):
+                if vname not in variants:
+                    skip(f"domination-{name}-{vname}", exc)
         variants["d2"] = bound_d2(oracle_moments, spec).total
         variants["crude"] = bound_crude(oracle_moments, spec).total
         try:
             closed_form = _closed_form_bound(seq, spec)
-        except PsdApproxError:
-            closed_form = None  # outside the model's stated validity
+        except PsdApproxError as exc:  # outside the model's stated validity
+            closed_form = None
+            skip(f"domination-{name}-closed-form", exc)
         if closed_form is not None:
             variants["closed-form"] = closed_form.total
         for vname, total in sorted(variants.items()):
@@ -362,7 +386,7 @@ def main(argv=None) -> int:
     except PsdApproxError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

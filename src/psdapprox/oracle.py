@@ -4,7 +4,7 @@ Nothing here shares code with the closed-form moment functions or bound
 formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program, cross-checked against direct
 enumeration of the trial space, and conditional shift-regularity values come
-from grouping the full joint law.
+from grouping the full joint law with ``sequences.group_rows``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EnumerationLimitError
 from .families import PMFTable
-from .sequences import DependentSequence, MomentSet, compute_moments
+from .sequences import DependentSequence, MomentSet, compute_moments, group_rows
 
 MAX_BRUTE_TRIALS = 24
 
@@ -199,49 +199,30 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
     ``D = 2 d_TV(L(W | value), L(W | value) + 1)``.  Conditioning choices:
     ``"n2"`` on the radius-2 window sum, ``"n1n2"`` on the (radius-1,
     radius-2) pair, ``"even"``/``"odd"`` on the tuple of even- or odd-indexed
-    summands.
+    summands.  Keys come in increasing (lexicographic) order.
     """
     xs = seq.x_values()
     w = seq.outcome_probs()
     total = xs.sum(axis=1).astype(np.int64)
 
     if conditioning == "n2":
-        keys = [seq._window_values(xs, i, 2).astype(np.int64)]
+        keys = [seq._window_values(xs, i, 2)]
     elif conditioning == "n1n2":
-        keys = [
-            seq._window_values(xs, i, 1).astype(np.int64),
-            seq._window_values(xs, i, 2).astype(np.int64),
-        ]
+        keys = [seq._window_values(xs, i, 1), seq._window_values(xs, i, 2)]
     elif conditioning in ("even", "odd"):
-        start = 1 if conditioning == "even" else 0
-        keys = [xs[:, j].astype(np.int64) for j in range(start, seq.n, 2)]
+        keys = [xs[:, j] for j in range(1 if conditioning == "even" else 0, seq.n, 2)]
     else:
         raise ValueError(f"unknown conditioning {conditioning!r}")
 
-    # Pack the conditioning tuple and W into a single integer key.
-    packed = np.zeros_like(total)
-    radices = []
-    for col in keys:
-        r = int(col.max()) + 1
-        radices.append(r)
-        packed = packed * r + col
+    ids, first = group_rows(keys, len(w))
     w_radix = int(total.max()) + 1
-    joint = np.bincount(packed * w_radix + total, weights=w,
-                        minlength=int(packed.max() + 1) * w_radix)
-    joint = joint.reshape(-1, w_radix)
-
-    out = {}
+    joint = np.bincount(ids * w_radix + total, weights=w,
+                        minlength=len(first) * w_radix).reshape(-1, w_radix)
     group_mass = joint.sum(axis=1)
+    out = {}
     for g in np.nonzero(group_mass > 0)[0]:
-        cond = joint[g] / group_mass[g]
-        value = []
-        rem = int(g)
-        for r in reversed(radices):
-            value.append(rem % r)
-            rem //= r
-        value = tuple(reversed(value))
-        key = value[0] if len(value) == 1 else value
-        out[key] = shift_regularity(cond)
+        value = tuple(int(col[first[g]]) for col in keys)
+        out[value[0] if len(value) == 1 else value] = shift_regularity(joint[g] / group_mass[g])
     return out
 
 

@@ -578,7 +578,8 @@ def k1k2_bound(
 ) -> RunsBoundReport:
     """Model-specialized bound ``|Dg| { sum_i c*_i(n) [(|1-b|/2)(a* a1* + a2*)
     + a3*] + |tau(1-b)| }``; requires ``n >= 3m``, occurrence probabilities
-    <= 1/3, and matched first moments."""
+    <= 1/3, matched first moments, and a finite ``c*_i`` at every index with
+    nonzero weight (every (1,1) model with an occurrence fails the last)."""
     _k1k2_check_conditions(model)
     moments = k1k2_moment_set(model)
     # An index with nothing to weight gets c = 0 instead of its constant,
@@ -587,6 +588,11 @@ def k1k2_bound(
         k1k2_ci_star_parts(model, i) if quad != 0.0 or lin != 0.0 else (0.0, "zero-weight")
         for i, (quad, lin) in enumerate(moments.smoothing_weights(), start=1)
     ]
+    vacuous = next((i for i, (c, _) in enumerate(parts, start=1) if c == math.inf), None)
+    if vacuous is not None:
+        raise PreconditionError(
+            f"c*_{vacuous} is infinite at index {vacuous} of nonzero weight: the model "
+            "gives no smoothing information there, so the closed-form bound is vacuous")
     cs = tuple(c for c, _ in parts)
     return _closed_form_bound(moments, parts, spec, delta_g,
                               term_weights=cs, c_constant=cs)

@@ -8,7 +8,8 @@ rational enumeration for small instances, and a seeded sampler whose moment
 estimates are flagged non-certified.  Enumerated moments stream over the
 indices, one float64 column and dot product at a time, with sliding window
 sums.  Blocking reduces an m-dependent sequence to a 1-dependent one without
-changing the total sum.
+changing the total sum.  :func:`group_rows` groups outcomes by equal values,
+for the dependence certificate here and for the exact conditional oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -403,6 +406,26 @@ def _moments_by_sampling(seq: DependentSequence, rng: np.random.Generator,
 # -- certificates -------------------------------------------------------------------
 
 
+def _fold(groups: tuple, col) -> tuple:
+    """Refine the groups ``(ids, first)`` by one more integer column."""
+    col = np.asarray(col, dtype=np.int64)
+    col = col - col.min()
+    _, first, ids = np.unique(groups[0] * (int(col.max()) + 1) + col,
+                              return_index=True, return_inverse=True)
+    return ids, first
+
+
+def group_rows(cols, count: int) -> tuple:
+    """``(ids, first)`` grouping ``count`` outcomes by their values in ``cols``.
+
+    Equal value tuples share a dense id, ids follow the lexicographic order of
+    the tuples, and ``first[g]`` is the first outcome of group ``g``.  Columns
+    fold in one at a time with renumbering, so packed keys never overflow.
+    With no columns all outcomes form group 0.
+    """
+    return reduce(_fold, cols, (np.zeros(count, dtype=np.int64), np.zeros(1, dtype=np.int64)))
+
+
 def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e-12) -> bool:
     """Check the joint law factorizes across every split with the stated gap.
 
@@ -413,22 +436,16 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e
     xs = seq.x_values()
     w = seq.outcome_probs()
     n = seq.n
-    for i in range(1, n):
-        j = i + gap
-        if j > n:
-            break
-        pre = [tuple(row) for row in xs[:, :i]]
-        suf = [tuple(row) for row in xs[:, j - 1 :]]
-        joint: dict = {}
-        pm: dict = {}
-        sm: dict = {}
-        for a, b, mass in zip(pre, suf, w):
-            joint[(a, b)] = joint.get((a, b), 0.0) + mass
-            pm[a] = pm.get(a, 0.0) + mass
-            sm[b] = sm.get(b, 0.0) + mass
-        for (a, b), mass in joint.items():
-            if abs(mass - pm[a] * sm[b]) > tol:
-                return False
+    # prefixes[i] and suffixes[k] group the outcomes by their first i or last k summands.
+    start = group_rows((), len(w))
+    suffixes = list(accumulate(xs.T[gap:][::-1], _fold, initial=start))
+    prefixes = accumulate(xs.T[: max(n - gap, 0)], _fold, initial=start)
+    for i, (pre, _) in enumerate(islice(prefixes, 1, None), start=1):
+        suf = suffixes[n - i - gap + 1][0]
+        pair, first = _fold((pre, None), suf)
+        joint, pm, sm = (np.bincount(ids, weights=w) for ids in (pair, pre, suf))
+        if np.any(np.abs(joint - pm[pre[first]] * sm[suf[first]]) > tol):
+            return False
     return True
 
 

@@ -126,6 +126,78 @@ def test_bound_missing_file_is_usage_error(capsys):
     assert main(["bound", "--model", "/nonexistent.json", "--fit", "nb"]) == 2
 
 
+def test_bound_unreadable_model_is_one_line_usage_error(tmp_path, capsys):
+    assert main(["bound", "--model", str(tmp_path), "--fit", "nb"]) == 2
+    _assert_input_error(tmp_path, "Is a directory", capsys)
+    assert main(["bound", "--model", str(tmp_path / "absent.json"), "--fit", "nb"]) == 2
+    _assert_input_error(tmp_path / "absent.json", "No such file", capsys)
+
+
+def _assert_input_error(path, reason, capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ") and reason in err
+
+
+MALFORMED_MODELS = [
+    ('{"model": "two-runs", "p": [0.3, 0.3', "Expecting"),
+    ('{"model": "geometric", "p": [0.3, 0.3]}', "unknown model kind 'geometric'"),
+    ('{"model": "two-runs"}', "missing key 'p'"),
+    ('{"model": "two-runs", "p": [0.3, 1.5, 0.2]}', "must lie in [0,1]"),
+    ('{"model": "two-runs", "p": [0.3, -0.1, 0.2]}', "must lie in [0,1]"),
+    ('{"model": "two-runs", "p": 5}', "not iterable"),
+    ('[0.3, 0.3]', "expected a JSON object"),
+]
+
+
+@pytest.mark.parametrize("text, reason", MALFORMED_MODELS)
+def test_bound_malformed_model_is_one_line_usage_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["bound", "--model", str(path), "--fit", "poisson"]) == 2
+    _assert_input_error(path, reason, capsys)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"family": "zeta", "a": 0.9}', "unknown family kind 'zeta'"),
+    ('{"family": "panjer", "a": 0.9}', "missing key 'b'"),
+    ('{"family": "panjer", "a": "many", "b": 0}', "could not convert"),
+])
+def test_bound_malformed_target_is_one_line_usage_error(
+        tmp_path, two_runs_model_file, capsys, text, reason):
+    path = tmp_path / "target.json"
+    path.write_text(text)
+    assert main(["bound", "--model", two_runs_model_file, "--target", str(path)]) == 2
+    _assert_input_error(path, reason, capsys)
+
+
+def test_verify_and_oracle_malformed_inputs_are_usage_errors(
+        tmp_path, two_runs_model_file, capsys):
+    model = tmp_path / "broken.json"
+    model.write_text('{"model": "two-runs", "p": [0.3, 0.3')
+    assert main(["verify", "--model", str(model)]) == 2
+    _assert_input_error(model, "Expecting", capsys)
+    target = tmp_path / "target.json"
+    target.write_text('{"family": "zeta"}')
+    assert main(["oracle", "--model", two_runs_model_file, "--target", str(target)]) == 2
+    _assert_input_error(target, "unknown family kind", capsys)
+
+
+def test_bound_refuses_vacuous_k1k2_closed_form(tmp_path, capsys):
+    # (1,1)-runs: every c*_i of nonzero weight is infinite.
+    model = tmp_path / "k11.json"
+    model.write_text(
+        json.dumps({"model": "k1k2-runs", "k1": 1, "k2": 1, "n": 6, "p": [0.3] * 7})
+    )
+    code = main(["bound", "--model", str(model), "--fit", "poisson",
+                 "--variant", "closed-form"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "c*_1 is infinite" in err
+
+
 def test_bound_theorem_variant(two_runs_model_file, capsys):
     assert main([
         "bound", "--model", two_runs_model_file, "--fit", "nb",
@@ -182,7 +254,23 @@ def test_verify_smallest_k1k2(tmp_path, capsys):
         json.dumps({"model": "k1k2-runs", "k1": 1, "k2": 1, "n": 6, "p": [0.3] * 7})
     )
     assert main(["verify", "--model", str(model)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "SKIP domination-poisson-closed-form c*_1 is infinite" in out
+
+
+def test_verify_reports_skipped_domination_checks(tmp_path, capsys):
+    model = tmp_path / "short.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.25, 0.375, 0.5] * 2}))
+    assert main(["verify", "--model", str(model)]) == 0
+    skipped = [line.split(" ", 2)[1:] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("SKIP ")]
+    names = [name for name, _ in skipped]
+    assert names == [f"domination-{t}-{v}" for t in ("poisson", "nb")
+                     for v in ("theorem31", "d1", "min", "closed-form")]
+    assert all("n >= 6" in reason for name, reason in skipped
+               if not name.endswith("closed-form"))
+    assert all("n >= 8" in reason for name, reason in skipped if name.endswith("closed-form"))
 
 
 def test_verify_detects_corrupted_moments(two_runs_model_file, capsys, monkeypatch):

@@ -1,0 +1,181 @@
+"""The one outcome grouping behind the exact oracles, against references.
+
+``exact_conditional_D``, ``dependence_certificate`` and
+``ExactConditionalTerms.weighted_sums`` group the full joint law with
+``sequences.group_rows``.  Their earlier per-outcome implementations are
+inlined below as references: radix-packed keys decoded back, dicts of prefix
+and suffix tuples, and one dict lookup per outcome.  Every result must be
+``==`` to its reference, dict key order included.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from psdapprox.bounds import ExactConditionalTerms
+from psdapprox.oracle import exact_conditional_D, shift_regularity
+from psdapprox.runs import K1K2Model, K1K2WindowSequence, TwoRunsModel
+from psdapprox.sequences import (
+    BernoulliProductSequence,
+    block_m_dependent,
+    dependence_certificate,
+    group_rows,
+)
+
+CONDITIONINGS = ("n2", "n1n2", "even", "odd")
+
+
+def _uniform(seed: int, size: int) -> list:
+    return np.random.default_rng(seed).uniform(0.1, 0.6, size).tolist()
+
+
+def _models():
+    windows = K1K2WindowSequence(1, 1, 6, _uniform(4, 7))
+    return [
+        TwoRunsModel([0.3, 0.0, 0.5, 1.0, 0.2, 0.45, 0.25, 0.4]),  # trials at 0 and 1
+        TwoRunsModel([0.35, 0.6]),  # n = 1: "even" conditions on nothing
+        TwoRunsModel([0.5] * 5),
+        K1K2Model(1, 1, 5, _uniform(0, 6)),
+        K1K2Model(1, 2, 4, _uniform(1, 10)),
+        K1K2Model(2, 2, 3, _uniform(2, 12)),
+        BernoulliProductSequence([0.3, 0.6, 0.0, 0.8, 1.0, 0.45]),
+        block_m_dependent(windows, m=3),  # blocks of three windows: values up to 2
+    ]
+
+
+# -- references: the per-outcome implementations the grouping replaced -----------
+
+
+def _reference_conditional_D(seq, i, conditioning):
+    xs = seq.x_values()
+    w = seq.outcome_probs()
+    total = xs.sum(axis=1).astype(np.int64)
+    if conditioning == "n2":
+        keys = [seq._window_values(xs, i, 2).astype(np.int64)]
+    elif conditioning == "n1n2":
+        keys = [seq._window_values(xs, i, 1).astype(np.int64),
+                seq._window_values(xs, i, 2).astype(np.int64)]
+    else:
+        start = 1 if conditioning == "even" else 0
+        keys = [xs[:, j].astype(np.int64) for j in range(start, seq.n, 2)]
+    packed = np.zeros_like(total)
+    radices = []
+    for col in keys:
+        r = int(col.max()) + 1
+        radices.append(r)
+        packed = packed * r + col
+    w_radix = int(total.max()) + 1
+    joint = np.bincount(packed * w_radix + total, weights=w,
+                        minlength=int(packed.max() + 1) * w_radix)
+    joint = joint.reshape(-1, w_radix)
+    out = {}
+    group_mass = joint.sum(axis=1)
+    for g in np.nonzero(group_mass > 0)[0]:
+        cond = joint[g] / group_mass[g]
+        value = []
+        rem = int(g)
+        for r in reversed(radices):
+            value.append(rem % r)
+            rem //= r
+        value = tuple(reversed(value))
+        key = value[0] if len(value) == 1 else value
+        out[key] = shift_regularity(cond)
+    return out
+
+
+def _reference_certificate(seq, gap=2, tol=1e-12):
+    xs = seq.x_values()
+    w = seq.outcome_probs()
+    n = seq.n
+    for i in range(1, n):
+        j = i + gap
+        if j > n:
+            break
+        pre = [tuple(row) for row in xs[:, :i]]
+        suf = [tuple(row) for row in xs[:, j - 1:]]
+        joint, pm, sm = {}, {}, {}
+        for a, b, mass in zip(pre, suf, w):
+            joint[(a, b)] = joint.get((a, b), 0.0) + mass
+            pm[a] = pm.get(a, 0.0) + mass
+            sm[b] = sm.get(b, 0.0) + mass
+        for (a, b), mass in joint.items():
+            if abs(mass - pm[a] * sm[b]) > tol:
+                return False
+    return True
+
+
+def _reference_weighted_sums(seq):
+    xs = seq.x_values().astype(np.int64)
+    w = seq.outcome_probs()
+    sum_q1 = sum_q2 = sum_lin = 0.0
+    for i in range(1, seq.n + 1):
+        xi = xs[:, i - 1].astype(float)
+        v1 = seq._window_values(xs, i, 1).astype(np.int64)
+        v2 = seq._window_values(xs, i, 2).astype(np.int64)
+        bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
+        d12 = _reference_conditional_D(seq, i, "n1n2")
+        d2m = _reference_conditional_D(seq, i, "n2")
+        d12_w = np.asarray([d12.get((int(a), int(b)), 0.0) for a, b in zip(v1, v2)])
+        d2_w = np.asarray([d2m.get(int(b), 0.0) for b in v2])
+        e_x = float(w @ xi)
+        sum_q1 += e_x * float(w @ (bracket * d12_w))
+        sum_q2 += float(w @ (xi * bracket * d12_w))
+        sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
+    return sum_q1, sum_q2, sum_lin
+
+
+# -- tests ---------------------------------------------------------------------------
+
+
+def test_group_rows_dense_lexicographic_ids_and_first_rows():
+    ids, first = group_rows(([2, 0, 2, 1, 0], [1, 5, 1, 0, 5]), 5)
+    # (0,5) < (1,0) < (2,1)
+    assert ids.tolist() == [2, 0, 2, 1, 0]
+    assert first.tolist() == [1, 3, 0]
+    ids, _ = group_rows(([-1, 2, -1, 2], [2, -3, 0, 4]), 4)  # any integers
+    assert ids.tolist() == [1, 2, 0, 3]
+    ids, first = group_rows((), 4)
+    assert ids.tolist() == [0, 0, 0, 0]
+    assert first.tolist() == [0]
+
+
+def test_group_rows_many_columns_do_not_overflow():
+    # 40 columns of range 10 would need a packed key of 10^40 in one radix.
+    rows = np.random.default_rng(3).integers(0, 10, size=(300, 40))
+    rows[7] = rows[250]
+    ids, first = group_rows(rows.T, len(rows))
+    tuples = [tuple(r) for r in rows.tolist()]
+    rank = {t: g for g, t in enumerate(sorted(set(tuples)))}
+    assert ids.tolist() == [rank[t] for t in tuples]
+    assert [tuples[f] for f in first] == sorted(set(tuples))
+    assert first[ids[250]] == 7
+
+
+@pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
+def test_exact_conditional_D_matches_radix_packed_reference(seq):
+    for i, conditioning in itertools.product(range(1, seq.n + 1), CONDITIONINGS):
+        got = exact_conditional_D(seq, i, conditioning)
+        want = _reference_conditional_D(seq, i, conditioning)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
+def test_weighted_sums_match_per_outcome_lookup_reference(seq):
+    got = ExactConditionalTerms(seq).weighted_sums()
+    assert got == _reference_weighted_sums(seq)
+    assert not any(np.isnan(got))
+
+
+def test_dependence_certificate_matches_dict_reference():
+    verdicts = []
+    for seq in _models():
+        for gap in (1, 2, 3, seq.n + 2):  # the last gap leaves no split
+            verdict = dependence_certificate(seq, gap=gap)
+            assert verdict == _reference_certificate(seq, gap=gap), (seq.kind, seq.n, gap)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_blocked_windows_take_values_above_one():
+    assert _models()[-1].x_values().max() > 1

@@ -641,13 +641,20 @@ def test_k1k2_bound_all_success_is_zero():
 
 
 def test_k1k2_bound_below_generic_minimum_n_dominates_exact_tv():
-    # n = 4 is below the generic n >= 6 of bound_d1 but inside the model's
-    # own n >= 3m, so the closed form must still give a bound (infinite here:
-    # (1,1)-runs have c*_i = inf).
+    # (1,1)-runs have c*_i = inf at every index of nonzero weight: refused.
     model = K1K2Model(1, 1, 4, [0.3, 0.2, 0.25, 0.3, 0.15])
+    with pytest.raises(PreconditionError, match=r"c\*_1 is infinite at index 1"):
+        k1k2_bound(model, poisson_family(k1k2_moment_set(model).mean_w))
+    # Here only the first window can occur, so every weight is zero and the
+    # bound is finite.  n = 4 is below the generic n >= 6 of bound_d1 but
+    # inside the model's own n >= 3m, so the closed form must still give it.
+    model = K1K2Model(1, 1, 4, [0.5, 0.5, 0.0, 0.0, 0.0])
     spec = poisson_family(k1k2_moment_set(model).mean_w)
     report = k1k2_bound(model, spec)
+    assert all(c == 0.0 for c in report.c_constant)
+    assert report.total == pytest.approx(0.0625)
     law = dp_distribution(k1k2_automaton(1, 1), model.trial_probs)
+    assert exact_tv(law, spec.pmf()).upper == pytest.approx(0.0553, abs=1e-4)
     assert report.total >= exact_tv(law, spec.pmf()).upper
 
 
