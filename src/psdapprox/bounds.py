@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import MomentMatchError, PreconditionError, UnavailableError
-from .families import PMFTable, delta_g_uniform_bound, g_norm_bound
-from .oracle import exact_conditional_D, shift_regularity
-from .sequences import DependentSequence, MomentSet, group_rows
+from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
+from .oracle import _conditional_laws, exact_conditional_D, shift_regularity
+from .sequences import DependentSequence, MomentSet
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -136,11 +136,7 @@ def smoothing_roellin(seq: DependentSequence, i: int) -> SmoothingEntry:
         raw, method = provider(i)
         return SmoothingEntry(min(raw, 2.0), method, raw)
     if seq.enumerable:
-        worst = 0.0
-        for conditioning in ("n2", "n1n2"):
-            dmap = exact_conditional_D(seq, i, conditioning)
-            if dmap:
-                worst = max(worst, max(dmap.values()))
+        worst = max(max(exact_conditional_D(seq, i, c).values()) for c in ("n2", "n1n2"))
         return SmoothingEntry(worst, "exact-conditional", worst)
     raise UnavailableError(
         "no smoothing provider registered and the instance is not enumerable"
@@ -211,7 +207,11 @@ class BoundReport:
         return ",".join(cells)
 
 
-def _check_mean_match(spec, mean_w: float):
+def _check_target(spec, mean_w: float):
+    """Every variant's preconditions on the target: a Panjer family, whose
+    ``a`` and ``b`` the bounds use, with the sum's mean."""
+    if not isinstance(spec, PanjerPSD):
+        raise PreconditionError("the bounds need a Panjer target (a, b); a series target has none")
     target = spec.mean
     if abs(target - mean_w) > MEAN_MATCH_TOL * (1.0 + abs(mean_w)):
         raise MomentMatchError(target, mean_w)
@@ -251,17 +251,20 @@ class ExactConditionalTerms:
     Computes, by full enumeration, the three per-index expectations in which
     the conditional ``D`` enters as a weight: the two bracketed third-moment
     sums conditioned on the (radius-1, radius-2) pair, and the linear term
-    conditioned on the radius-2 window.
+    conditioned on the radius-2 window, computed once from the oracle's conditional-law table.
     """
 
     def __init__(self, seq: DependentSequence):
         if not seq.enumerable:
             raise UnavailableError("exact conditional terms need an enumerable instance")
         self.seq = seq
+        self._sums = None
 
     def weighted_sums(self) -> tuple:
+        if self._sums is not None:
+            return self._sums
         seq = self.seq
-        xs = seq.x_values().astype(np.int64)
+        xs = seq.x_values()
         w = seq.outcome_probs()
         sum_q1 = 0.0
         sum_q2 = 0.0
@@ -271,21 +274,16 @@ class ExactConditionalTerms:
             v1 = seq._window_values(xs, i, 1).astype(np.int64)
             v2 = seq._window_values(xs, i, 2).astype(np.int64)
             bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
-
-            # One lookup per conditioning value, gathered per outcome.  Values of
-            # zero mass are absent from the maps; any finite default works.
-            d12 = exact_conditional_D(seq, i, "n1n2")
-            ids, first = group_rows((v1, v2), len(w))
-            d12_w = np.array([d12.get((int(v1[f]), int(v2[f])), 0.0) for f in first])[ids]
-            d2m = exact_conditional_D(seq, i, "n2")
-            ids, first = group_rows((v2,), len(w))
-            d2_w = np.array([d2m.get(int(v2[f]), 0.0) for f in first])[ids]
+            ids12, _, _, d12 = _conditional_laws(seq, (v1, v2))
+            ids2, _, _, d2 = _conditional_laws(seq, (v2,))
+            d12_w, d2_w = np.take(d12, ids12), np.take(d2, ids2)
 
             e_x = float(w @ xi)
             sum_q1 += e_x * float(w @ (bracket * d12_w))
             sum_q2 += float(w @ (xi * bracket * d12_w))
             sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
-        return sum_q1, sum_q2, sum_lin
+        self._sums = (sum_q1, sum_q2, sum_lin)
+        return self._sums
 
 
 # -- bound variants ---------------------------------------------------------------------
@@ -303,7 +301,7 @@ def theorem31_bound(
     Requires first moments matched and ``n >= 6`` (override via
     ``allow_small_n`` for experimentation; the stated validity starts at 6).
     """
-    _check_mean_match(spec, moments.mean_w)
+    _check_target(spec, moments.mean_w)
     _check_n(moments.n, 6, allow_small_n, "use the crude bound below that")
     if delta_g is None:
         delta_g = default_delta_g(spec)
@@ -331,7 +329,7 @@ def bound_d1(
     allow_small_n: bool = False,
 ) -> BoundReport:
     """Smoothing-constant variant: conditional weights replaced by c_i(n)."""
-    _check_mean_match(spec, moments.mean_w)
+    _check_target(spec, moments.mean_w)
     _check_n(moments.n, 6, allow_small_n, "use the crude bound below that")
     if smoothing.n != moments.n:
         raise ValueError("smoothing length does not match moment set")
@@ -361,7 +359,7 @@ def bound_d2(
     delta_g: Optional[float] = None,
 ) -> BoundReport:
     """First-moment-only variant, valid for every ``n >= 1``."""
-    _check_mean_match(spec, moments.mean_w)
+    _check_target(spec, moments.mean_w)
     if delta_g is None:
         delta_g = default_delta_g(spec)
     b = spec.b
@@ -417,7 +415,7 @@ def bound_crude(
     ``||g||`` defaults to the certified numeric supremum over indicator test
     functions from the family module.
     """
-    _check_mean_match(spec, moments.mean_w)
+    _check_target(spec, moments.mean_w)
     if delta_g is None:
         delta_g = default_delta_g(spec)
     if g_norm is None:

@@ -132,14 +132,14 @@ def _closed_form_bound(seq, spec):
 
 def cmd_bound(args) -> int:
     seq = _read_input(args.model, sequence_from_json)
-    moments = compute_moments(seq)
-    if args.fit:
-        spec = _fit_target(args.fit, moments)
-    elif args.target:
-        spec = _read_input(args.target, family_from_json)
-    else:
+    if not (args.fit or args.target):
         sys.stderr.write("one of --target or --fit is required\n")
         return 2
+    # --fit wins over --target; a target file is read before the moments.
+    spec = None if args.fit else _read_input(args.target, family_from_json)
+    moments = compute_moments(seq)
+    if spec is None:
+        spec = _fit_target(args.fit, moments)
 
     variant = args.variant
     if variant == "theorem":
@@ -205,10 +205,12 @@ def _model_law(seq):
 
 def cmd_oracle(args) -> int:
     seq = _read_input(args.model, sequence_from_json)
+    i = args.conditional
+    if i is not None and not 1 <= i <= seq.n:
+        raise InputError(f"--conditional {i} is outside 1..{seq.n}")
     law = _model_law(seq)
     payload = {"distribution": law.to_json()}
-    if args.conditional is not None:
-        i = args.conditional
+    if i is not None:
         payload["conditional_D"] = {
             "n2": {str(k): v for k, v in exact_conditional_D(seq, i, "n2").items()},
             "n1n2": {
@@ -298,15 +300,14 @@ def cmd_verify(args) -> int:
         targets.append(
             ("nb", nb_fit_from_moments(oracle_moments.mean_w, oracle_moments.var_w))
         )
+    conditionals = ExactConditionalTerms(seq)  # weighted sums shared by the targets
     for name, spec in targets:
         if spec.a <= 0:
             continue
         tv = exact_tv(law, spec.pmf())
         variants = {}
         try:
-            variants["theorem31"] = theorem31_bound(
-                oracle_moments, ExactConditionalTerms(seq), spec
-            ).total
+            variants["theorem31"] = theorem31_bound(oracle_moments, conditionals, spec).total
             smoothing = build_smoothing(seq)
             variants["d1"] = bound_d1(oracle_moments, smoothing, spec).total
             variants["min"] = bound_min(oracle_moments, smoothing, spec).total

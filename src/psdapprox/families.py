@@ -425,14 +425,23 @@ def family_to_json(spec) -> dict:
     return spec.to_json()
 
 
+def _finite(obj: dict, key: str, default: Optional[float] = None) -> float:
+    value = float(obj[key] if default is None else obj.get(key, default))
+    if not math.isfinite(value):
+        raise ValueError(f"{key} = {value} is not finite")
+    return value
+
+
 def family_from_json(obj: dict):
+    """The family an object describes; a non-finite ``a``, ``b``, ``g_scale``
+    or ``theta`` is refused with ``ValueError``."""
     kind = obj.get("family")
     if kind == "panjer":
         return PanjerPSD(
-            float(obj["a"]),
-            float(obj["b"]),
+            _finite(obj, "a"),
+            _finite(obj, "b"),
             max_support=obj.get("max_support"),
-            g_scale=float(obj.get("g_scale", 1.0)),
+            g_scale=_finite(obj, "g_scale", 1.0),
         )
     if kind == "series":
         coeffs = [float(c) for c in obj["coeffs"]]
@@ -440,7 +449,7 @@ def family_from_json(obj: dict):
         def coeff(k: int) -> float:
             return coeffs[k] if k < len(coeffs) else 0.0
 
-        return PSDSpec(theta=float(obj["theta"]), coeff=coeff)
+        return PSDSpec(theta=_finite(obj, "theta"), coeff=coeff)
     raise ValueError(f"unknown family kind {kind!r}")
 
 

@@ -3,8 +3,8 @@
 Nothing here shares code with the closed-form moment functions or bound
 formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program, cross-checked against direct
-enumeration of the trial space, and conditional shift-regularity values come
-from grouping the full joint law with ``sequences.group_rows``.
+enumeration of the trial space, and the float law of ``W`` and its conditional
+laws come from one table of outcome groups against ``W`` (cached per sequence).
 """
 
 from __future__ import annotations
@@ -178,11 +178,8 @@ def brute_force_distribution(
         top = max(acc)
         masses = tuple(acc.get(w, Fraction(0)) for w in range(top + 1))
         return PMFTable(0, masses, 0.0)
-    xs = seq.x_values()
-    w = seq.outcome_probs()
-    total = xs.sum(axis=1).astype(np.int64)
-    masses = np.bincount(total, weights=w)
-    return PMFTable(0, tuple(float(m) for m in masses), 0.0)
+    joint = _conditional_laws(seq, ())[2]
+    return PMFTable(0, tuple(float(m) for m in joint[0]), 0.0)
 
 
 def shift_regularity(masses: np.ndarray) -> float:
@@ -190,6 +187,22 @@ def shift_regularity(masses: np.ndarray) -> float:
     (zero-padded both sides)."""
     padded = np.concatenate(([0.0], masses, [0.0]))
     return float(np.abs(np.diff(padded)).sum())
+
+
+def _conditional_laws(seq: DependentSequence, keys) -> tuple:
+    """``(ids, first, joint, d)``: :func:`group_rows` on the integer columns ``keys``,
+    ``joint[g, k]`` the mass of group ``g`` at ``W = k`` (one ``bincount``), and
+    ``d[g]`` the shift regularity of ``W`` given group ``g`` (0.0 at zero mass)."""
+    total = seq._cache.get("w")
+    if total is None:
+        total = seq._cache["w"] = seq.x_values().sum(axis=1, dtype=np.int32)
+    w = seq.outcome_probs()
+    ids, first = group_rows(keys, len(w))
+    radix = int(total.max()) + 1
+    joint = np.bincount(ids * radix + total, weights=w,
+                        minlength=len(first) * radix).reshape(-1, radix)
+    d = [shift_regularity(row / m) if m > 0 else 0.0 for row, m in zip(joint, joint.sum(axis=1))]
+    return ids, first, joint, d
 
 
 def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> dict:
@@ -202,9 +215,6 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
     summands.  Keys come in increasing (lexicographic) order.
     """
     xs = seq.x_values()
-    w = seq.outcome_probs()
-    total = xs.sum(axis=1).astype(np.int64)
-
     if conditioning == "n2":
         keys = [seq._window_values(xs, i, 2)]
     elif conditioning == "n1n2":
@@ -214,15 +224,11 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
     else:
         raise ValueError(f"unknown conditioning {conditioning!r}")
 
-    ids, first = group_rows(keys, len(w))
-    w_radix = int(total.max()) + 1
-    joint = np.bincount(ids * w_radix + total, weights=w,
-                        minlength=len(first) * w_radix).reshape(-1, w_radix)
-    group_mass = joint.sum(axis=1)
+    _, first, joint, d = _conditional_laws(seq, keys)
     out = {}
-    for g in np.nonzero(group_mass > 0)[0]:
+    for g in np.flatnonzero(joint.any(axis=1)):
         value = tuple(int(col[first[g]]) for col in keys)
-        out[value[0] if len(value) == 1 else value] = shift_regularity(joint[g] / group_mass[g])
+        out[value[0] if len(value) == 1 else value] = d[g]
     return out
 
 

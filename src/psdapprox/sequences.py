@@ -89,6 +89,8 @@ class DependentSequence:
         if any(not 0 <= p <= 1 for p in self.trial_probs):
             raise ValueError("trial probabilities must lie in [0,1]")
         self.n = int(n)
+        if self.n < 1:
+            raise ValueError("need at least one summand")
         self.dependence_radius = int(dependence_radius)
         self.kind = kind
         self.params = dict(params or {})

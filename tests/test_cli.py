@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from psdapprox.cli import main
+from psdapprox.cli import BOUND_VARIANTS, main
 from psdapprox.runs import TABLE1_PRINTED
 
 
@@ -172,6 +175,61 @@ def test_bound_malformed_target_is_one_line_usage_error(
     _assert_input_error(path, reason, capsys)
 
 
+def test_bound_reads_the_target_before_the_moments(
+        tmp_path, two_runs_model_file, capsys, monkeypatch):
+    import psdapprox.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_moments called before the target was read")
+
+    monkeypatch.setattr(cli_mod, "compute_moments", refuse)
+    path = tmp_path / "target.json"
+    path.write_text('{"family": "zeta"}')
+    assert main(["bound", "--model", two_runs_model_file, "--target", str(path)]) == 2
+    _assert_input_error(path, "unknown family kind 'zeta'", capsys)
+    assert main(["bound", "--model", two_runs_model_file]) == 2
+    assert "--target or --fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"family": "panjer", "a": Infinity, "b": -0.25}', "a = inf is not finite"),
+    ('{"family": "panjer", "a": NaN, "b": 0.0}', "a = nan is not finite"),
+    ('{"family": "panjer", "a": 0.9, "b": -Infinity}', "b = -inf is not finite"),
+    ('{"family": "series", "theta": Infinity, "coeffs": [1, 1]}', "theta = inf is not finite"),
+])
+def test_non_finite_target_parameters_are_usage_errors(
+        tmp_path, two_runs_model_file, capsys, text, reason):
+    path = tmp_path / "target.json"
+    path.write_text(text)
+    assert main(["oracle", "--model", two_runs_model_file, "--target", str(path)]) == 2
+    _assert_input_error(path, reason, capsys)
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+def test_series_target_is_refused_by_every_variant(
+        tmp_path, two_runs_model_file, capsys, variant):
+    # Poisson(0.9) in series form: mean-matched to two-runs p=0.3, n=10.
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"family": "series", "theta": 0.9,
+                                "coeffs": [1 / math.factorial(k) for k in range(40)]}))
+    code = main(["bound", "--model", two_runs_model_file, "--target", str(path),
+                 "--variant", variant])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Panjer target" in err
+
+
+@pytest.mark.parametrize("index", ["0", "11", "-3"])
+def test_oracle_conditional_index_outside_the_model_is_usage_error(
+        two_runs_model_file, capsys, index):
+    assert main(["oracle", "--model", two_runs_model_file, "--conditional", index]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --conditional {index} is outside 1..10\n"
+
+
 def test_verify_and_oracle_malformed_inputs_are_usage_errors(
         tmp_path, two_runs_model_file, capsys):
     model = tmp_path / "broken.json"
@@ -273,6 +331,20 @@ def test_verify_reports_skipped_domination_checks(tmp_path, capsys):
     assert all("n >= 8" in reason for name, reason in skipped if name.endswith("closed-form"))
 
 
+def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, monkeypatch):
+    import psdapprox.bounds as bounds_mod
+
+    tables = []
+    original = bounds_mod._conditional_laws
+    monkeypatch.setattr(bounds_mod, "_conditional_laws",
+                        lambda seq, keys: tables.append(keys) or original(seq, keys))
+    assert main(["verify", "--model", two_runs_model_file]) == 0
+    out = capsys.readouterr().out
+    assert "PASS domination-poisson-theorem31" in out
+    assert "PASS domination-nb-theorem31" in out
+    assert len(tables) == 2 * 10  # one (n1n2, n2) pair per index, for both targets
+
+
 def test_verify_detects_corrupted_moments(two_runs_model_file, capsys, monkeypatch):
     from psdapprox.runs import TwoRunsModel
 
@@ -301,3 +373,70 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--variant", "bogus", "--model", "x"])
     assert exc.value.code == 2
+
+
+# -- the CLI at the input edge ------------------------------------------------------
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(-1.0, 2.0),
+    st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _models(draw):
+    """Model JSON of at most 12 trials: any kind, probabilities in [0,1] or not."""
+    kind = draw(st.sampled_from(
+        ["two-runs", "k1k2-runs", "custom-bernoulli-product", "geometric"]))
+    probs = st.floats(0.0, 1.0) if draw(st.booleans()) else _EDGE_FLOATS
+    obj = {"model": kind}
+    size = None
+    if kind == "k1k2-runs":
+        k1, k2, n = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        obj.update(k1=k1, k2=k2, n=n)
+        size = max((n + 1) * (k1 + k2 - 1), 0)
+    obj["p"] = draw(st.lists(probs, min_size=size or 0, max_size=12 if size is None else size))
+    return obj
+
+
+_TARGETS = st.one_of(
+    st.fixed_dictionaries({
+        "family": st.just("panjer"),
+        "a": st.one_of(st.floats(-1.0, 20.0), _EDGE_FLOATS),
+        "b": st.sampled_from([-0.5, -0.25, 0.0, 0.3, 0.5, 0.9, 1.0, 1.5,
+                              math.nan, math.inf, -math.inf]),
+    }),
+    st.fixed_dictionaries({
+        "family": st.just("series"),
+        "theta": st.one_of(st.floats(-1.0, 3.0), _EDGE_FLOATS),
+        "coeffs": st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=6),
+    }),
+    st.fixed_dictionaries({"family": st.sampled_from(["zeta", "binomial"])}),
+)
+_COMMANDS = st.one_of(
+    st.tuples(st.just("bound"), st.sampled_from(BOUND_VARIANTS),
+              st.sampled_from(["target", "nb", "poisson"])),
+    st.tuples(st.just("oracle"), st.one_of(st.none(), st.integers(-1, 13)), st.booleans()),
+    st.tuples(st.just("verify")),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=_models(), target=_TARGETS, command=_COMMANDS)
+def test_cli_never_raises_and_exits_0_1_or_2(tmp_path, capsys, model, target, command):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps(target))
+    argv = [command[0], "--model", str(model_path)]
+    if command[0] == "bound":
+        argv += ["--variant", command[1]]
+        argv += ["--target", str(target_path)] if command[2] == "target" else ["--fit", command[2]]
+    elif command[0] == "oracle":
+        if command[1] is not None:
+            argv += ["--conditional", str(command[1])]
+        if command[2]:
+            argv += ["--target", str(target_path)]
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()

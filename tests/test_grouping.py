@@ -2,10 +2,12 @@
 
 ``exact_conditional_D``, ``dependence_certificate`` and
 ``ExactConditionalTerms.weighted_sums`` group the full joint law with
-``sequences.group_rows``.  Their earlier per-outcome implementations are
-inlined below as references: radix-packed keys decoded back, dicts of prefix
-and suffix tuples, and one dict lookup per outcome.  Every result must be
-``==`` to its reference, dict key order included.
+``sequences.group_rows``; the float ``brute_force_distribution`` reads the
+same table of ``W`` against the groups, with no key columns.  The earlier
+per-outcome implementations are inlined below as references: radix-packed
+keys decoded back, dicts of prefix and suffix tuples, and one dict lookup per
+outcome.  Every result must be ``==`` to its reference, dict key order
+included.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from psdapprox.bounds import ExactConditionalTerms
-from psdapprox.oracle import exact_conditional_D, shift_regularity
+from psdapprox.oracle import brute_force_distribution, exact_conditional_D, shift_regularity
 from psdapprox.runs import K1K2Model, K1K2WindowSequence, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
@@ -165,6 +167,13 @@ def test_weighted_sums_match_per_outcome_lookup_reference(seq):
     got = ExactConditionalTerms(seq).weighted_sums()
     assert got == _reference_weighted_sums(seq)
     assert not any(np.isnan(got))
+
+
+@pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
+def test_brute_force_distribution_matches_bincount_of_W(seq):
+    total = seq.x_values().sum(axis=1).astype(np.int64)
+    want = np.bincount(total, weights=seq.outcome_probs())
+    assert brute_force_distribution(seq).masses == tuple(float(m) for m in want)
 
 
 def test_dependence_certificate_matches_dict_reference():
