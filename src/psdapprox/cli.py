@@ -69,9 +69,17 @@ def _read_input(path: str, parse):
         return parse(obj)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise InputError(f"{path}: {reason}") from exc
+
+
+def _precision(text: str) -> int:
+    """The ``--precision`` argument: a number of digits, an integer >= 0."""
+    digits = int(text)
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"{digits} is below 0")
+    return digits
 
 
 def _print(line: str = "") -> None:
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--check", action="store_true",
                    help="compare against the embedded printed values")
     t.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    t.add_argument("--precision", type=int, default=6)
+    t.add_argument("--precision", type=_precision, default=6)
     t.set_defaults(func=cmd_table1)
 
     b = sub.add_parser("bound", help="evaluate a bound variant on a model")
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moment-match the target instead of --target")
     b.add_argument("--variant", choices=BOUND_VARIANTS, default="min")
     b.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    b.add_argument("--precision", type=int, default=12)
+    b.add_argument("--precision", type=_precision, default=12)
     b.add_argument("--allow-small-n", action="store_true",
                    help="evaluate below the stated minimum n (experimentation)")
     b.set_defaults(func=cmd_bound)

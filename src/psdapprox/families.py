@@ -6,12 +6,14 @@ general series form ``p_k = coeff(k) theta^k / norm`` (:class:`PSDSpec`).
 The module provides truncated mass tables with certified tail bounds, the
 characterizing operator ``A g(k) = (a + b k) g(k+1) - k g(k)``, the explicit
 solution of ``A g = f - E f(Z)``, and uniform / exact suprema for the forward
-difference of that solution.  Everything is immutable after construction and
-safe to evaluate concurrently.
+difference of that solution.  A Panjer family walks its recursion once, from
+its mode, into the one table all of these read, so no mean overflows it.
+Everything is immutable after construction and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +34,13 @@ _ZERO_SNAP = 1e-15
 
 # Default relative tail mass when a table length is chosen automatically.
 _AUTO_TAIL = 1e-14
+
+# Relative tail at which a Panjer family's one table ends; coarser tables cut it.
+_TABLE_TAIL = 1e-22
+
+# Most entries a Panjer table may hold (memory and time guard): 16 MiB of
+# float64, twice the 1.02e6 entries of a mean-1e6 NB table.
+_MAX_TABLE = 2**21
 
 
 @dataclass(frozen=True)
@@ -99,26 +108,17 @@ class PMFTable:
         }
 
 
-def _geometric_tail(last_mass: float, step_ratio: float, limit_ratio: float) -> float:
-    """Bound the mass beyond the table entry ``last_mass`` geometrically.
-
-    The recursion ratio is monotone toward ``limit_ratio``, so every later
-    step is dominated by ``r = max(step_ratio, limit_ratio)``; requires r < 1.
-    """
-    r = max(step_ratio, limit_ratio, 0.0)
-    if r >= 1:
-        raise NonNormalizableError(f"tail ratio {r} not below 1")
-    return last_mass * r / (1.0 - r)
-
-
 @dataclass(frozen=True)
 class PanjerPSD:
     """Family with masses satisfying ``(k+1) p_{k+1} = (a + b k) p_k``.
 
-    ``p0`` is fixed by normalization at construction.  ``max_support`` bounds
-    the support for finite families (e.g. binomial).  Members with
-    ``a, b >= 0`` form the subclass on which the uniform forward-difference
-    bound ``1 ^ 1/a`` is valid (``in_p2``).
+    Construction walks the recursion once, from ``u = 1`` at the mode
+    ``floor((a-b)/(1-b))`` (0 if ``b >= 1``) down to 0 and up to where
+    :meth:`_done` holds at ``_TABLE_TAIL``, into the table every method reads;
+    ``p0`` may underflow to 0.0.  ``max_support`` bounds the support for
+    finite families (e.g. binomial).  Members with ``a, b >= 0`` form the
+    subclass on which the uniform forward-difference bound ``1 ^ 1/a`` is
+    valid (``in_p2``).
 
     ``g_scale`` rescales the characterizing operator by a positive constant:
     the conventional binomial operator ``p(n-k)g(k+1) - qk g(k)`` is the raw
@@ -149,7 +149,15 @@ class PanjerPSD:
                         "declare max_support explicitly"
                     )
                 object.__setattr__(self, "max_support", int(round(k0)))
-        object.__setattr__(self, "p0", self._normalize())
+        elif self.b >= 1 and self.max_support >= _MAX_TABLE:
+            raise NonNormalizableError(f"b >= 1 needs max_support below {_MAX_TABLE}")
+        elif self.max_support > 0:
+            self._step(1.0, self.max_support - 1)  # lowest a + b k when b < 0
+        mode = max(math.floor((self.a - self.b) / (1 - self.b)), 0) if self.b < 1 else 0
+        top = _MAX_TABLE if self.max_support is None else min(self.max_support, _MAX_TABLE)
+        object.__setattr__(self, "_mode", min(mode, top))  # past _MAX_TABLE, _walk refuses
+        object.__setattr__(self, "_masses", self._build())
+        object.__setattr__(self, "p0", float(self._masses[0]))
 
     # -- basic structure ---------------------------------------------------
 
@@ -177,51 +185,53 @@ class PanjerPSD:
             )
         return value * c / (k + 1)
 
-    def _unnormalized(self, k_last: Optional[int]) -> list:
-        """Masses relative to p0 for indices ``0..k_last`` (or support end)."""
-        out = [1.0]
-        k = 0
-        while True:
-            if self.max_support is not None and k >= self.max_support:
-                break
-            if k_last is not None and k >= k_last:
-                break
-            nxt = self._step(out[-1], k)
-            if nxt == 0.0 and k_last is None:
-                break
-            out.append(nxt)
-            k += 1
-        return out
+    def _geometric_tail(self, k: int, u_k: float) -> float:
+        """``u_k r/(1-r)``, ``r = max(ratio(k), b, 0)``, bounding the mass past
+        entry ``k`` when r < 1 (the ratio is monotone toward ``b``); else inf."""
+        r = max(self.ratio(k), self.b, 0.0)
+        return u_k * r / (1.0 - r) if r < 1 else math.inf
 
-    def _auto_len(self, tail_target: float) -> int:
-        """Smallest table end with certified relative tail below target."""
-        u = [1.0]
-        k = 0
-        running = 1.0
-        while True:
-            nxt = self._step(u[-1], k)
-            u.append(nxt)
-            running += nxt
-            k += 1
-            if self.max_support is not None and k >= self.max_support:
-                return k
-            if nxt == 0.0:
-                return k
-            r = max(self.ratio(k), self.b, 0.0)
-            if r < 1 and nxt * r / (1 - r) < tail_target * running:
-                return k
-            if k > 10**6:
-                raise NonNormalizableError("tail certificate not reached")
+    def _done(self, k: int, u_k: float, running: float, tail_target: float) -> bool:
+        """Whether a table may end at entry ``k``: at the support end, or from
+        ``max(mode, 1)`` on, when its tail is below ``tail_target * running``."""
+        if self.max_support is not None and k >= self.max_support:
+            return True
+        return k >= max(self._mode, 1) and (
+            self._geometric_tail(k, u_k) < tail_target * running)
 
-    def _normalize(self) -> float:
-        k_end = self.max_support if self.max_support is not None else self._auto_len(1e-18)
-        u = self._unnormalized(k_end)
-        total = math.fsum(u)
-        if self.max_support is None:
-            total += _geometric_tail(u[-1], self.ratio(len(u) - 1), self.b)
-        if total <= 0:
-            raise InvalidFamilyError("no positive mass")
-        return 1.0 / total
+    def _walk(self, u: list, running: float, tail_target: float,
+              k_stop: Optional[int] = None) -> list:
+        """Extend ``u`` up the recursion from its last entry, in place, until
+        entry ``k_stop`` or an entry where :meth:`_done` holds."""
+        k = len(u) - 1
+        while k != k_stop and not self._done(k, u[k], running, tail_target):
+            if k >= _MAX_TABLE or u[k] == math.inf:
+                raise NonNormalizableError(f"no finite table within {_MAX_TABLE} entries")
+            u.append(self._step(u[k], k))
+            running += u[-1]
+            k += 1
+        return u
+
+    def _tail_after(self, masses) -> float:
+        """Certified mass beyond the last entry of a table of this family:
+        geometric where it applies, else (below the mode) the table's own."""
+        k = len(masses) - 1
+        if self._done(k, masses[k], 0.0, 0.0):
+            return 0.0
+        tail = self._geometric_tail(k, masses[k])
+        return tail if tail < math.inf else (
+            math.fsum(self._masses[k + 1 :]) + self._tail_after(self._masses))
+
+    def _build(self) -> np.ndarray:
+        """The normalized table (see the class docstring)."""
+        down = [1.0]
+        for k in range(self._mode, 0, -1):
+            down.append(down[-1] * k / self.op_coeff(k - 1))
+            if down[-1] == 0.0:
+                break  # every lower mass underflows too
+        u = [0.0] * (self._mode + 1 - len(down)) + down[::-1]
+        u = self._walk(u, math.fsum(down), _TABLE_TAIL)
+        return np.asarray(u) / (math.fsum(u) + self._tail_after(u))
 
     # -- tables ------------------------------------------------------------
 
@@ -425,31 +435,39 @@ def family_to_json(spec) -> dict:
     return spec.to_json()
 
 
-def _finite(obj: dict, key: str, default: Optional[float] = None) -> float:
-    value = float(obj[key] if default is None else obj.get(key, default))
+def _finite(name: str, value) -> float:
+    value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{key} = {value} is not finite")
+        raise ValueError(f"{name} = {value} is not finite")
+    return value
+
+
+def _support_bound(obj: dict) -> Optional[int]:
+    value = obj.get("max_support")
+    if value is not None and (type(value) is not int or value < 0):
+        raise ValueError(f"max_support = {json.dumps(value)} is not an integer >= 0")
     return value
 
 
 def family_from_json(obj: dict):
-    """The family an object describes; a non-finite ``a``, ``b``, ``g_scale``
-    or ``theta`` is refused with ``ValueError``."""
+    """The family an object describes; a non-finite ``a``, ``b``, ``g_scale``,
+    ``theta`` or coefficient, and a ``max_support`` other than an integer
+    ``>= 0``, are refused with ``ValueError``."""
     kind = obj.get("family")
     if kind == "panjer":
         return PanjerPSD(
-            _finite(obj, "a"),
-            _finite(obj, "b"),
-            max_support=obj.get("max_support"),
-            g_scale=_finite(obj, "g_scale", 1.0),
+            _finite("a", obj["a"]),
+            _finite("b", obj["b"]),
+            max_support=_support_bound(obj),
+            g_scale=_finite("g_scale", obj.get("g_scale", 1.0)),
         )
     if kind == "series":
-        coeffs = [float(c) for c in obj["coeffs"]]
+        coeffs = [_finite(f"coeffs[{k}]", c) for k, c in enumerate(obj["coeffs"])]
 
         def coeff(k: int) -> float:
             return coeffs[k] if k < len(coeffs) else 0.0
 
-        return PSDSpec(theta=_finite(obj, "theta"), coeff=coeff)
+        return PSDSpec(theta=_finite("theta", obj["theta"]), coeff=coeff)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -461,32 +479,28 @@ def pmf_panjer(
 ) -> PMFTable:
     """Mass table of a Panjer family up to ``k_max`` with certified tail.
 
-    With ``k_max=None`` the table extends until the certified geometric tail
-    drops below ``tail_target`` (relative).  For an explicit ``k_max`` the
-    certificate walks past any region where the recursion ratio is still
-    above one, then dominates the remainder geometrically.
+    A cut of the family's one mode-anchored table; no mean overflows it.  With
+    ``k_max=None`` it ends where the certified geometric tail drops below
+    ``tail_target`` (relative; finer targets get the whole table).  An
+    explicit ``k_max`` gives ``k_max + 1`` entries (at most ``max_support + 1``),
+    extending the same walk past the table.
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
-    k_end = k_max if k_max is not None else spec._auto_len(tail_target)
-    u = spec._unnormalized(k_end)
-    masses = [spec.p0 * x for x in u]
+    m = spec._masses
+    if k_max is None:
+        running = np.cumsum(m)
+        k_max = next((k for k in range(spec._mode, len(m))
+                      if spec._done(k, m[k], running[k], tail_target)), len(m) - 1)
+    masses = m[: k_max + 1].tolist() if k_max < len(m) else spec._walk(
+        m.tolist(), 0.0, 0.0, k_max)
+    return PMFTable(0, tuple(masses), spec._tail_after(masses))
 
-    covered_support = spec.max_support is not None and len(masses) - 1 >= spec.max_support
-    if covered_support or masses[-1] == 0.0:
-        tail = 0.0
-    else:
-        k = len(masses) - 1
-        extra = 0.0
-        m = masses[-1]
-        while spec.ratio(k) >= 1:
-            m = m * spec.ratio(k)
-            extra += m
-            k += 1
-            if k - len(masses) > 10**6:
-                raise NonNormalizableError("tail certificate not reached")
-        tail = extra + _geometric_tail(m, spec.ratio(k), spec.b)
-    return PMFTable(0, tuple(masses), tail)
+
+def _cumulative(table: PMFTable):
+    """``(p, cdf, sf)``: a table's masses, partial sums and upper survival values."""
+    p = table.as_array()
+    return p, np.cumsum(p), np.cumsum(p[::-1])[::-1] + table.tail_mass_bound
 
 
 # -- Stein operator machinery ---------------------------------------------------
@@ -525,8 +539,8 @@ class SteinSolution:
     def __init__(self, spec, f: Callable[[int], float], f_bound: Optional[float] = None):
         self.spec = spec
         self.f = f
-        table = spec.pmf(tail_target=1e-22)
-        p = table.as_array()
+        table = spec.pmf(tail_target=_TABLE_TAIL)
+        p, cdf, _ = _cumulative(table)
         self._p = p
         self._k_table = len(p) - 1
         fv = np.asarray([float(f(k)) for k in range(len(p))], dtype=float)
@@ -540,7 +554,7 @@ class SteinSolution:
         # accumulates the smallest contributions first).
         self._S = np.concatenate(([0.0], np.cumsum(terms)))
         self._R = np.cumsum(terms[::-1])[::-1]
-        self._crossover = int(np.searchsorted(np.cumsum(p), 0.5)) + 1
+        self._crossover = int(np.searchsorted(cdf, 0.5)) + 1
         self._reverse_ok = p >= self._TAIL_GUARD * table.tail_mass_bound
         self._memo = {}
 
@@ -651,11 +665,8 @@ def delta_g_exact_sup(spec, k_max: int, cond_tol: float = 1e-9) -> float:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    table = spec.pmf(tail_target=1e-18)
-    p = table.as_array()
+    p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
     kk = min(k_max, len(p) - 2)
-    cdf = np.cumsum(p)
-    sf = np.cumsum(p[::-1])[::-1] + table.tail_mass_bound  # survival, upper value
 
     best = 0.0
     for k in range(1, kk + 1):
@@ -682,11 +693,8 @@ def g_norm_bound(spec, k_probe: Optional[int] = None) -> float:
     the expression is dominated by ``2/(k(1-r))`` with ``r`` the certified
     tail ratio, which is folded into the result.
     """
-    table = spec.pmf(tail_target=1e-18)
-    p = table.as_array()
+    p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
     hi = len(p) - 1 if k_probe is None else min(k_probe, len(p) - 1)
-    cdf = np.cumsum(p)
-    sf = np.cumsum(p[::-1])[::-1] + table.tail_mass_bound
     best = 0.0
     for k in range(1, hi + 1):
         if p[k] == 0.0:

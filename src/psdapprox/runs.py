@@ -5,7 +5,7 @@ trials: the 2-runs count sums ``X_i = trial_i * trial_{i+1}`` over ``n+1``
 trials, and the (k1,k2)-runs count sums block variables built from
 occurrences of ``k1`` failures followed by ``k2`` successes over
 ``(n+1)(k1+k2-1)`` trials.  Both are 0/1 summands, so one formula,
-:func:`neighborhood_moment_set`, gives their neighborhood moments from the
+:func:`sequences.neighborhood_moment_set`, gives their neighborhood moments from the
 per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
 (certified against enumeration elsewhere).  Each model's closed-form bound is
 ``bounds.bound_d1`` over that moment set with the model's uncapped smoothing
@@ -35,7 +35,7 @@ from .bounds import (
 from .errors import NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family
 from .oracle import k1k2_automaton
-from .sequences import DependentSequence, MomentSet, register_model
+from .sequences import DependentSequence, MomentSet, neighborhood_moment_set, register_model
 
 
 @dataclass(frozen=True)
@@ -60,43 +60,6 @@ class RunsBoundReport(BoundReport):
 
 
 # -- shared by both models: 1-dependent 0/1 summands -------------------------------
-
-
-def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
-    """Closed-form moment set of 1-dependent 0/1 summands ``X_1..X_n``.
-
-    The inputs are the per-index arrays ``E X_i``, ``E X_i X_{i+1}`` and
-    ``E X_i X_{i+1} X_{i+2}``, each of length ``n`` and zero where an index
-    passes ``n``.  Every neighborhood moment the bounds consume is a
-    polynomial in these: products across a gap of two or more factorize, and
-    ``X_i^2 = X_i``.  Terms whose indices leave ``1..n`` vanish, so every
-    value equals the corresponding exact expectation at the boundary.
-    """
-    n = len(mean)
-    a, q, t = (np.pad(np.asarray(v, dtype=float), 2) for v in (mean, pair, triple))
-
-    def at(v, k):  # v at index i + k, for i = 1..n
-        return v[2 + k : 2 + k + n]
-
-    e_x = at(a, 0)
-    e_xn1 = at(a, -1) + at(a, 0) + at(a, 1)
-    e_x_xn1 = at(q, -1) + at(a, 0) + at(q, 0)
-    e_n1_bracket = 2 * (at(q, -2) + at(q, -1) + at(q, 0) + at(q, 1)) + 2 * (
-        at(a, -1) * at(a, 1)
-        + at(a, -2) * (at(a, 0) + at(a, 1))
-        + at(a, 2) * (at(a, -1) + at(a, 0))
-    )
-    e_x_n1_bracket = (
-        2 * at(a, 0) * (at(a, -2) + at(a, 2))
-        + 2 * at(q, -1) * (1 + at(a, 2))
-        + 2 * at(q, 0) * (1 + at(a, -2))
-        + 2 * (at(t, -2) + at(t, -1) + at(t, 0))
-    )
-    e_x_n2m1 = at(a, 0) * (at(a, -2) + at(a, 2)) + at(q, -1) + at(q, 0)
-    fields = [tuple(v.tolist()) for v in (e_x, e_xn1, e_x_xn1, e_n1_bracket,
-                                          e_x_n1_bracket, e_x_n2m1)]
-    return MomentSet(*fields, mean_w=math.fsum(fields[0]),
-                     var_w=math.fsum(e_x_xn1 - e_x * e_xn1), certified=True)
 
 
 def _closed_form_bound(moments: MomentSet, parts: list, spec, delta_g, term_weights,

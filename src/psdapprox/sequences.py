@@ -1,11 +1,11 @@
 """Finite sequences of Z+-valued 1-dependent variables over Bernoulli trials.
 
 A :class:`DependentSequence` owns a vector of independent trial probabilities
-and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  It
-exposes three backends: exact vectorized enumeration of the full outcome
-space (the certified route, refused above ``MAX_ENUM_OUTCOMES``), exact
-rational enumeration for small instances, and a seeded sampler whose moment
-estimates are flagged non-certified.  Enumerated moments stream over the
+and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  Its
+moments are exact: vectorized enumeration of the full outcome space (refused
+above ``MAX_ENUM_OUTCOMES``), exact rational enumeration for small
+instances, or a model's closed form, which for 0/1 summands is
+:func:`neighborhood_moment_set`.  Enumerated moments stream over the
 indices, one float64 column and dot product at a time, with sliding window
 sums.  Blocking reduces an m-dependent sequence to a 1-dependent one without
 changing the total sum.  :func:`group_rows` groups outcomes by equal values,
@@ -54,8 +54,6 @@ class MomentSet:
     e_x_n2m1: tuple
     mean_w: float
     var_w: float
-    certified: bool = True
-    std_error: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -73,6 +71,43 @@ class MomentSet:
         return math.fsum(
             self.e_x_xn1[i] - self.e_x[i] * self.e_xn1[i] for i in range(self.n)
         )
+
+
+def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
+    """Closed-form moment set of 1-dependent 0/1 summands ``X_1..X_n``.
+
+    The inputs are the per-index arrays ``E X_i``, ``E X_i X_{i+1}`` and
+    ``E X_i X_{i+1} X_{i+2}``, each of length ``n`` and zero where an index
+    passes ``n``.  Every neighborhood moment the bounds consume is a
+    polynomial in these: products across a gap of two or more factorize, and
+    ``X_i^2 = X_i``.  Terms whose indices leave ``1..n`` vanish, so every
+    value equals the corresponding exact expectation at the boundary.
+    """
+    n = len(mean)
+    a, q, t = (np.pad(np.asarray(v, dtype=float), 2) for v in (mean, pair, triple))
+
+    def at(v, k):  # v at index i + k, for i = 1..n
+        return v[2 + k : 2 + k + n]
+
+    e_x = at(a, 0)
+    e_xn1 = at(a, -1) + at(a, 0) + at(a, 1)
+    e_x_xn1 = at(q, -1) + at(a, 0) + at(q, 0)
+    e_n1_bracket = 2 * (at(q, -2) + at(q, -1) + at(q, 0) + at(q, 1)) + 2 * (
+        at(a, -1) * at(a, 1)
+        + at(a, -2) * (at(a, 0) + at(a, 1))
+        + at(a, 2) * (at(a, -1) + at(a, 0))
+    )
+    e_x_n1_bracket = (
+        2 * at(a, 0) * (at(a, -2) + at(a, 2))
+        + 2 * at(q, -1) * (1 + at(a, 2))
+        + 2 * at(q, 0) * (1 + at(a, -2))
+        + 2 * (at(t, -2) + at(t, -1) + at(t, 0))
+    )
+    e_x_n2m1 = at(a, 0) * (at(a, -2) + at(a, 2)) + at(q, -1) + at(q, 0)
+    fields = [tuple(v.tolist()) for v in (e_x, e_xn1, e_x_xn1, e_n1_bracket,
+                                          e_x_n1_bracket, e_x_n2m1)]
+    return MomentSet(*fields, mean_w=math.fsum(fields[0]),
+                     var_w=math.fsum(e_x_xn1 - e_x * e_xn1))
 
 
 class DependentSequence:
@@ -186,13 +221,6 @@ class DependentSequence:
 
         yield from rec(0)
 
-    # -- sampling ------------------------------------------------------------
-
-    def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random((size, self.trial_count))
-        bits = (u < np.asarray(self.trial_probs)).astype(np.uint8)
-        return self.x_columns(bits).astype(np.int16)
-
     # -- neighborhoods ---------------------------------------------------------
 
     def neighborhood_indices(self, i: int, ell: int) -> range:
@@ -249,6 +277,14 @@ class BernoulliProductSequence(DependentSequence):
     def x_scalar(self, bits: tuple) -> tuple:
         return bits
 
+    def closed_form_moments(self) -> MomentSet:
+        """Exact moments: independent summands, so every moment is a product of ``p``s."""
+        p = np.asarray(self.trial_probs)
+        pair = p[:-1] * p[1:]
+        triple = pair[:-1] * p[2:]
+        return neighborhood_moment_set(
+            p, *(np.pad(v, (0, self.n - len(v))) for v in (pair, triple)))
+
 
 register_model(
     "custom-bernoulli-product",
@@ -301,26 +337,14 @@ def block_m_dependent(seq: DependentSequence, m: Optional[int] = None) -> Blocke
 # -- moments ----------------------------------------------------------------------
 
 
-def compute_moments(
-    seq: DependentSequence,
-    method: str = "auto",
-    rng: Optional[np.random.Generator] = None,
-    samples: int = 200_000,
-) -> MomentSet:
-    """All neighborhood moments consumed by the dependent-sum bounds.
+def compute_moments(seq: DependentSequence, method: str = "auto") -> MomentSet:
+    """All neighborhood moments consumed by the dependent-sum bounds, exactly.
 
-    ``auto`` enumerates exactly when the outcome space permits, then falls
-    back to a registered closed form, then to sampling (whose result carries
-    a standard-error flag and is not certified).
+    ``auto`` enumerates when the outcome space permits and otherwise uses the
+    model's registered closed form; a model with neither is refused.
     """
     if method == "auto":
-        if seq.enumerable:
-            method = "enumerate"
-        elif getattr(seq, "closed_form_moments", None) is not None:
-            method = "closed-form"
-        else:
-            method = "sample"
-
+        method = "enumerate" if seq.enumerable else "closed-form"
     if method == "closed-form":
         provider = getattr(seq, "closed_form_moments", None)
         if provider is None:
@@ -328,21 +352,7 @@ def compute_moments(
         return provider()
     if method == "enumerate":
         return _moments_by_enumeration(seq)
-    if method == "sample":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return _moments_by_sampling(seq, rng, samples)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _window_matrix(xs: np.ndarray, n: int, ell: int) -> np.ndarray:
-    """Column i-1 holds the radius-ell window sum around index i."""
-    padded = np.zeros((xs.shape[0], n + 2 * ell), dtype=np.int64)
-    padded[:, ell : ell + n] = xs
-    out = np.zeros((xs.shape[0], n), dtype=np.int64)
-    for off in range(-ell, ell + 1):
-        out += padded[:, ell + off : ell + off + n]
-    return out
 
 
 def _moment_columns(x: np.ndarray, xn1: np.ndarray, xn2: np.ndarray) -> Iterator:
@@ -388,21 +398,7 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
             total += cols[i]
     mean_w = float(w @ total)
     var_w = float(w @ total**2) - mean_w**2
-    return MomentSet(*(tuple(f) for f in fields), mean_w, var_w, certified=True)
-
-
-def _moments_by_sampling(seq: DependentSequence, rng: np.random.Generator,
-                         samples: int) -> MomentSet:
-    xs = seq.sample_x(rng, samples).astype(np.int64)
-    n = seq.n
-    cols = _moment_columns(xs, _window_matrix(xs, n, 1), _window_matrix(xs, n, 2))
-    total = xs.sum(axis=1).astype(float)
-    se = float(total.std(ddof=1) / math.sqrt(samples))
-    return MomentSet(
-        *(tuple(float(c[:, i].mean()) for i in range(n)) for c in cols),
-        float(total.mean()), float(total.var(ddof=1)),
-        certified=False, std_error=se,
-    )
+    return MomentSet(*(tuple(f) for f in fields), mean_w, var_w)
 
 
 # -- certificates -------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from psdapprox.bounds import exact_tv
 from psdapprox.cli import BOUND_VARIANTS, main
+from psdapprox.families import family_from_json
+from psdapprox.oracle import dp_distribution, two_runs_automaton
 from psdapprox.runs import TABLE1_PRINTED
 
 
@@ -196,6 +200,8 @@ def test_bound_reads_the_target_before_the_moments(
     ('{"family": "panjer", "a": NaN, "b": 0.0}', "a = nan is not finite"),
     ('{"family": "panjer", "a": 0.9, "b": -Infinity}', "b = -inf is not finite"),
     ('{"family": "series", "theta": Infinity, "coeffs": [1, 1]}', "theta = inf is not finite"),
+    ('{"family": "series", "theta": 0.5, "coeffs": [1, NaN]}', "coeffs[1] = nan is not finite"),
+    ('{"family": "series", "theta": 0.5, "coeffs": [Infinity]}', "coeffs[0] = inf is not finite"),
 ])
 def test_non_finite_target_parameters_are_usage_errors(
         tmp_path, two_runs_model_file, capsys, text, reason):
@@ -203,6 +209,66 @@ def test_non_finite_target_parameters_are_usage_errors(
     path.write_text(text)
     assert main(["oracle", "--model", two_runs_model_file, "--target", str(path)]) == 2
     _assert_input_error(path, reason, capsys)
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("-3", "max_support = -3 is not an integer >= 0"),
+    ("2.5", "max_support = 2.5 is not an integer >= 0"),
+    ("true", "max_support = true is not an integer >= 0"),
+    ('"x"', 'max_support = "x" is not an integer >= 0'),
+    ("1" + "0" * 400, "too large to convert to float"),
+])
+def test_malformed_max_support_is_usage_error(
+        tmp_path, two_runs_model_file, capsys, value, reason):
+    path = tmp_path / "target.json"
+    path.write_text('{"family": "panjer", "a": 1, "b": 0, "max_support": %s}' % value)
+    assert main(["oracle", "--model", two_runs_model_file, "--target", str(path)]) == 2
+    _assert_input_error(path, reason, capsys)
+
+
+def test_huge_max_support_target_is_tabulated_quickly(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.3] * 4}))
+    target = tmp_path / "target.json"
+    target.write_text('{"family": "panjer", "a": 1, "b": 0, "max_support": 100000000}')
+    start = time.perf_counter()
+    assert main(["oracle", "--model", str(model), "--target", str(target)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["tv"]["value"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--precision", "-1"],
+    ["bound", "--model", "m.json", "--fit", "poisson", "--format", "text", "--precision", "-2"],
+    ["table1", "--precision", "two"],
+])
+def test_negative_precision_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and "--precision" in err.splitlines()[-1]
+
+
+def test_bernoulli_product_beyond_enumeration_fits_its_exact_mean(tmp_path, capsys):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.1] * 40}))
+    assert main(["bound", "--model", str(path), "--fit", "poisson", "--variant", "d2"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == {"family": "panjer", "a": 4.0, "b": 0.0}
+
+
+@pytest.mark.parametrize("variant", ["d2", "crude"])
+def test_poisson_fit_at_mean_750_dominates_exact_tv(tmp_path, capsys, variant):
+    p = [0.5] * 3001
+    path = tmp_path / "two_runs_3000.json"
+    path.write_text(json.dumps({"model": "two-runs", "p": p}))
+    assert main(["bound", "--model", str(path), "--fit", "poisson", "--variant", variant]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    law = dp_distribution(two_runs_automaton(), p)
+    tv = exact_tv(law, family_from_json(payload["target"]).pmf())
+    assert payload["target"]["a"] == pytest.approx(750.0)
+    assert tv.upper <= payload["total"]
 
 
 @pytest.mark.parametrize("variant", BOUND_VARIANTS)
@@ -405,11 +471,16 @@ _TARGETS = st.one_of(
         "a": st.one_of(st.floats(-1.0, 20.0), _EDGE_FLOATS),
         "b": st.sampled_from([-0.5, -0.25, 0.0, 0.3, 0.5, 0.9, 1.0, 1.5,
                               math.nan, math.inf, -math.inf]),
+    }, optional={
+        "max_support": st.one_of(
+            st.integers(0, 40), st.integers(-5, -1), st.sampled_from([2.5, 0.5, -1.5]),
+            st.booleans(), st.sampled_from([10**8, 10**30, 10**400]), st.just("x")),
     }),
     st.fixed_dictionaries({
         "family": st.just("series"),
         "theta": st.one_of(st.floats(-1.0, 3.0), _EDGE_FLOATS),
-        "coeffs": st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=6),
+        "coeffs": st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), _EDGE_FLOATS),
+                           max_size=6),
     }),
     st.fixed_dictionaries({"family": st.sampled_from(["zeta", "binomial"])}),
 )

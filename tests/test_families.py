@@ -1,6 +1,7 @@
 """Tests for the Panjer/power-series families and their Stein machinery."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,170 @@ def test_recursion_invariant_property(a, b):
     assert abs(table.total_with_tail() - 1.0) < 1e-10
     mean_table = float(np.dot(p, np.arange(len(p))))
     assert mean_table == pytest.approx(a / (1 - b), rel=1e-8, abs=1e-8)
+
+
+# -- the one mode-anchored table against the walk from p0 = 1 -------------------------
+
+
+class _WalkFromP0:
+    """Reference: tables walked from ``u_0 = 1``, as before the anchored table."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.p0 = self._normalize()
+
+    def _unnormalized(self, k_last):
+        spec, out, k = self.spec, [1.0], 0
+        while True:
+            if spec.max_support is not None and k >= spec.max_support:
+                break
+            if k_last is not None and k >= k_last:
+                break
+            nxt = spec._step(out[-1], k)
+            if nxt == 0.0 and k_last is None:
+                break
+            out.append(nxt)
+            k += 1
+        return out
+
+    def _auto_len(self, tail_target):
+        spec, u, k, running = self.spec, [1.0], 0, 1.0
+        while True:
+            nxt = spec._step(u[-1], k)
+            u.append(nxt)
+            running += nxt
+            k += 1
+            if spec.max_support is not None and k >= spec.max_support:
+                return k
+            if nxt == 0.0:
+                return k
+            r = max(spec.ratio(k), spec.b, 0.0)
+            if r < 1 and nxt * r / (1 - r) < tail_target * running:
+                return k
+            if k > 10**6:
+                raise NonNormalizableError("tail certificate not reached")
+
+    def _normalize(self):
+        spec = self.spec
+        k_end = spec.max_support if spec.max_support is not None else self._auto_len(1e-18)
+        u = self._unnormalized(k_end)
+        total = math.fsum(u)
+        if spec.max_support is None:
+            r = max(spec.ratio(len(u) - 1), spec.b, 0.0)
+            total += u[-1] * r / (1.0 - r)
+        return 1.0 / total
+
+    def pmf(self, k_max=None, tail_target=1e-14):
+        spec = self.spec
+        k_end = k_max if k_max is not None else self._auto_len(tail_target)
+        masses = [self.p0 * x for x in self._unnormalized(k_end)]
+        covered = spec.max_support is not None and len(masses) - 1 >= spec.max_support
+        if covered or masses[-1] == 0.0:
+            return masses, 0.0
+        k, extra, m = len(masses) - 1, 0.0, masses[-1]
+        while spec.ratio(k) >= 1:
+            m = m * spec.ratio(k)
+            extra += m
+            k += 1
+        r = max(spec.ratio(k), spec.b, 0.0)
+        return masses, extra + m * r / (1.0 - r)
+
+
+_REFERENCE_FAMILIES = {
+    **{f"poisson({lam})": poisson_family(lam) for lam in (0.5, 1.0, 3.7, 25.0, 180.0, 480.0, 700.0)},
+    "nb fit mean 180": negative_binomial_family(180 * 0.6 / 0.4, 0.6),
+    "nb fit mean 480": negative_binomial_family(480 * 0.75 / 0.25, 0.75),
+    "nb(2, 0.4)": negative_binomial_family(2.0, 0.4),
+    "geometric(0.55)": geometric_family(0.55),
+    "geometric(0.02)": geometric_family(0.02),
+    "binomial(20, 0.2)": binomial_family(20, 0.2),
+    "binomial(37, 0.7) standard": binomial_family(37, 0.7, convention="standard"),
+    "binomial(400, 0.5)": binomial_family(400, 0.5),
+    "poisson(3) on 0..5": PanjerPSD(3.0, 0.0, max_support=5),
+    "poisson(30) on 0..20": PanjerPSD(30.0, 0.0, max_support=20),
+    "nb on 0..40": PanjerPSD(2.0, 0.5, max_support=40),
+    "poisson(2) on 0..1000": PanjerPSD(2.0, 0.0, max_support=1000),
+    "point mass": PanjerPSD(0.0, 0.3),
+}
+
+
+def _cuts(spec):
+    mode = spec._mode  # floor((a-b)/(1-b)), clipped to the support
+    cuts = [(None, t) for t in (1e-14, 1e-18, 1e-22)]
+    cuts += [(k, 1e-14) for k in (mode, mode + 1, mode + 7, mode + 60, mode + 400)]
+    return cuts
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+def test_anchored_table_matches_walk_from_p0(name):
+    spec = _REFERENCE_FAMILIES[name]
+    reference = _WalkFromP0(spec)
+    for k_max, tail_target in _cuts(spec):
+        want, want_tail = reference.pmf(k_max, tail_target)
+        got = spec.pmf(k_max, tail_target=tail_target)
+        assert len(got.masses) == len(want), (k_max, tail_target)
+        want = np.asarray(want)
+        big = want >= 1e-300
+        assert np.allclose(got.as_array()[big], want[big], rtol=1e-13, atol=0)
+        assert got.tail_mass_bound == pytest.approx(want_tail, rel=1e-13, abs=0)
+    assert spec.p0 == pytest.approx(reference.p0, rel=1e-13)
+    assert spec.pmf(tail_target=1e-30) == spec.pmf(tail_target=1e-22)  # the whole table
+
+
+@pytest.mark.parametrize("spec, frozen", [
+    (poisson_family(40.0), st.poisson(40.0)),
+    (poisson_family(2000.0), st.poisson(2000.0)),
+    (negative_binomial_family(30.0, 0.2), st.nbinom(30.0, 0.2)),
+    (binomial_family(60, 0.45), st.binom(60, 0.45)),
+])
+def test_tail_below_the_mode_is_honest(spec, frozen):
+    for k_max in (0, 1, spec._mode // 2, spec._mode - 1):
+        tail = spec.pmf(k_max).tail_mass_bound
+        actual = frozen.sf(k_max)
+        assert actual * (1 - 1e-12) <= tail <= actual * (1 + 1e-9) + 1e-300
+
+
+@pytest.mark.parametrize("mean", [708.0, 1e4, 1e6])
+@pytest.mark.parametrize("family", ["poisson", "nb"])
+def test_large_means_build_certified_tables(mean, family):
+    spec = poisson_family(mean) if family == "poisson" else PanjerPSD(mean / 2, 0.5)
+    table = spec.pmf()
+    assert abs(table.total_with_tail() - 1.0) < 1e-10
+    assert table.k_max < mean + 10 * math.sqrt(spec.mean_var()[1])
+    assert table.tail_mass_bound < 1e-13
+
+
+def test_poisson_family_at_mean_1e6_is_fast():
+    start = time.perf_counter()
+    poisson_family(1e6)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_one_walk_per_family(monkeypatch):
+    walks = []
+    walk = PanjerPSD._walk
+
+    def counted(self, *args, **kwargs):
+        walks.append(self)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(PanjerPSD, "_walk", counted)
+    spec = negative_binomial_family(3.0, 0.4)
+    spec.pmf()
+    g_norm_bound(spec)
+    delta_g_exact_sup(spec, 40)
+    stein_solve(spec, indicator({1, 4}))
+    assert walks == [spec]
+
+
+def test_table_length_guard():
+    with pytest.raises(NonNormalizableError):
+        poisson_family(1e300)
+    with pytest.raises(NonNormalizableError):
+        PanjerPSD(1.0, 1.0, max_support=10**30)
+    with pytest.raises(NonNormalizableError):
+        PanjerPSD(1.0, 1.5, max_support=5000)  # the masses overflow
+    assert PanjerPSD(1.0, 0.5, max_support=10**30).pmf() == PanjerPSD(1.0, 0.5).pmf()
 
 
 # -- moments ---------------------------------------------------------------------

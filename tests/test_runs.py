@@ -171,9 +171,7 @@ def test_moment_sets_match_per_index_reference():
     # e_x, e_xn1, e_x_xn1, mean_w and var_w keep the per-index add order and
     # fsum; the brackets sum their few terms in numpy and may differ by ulps.
     for model, reference in _reference_models():
-        moments = model.closed_form_moments()
-        assert moments.certified
-        _assert_matches_reference(moments, reference(model))
+        _assert_matches_reference(model.closed_form_moments(), reference(model))
 
 
 # -- 2-runs closed forms -------------------------------------------------------

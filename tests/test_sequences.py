@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from psdapprox.errors import EnumerationLimitError
+from psdapprox.errors import EnumerationLimitError, UnavailableError
 from psdapprox.sequences import (
     BernoulliProductSequence,
     MomentSet,
@@ -130,23 +130,39 @@ def test_bracket_moments_nonnegative_for_01_summands():
         assert all(v >= -1e-14 for v in mom.e_x_n2m1)
 
 
-def test_sampled_moments_flagged_and_close():
-    seq = TwoRunsModel([0.4] * 7)
-    exact = compute_moments(seq)
-    sampled = compute_moments(seq, method="sample",
-                              rng=np.random.default_rng(99), samples=120_000)
-    assert not sampled.certified
-    assert sampled.std_error is not None
-    assert sampled.mean_w == pytest.approx(exact.mean_w, abs=6 * sampled.std_error)
-
-
 def test_enumeration_cutoff_enforced():
-    seq = BernoulliProductSequence([0.5] * 25)
+    p = [0.5] * 12 + [0.1] * 13
+    seq = BernoulliProductSequence(p)
     assert not seq.enumerable
     with pytest.raises(EnumerationLimitError):
         seq.enumerate_bits()
-    mom = compute_moments(seq, samples=10_000)
-    assert not mom.certified
+    mom = compute_moments(seq)
+    assert mom.mean_w == math.fsum(p)
+    assert mom.var_w == pytest.approx(math.fsum(x * (1 - x) for x in p), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_product_closed_form_matches_enumeration(n):
+    rng = np.random.default_rng(n)
+    p = rng.uniform(0.0, 1.0, n).tolist()
+    if n == 16:
+        p[3], p[9] = 0.0, 1.0
+    seq = BernoulliProductSequence(p)
+    closed = compute_moments(seq, method="closed-form")
+    exact = compute_moments(seq, method="enumerate")
+    for field in ("e_x", "e_xn1", "e_x_xn1", "e_n1_bracket", "e_x_n1_bracket", "e_x_n2m1"):
+        assert np.allclose(getattr(closed, field), getattr(exact, field), rtol=0, atol=1e-14)
+    assert closed.mean_w == pytest.approx(exact.mean_w, abs=1e-14)
+    assert closed.var_w == pytest.approx(exact.var_w, abs=1e-13)
+
+
+def test_no_moments_without_enumeration_or_closed_form():
+    seq = block_m_dependent(TwoRunsModel([0.3] * 26))  # 2^26 outcomes, no closed form
+    assert not seq.enumerable
+    with pytest.raises(UnavailableError):
+        compute_moments(seq)
+    with pytest.raises(ValueError):
+        compute_moments(TwoRunsModel([0.3] * 4), method="sample")
 
 
 def test_sum_distribution_matches_binomial():
@@ -218,7 +234,7 @@ def _reference_moments(seq) -> MomentSet:
     var_w = float(w @ total**2) - mean_w**2
     return MomentSet(expect(xs), expect(xn1), expect(xs * xn1), expect(bracket),
                      expect(xs * bracket), expect(xs * (xn2 - 1)),
-                     mean_w, var_w, certified=True)
+                     mean_w, var_w)
 
 
 def _bit_identity_cases():
@@ -244,5 +260,5 @@ def test_streamed_moments_bit_identical_to_full_matrix(name):
     got = compute_moments(seq, method="enumerate")
     want = _reference_moments(seq)
     for field in ("e_x", "e_xn1", "e_x_xn1", "e_n1_bracket", "e_x_n1_bracket",
-                  "e_x_n2m1", "mean_w", "var_w", "certified", "std_error"):
+                  "e_x_n2m1", "mean_w", "var_w"):
         assert getattr(got, field) == getattr(want, field), field
