@@ -7,7 +7,8 @@ The module provides truncated mass tables with certified tail bounds, the
 characterizing operator ``A g(k) = (a + b k) g(k+1) - k g(k)``, the explicit
 solution of ``A g = f - E f(Z)``, and uniform / exact suprema for the forward
 difference of that solution.  A Panjer family walks its recursion once, from
-its mode, into the one table all of these read, so no mean overflows it.
+its mode, into the one table all of these read, so no mean overflows it;
+a walk that certainly outgrows the table's length guard is refused first.
 Everything is immutable after construction and safe to evaluate concurrently.
 """
 
@@ -41,6 +42,9 @@ _TABLE_TAIL = 1e-22
 # Most entries a Panjer table may hold (memory and time guard): 16 MiB of
 # float64, twice the 1.02e6 entries of a mean-1e6 NB table.
 _MAX_TABLE = 2**21
+
+# Smallest normal float64: partial sums below it have lost relative precision.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,10 @@ class PanjerPSD:
         elif self.max_support > 0:
             self._step(1.0, self.max_support - 1)  # lowest a + b k when b < 0
         mode = max(math.floor((self.a - self.b) / (1 - self.b)), 0) if self.b < 1 else 0
+        if self._outgrows_table(mode):
+            raise NonNormalizableError(f"no finite table within {_MAX_TABLE} entries")
         top = _MAX_TABLE if self.max_support is None else min(self.max_support, _MAX_TABLE)
-        object.__setattr__(self, "_mode", min(mode, top))  # past _MAX_TABLE, _walk refuses
+        object.__setattr__(self, "_mode", min(mode, top))
         object.__setattr__(self, "_masses", self._build())
         object.__setattr__(self, "p0", float(self._masses[0]))
 
@@ -173,6 +179,30 @@ class PanjerPSD:
     def ratio(self, k: int) -> float:
         """Mass ratio ``p_{k+1} / p_k = (a + b k) / (k + 1)``."""
         return self.op_coeff(k) / (k + 1)
+
+    def _outgrows_table(self, mode: int) -> bool:
+        """Whether the walk from ``mode`` certainly reaches ``_MAX_TABLE``
+        entries before :meth:`_done` may hold, so that it would refuse anyway.
+
+        Below a mode past ``_MAX_TABLE`` every ratio is at least 1, so the
+        geometric tail is infinite there.  Otherwise, for ``0 < b < 1``: every
+        ``u_k`` is at most ``u_mode = 1``, so ``running <= k + 1``; each ratio
+        is at least ``b`` from the mode on when ``a >= b``, and at least
+        ``b j/(j+1)`` past ``ratio(0) = a`` when ``a < b`` (mode 0), so
+        ``u_k >= min(1, a/b) b^(k-mode)/(k+1)``; and ``r >= b``.  A stop at
+        ``k <= _MAX_TABLE`` then needs
+        ``b^(k-mode) < _TABLE_TAIL (_MAX_TABLE+1)^2 (1-b)/min(a, b)``, which
+        fails for every such ``k`` when it fails at ``_MAX_TABLE``; a factor
+        10 on the right absorbs rounding in the walk.
+        """
+        if self.max_support is not None and self.max_support <= _MAX_TABLE:
+            return False
+        if mode > _MAX_TABLE:
+            return True
+        if not (0 < self.b < 1 and self.a > 0):
+            return False
+        reach = 10 * _TABLE_TAIL * (_MAX_TABLE + 1) ** 2 * (1 - self.b) / min(self.a, self.b)
+        return (_MAX_TABLE - mode) * math.log(self.b) >= math.log(reach)
 
     def _step(self, value: float, k: int) -> float:
         """One recursion step ``u_{k+1}`` from ``u_k``, snapping dust to 0."""
@@ -661,26 +691,36 @@ def delta_g_exact_sup(spec, k_max: int, cond_tol: float = 1e-9) -> float:
     verifying the monotonicity condition
     ``k F(k)/F(k-1) >= c_k >= k Fbar(k+1)/Fbar(k)`` at every tabulated k
     (the condition is checked, not assumed; violations carry the offending
-    ``k``).  ``c_k`` is the operator coefficient at ``k``.
+    ``k``).  ``c_k`` is the operator coefficient at ``k``.  Where ``F(k-1)``
+    is a subnormal float the masses summed into it have lost their precision,
+    so there ``k F(k)/F(k-1)`` is ``k + k/L_k`` with ``L_k = F(k-1)/p_k``
+    carried up the recursion ratios, ``L_{k+1} = (L_k + 1)(k+1)/c_k``, from 0
+    at the table's first positive mass.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
-    kk = min(k_max, len(p) - 2)
-
-    best = 0.0
-    for k in range(1, kk + 1):
-        if p[k] == 0.0:
-            continue
+    kk = max(min(k_max, len(p) - 2), 0)
+    k = np.arange(1, kk + 1)
+    if isinstance(spec, PanjerPSD):
         c = spec.op_coeff(k)
-        lhs = k * cdf[k] / cdf[k - 1] if cdf[k - 1] > 0 else math.inf
-        rhs = k * sf[k + 1] / sf[k] if sf[k] > 0 else 0.0
-        if not (lhs >= c - cond_tol and c >= rhs - cond_tol):
-            raise LemmaConditionError(k)
-        first = sf[k + 1] / c if sf[k + 1] > 1e-300 and c > 0 else 0.0
-        val = first + cdf[k - 1] / k
-        best = max(best, val)
-    return best / spec.g_scale
+    else:
+        c = np.array([spec.op_coeff(j) for j in k.tolist()], dtype=float)
+    below, at, above = cdf[:kk], sf[1 : kk + 1], sf[2 : kk + 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.where(below > 0, k * cdf[1 : kk + 1] / below, np.inf)
+        rhs = np.where(at > 0, k * above / at, 0.0)
+        first = np.where((above > 1e-300) & (c > 0), above / c, 0.0)
+        ratio = 0.0
+        for j in np.flatnonzero((below > 0) & (below < _TINY)).tolist():  # k = j + 1
+            ratio = (ratio + 1) * (j + 1) / np.float64(spec.op_coeff(j))
+            lhs[j] = (j + 1) + (j + 1) / ratio
+    live = p[1 : kk + 1] != 0.0
+    bad = live & ~((lhs >= c - cond_tol) & (c >= rhs - cond_tol))
+    if bad.any():
+        raise LemmaConditionError(int(k[bad.argmax()]))
+    val = first + below / k
+    return float(np.max(val[live], initial=0.0)) / spec.g_scale
 
 
 def g_norm_bound(spec, k_probe: Optional[int] = None) -> float:
@@ -694,12 +734,11 @@ def g_norm_bound(spec, k_probe: Optional[int] = None) -> float:
     tail ratio, which is folded into the result.
     """
     p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
-    hi = len(p) - 1 if k_probe is None else min(k_probe, len(p) - 1)
-    best = 0.0
-    for k in range(1, hi + 1):
-        if p[k] == 0.0:
-            continue
-        best = max(best, 2.0 * cdf[k - 1] * sf[k] / (k * p[k]))
+    hi = max(len(p) - 1 if k_probe is None else min(k_probe, len(p) - 1), 0)
+    mass = p[1 : hi + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = 2.0 * cdf[:hi] * sf[1 : hi + 1] / (np.arange(1, hi + 1) * mass)
+    best = float(np.max(vals[mass != 0.0], initial=0.0))
     if spec.max_support is None:
         r = max(spec.ratio(len(p) - 1), spec.b)
         if r < 1:

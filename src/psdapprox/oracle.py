@@ -5,10 +5,13 @@ formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program, cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
 laws come from one table of outcome groups against ``W`` (cached per sequence).
+The exact-rational law of ``W`` sums integer outcome numerators over the same
+cached ``W``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,6 +23,9 @@ from .families import PMFTable
 from .sequences import DependentSequence, MomentSet, compute_moments, group_rows
 
 MAX_BRUTE_TRIALS = 24
+
+# Trials per block of the exact law: one block holds 2^16 Python-int numerators.
+_EXACT_BLOCK_TRIALS = 16
 
 
 def failure_function(pattern: Sequence[int]) -> list:
@@ -164,22 +170,58 @@ def brute_force_distribution(
     """Law of the total sum by full enumeration of the trial space.
 
     The statistic is re-derived from the sequence's own trials->X mapping, so
-    the result is independent of the automaton route.
+    the result is independent of the automaton route.  Exact mode writes each
+    trial probability as ``a_t/d_t`` (``exact_probs``, else
+    :meth:`~DependentSequence.exact_trial_probs`; a list of another length
+    than the trial count is a ``ValueError``), so every outcome has an
+    integer numerator over ``D = prod d_t``; the numerators are summed per
+    value of ``W`` in Python integers, one block of ``2^16`` outcomes at a time,
+    and each mass is one ``Fraction(sum, D)``.
     """
     if seq.trial_count > MAX_BRUTE_TRIALS:
         raise EnumerationLimitError(
             f"{seq.trial_count} trials exceed the brute-force cutoff"
         )
     if exact:
-        acc: dict = {}
-        for _, prob, xs in seq.iter_exact(exact_probs):
-            w = sum(xs)
-            acc[w] = acc.get(w, Fraction(0)) + prob
-        top = max(acc)
-        masses = tuple(acc.get(w, Fraction(0)) for w in range(top + 1))
-        return PMFTable(0, masses, 0.0)
+        if exact_probs is None:
+            exact_probs = seq.exact_trial_probs()
+        elif len(exact_probs) != seq.trial_count:
+            raise ValueError(
+                f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
+            )
+        return _exact_law(_totals(seq), [Fraction(p) for p in exact_probs])
     joint = _conditional_laws(seq, ())[2]
     return PMFTable(0, tuple(float(m) for m in joint[0]), 0.0)
+
+
+def _numerators(probs) -> np.ndarray:
+    """Outcome probabilities times ``prod(p.denominator)``, as Python ints,
+    doubled in trial order like :meth:`DependentSequence.outcome_probs`."""
+    nums = np.ones(1, dtype=object)
+    for p in probs:
+        nums = np.concatenate((nums * (p.denominator - p.numerator), nums * p.numerator))
+    return nums
+
+
+def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
+    """Exact law of ``W`` from its per-outcome values in enumeration row order.
+
+    Row ``h`` of the reshaped ``total`` holds the outcomes whose trials past
+    the first ``_EXACT_BLOCK_TRIALS`` spell ``h``; their numerators are the
+    low-trial numerators times the one high-trial numerator of ``h``, so each
+    block sums the low numerators per value (one stable sort and one
+    ``reduceat``) and scales the sums.
+    """
+    low = _numerators(probs[:_EXACT_BLOCK_TRIALS])
+    sums = [0] * (int(total.max()) + 1)
+    for scale, w in zip(_numerators(probs[_EXACT_BLOCK_TRIALS:]), total.reshape(-1, len(low))):
+        order = np.argsort(w, kind="stable")
+        values, starts = np.unique(w[order], return_index=True)
+        for v, s in zip(values.tolist(), np.add.reduceat(low[order], starts)):
+            sums[v] += scale * s
+    denominator = math.prod(p.denominator for p in probs)
+    top = max(v for v, s in enumerate(sums) if s)
+    return PMFTable(0, tuple(Fraction(s, denominator) for s in sums[: top + 1]), 0.0)
 
 
 def shift_regularity(masses: np.ndarray) -> float:
@@ -189,13 +231,20 @@ def shift_regularity(masses: np.ndarray) -> float:
     return float(np.abs(np.diff(padded)).sum())
 
 
+def _totals(seq: DependentSequence) -> np.ndarray:
+    """``W`` of every outcome in :meth:`~DependentSequence.enumerate_bits` row
+    order, cached per sequence."""
+    total = seq._cache.get("w")
+    if total is None:
+        total = seq._cache["w"] = seq.x_values().sum(axis=1, dtype=np.int32)
+    return total
+
+
 def _conditional_laws(seq: DependentSequence, keys) -> tuple:
     """``(ids, first, joint, d)``: :func:`group_rows` on the integer columns ``keys``,
     ``joint[g, k]`` the mass of group ``g`` at ``W = k`` (one ``bincount``), and
     ``d[g]`` the shift regularity of ``W`` given group ``g`` (0.0 at zero mass)."""
-    total = seq._cache.get("w")
-    if total is None:
-        total = seq._cache["w"] = seq.x_values().sum(axis=1, dtype=np.int32)
+    total = _totals(seq)
     w = seq.outcome_probs()
     ids, first = group_rows(keys, len(w))
     radix = int(total.max()) + 1

@@ -192,16 +192,24 @@ class DependentSequence:
             self._cache["x"] = xs
         return xs
 
+    def exact_trial_probs(self) -> list:
+        """Trial probabilities as rationals, ``limit_denominator(10**9)`` of each float."""
+        return [Fraction(p).limit_denominator(10**9) for p in self.trial_probs]
+
     def iter_exact(self, exact_probs: Optional[Sequence[Fraction]] = None
                    ) -> Iterator[tuple]:
-        """Yield ``(bits, probability, x_tuple)`` with rational probabilities.
+        """Yield ``(bits, probability, x_tuple)`` with rational probabilities,
+        skipping outcomes of probability 0.
 
         Probabilities multiply along a shared prefix tree, so the cost is one
-        multiplication per node rather than per (trial, outcome) pair.
+        multiplication per node rather than per (trial, outcome) pair.  This is
+        the outcome-at-a-time reference through :meth:`x_scalar`; the exact
+        oracle law (``brute_force_distribution(..., exact=True)``) sums integer
+        numerators over the cached enumeration instead.
         """
         self._require_enumerable()
         if exact_probs is None:
-            exact_probs = [Fraction(p).limit_denominator(10**9) for p in self.trial_probs]
+            exact_probs = self.exact_trial_probs()
         T = self.trial_count
         bits = [0] * T
         prefix = [Fraction(1)] * (T + 1)

@@ -20,6 +20,7 @@ from psdapprox.families import (
     PMFTable,
     PSDSpec,
     PanjerPSD,
+    _cumulative,
     binomial_family,
     delta_g_exact_sup,
     delta_g_uniform_bound,
@@ -300,6 +301,19 @@ def test_one_walk_per_family(monkeypatch):
     assert walks == [spec]
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.9999999), (0.5, 0.9999999), (3.0, 0.99999),
+                                  (1e7, 0.0), (1e7, -0.5)])
+def test_walk_past_the_length_guard_is_refused_up_front(a, b, monkeypatch):
+    def walk(self):
+        raise AssertionError("the recursion was walked")
+
+    monkeypatch.setattr(PanjerPSD, "_build", walk)
+    start = time.perf_counter()
+    with pytest.raises(NonNormalizableError):
+        PanjerPSD(a, b)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_table_length_guard():
     with pytest.raises(NonNormalizableError):
         poisson_family(1e300)
@@ -308,6 +322,7 @@ def test_table_length_guard():
     with pytest.raises(NonNormalizableError):
         PanjerPSD(1.0, 1.5, max_support=5000)  # the masses overflow
     assert PanjerPSD(1.0, 0.5, max_support=10**30).pmf() == PanjerPSD(1.0, 0.5).pmf()
+    assert PanjerPSD(1.0, 0.9999999, max_support=1000).pmf().k_max == 1000
 
 
 # -- moments ---------------------------------------------------------------------
@@ -509,6 +524,79 @@ def test_g_norm_bound_dominates_observed_sup():
         g = stein_solve(spec, indicator(A), f_bound=1.0)
         observed = max(observed, max(abs(g(k)) for k in range(40)))
     assert 0 < observed <= cap
+
+
+def _looped_delta_g_exact_sup(spec, k_max, cond_tol=1e-9):
+    """Reference: the per-entry loop over table quotients, as before vectorizing."""
+    p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
+    best = 0.0
+    for k in range(1, min(k_max, len(p) - 2) + 1):
+        if p[k] == 0.0:
+            continue
+        c = spec.op_coeff(k)
+        lhs = k * cdf[k] / cdf[k - 1] if cdf[k - 1] > 0 else math.inf
+        rhs = k * sf[k + 1] / sf[k] if sf[k] > 0 else 0.0
+        if not (lhs >= c - cond_tol and c >= rhs - cond_tol):
+            raise LemmaConditionError(k)
+        first = sf[k + 1] / c if sf[k + 1] > 1e-300 and c > 0 else 0.0
+        best = max(best, first + cdf[k - 1] / k)
+    return best / spec.g_scale
+
+
+def _looped_g_norm_bound(spec, k_probe=None):
+    """Reference: the per-entry loop, as before vectorizing."""
+    p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
+    hi = len(p) - 1 if k_probe is None else min(k_probe, len(p) - 1)
+    best = 0.0
+    for k in range(1, hi + 1):
+        if p[k] != 0.0:
+            best = max(best, 2.0 * cdf[k - 1] * sf[k] / (k * p[k]))
+    if spec.max_support is None:
+        r = max(spec.ratio(len(p) - 1), spec.b)
+        if r < 1:
+            best = max(best, 2.0 / (max(hi, 1) * (1.0 - r)))
+    return best / spec.g_scale
+
+
+_SUP_FAMILIES = {
+    **_REFERENCE_FAMILIES,
+    "poisson(0.01)": poisson_family(0.01),
+    "nb(0.3, 0.9)": negative_binomial_family(0.3, 0.9),
+    "binomial(1, 0.9)": binomial_family(1, 0.9),
+    "binomial(12, 0.25) standard": binomial_family(12, 0.25, convention="standard"),
+    "gap-heavy series": PSDSpec(theta=1.0, coeff=lambda k: [1.0, 0.05, 1.0][k] if k < 3 else 0.0),
+    "dgm poisson": dgm_to_psd(lambda k: 0.0, 2.5),
+    "dgm quadratic": dgm_to_psd(lambda k: -0.1 * k * k, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUP_FAMILIES))
+def test_vectorized_sups_equal_the_loops(name):
+    spec = _SUP_FAMILIES[name]
+    for k_max in (1, 2, 5, 60, 10**6):
+        try:
+            want = _looped_delta_g_exact_sup(spec, k_max)
+        except LemmaConditionError as exc:
+            with pytest.raises(LemmaConditionError) as got:
+                delta_g_exact_sup(spec, k_max)
+            assert got.value.args == exc.args
+            continue
+        assert delta_g_exact_sup(spec, k_max) == want
+    for k_probe in (None, -3, 0, 1, 10):
+        assert g_norm_bound(spec, k_probe) == _looped_g_norm_bound(spec, k_probe)
+
+
+@pytest.mark.parametrize("spec", [
+    poisson_family(2000.0), poisson_family(1e4), poisson_family(1e5),
+    PanjerPSD(5e3, 0.5), binomial_family(1200, 0.5),
+], ids=["poisson(2000)", "poisson(1e4)", "poisson(1e5)", "nb mean 1e4", "binomial(1200, 0.5)"])
+def test_exact_sup_at_large_means(spec):
+    # The lower tail of each table holds subnormal masses, where quotients of
+    # partial sums lose their precision.
+    p = spec.pmf(tail_target=1e-18).as_array()
+    assert np.any((p > 0) & (p < np.finfo(float).tiny))
+    exact = delta_g_exact_sup(spec, 10**7)
+    assert 0 < exact <= delta_g_uniform_bound(spec) + 1e-12
 
 
 # -- Gibbs-measure mapping -----------------------------------------------------------

@@ -1,11 +1,15 @@
 """Tests for the automaton/DP/enumeration oracles."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import psdapprox.oracle as oracle
+from psdapprox.cli import main
 from psdapprox.errors import EnumerationLimitError
+from psdapprox.families import PMFTable
 from psdapprox.oracle import (
     RunAutomaton,
     brute_force_distribution,
@@ -18,7 +22,11 @@ from psdapprox.oracle import (
     two_runs_automaton,
 )
 from psdapprox.runs import K1K2Model, TwoRunsModel
-from psdapprox.sequences import BernoulliProductSequence
+from psdapprox.sequences import (
+    BernoulliProductSequence,
+    DependentSequence,
+    block_m_dependent,
+)
 
 
 def test_failure_function_known_values():
@@ -109,6 +117,70 @@ def test_dp_equals_brute_force_k1k2_exact():
     # The DP drives the automaton over all (n+1)m trials; the block model sums
     # only the first nm windows, which is the same count by construction.
     assert dp.masses == bf.masses
+
+
+def _fraction_law(seq, exact_probs=None):
+    """Reference exact law: one ``Fraction`` sum per outcome of ``iter_exact``."""
+    acc = {}
+    for _, prob, xs in seq.iter_exact(exact_probs):
+        w = sum(xs)
+        acc[w] = acc.get(w, Fraction(0)) + prob
+    top = max(acc)
+    return tuple(acc.get(w, Fraction(0)) for w in range(top + 1))
+
+
+_EXACT_MODELS = {
+    "two-runs p=0 and p=1": TwoRunsModel([0.0, 1.0, 1.0, 0.5, 0.0, 0.25, 1.0, 0.75]),
+    "two-runs all p=1": TwoRunsModel([1.0] * 6),
+    "two-runs all p=0": TwoRunsModel([0.0] * 6),
+    "two-runs n=1": TwoRunsModel([0.3, 0.6]),
+    "two-runs non-dyadic": TwoRunsModel([1 / 3, 2 / 7, 0.999999, 0.4, 1 / 3, 0.1, 2 / 7]),
+    "two-runs 12 trials": TwoRunsModel([0.05 * (t + 1) for t in range(12)]),
+    "(1,1)-runs": K1K2Model(1, 1, 6, [0.3, 0.0, 0.6, 1.0, 0.45, 0.2, 0.7]),
+    "(1,2)-runs": K1K2Model(1, 2, 4, [0.3, 0.5, 0.25, 1 / 3, 0.6, 0.45, 1.0, 0.2, 0.7, 0.1]),
+    "(2,2)-runs": K1K2Model(2, 2, 3, [0.4, 0.35, 0.6, 0.2, 0.5, 0.45, 0.3, 0.55, 0.25, 0.65, 0.15, 0.7]),
+    "blocked (1,2)-runs": block_m_dependent(K1K2Model(1, 2, 5, [0.3, 0.6, 0.0, 0.5, 0.45, 1 / 3, 0.2, 0.8, 0.1, 0.55, 0.4, 0.35])),
+    "bernoulli product": BernoulliProductSequence([0.2, 1.0, 0.0, 1 / 3, 0.7, 0.999999]),
+}
+
+
+@pytest.mark.parametrize("block_trials", [3, 16])
+@pytest.mark.parametrize("name", sorted(_EXACT_MODELS))
+def test_exact_law_equals_fraction_reference(name, block_trials, monkeypatch):
+    # A block of 3 trials splits every model into several blocks of outcomes.
+    monkeypatch.setattr(oracle, "_EXACT_BLOCK_TRIALS", block_trials)
+    seq = _EXACT_MODELS[name]
+    got = brute_force_distribution(seq, exact=True)  # the limit_denominator default
+    assert got == PMFTable(0, _fraction_law(seq), 0.0)
+    assert got.exact
+    sevenths = [Fraction(t % 8, 7) for t in range(seq.trial_count)]  # includes 0 and 1
+    assert brute_force_distribution(seq, exact=True, exact_probs=sevenths).masses == (
+        _fraction_law(seq, sevenths))
+
+
+def test_exact_law_equals_exact_dp_across_blocks():
+    probs = [Fraction(t % 5 + 1, 11) for t in range(18)]  # four blocks of 2^16 outcomes
+    model = TwoRunsModel([float(p) for p in probs])
+    dp = dp_distribution(two_runs_automaton(), probs, exact=True)
+    assert brute_force_distribution(model, exact=True, exact_probs=probs) == dp
+
+
+@pytest.mark.parametrize("trials", [3, 17, 19])
+def test_exact_law_refuses_probabilities_of_another_length(trials):
+    model = TwoRunsModel([0.25] * 18)  # past one block, where a short zip would truncate
+    with pytest.raises(ValueError, match=f"{trials} exact probabilities for 18 trials"):
+        brute_force_distribution(model, exact=True, exact_probs=[Fraction(1, 4)] * trials)
+
+
+def test_verify_never_walks_outcomes_one_at_a_time(tmp_path, capsys, monkeypatch):
+    def refuse(self, exact_probs=None):
+        raise AssertionError("iter_exact called")
+
+    monkeypatch.setattr(DependentSequence, "iter_exact", refuse)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "two-runs", "p": [t / 64 for t in range(4, 16)]}))
+    assert main(["verify", "--model", str(path)]) == 0
+    assert "PASS dp-vs-enumeration-exact" in capsys.readouterr().out
 
 
 def test_brute_force_point_mass_for_deterministic_trials():
