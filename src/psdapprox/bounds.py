@@ -4,13 +4,18 @@ Implements the main moment-based bound (exact conditional shift-regularity
 terms), its smoothing-constant variant ``d1``, the first-moment-only variant
 ``d2``, their minimum, and the crude ``(2|1-b| ||g|| + ||Delta g||) sum E X_i``
 bound, plus the exact total-variation utilities every bound is certified
-against.  All reports itemize their terms and are recomputable from parts.
+against.  The Stein factors ``||Delta g||`` and ``||g||`` always come from the
+target (:func:`default_delta_g`, :func:`families.g_norm_bound`).  The main
+bound, ``d1`` and ``d2`` are one display, ``|Delta g| {(|1-b|/2) sum quad +
+sum lin + |tau (1-b)|}``, fed different inner sums; one assembly builds their
+reports, and ``min`` is the smaller of the ``d1`` and ``d2`` reports.  All
+reports itemize their terms and are recomputable from parts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -235,13 +240,6 @@ def _check_n(n: int, minimum: int, allow_small_n: bool, hint: str):
         )
 
 
-def _tau_term(spec, var_w: float) -> tuple:
-    b = spec.b
-    var_z = spec.a / (1 - b) ** 2
-    tau = var_w - var_z
-    return abs(tau * (1 - b)), tau
-
-
 # -- conditional-term provider --------------------------------------------------------
 
 
@@ -289,11 +287,34 @@ class ExactConditionalTerms:
 # -- bound variants ---------------------------------------------------------------------
 
 
+def _moment_bound(variant: str, moments: MomentSet, spec, quadratic: float,
+                  linear: float, tau: bool = True, **fields) -> BoundReport:
+    """The one display behind ``theorem31``, ``d1`` and ``d2``:
+    ``|Delta g| (quadratic + linear + |tau (1-b)|)``.
+
+    ``|Delta g|`` is :func:`default_delta_g` of the target, and
+    ``tau = Var W - a/(1-b)^2`` is the variance mismatch (``tau=False``
+    leaves it out, as ``d2`` does).  ``fields`` go to the report as given.
+    """
+    delta_g = default_delta_g(spec)
+    one_minus_b = 1 - spec.b
+    term_tau = abs((moments.var_w - spec.a / one_minus_b**2) * one_minus_b) if tau else 0.0
+    return BoundReport(
+        variant=variant,
+        delta_g_factor=delta_g,
+        term_quadratic=quadratic,
+        term_linear=linear,
+        term_tau=term_tau,
+        total=delta_g * (quadratic + linear + term_tau),
+        one_minus_b=one_minus_b,
+        **fields,
+    )
+
+
 def theorem31_bound(
     moments: MomentSet,
     conditionals: ExactConditionalTerms,
     spec,
-    delta_g: Optional[float] = None,
     allow_small_n: bool = False,
 ) -> BoundReport:
     """Main bound with exact conditional shift-regularity weights.
@@ -303,29 +324,15 @@ def theorem31_bound(
     """
     _check_target(spec, moments.mean_w)
     _check_n(moments.n, 6, allow_small_n, "use the crude bound below that")
-    if delta_g is None:
-        delta_g = default_delta_g(spec)
-    b = spec.b
     sum_q1, sum_q2, sum_lin = conditionals.weighted_sums()
-    term_quadratic = abs(1 - b) / 2 * (sum_q1 + sum_q2)
-    term_tau, _ = _tau_term(spec, moments.var_w)
-    total = delta_g * (term_quadratic + sum_lin + term_tau)
-    return BoundReport(
-        variant="theorem31",
-        delta_g_factor=delta_g,
-        term_quadratic=term_quadratic,
-        term_linear=sum_lin,
-        term_tau=term_tau,
-        total=total,
-        one_minus_b=1 - b,
-    )
+    quadratic = abs(1 - spec.b) / 2 * (sum_q1 + sum_q2)
+    return _moment_bound("theorem31", moments, spec, quadratic, sum_lin)
 
 
 def bound_d1(
     moments: MomentSet,
     smoothing: SmoothingEstimate,
     spec,
-    delta_g: Optional[float] = None,
     allow_small_n: bool = False,
 ) -> BoundReport:
     """Smoothing-constant variant: conditional weights replaced by c_i(n)."""
@@ -333,93 +340,46 @@ def bound_d1(
     _check_n(moments.n, 6, allow_small_n, "use the crude bound below that")
     if smoothing.n != moments.n:
         raise ValueError("smoothing length does not match moment set")
-    if delta_g is None:
-        delta_g = default_delta_g(spec)
-    b = spec.b
     weights = list(zip(smoothing.c, moments.smoothing_weights()))
-    term_quadratic = abs(1 - b) / 2 * math.fsum(c * quad for c, (quad, _) in weights)
-    term_linear = math.fsum(c * lin for c, (_, lin) in weights)
-    term_tau, _ = _tau_term(spec, moments.var_w)
-    total = delta_g * (term_quadratic + term_linear + term_tau)
-    return BoundReport(
-        variant="d1",
-        delta_g_factor=delta_g,
-        term_quadratic=term_quadratic,
-        term_linear=term_linear,
-        term_tau=term_tau,
-        total=total,
-        smoothing=smoothing,
-        one_minus_b=1 - b,
-    )
+    quadratic = abs(1 - spec.b) / 2 * math.fsum(c * quad for c, (quad, _) in weights)
+    linear = math.fsum(c * lin for c, (_, lin) in weights)
+    return _moment_bound("d1", moments, spec, quadratic, linear, smoothing=smoothing)
 
 
-def bound_d2(
-    moments: MomentSet,
-    spec,
-    delta_g: Optional[float] = None,
-) -> BoundReport:
-    """First-moment-only variant, valid for every ``n >= 1``."""
+def bound_d2(moments: MomentSet, spec) -> BoundReport:
+    """First-moment-only variant, valid for every ``n >= 1``; no tau term."""
     _check_target(spec, moments.mean_w)
-    if delta_g is None:
-        delta_g = default_delta_g(spec)
-    b = spec.b
-    term_quadratic = abs(1 - b) * math.fsum(
+    quadratic = abs(1 - spec.b) * math.fsum(
         moments.e_x[i] * moments.e_xn1[i] + moments.e_x_xn1[i]
         for i in range(moments.n)
     )
-    term_linear = math.fsum(moments.e_x)
-    total = delta_g * (term_quadratic + term_linear)
-    return BoundReport(
-        variant="d2",
-        delta_g_factor=delta_g,
-        term_quadratic=term_quadratic,
-        term_linear=term_linear,
-        term_tau=0.0,
-        total=total,
-        one_minus_b=1 - b,
-    )
+    return _moment_bound("d2", moments, spec, quadratic, math.fsum(moments.e_x), tau=False)
 
 
 def bound_min(
     moments: MomentSet,
     smoothing: SmoothingEstimate,
     spec,
-    delta_g: Optional[float] = None,
     allow_small_n: bool = False,
 ) -> BoundReport:
-    """``min(d1, d2)``, with both operands reported."""
-    r1 = bound_d1(moments, smoothing, spec, delta_g, allow_small_n)
-    r2 = bound_d2(moments, spec, delta_g)
+    """``min(d1, d2)``: the smaller report's terms, with both totals as operands."""
+    r1 = bound_d1(moments, smoothing, spec, allow_small_n)
+    r2 = bound_d2(moments, spec)
     better = r1 if r1.total <= r2.total else r2
-    return BoundReport(
-        variant="min",
-        delta_g_factor=better.delta_g_factor,
-        term_quadratic=better.term_quadratic,
-        term_linear=better.term_linear,
-        term_tau=better.term_tau,
-        total=min(r1.total, r2.total),
-        smoothing=smoothing,
-        one_minus_b=better.one_minus_b,
-        operands={"d1": r1.total, "d2": r2.total},
-    )
+    return replace(better, variant="min", smoothing=smoothing,
+                   operands={"d1": r1.total, "d2": r2.total})
 
 
-def bound_crude(
-    moments: MomentSet,
-    spec,
-    g_norm: Optional[float] = None,
-    delta_g: Optional[float] = None,
-) -> BoundReport:
+def bound_crude(moments: MomentSet, spec) -> BoundReport:
     """Crude bound ``(2|1-b| ||g|| + ||Delta g||) sum E(X_i)``, any n >= 1.
 
-    ``||g||`` defaults to the certified numeric supremum over indicator test
-    functions from the family module.
+    ``||Delta g||`` is :func:`default_delta_g` of the target and ``||g||`` the
+    certified numeric supremum over indicator test functions,
+    :func:`families.g_norm_bound`.
     """
     _check_target(spec, moments.mean_w)
-    if delta_g is None:
-        delta_g = default_delta_g(spec)
-    if g_norm is None:
-        g_norm = g_norm_bound(spec)
+    delta_g = default_delta_g(spec)
+    g_norm = g_norm_bound(spec)
     b = spec.b
     sum_means = math.fsum(moments.e_x)
     total = (2 * abs(1 - b) * g_norm + delta_g) * sum_means

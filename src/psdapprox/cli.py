@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -236,16 +235,6 @@ def cmd_oracle(args) -> int:
 # -- verify --------------------------------------------------------------------------
 
 
-def _rationalize(probs):
-    out = []
-    for p in probs:
-        f = Fraction(p).limit_denominator(10**6)
-        if float(f) != p:
-            return None
-        out.append(f)
-    return out
-
-
 def cmd_verify(args) -> int:
     seq = _read_input(args.model, sequence_from_json)
     if seq.outcome_count > args.max_outcomes:
@@ -271,9 +260,9 @@ def cmd_verify(args) -> int:
         np.allclose(law.as_array(), brute.as_array(), atol=1e-14)
     )
     check("dp-vs-enumeration", agree)
-    rational = _rationalize(seq.trial_probs)
     automaton = _automaton(seq)
-    if rational is not None and automaton is not None:
+    if automaton is not None:  # both engines on the same rationals of the trials
+        rational = seq.exact_trial_probs()
         exact_dp = dp_distribution(automaton, rational, exact=True)
         exact_bf = brute_force_distribution(seq, exact=True, exact_probs=rational)
         check("dp-vs-enumeration-exact", exact_dp.masses == exact_bf.masses)

@@ -39,6 +39,9 @@ _AUTO_TAIL = 1e-14
 # Relative tail at which a Panjer family's one table ends; coarser tables cut it.
 _TABLE_TAIL = 1e-22
 
+# Relative tail of the table the difference and solution suprema scan.
+_SUP_TAIL = 1e-18
+
 # Most entries a Panjer table may hold (memory and time guard): 16 MiB of
 # float64, twice the 1.02e6 entries of a mean-1e6 NB table.
 _MAX_TABLE = 2**21
@@ -64,13 +67,13 @@ class PMFTable:
     def __post_init__(self):
         if self.support_min < 0:
             raise ValueError("support_min must be non-negative")
-        if any(m < 0 for m in self.masses):
+        if self.masses and min(self.masses) < 0:
             raise InvalidFamilyError("negative mass in table")
         if self.tail_mass_bound < 0:
             raise ValueError("tail_mass_bound must be non-negative")
         # tail_mass_bound is an upper certificate on the untabulated mass, so
         # the tabulated mass may not exceed 1 and must reach 1 with the tail.
-        tabulated = math.fsum(float(m) for m in self.masses)
+        tabulated = math.fsum(self.masses)
         if tabulated > 1 + 1e-9:
             raise InvalidFamilyError(f"tabulated mass {tabulated} exceeds 1")
         if tabulated + float(self.tail_mass_bound) < 1 - 1e-9:
@@ -98,7 +101,7 @@ class PMFTable:
         return Fraction(0) if self.exact else 0.0
 
     def as_array(self) -> np.ndarray:
-        return np.asarray([float(m) for m in self.masses], dtype=float)
+        return np.asarray(self.masses, dtype=float)
 
     def shifted(self, offset: int = 1) -> "PMFTable":
         """Law of ``Y + offset`` for ``Y`` distributed by this table."""
@@ -186,14 +189,18 @@ class PanjerPSD:
 
         Below a mode past ``_MAX_TABLE`` every ratio is at least 1, so the
         geometric tail is infinite there.  Otherwise, for ``0 < b < 1``: every
-        ``u_k`` is at most ``u_mode = 1``, so ``running <= k + 1``; each ratio
-        is at least ``b`` from the mode on when ``a >= b``, and at least
-        ``b j/(j+1)`` past ``ratio(0) = a`` when ``a < b`` (mode 0), so
-        ``u_k >= min(1, a/b) b^(k-mode)/(k+1)``; and ``r >= b``.  A stop at
-        ``k <= _MAX_TABLE`` then needs
-        ``b^(k-mode) < _TABLE_TAIL (_MAX_TABLE+1)^2 (1-b)/min(a, b)``, which
-        fails for every such ``k`` when it fails at ``_MAX_TABLE``; a factor
-        10 on the right absorbs rounding in the walk.
+        ``u_k`` is at most ``u_mode = 1``, so ``running <= k + 1``, and the
+        tail ratio is ``r >= b``, so the walk may stop at ``k`` only if
+        ``u_k b/(1-b) < _TABLE_TAIL (k+1)``.  When ``a >= b`` every ratio
+        ``(a + b j)/(j+1)`` is at least ``b``, so ``u_k >= b^(k-mode)`` and a
+        stop needs ``b^(k-mode) < _TABLE_TAIL (k+1) (1-b)/b``.  When ``a < b``
+        (mode 0) each ratio past ``ratio(0) = a`` is at least ``b j/(j+1)``,
+        so ``u_k >= (a/b) b^k/(k+1)`` and a stop needs
+        ``b^k < _TABLE_TAIL (k+1)^2 (1-b)/a``.  Either way the left side
+        falls and the right side grows with ``k``, so a stop at some
+        ``k <= _MAX_TABLE`` is impossible when the inequality fails at
+        ``k = _MAX_TABLE``; a factor 10 on the right absorbs rounding in the
+        walk.
         """
         if self.max_support is not None and self.max_support <= _MAX_TABLE:
             return False
@@ -201,7 +208,8 @@ class PanjerPSD:
             return True
         if not (0 < self.b < 1 and self.a > 0):
             return False
-        reach = 10 * _TABLE_TAIL * (_MAX_TABLE + 1) ** 2 * (1 - self.b) / min(self.a, self.b)
+        growth = _MAX_TABLE + 1 if self.a >= self.b else (_MAX_TABLE + 1) ** 2
+        reach = 10 * _TABLE_TAIL * growth * (1 - self.b) / min(self.a, self.b)
         return (_MAX_TABLE - mode) * math.log(self.b) >= math.log(reach)
 
     def _step(self, value: float, k: int) -> float:
@@ -699,7 +707,7 @@ def delta_g_exact_sup(spec, k_max: int, cond_tol: float = 1e-9) -> float:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
+    p, cdf, sf = _cumulative(spec.pmf(tail_target=_SUP_TAIL))
     kk = max(min(k_max, len(p) - 2), 0)
     k = np.arange(1, kk + 1)
     if isinstance(spec, PanjerPSD):
@@ -733,7 +741,7 @@ def g_norm_bound(spec, k_probe: Optional[int] = None) -> float:
     the expression is dominated by ``2/(k(1-r))`` with ``r`` the certified
     tail ratio, which is folded into the result.
     """
-    p, cdf, sf = _cumulative(spec.pmf(tail_target=1e-18))
+    p, cdf, sf = _cumulative(spec.pmf(tail_target=_SUP_TAIL))
     hi = max(len(p) - 1 if k_probe is None else min(k_probe, len(p) - 1), 0)
     mass = p[1 : hi + 1]
     with np.errstate(divide="ignore", invalid="ignore"):

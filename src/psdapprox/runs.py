@@ -62,7 +62,7 @@ class RunsBoundReport(BoundReport):
 # -- shared by both models: 1-dependent 0/1 summands -------------------------------
 
 
-def _closed_form_bound(moments: MomentSet, parts: list, spec, delta_g, term_weights,
+def _closed_form_bound(moments: MomentSet, parts: list, spec, term_weights,
                        c_constant, comparison=None) -> RunsBoundReport:
     """``bound_d1`` with a model's uncapped smoothing constants, as ``closed-form``.
 
@@ -72,7 +72,7 @@ def _closed_form_bound(moments: MomentSet, parts: list, spec, delta_g, term_weig
     """
     smoothing = SmoothingEstimate(
         tuple(SmoothingEntry(c, label, c) for c, label in parts), m_star(moments.n))
-    d1 = bound_d1(moments, smoothing, spec, delta_g, allow_small_n=True)
+    d1 = bound_d1(moments, smoothing, spec, allow_small_n=True)
     half = abs(d1.one_minus_b) / 2
     terms = tuple((w * half * quad, w * lin)
                   for w, (quad, lin) in zip(term_weights, moments.smoothing_weights()))
@@ -173,7 +173,6 @@ def nb_moment_match_2runs(n: int, p: float) -> PanjerPSD:
 def two_runs_bound(
     model: TwoRunsModel,
     spec: PanjerPSD,
-    delta_g: Optional[float] = None,
     comparison: bool = False,
 ) -> RunsBoundReport:
     """Model-specialized bound: ``|Dg| { cbar(n) sum_i [(|1-b|/2)(a1 abar1 +
@@ -190,7 +189,7 @@ def two_runs_bound(
         if len(probs) == 1:
             cmp_val = brown_xia_bound(n, next(iter(probs)))
     return _closed_form_bound(
-        two_runs_moment_set(model), [(cbar, label)] * n, spec, delta_g,
+        two_runs_moment_set(model), [(cbar, label)] * n, spec,
         term_weights=[1.0] * n, c_constant=cbar, comparison=cmp_val,
     )
 
@@ -537,7 +536,6 @@ def k1k2_ci_star(model: K1K2Model, i: int) -> float:
 def k1k2_bound(
     model: K1K2Model,
     spec: PanjerPSD,
-    delta_g: Optional[float] = None,
 ) -> RunsBoundReport:
     """Model-specialized bound ``|Dg| { sum_i c*_i(n) [(|1-b|/2)(a* a1* + a2*)
     + a3*] + |tau(1-b)| }``; requires ``n >= 3m``, occurrence probabilities
@@ -557,8 +555,7 @@ def k1k2_bound(
             f"c*_{vacuous} is infinite at index {vacuous} of nonzero weight: the model "
             "gives no smoothing information there, so the closed-form bound is vacuous")
     cs = tuple(c for c, _ in parts)
-    return _closed_form_bound(moments, parts, spec, delta_g,
-                              term_weights=cs, c_constant=cs)
+    return _closed_form_bound(moments, parts, spec, term_weights=cs, c_constant=cs)
 
 
 # Former name of ``build_smoothing``, still bound by the benchmark's spans.

@@ -1,27 +1,33 @@
 """Tests for the bound variants, smoothing machinery, and TV utilities."""
 
+import dataclasses
 import math
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from psdapprox.bounds import (
+    BoundReport,
     D_statistic,
     ExactConditionalTerms,
+    SmoothingEntry,
     SmoothingEstimate,
     bound_crude,
     bound_d1,
     bound_d2,
     bound_min,
     build_smoothing,
+    default_delta_g,
     exact_tv,
     m_star,
     smoothing_roellin,
     theorem31_bound,
 )
 from psdapprox.errors import MomentMatchError, PreconditionError, UnavailableError
-from psdapprox.families import PMFTable, PanjerPSD, poisson_family
+from psdapprox.families import PMFTable, PanjerPSD, g_norm_bound, poisson_family
 from psdapprox.oracle import (
     brute_force_distribution,
     dp_distribution,
@@ -30,8 +36,17 @@ from psdapprox.oracle import (
 )
 from psdapprox.runs import (
     K1K2Model,
+    RunsBoundReport,
     TwoRunsModel,
+    brown_xia_bound,
+    k1k2_bound,
+    k1k2_ci_star,
+    k1k2_moment_set,
+    nb_fit_from_moments,
     nb_moment_match_2runs,
+    two_runs_bound,
+    two_runs_cbar,
+    two_runs_moment_set,
 )
 from psdapprox.sequences import BernoulliProductSequence, compute_moments
 
@@ -156,10 +171,9 @@ def _two_runs_setup(n=8, p=0.3):
 def test_theorem31_zero_sequence():
     model = TwoRunsModel([0.0] * 9)
     moments = compute_moments(model)
-    report = theorem31_bound(
-        moments, ExactConditionalTerms(model), PanjerPSD(0.0, 0.0), delta_g=1.0
-    )
+    report = theorem31_bound(moments, ExactConditionalTerms(model), PanjerPSD(0.0, 0.0))
     assert report.total == 0.0
+    assert report.term_quadratic == report.term_linear == report.term_tau == 0.0
 
 
 def test_theorem31_dominates_exact_tv_two_runs():
@@ -234,7 +248,9 @@ def test_min_variant_reports_both_operands():
 
 def test_crude_bound_zero_and_finite():
     zero = compute_moments(TwoRunsModel([0.0] * 5))
-    assert bound_crude(zero, PanjerPSD(0.0, 0.0), g_norm=1.0, delta_g=1.0).total == 0.0
+    report = bound_crude(zero, PanjerPSD(0.0, 0.0))
+    assert report.total == 0.0
+    assert report.term_linear == 0.0 and math.isfinite(report.g_norm_factor)
 
     seq = BernoulliProductSequence([0.2] * 4)
     moments = compute_moments(seq)
@@ -294,3 +310,123 @@ def test_smoothing_from_runs_model_matches_entry():
     est = build_smoothing(model)
     entry = smoothing_roellin(model, 3)
     assert est.c[2] == entry.c
+
+
+# -- reference: each variant's display written out on its own -----------------------
+
+
+def _ref_tau(spec, var_w):
+    b = spec.b
+    var_z = spec.a / (1 - b) ** 2
+    return abs((var_w - var_z) * (1 - b))
+
+
+def _ref_theorem31(moments, conditionals, spec):
+    dg, b = default_delta_g(spec), spec.b
+    sum_q1, sum_q2, sum_lin = conditionals.weighted_sums()
+    quad = abs(1 - b) / 2 * (sum_q1 + sum_q2)
+    tau = _ref_tau(spec, moments.var_w)
+    return BoundReport("theorem31", dg, quad, sum_lin, tau, dg * (quad + sum_lin + tau),
+                       one_minus_b=1 - b)
+
+
+def _ref_d1(moments, smoothing, spec):
+    dg, b = default_delta_g(spec), spec.b
+    weights = list(zip(smoothing.c, moments.smoothing_weights()))
+    quad = abs(1 - b) / 2 * math.fsum(c * q for c, (q, _) in weights)
+    lin = math.fsum(c * ln for c, (_, ln) in weights)
+    tau = _ref_tau(spec, moments.var_w)
+    return BoundReport("d1", dg, quad, lin, tau, dg * (quad + lin + tau),
+                       smoothing=smoothing, one_minus_b=1 - b)
+
+
+def _ref_d2(moments, spec):
+    dg, b = default_delta_g(spec), spec.b
+    quad = abs(1 - b) * math.fsum(
+        moments.e_x[i] * moments.e_xn1[i] + moments.e_x_xn1[i] for i in range(moments.n))
+    lin = math.fsum(moments.e_x)
+    return BoundReport("d2", dg, quad, lin, 0.0, dg * (quad + lin), one_minus_b=1 - b)
+
+
+def _ref_min(moments, smoothing, spec):
+    r1, r2 = _ref_d1(moments, smoothing, spec), _ref_d2(moments, spec)
+    better = r1 if r1.total <= r2.total else r2
+    return BoundReport("min", better.delta_g_factor, better.term_quadratic,
+                       better.term_linear, better.term_tau, min(r1.total, r2.total),
+                       smoothing=smoothing, one_minus_b=better.one_minus_b,
+                       operands={"d1": r1.total, "d2": r2.total})
+
+
+def _ref_crude(moments, spec):
+    dg, g, b = default_delta_g(spec), g_norm_bound(spec), spec.b
+    sum_means = math.fsum(moments.e_x)
+    return BoundReport("crude", dg, 0.0, sum_means, 0.0, (2 * abs(1 - b) * g + dg) * sum_means,
+                       g_norm_factor=g, one_minus_b=1 - b)
+
+
+def _ref_closed_form(moments, cs, spec, term_weights, c_constant, comparison=None):
+    smoothing = SmoothingEstimate(tuple(SmoothingEntry(c, "ref", c) for c in cs),
+                                  m_star(moments.n))
+    d1 = _ref_d1(moments, smoothing, spec)
+    half = abs(d1.one_minus_b) / 2
+    terms = tuple((w * half * q, w * ln)
+                  for w, (q, ln) in zip(term_weights, moments.smoothing_weights()))
+    return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
+                           moment_terms=terms, c_constant=c_constant, comparison=comparison)
+
+
+def _assert_same_report(report, ref):
+    assert type(report) is type(ref)
+    for f in dataclasses.fields(ref):
+        assert getattr(report, f.name) == getattr(ref, f.name), f.name
+
+
+def _fits(moments):
+    if moments.mean_w == 0:
+        return [PanjerPSD(0.0, 0.0)]
+    specs = [poisson_family(moments.mean_w)]
+    if moments.var_w > moments.mean_w:
+        specs.append(nb_fit_from_moments(moments.mean_w, moments.var_w))
+    return specs
+
+
+_rng = np.random.default_rng(8)
+_REFERENCE_MODELS = (
+    [TwoRunsModel([0.3] * (n + 1)) for n in range(8, 15)]
+    + [TwoRunsModel(_rng.uniform(0.05, 0.5, n + 1).tolist()) for n in (8, 11, 14)]
+    + [K1K2Model(1, 2, n, [0.3] * ((n + 1) * 2)) for n in range(6, 10)]
+    + [K1K2Model(1, 2, 7, _rng.uniform(0.1, 0.3, 16).tolist())]
+    + [BernoulliProductSequence(_rng.uniform(0.05, 0.4, 10).tolist()),
+       TwoRunsModel([0.0] * 9), K1K2Model(1, 2, 6, [1.0] * 14)]
+)
+
+
+@pytest.mark.parametrize("model", _REFERENCE_MODELS, ids=lambda m: f"{m.kind}-n{m.n}")
+def test_variants_equal_their_reference_assembly(model):
+    moments = compute_moments(model)
+    smoothing = build_smoothing(model)
+    conditionals = ExactConditionalTerms(model)
+    for spec in _fits(moments):
+        _assert_same_report(theorem31_bound(moments, conditionals, spec),
+                            _ref_theorem31(moments, conditionals, spec))
+        _assert_same_report(bound_d1(moments, smoothing, spec),
+                            _ref_d1(moments, smoothing, spec))
+        _assert_same_report(bound_d2(moments, spec), _ref_d2(moments, spec))
+        _assert_same_report(bound_min(moments, smoothing, spec),
+                            _ref_min(moments, smoothing, spec))
+        _assert_same_report(bound_crude(moments, spec), _ref_crude(moments, spec))
+
+        if isinstance(model, TwoRunsModel):
+            n, cbar = model.n, two_runs_cbar(model.n)
+            probs = set(model.trial_probs)
+            comparison = brown_xia_bound(n, probs.pop()) if len(probs) == 1 else None
+            _assert_same_report(
+                two_runs_bound(model, spec, comparison=True),
+                _ref_closed_form(two_runs_moment_set(model), [cbar] * n, spec,
+                                 [1.0] * n, cbar, comparison))
+        elif isinstance(model, K1K2Model):
+            closed = k1k2_moment_set(model)
+            cs = tuple(k1k2_ci_star(model, i) if q != 0.0 or ln != 0.0 else 0.0
+                       for i, (q, ln) in enumerate(closed.smoothing_weights(), start=1))
+            _assert_same_report(k1k2_bound(model, spec),
+                                _ref_closed_form(closed, cs, spec, cs, cs))

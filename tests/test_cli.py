@@ -4,6 +4,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -362,6 +363,18 @@ def test_verify_two_runs_passes(two_runs_model_file, capsys):
     assert main(["verify", "--model", two_runs_model_file]) == 0
     out = capsys.readouterr().out
     assert "PASS dp-vs-enumeration" in out
+    assert "FAIL" not in out
+
+
+def test_verify_checks_exact_laws_on_non_dyadic_trials(tmp_path, capsys):
+    # Trials drawn from uniform(0.05, 0.5) have no small rational form; both
+    # exact engines get the same rationals of the floats.
+    p = np.random.default_rng(5).uniform(0.05, 0.5, 12).tolist()
+    model = tmp_path / "non_dyadic.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": p}))
+    assert main(["verify", "--model", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS dp-vs-enumeration-exact" in out
     assert "FAIL" not in out
 
 

@@ -302,7 +302,7 @@ def test_one_walk_per_family(monkeypatch):
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 0.9999999), (0.5, 0.9999999), (3.0, 0.99999),
-                                  (1e7, 0.0), (1e7, -0.5)])
+                                  (1.0, 1 - 2e-5), (1e7, 0.0), (1e7, -0.5)])
 def test_walk_past_the_length_guard_is_refused_up_front(a, b, monkeypatch):
     def walk(self):
         raise AssertionError("the recursion was walked")

@@ -334,8 +334,9 @@ def test_table1_spot_cells():
 
 def test_two_runs_bound_zero_model():
     model = TwoRunsModel([0.0] * 10)
-    report = two_runs_bound(model, PanjerPSD(0.0, 0.0), delta_g=1.0)
+    report = two_runs_bound(model, PanjerPSD(0.0, 0.0))
     assert report.total == 0.0
+    assert report.term_quadratic == report.term_linear == report.term_tau == 0.0
 
 
 def test_two_runs_bound_iid_reduction():
@@ -347,7 +348,8 @@ def test_two_runs_bound_iid_reduction():
     model = TwoRunsModel([p] * (n + 1))
     spec = nb_moment_match_2runs(n, p)
     dg = delta_g_uniform_bound(spec)
-    report = two_runs_bound(model, spec, delta_g=dg)
+    report = two_runs_bound(model, spec)
+    assert report.delta_g_factor == dg
     b = spec.b
     interior = (
         abs(1 - b) / 2 * (4 * p**3 + 10 * p**4 + 12 * p**5 + 10 * p**6)
@@ -368,9 +370,10 @@ def test_two_runs_bound_matches_d1_with_same_constants():
     model = TwoRunsModel([p] * (n + 1))
     spec = nb_moment_match_2runs(n, p)
     dg = delta_g_uniform_bound(spec)
-    closed = two_runs_bound(model, spec, delta_g=dg)
+    closed = two_runs_bound(model, spec)
     smoothing = SmoothingEstimate.constant(two_runs_cbar(n), n)
-    generic = bound_d1(two_runs_moment_set(model), smoothing, spec, delta_g=dg)
+    generic = bound_d1(two_runs_moment_set(model), smoothing, spec)
+    assert closed.delta_g_factor == generic.delta_g_factor == dg
     assert closed.total == pytest.approx(generic.total, rel=1e-12)
     # (k1,k2): c*_i >= 2 sqrt 2 exceeds the cap of SmoothingEstimate.constant,
     # so the generic side gets the uncapped constants.
@@ -634,8 +637,9 @@ def test_k1k2_ci_star_preconditions():
 
 def test_k1k2_bound_all_success_is_zero():
     model = K1K2Model(1, 2, 6, [1.0] * 14)
-    report = k1k2_bound(model, PanjerPSD(0.0, 0.0), delta_g=1.0)
+    report = k1k2_bound(model, PanjerPSD(0.0, 0.0))
     assert report.total == 0.0
+    assert report.term_quadratic == report.term_linear == report.term_tau == 0.0
 
 
 def test_k1k2_bound_below_generic_minimum_n_dominates_exact_tv():
