@@ -44,7 +44,7 @@ from .runs import (
     table1_mismatches,
     two_runs_bound,
 )
-from .sequences import compute_moments, dependence_certificate, sequence_from_json
+from .sequences import compute_moments, dependence_certificate, mean_var, sequence_from_json
 
 BOUND_VARIANTS = ("theorem", "d1", "d2", "crude", "min", "closed-form")
 
@@ -120,20 +120,20 @@ def cmd_table1(args) -> int:
 # -- bound --------------------------------------------------------------------------
 
 
-def _fit_target(kind: str, moments):
+def _fit_target(kind: str, mean: float, var: float):
     if kind == "poisson":
-        return poisson_family(moments.mean_w)
+        return poisson_family(mean)
     if kind == "nb":
-        return nb_fit_from_moments(moments.mean_w, moments.var_w)
+        return nb_fit_from_moments(mean, var)
     raise PsdApproxError(f"unknown fit target {kind!r}")
 
 
-def _closed_form_bound(seq, spec):
-    """The runs model's closed-form bound report, or None for other models."""
+def _closed_form_bound(seq):
+    """The runs model's closed-form bound function, or None for other models."""
     if isinstance(seq, TwoRunsModel):
-        return two_runs_bound(seq, spec)
+        return two_runs_bound
     if isinstance(seq, K1K2Model):
-        return k1k2_bound(seq, spec)
+        return k1k2_bound
     return None
 
 
@@ -142,35 +142,39 @@ def cmd_bound(args) -> int:
     if not (args.fit or args.target):
         sys.stderr.write("one of --target or --fit is required\n")
         return 2
+    variant = args.variant
+    closed_form = _closed_form_bound(seq)
+    if variant == "closed-form" and closed_form is None:
+        sys.stderr.write("closed-form variant needs a runs model\n")
+        return 2
     # --fit wins over --target; a target file is read before the moments.
     spec = None if args.fit else _read_input(args.target, family_from_json)
-    moments = compute_moments(seq)
-    if spec is None:
-        spec = _fit_target(args.fit, moments)
-
-    variant = args.variant
-    if variant == "theorem":
-        report = theorem31_bound(
-            moments, ExactConditionalTerms(seq), spec,
-            allow_small_n=args.allow_small_n,
-        )
-    elif variant == "d1":
-        report = bound_d1(moments, build_smoothing(seq), spec,
-                          allow_small_n=args.allow_small_n)
-    elif variant == "d2":
-        report = bound_d2(moments, spec)
-    elif variant == "min":
-        report = bound_min(moments, build_smoothing(seq), spec,
-                           allow_small_n=args.allow_small_n)
-    elif variant == "crude":
-        report = bound_crude(moments, spec)
-    elif variant == "closed-form":
-        report = _closed_form_bound(seq, spec)
-        if report is None:
-            sys.stderr.write("closed-form variant needs a runs model\n")
+    if variant == "closed-form":
+        # The closed form builds its own moments: a fit reads only W's mean and variance.
+        if spec is None:
+            spec = _fit_target(args.fit, *mean_var(seq))
+        report = closed_form(seq, spec)
+    else:
+        moments = compute_moments(seq)
+        if spec is None:
+            spec = _fit_target(args.fit, moments.mean_w, moments.var_w)
+        if variant == "theorem":
+            report = theorem31_bound(
+                moments, ExactConditionalTerms(seq), spec,
+                allow_small_n=args.allow_small_n,
+            )
+        elif variant == "d1":
+            report = bound_d1(moments, build_smoothing(seq), spec,
+                              allow_small_n=args.allow_small_n)
+        elif variant == "d2":
+            report = bound_d2(moments, spec)
+        elif variant == "min":
+            report = bound_min(moments, build_smoothing(seq), spec,
+                               allow_small_n=args.allow_small_n)
+        elif variant == "crude":
+            report = bound_crude(moments, spec)
+        else:  # pragma: no cover - argparse restricts choices
             return 2
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
 
     prec = args.precision
     if args.format == "json":
@@ -298,6 +302,7 @@ def cmd_verify(args) -> int:
             ("nb", nb_fit_from_moments(oracle_moments.mean_w, oracle_moments.var_w))
         )
     conditionals = ExactConditionalTerms(seq)  # weighted sums shared by the targets
+    closed_form = _closed_form_bound(seq)
     for name, spec in targets:
         if spec.a <= 0:
             continue
@@ -314,13 +319,11 @@ def cmd_verify(args) -> int:
                     skip(f"domination-{name}-{vname}", exc)
         variants["d2"] = bound_d2(oracle_moments, spec).total
         variants["crude"] = bound_crude(oracle_moments, spec).total
-        try:
-            closed_form = _closed_form_bound(seq, spec)
-        except PsdApproxError as exc:  # outside the model's stated validity
-            closed_form = None
-            skip(f"domination-{name}-closed-form", exc)
         if closed_form is not None:
-            variants["closed-form"] = closed_form.total
+            try:
+                variants["closed-form"] = closed_form(seq, spec).total
+            except PsdApproxError as exc:  # outside the model's stated validity
+                skip(f"domination-{name}-closed-form", exc)
         for vname, total in sorted(variants.items()):
             check(
                 f"domination-{name}-{vname}",

@@ -4,9 +4,10 @@ Nothing here shares code with the closed-form moment functions or bound
 formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program, cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
-laws come from one table of outcome groups against ``W`` (cached per sequence).
-The exact-rational law of ``W`` sums integer outcome numerators over the same
-cached ``W``.
+laws come from one table of outcome groups against ``W``.  The exact-rational
+law of ``W`` sums integer outcome numerators over the same ``W``.  ``W`` is the
+sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`;
+nothing here writes into a sequence.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def brute_force_distribution(
             raise ValueError(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
-        return _exact_law(_totals(seq), [Fraction(p) for p in exact_probs])
+        return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
     joint = _conditional_laws(seq, ())[2]
     return PMFTable(0, tuple(float(m) for m in joint[0]), 0.0)
 
@@ -231,20 +232,11 @@ def shift_regularity(masses: np.ndarray) -> float:
     return float(np.abs(np.diff(padded)).sum())
 
 
-def _totals(seq: DependentSequence) -> np.ndarray:
-    """``W`` of every outcome in :meth:`~DependentSequence.enumerate_bits` row
-    order, cached per sequence."""
-    total = seq._cache.get("w")
-    if total is None:
-        total = seq._cache["w"] = seq.x_values().sum(axis=1, dtype=np.int32)
-    return total
-
-
 def _conditional_laws(seq: DependentSequence, keys) -> tuple:
     """``(ids, first, joint, d)``: :func:`group_rows` on the integer columns ``keys``,
     ``joint[g, k]`` the mass of group ``g`` at ``W = k`` (one ``bincount``), and
     ``d[g]`` the shift regularity of ``W`` given group ``g`` (0.0 at zero mass)."""
-    total = _totals(seq)
+    total = seq.w_values()
     w = seq.outcome_probs()
     ids, first = group_rows(keys, len(w))
     radix = int(total.max()) + 1

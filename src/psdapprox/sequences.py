@@ -1,15 +1,18 @@
 """Finite sequences of Z+-valued 1-dependent variables over Bernoulli trials.
 
 A :class:`DependentSequence` owns a vector of independent trial probabilities
-and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  Its
-moments are exact: vectorized enumeration of the full outcome space (refused
-above ``MAX_ENUM_OUTCOMES``), exact rational enumeration for small
-instances, or a model's closed form, which for 0/1 summands is
-:func:`neighborhood_moment_set`.  Enumerated moments stream over the
-indices, one float64 column and dot product at a time, with sliding window
-sums.  Blocking reduces an m-dependent sequence to a 1-dependent one without
-changing the total sum.  :func:`group_rows` groups outcomes by equal values,
-for the dependence certificate here and for the exact conditional oracles.
+and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  It
+caches the enumerated outcome bits, their probabilities, the summand values
+and the total ``W`` of every outcome.  Its moments are exact: vectorized
+enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
+exact rational enumeration for small instances, or a model's closed form,
+which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
+moments stream over the indices, one float64 column and dot product at a
+time, with sliding window sums; their ``mean_w`` and ``var_w`` are
+:func:`mean_var`, two dot products over the cached ``W``.  Blocking
+reduces an m-dependent sequence to a 1-dependent one without changing the
+total sum.  :func:`group_rows` groups outcomes by equal values, for the
+dependence certificate here and for the exact conditional oracles.
 """
 
 from __future__ import annotations
@@ -164,11 +167,11 @@ class DependentSequence:
         self._require_enumerable()
         bits = self._cache.get("bits")
         if bits is None:
-            idx = np.arange(self.outcome_count, dtype=np.uint64)
-            bits = np.empty((self.outcome_count, self.trial_count), dtype=np.uint8)
-            for t in range(self.trial_count):
-                bits[:, t] = (idx >> np.uint64(t)) & np.uint64(1)
-            self._cache["bits"] = bits
+            # Row r holds the trial_count low bits of r, least significant first:
+            # unpack the little-endian bytes of each 32-bit row index.
+            idx = np.arange(self.outcome_count, dtype="<u4").view(np.uint8).reshape(-1, 4)
+            bits = self._cache["bits"] = np.unpackbits(
+                idx, axis=1, count=self.trial_count, bitorder="little")
         return bits
 
     def outcome_probs(self) -> np.ndarray:
@@ -191,6 +194,14 @@ class DependentSequence:
                 raise ValueError("x_columns returned a misshaped matrix")
             self._cache["x"] = xs
         return xs
+
+    def w_values(self) -> np.ndarray:
+        """``W = X_1 + ... + X_n`` of every outcome in :meth:`enumerate_bits`
+        row order, as int32."""
+        total = self._cache.get("w")
+        if total is None:
+            total = self._cache["w"] = self.x_values().sum(axis=1, dtype=np.int32)
+        return total
 
     def exact_trial_probs(self) -> list:
         """Trial probabilities as rationals, ``limit_denominator(10**9)`` of each float."""
@@ -349,7 +360,9 @@ def compute_moments(seq: DependentSequence, method: str = "auto") -> MomentSet:
     """All neighborhood moments consumed by the dependent-sum bounds, exactly.
 
     ``auto`` enumerates when the outcome space permits and otherwise uses the
-    model's registered closed form; a model with neither is refused.
+    model's registered closed form; a model with neither is refused.  A caller
+    that reads only ``mean_w`` and ``var_w`` calls :func:`mean_var`, which
+    returns the same two values without the per-index moments.
     """
     if method == "auto":
         method = "enumerate" if seq.enumerable else "closed-form"
@@ -374,6 +387,22 @@ def _moment_columns(x: np.ndarray, xn1: np.ndarray, xn2: np.ndarray) -> Iterator
     yield x * (xn2 - 1)
 
 
+def mean_var(seq: DependentSequence) -> tuple:
+    """``(mean_w, var_w)`` exactly as ``compute_moments(seq)`` reports them.
+
+    An enumerable model gives ``w @ W`` and ``w @ W**2 - mean**2`` over the
+    cached :meth:`~DependentSequence.w_values` in float64, and no per-index
+    moment; any other model gives its closed form's values, or is refused.
+    """
+    if not seq.enumerable:
+        moments = compute_moments(seq, "closed-form")
+        return moments.mean_w, moments.var_w
+    w = seq.outcome_probs()
+    total = seq.w_values().astype(float)
+    mean = float(w @ total)
+    return mean, float(w @ total**2) - mean**2
+
+
 def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     """Exact moments, streamed over indices with one ``w @ column`` each.
 
@@ -381,7 +410,7 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     Every column holds small integers, so it equals the integer column of a
     full ``(outcomes, n)`` matrix evaluation, and each moment is the same
     dot product bit for bit; only one transposed copy of the summand values
-    is held.
+    is held.  ``mean_w`` and ``var_w`` come from :func:`mean_var`.
     """
     xt = np.ascontiguousarray(seq.x_values().T)
     w = seq.outcome_probs()
@@ -394,7 +423,7 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
             cols[j] = xt[j].astype(float)
         return cols.get(j, pad)
 
-    xn1, xn2, total = pad.copy(), pad.copy(), pad.copy()
+    xn1, xn2 = pad.copy(), pad.copy()
     fields = tuple([] for _ in range(6))
     for i in range(-2, n):  # 0-based; the first two steps fill the windows
         xn1 += col(i + 1) - col(i - 2)
@@ -403,10 +432,7 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
         if i >= 0:
             for out, v in zip(fields, _moment_columns(cols[i], xn1, xn2)):
                 out.append(float(w @ v))
-            total += cols[i]
-    mean_w = float(w @ total)
-    var_w = float(w @ total**2) - mean_w**2
-    return MomentSet(*(tuple(f) for f in fields), mean_w, var_w)
+    return MomentSet(*(tuple(f) for f in fields), *mean_var(seq))
 
 
 # -- certificates -------------------------------------------------------------------

@@ -13,7 +13,8 @@ from psdapprox.bounds import exact_tv
 from psdapprox.cli import BOUND_VARIANTS, main
 from psdapprox.families import family_from_json
 from psdapprox.oracle import dp_distribution, two_runs_automaton
-from psdapprox.runs import TABLE1_PRINTED
+from psdapprox.runs import TABLE1_PRINTED, TwoRunsModel, nb_fit_from_moments, two_runs_bound
+from psdapprox.sequences import compute_moments
 
 
 @pytest.fixture
@@ -90,9 +91,78 @@ def test_bound_closed_form_matches_table(two_runs_model_file, tmp_path, capsys):
     assert main([
         "bound", "--model", str(model), "--fit", "nb", "--variant", "closed-form",
     ]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["variant"] == "closed-form"
     assert payload["total"] > 0
+    # The same bytes as the closed form fed the NB fit of the full enumerated
+    # moment set, rounding noise in term_tau included.
+    seq = TwoRunsModel([0.05] * 21)
+    moments = compute_moments(seq, "enumerate")
+    spec = nb_fit_from_moments(moments.mean_w, moments.var_w)
+    want = two_runs_bound(seq, spec).to_json()
+    want["model"] = seq.to_json()
+    want["target"] = spec.to_json()
+    assert want["term_tau"] != 0.0
+    assert out == json.dumps(want, sort_keys=True, default=float) + "\n"
+
+
+@pytest.mark.parametrize("fit, model, code", [
+    ("nb", "two_runs_model_file", 0),
+    ("poisson", "two_runs_model_file", 0),
+    ("nb", "k1k2_model_file", 1),  # var < mean: the NB fit itself is refused
+    ("poisson", "k1k2_model_file", 0),
+])
+def test_closed_form_fit_reads_no_per_index_moments(fit, model, code, request, capsys,
+                                                    monkeypatch):
+    import psdapprox.sequences as sequences_mod
+
+    def refuse(seq):
+        raise AssertionError("per-index moments enumerated for a closed-form bound")
+
+    monkeypatch.setattr(sequences_mod, "_moments_by_enumeration", refuse)
+    path = request.getfixturevalue(model)
+    assert main(["bound", "--model", path, "--fit", fit, "--variant", "closed-form"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["variant"] == "closed-form"
+    else:
+        assert "need var > mean" in err
+
+
+def test_closed_form_with_a_target_computes_no_moments(
+        two_runs_model_file, poisson_target_file, capsys, monkeypatch):
+    import psdapprox.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments computed for a closed-form bound with a given target")
+
+    monkeypatch.setattr(cli_mod, "compute_moments", refuse)
+    monkeypatch.setattr(cli_mod, "mean_var", refuse)
+    assert main(["bound", "--model", two_runs_model_file, "--target", poisson_target_file,
+                 "--variant", "closed-form"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == {
+        "family": "panjer", "a": 0.9, "b": 0.0}
+
+
+@pytest.mark.parametrize("source", ["--fit", "--target"])
+def test_closed_form_refuses_a_model_without_one_first(
+        source, tmp_path, poisson_target_file, capsys, monkeypatch):
+    import psdapprox.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments or target built before the refusal")
+
+    for name in ("compute_moments", "mean_var", "_fit_target", "family_from_json"):
+        monkeypatch.setattr(cli_mod, name, refuse)
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.1] * 20}))
+    value = "poisson" if source == "--fit" else poisson_target_file
+    assert main(["bound", "--model", str(path), source, value,
+                 "--variant", "closed-form"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "closed-form variant needs a runs model\n"
 
 
 def test_bound_with_explicit_target(two_runs_model_file, poisson_target_file, capsys):

@@ -12,6 +12,7 @@ from psdapprox.sequences import (
     block_m_dependent,
     compute_moments,
     dependence_certificate,
+    mean_var,
     neighborhood_sum,
     sequence_from_json,
 )
@@ -262,3 +263,70 @@ def test_streamed_moments_bit_identical_to_full_matrix(name):
     for field in ("e_x", "e_xn1", "e_x_xn1", "e_n1_bracket", "e_x_n1_bracket",
                   "e_x_n2m1", "mean_w", "var_w"):
         assert getattr(got, field) == getattr(want, field), field
+
+
+# -- mean and variance of W without the per-index moments ---------------------------
+
+
+def _reference_mean_var(seq) -> tuple:
+    """The enumerated mean and variance as the per-index stream used to form
+    them: ``W`` accumulated column by column in float64, then two dot products."""
+    w = seq.outcome_probs()
+    total = np.zeros(len(w))
+    for col in seq.x_values().T:
+        total += col.astype(float)
+    mean = float(w @ total)
+    return mean, float(w @ total**2) - mean**2
+
+
+def _mean_var_cases():
+    rng = np.random.default_rng(9)
+    cases = {}
+    for n in range(1, 17):
+        p = rng.uniform(0.05, 0.5, n + 1)
+        zero = rng.integers(0, n + 1)
+        p[zero], p[(zero + 1) % (n + 1)] = 0.0, 1.0
+        cases[f"two-runs n={n}"] = TwoRunsModel(p.tolist())
+    cases["(1,2)-runs n=6"] = K1K2Model(1, 2, 6, rng.uniform(0.1, 0.5, 14).tolist())
+    cases["(2,2)-runs n=4"] = K1K2Model(2, 2, 4, rng.uniform(0.1, 0.5, 15).tolist())
+    cases["bernoulli product"] = BernoulliProductSequence(
+        rng.uniform(0.0, 1.0, 12).tolist() + [0.0, 1.0])
+    cases["blocked (1,2)-runs"] = block_m_dependent(
+        K1K2Model(1, 2, 5, rng.uniform(0.1, 0.5, 12).tolist()), m=2)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_mean_var_cases()))
+def test_mean_var_equals_the_enumerated_moment_set(name):
+    seq = _mean_var_cases()[name]
+    m = compute_moments(seq)
+    assert mean_var(seq) == (m.mean_w, m.var_w)
+    assert mean_var(seq) == _reference_mean_var(seq)
+
+
+def test_mean_var_beyond_enumeration_is_the_closed_form():
+    seq = TwoRunsModel([0.3] * 30)
+    assert not seq.enumerable
+    m = compute_moments(seq)
+    closed = seq.closed_form_moments()
+    assert mean_var(seq) == (m.mean_w, m.var_w) == (closed.mean_w, closed.var_w)
+    with pytest.raises(UnavailableError):
+        mean_var(block_m_dependent(seq, m=2))
+
+
+def _reference_bits(trials: int) -> np.ndarray:
+    """Column ``t`` holds bit ``t`` of the row index, one shift per trial."""
+    idx = np.arange(1 << trials, dtype=np.uint64)
+    bits = np.empty((1 << trials, trials), dtype=np.uint8)
+    for t in range(trials):
+        bits[:, t] = (idx >> np.uint64(t)) & np.uint64(1)
+    return bits
+
+
+@pytest.mark.parametrize("trials", [1, 2, 8, 17, 21])
+def test_enumerate_bits_matches_the_shift_loop(trials):
+    bits = BernoulliProductSequence([0.5] * trials).enumerate_bits()
+    want = _reference_bits(trials)
+    assert bits.dtype == want.dtype and bits.shape == want.shape
+    assert bits.flags.c_contiguous
+    assert np.array_equal(bits, want)
