@@ -117,8 +117,9 @@ def dp_distribution(
 ) -> PMFTable:
     """Exact law of the automaton count, by forward DP over (state, count).
 
-    Float mode accumulates in float64; exact mode uses rational arithmetic
-    throughout and returns a table of ``Fraction`` masses.
+    Float mode accumulates in float64 and, after ``t`` trials, updates only
+    the counts ``0..t`` that can carry mass; exact mode uses rational
+    arithmetic throughout and returns a table of ``Fraction`` masses.
     """
     T = len(trial_probs)
     S = automaton.n_states
@@ -145,17 +146,18 @@ def dp_distribution(
             layer = nxt
         masses = [sum(layer[s][c] for s in range(S)) for c in range(c_max + 1)]
     else:
-        layer = np.zeros((S, c_max + 2), dtype=float)
+        # After t trials only counts 0..t can carry mass: the layer holds them alone.
+        layer = np.zeros((S, 1), dtype=float)
         layer[0, 0] = 1.0
-        for p in trial_probs:
+        for t, p in enumerate(trial_probs):
             p = float(p)
-            nxt = np.zeros_like(layer)
+            nxt = np.zeros((S, t + 2), dtype=float)
             for s in range(S):
                 (s0, i0), (s1, i1) = automaton.transitions[s]
-                nxt[s0, i0 : i0 + c_max + 1] += layer[s, : c_max + 1] * (1.0 - p)
-                nxt[s1, i1 : i1 + c_max + 1] += layer[s, : c_max + 1] * p
+                nxt[s0, i0 : i0 + t + 1] += layer[s] * (1.0 - p)
+                nxt[s1, i1 : i1 + t + 1] += layer[s] * p
             layer = nxt
-        masses = layer.sum(axis=0)[: c_max + 1]
+        masses = layer.sum(axis=0)
     # Trim trailing zero counts but keep at least the point mass at 0.
     last = c_max
     while last > 0 and masses[last] == 0:

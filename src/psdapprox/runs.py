@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -35,7 +34,13 @@ from .bounds import (
 from .errors import NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family
 from .oracle import k1k2_automaton
-from .sequences import DependentSequence, MomentSet, neighborhood_moment_set, register_model
+from .sequences import (
+    DependentSequence,
+    MomentSet,
+    model_args,
+    neighborhood_moment_set,
+    register_model,
+)
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class TwoRunsModel(DependentSequence):
         return two_runs_cbar_parts(self.n)
 
 
-register_model("two-runs", lambda obj: TwoRunsModel([float(x) for x in obj["p"]]))
+register_model("two-runs", lambda obj: TwoRunsModel(*model_args(obj)))
 
 
 def _trial_products(model: TwoRunsModel) -> list:
@@ -333,12 +338,7 @@ class K1K2Model(DependentSequence):
         return k1k2_ci_star_parts(self, i)
 
 
-register_model(
-    "k1k2-runs",
-    lambda obj: K1K2Model(
-        int(obj["k1"]), int(obj["k2"]), int(obj["n"]), [float(x) for x in obj["p"]]
-    ),
-)
+register_model("k1k2-runs", lambda obj: K1K2Model(*model_args(obj, "k1", "k2", "n")))
 
 
 class K1K2WindowSequence(DependentSequence):
@@ -427,6 +427,11 @@ def k1k2_moment_set(model: K1K2Model) -> MomentSet:
     )
 
 
+# Indices per batch of the smoothing DP, so a layer holds at most this many
+# times ``states * 8`` floats at any ``n``.
+_COND_ZERO_BATCH = 4096
+
+
 def conditional_zero_max(model: K1K2Model, ell: int) -> float:
     """``max over neighbor-block values of P(X_ell = 0 | those values)``.
 
@@ -434,44 +439,73 @@ def conditional_zero_max(model: K1K2Model, ell: int) -> float:
     trials under blocks ``ell-1..ell+1``, clipped at the ends.  The state is
     the pattern automaton's match length and the 0/1 value of each block;
     an occurrence ending at trial ``t`` belongs to the block of window
-    ``t-m``.  The cost is ``O(m (k1+k2))`` per index, for any ``k1+k2``.
-    The max runs over attainable neighbor values.
+    ``t-m``.  The max runs over attainable neighbor values.  The first call
+    runs one DP for every index of the model at once, vectorised across the
+    indices whose windows have the same shape, and caches all ``n`` values;
+    the cost is ``O(n m (k1+k2))`` per model, for any ``k1+k2``.
     """
     if not 1 <= ell <= model.n:
         raise ValueError(f"index {ell} outside 1..{model.n}")
-    cache = model._cache.setdefault("cond_zero", {})
-    if ell in cache:
-        return cache[ell]
-    m = model.m
-    lo_block = max(1, ell - 1)
-    hi_block = min(model.n, ell + 1)
+    cache = model._cache.get("cond_zero")
+    if cache is None:
+        cache = model._cache["cond_zero"] = _conditional_zero_table(model)
+    return cache[ell]
+
+
+def _conditional_zero_table(model: K1K2Model) -> dict:
+    """:func:`conditional_zero_max` at every index, keyed by index."""
     automaton = k1k2_automaton(model.k1, model.k2)
-    codes = np.arange(1 << (hi_block - lo_block + 1))
-    layer = np.zeros((automaton.n_states, len(codes)))
-    layer[0, 0] = 1.0
-    t_lo = (lo_block - 1) * m + 1
-    for t in range(t_lo, (hi_block + 1) * m + 1):
-        p = model.trial_probs[t - 1]
-        # Block of window t - m (nothing completes before t_lo + m); a block
-        # holds at most one occurrence, so codes with its bit set carry none.
-        bit = 1 << ((max(t - m, t_lo) - 1) // m + 1 - lo_block)
+    probs = np.asarray(model.trial_probs)
+    # Indices whose window has as many blocks, with ell at the same place in
+    # it, share one DP: interior ones, ell = 1, ell = n, and n = 1.
+    shapes: dict = {}
+    for ell in range(1, model.n + 1):
+        lo_block, hi_block = max(1, ell - 1), min(model.n, ell + 1)
+        shapes.setdefault((hi_block - lo_block + 1, ell - lo_block), []).append(ell)
+    out = {}
+    for (blocks, pos), ells in shapes.items():
+        for start in range(0, len(ells), _COND_ZERO_BATCH):
+            batch = ells[start : start + _COND_ZERO_BATCH]
+            first_trials = (np.array(batch) - pos - 1) * model.m  # 0-based
+            values = _conditional_zero_batch(automaton, probs, first_trials,
+                                             blocks, pos, model.m)
+            out.update(zip(batch, values.tolist()))
+    return out
+
+
+def _conditional_zero_batch(automaton, probs: np.ndarray, first_trials: np.ndarray,
+                            blocks: int, pos: int, m: int) -> np.ndarray:
+    """The DP of :func:`conditional_zero_max` for windows of ``blocks`` blocks
+    starting at each of ``first_trials``, with ``ell`` the block at ``pos``.
+
+    The layer is ``(window, automaton state, block values)``; every window
+    gets the float operations, in the order, of a DP run on it alone.
+    """
+    codes = np.arange(1 << blocks)
+    layer = np.zeros((len(first_trials), automaton.n_states, len(codes)))
+    layer[:, 0, 0] = 1.0
+    for step in range((blocks + 1) * m):
+        p = probs[first_trials + step][:, None]
+        weights = (1.0 - p, p)
+        # Block of window step - m (nothing completes in the first m steps); a
+        # block holds at most one occurrence, so codes with its bit set carry none.
+        bit = 1 << (max(step - m, 0) // m)
         free = codes[(codes & bit) == 0]
         nxt = np.zeros_like(layer)
         for s, row in enumerate(automaton.transitions):
-            for (s_next, inc), weight in zip(row, (1.0 - p, p)):
+            for (s_next, inc), weight in zip(row, weights):
                 if inc:
-                    nxt[s_next, free | bit] += layer[s, free] * weight
+                    nxt[:, s_next, free | bit] += layer[:, s, free] * weight
                 else:
-                    nxt[s_next] += layer[s] * weight
+                    nxt[:, s_next] += layer[:, s] * weight
         layer = nxt
-    joint = layer.sum(axis=0)  # law of the block values
-    ell_bit = 1 << (ell - lo_block)
+    joint = layer.sum(axis=1)  # law of the block values, per window
+    ell_bit = 1 << pos
     others = codes[(codes & ell_bit) == 0]
-    numer = joint[others]  # X_ell = 0, per neighbor values
-    denom = numer + joint[others | ell_bit]
-    val = float((numer[denom > 0] / denom[denom > 0]).max())
-    cache[ell] = val
-    return val
+    numer = joint[:, others]  # X_ell = 0, per neighbor values
+    denom = numer + joint[:, others | ell_bit]
+    ratio = np.divide(numer, denom, out=np.full_like(numer, -np.inf), where=denom > 0)
+    return ratio.max(axis=1)
 
 
 def _k1k2_check_conditions(model: K1K2Model):
@@ -500,7 +534,8 @@ def k1k2_ci_star_parts(model: K1K2Model, i: int) -> tuple:
     ``2 (min{1, sum_j (1 - cond-zero-max of the remaining summand)}/2)^{-1/2}``,
     where the sums run over summands whose index is farther than 2 from
     ``i``.  Degenerate smoothing information (empty or forced-zero sums)
-    yields ``inf``.  Each parity's sum is formed once per model, so all
+    yields ``inf``.  Each parity's sum is formed once per model, as exact
+    prefix sums in integers over a common power-of-two denominator, so all
     ``n`` constants cost ``O(n)`` in total.
     """
     _k1k2_check_conditions(model)
@@ -509,15 +544,20 @@ def k1k2_ci_star_parts(model: K1K2Model, i: int) -> tuple:
 
     def v_value(first: int) -> float:
         # Exact prefix sums: dropping the summands near i by subtraction still
-        # rounds once, to the fsum of the rest, and exactly to 0 when it is 0.
+        # rounds once (int / int is correctly rounded), to the fsum of the
+        # rest, and exactly to 0 when it is 0.
         ells = range(first, model.n + 1, 2)
-        prefix = model._cache.get(("smoothing_sums", first))
-        if prefix is None:
-            terms = (Fraction(1.0 - conditional_zero_max(model, ell)) for ell in ells)
-            prefix = model._cache[("smoothing_sums", first)] = list(
-                accumulate(terms, initial=Fraction(0)))
+        sums = model._cache.get(("smoothing_sums", first))
+        if sums is None:
+            ratios = [(1.0 - conditional_zero_max(model, ell)).as_integer_ratio()
+                      for ell in ells]
+            scale = max((den for _, den in ratios), default=1)  # a power of two
+            prefix = list(accumulate((num * (scale // den) for num, den in ratios),
+                                     initial=0))
+            sums = model._cache[("smoothing_sums", first)] = prefix, scale
+        prefix, scale = sums
         lo, hi = bisect_left(ells, i - 2), bisect_right(ells, i + 2)
-        s = min(1.0, float(prefix[-1] - prefix[hi] + prefix[lo]))
+        s = min(1.0, (prefix[-1] - prefix[hi] + prefix[lo]) / scale)
         if s <= 0:
             return math.inf
         return 2.0 * (0.5 * s) ** -0.5

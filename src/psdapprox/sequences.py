@@ -17,6 +17,7 @@ dependence certificate here and for the exact conditional oracles.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,26 @@ _MODEL_BUILDERS: dict = {}
 
 def register_model(kind: str, builder: Callable[[dict], "DependentSequence"]) -> None:
     _MODEL_BUILDERS[kind] = builder
+
+
+def model_args(obj: dict, *int_keys: str) -> tuple:
+    """A builder's arguments from a model object: ``obj[key]`` for each of
+    ``int_keys``, then the trial probabilities ``obj["p"]`` as floats.
+
+    Nothing is coerced: an ``int_keys`` value that is not a JSON integer, or a
+    ``p`` that is not a list of JSON numbers, is refused with ``ValueError``
+    (booleans and strings are neither).
+    """
+    for key in int_keys:
+        if type(obj[key]) is not int:
+            raise ValueError(f"{key} = {json.dumps(obj[key])} is not an integer")
+    probs = obj["p"]
+    if type(probs) is not list:
+        raise ValueError(f"p = {json.dumps(probs)} is not a list of numbers")
+    if not set(map(type, probs)) <= {int, float}:
+        k = next(k for k, x in enumerate(probs) if type(x) not in (int, float))
+        raise ValueError(f"p[{k}] = {json.dumps(probs[k])} is not a number")
+    return (*(obj[key] for key in int_keys), list(map(float, probs)))
 
 
 @dataclass(frozen=True)
@@ -307,7 +328,7 @@ class BernoulliProductSequence(DependentSequence):
 
 register_model(
     "custom-bernoulli-product",
-    lambda obj: BernoulliProductSequence([float(p) for p in obj["p"]]),
+    lambda obj: BernoulliProductSequence(*model_args(obj)),
 )
 
 

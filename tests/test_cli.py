@@ -224,8 +224,23 @@ MALFORMED_MODELS = [
     ('{"model": "two-runs"}', "missing key 'p'"),
     ('{"model": "two-runs", "p": [0.3, 1.5, 0.2]}', "must lie in [0,1]"),
     ('{"model": "two-runs", "p": [0.3, -0.1, 0.2]}', "must lie in [0,1]"),
-    ('{"model": "two-runs", "p": 5}', "not iterable"),
+    ('{"model": "two-runs", "p": 5}', "not a list of numbers"),
     ('[0.3, 0.3]', "expected a JSON object"),
+    # Model fields of the wrong JSON type are refused, never truncated or coerced.
+    ('{"model": "k1k2-runs", "k1": 1.9, "k2": 2, "n": 6, "p": %s}' % ([0.3] * 14),
+     "k1 = 1.9 is not an integer"),
+    ('{"model": "k1k2-runs", "k1": 1, "k2": 2, "n": 2.7, "p": %s}' % ([0.3] * 6),
+     "n = 2.7 is not an integer"),
+    ('{"model": "k1k2-runs", "k1": true, "k2": 2, "n": 6, "p": %s}' % ([0.3] * 14),
+     "k1 = true is not an integer"),
+    ('{"model": "k1k2-runs", "k1": 1, "k2": 2, "n": "3", "p": %s}' % ([0.3] * 8),
+     'n = "3" is not an integer'),
+    ('{"model": "two-runs", "p": [0.3, "0.5", 0.2]}', 'p[1] = "0.5" is not a number'),
+    ('{"model": "two-runs", "p": [true, 0.3, 0.2]}', "p[0] = true is not a number"),
+    ('{"model": "custom-bernoulli-product", "p": [0.3, "0.5"]}',
+     'p[1] = "0.5" is not a number'),
+    ('{"model": "custom-bernoulli-product", "p": [0.3, true]}', "p[1] = true is not a number"),
+    ('{"model": "two-runs", "p": "0.5"}', 'p = "0.5" is not a list of numbers'),
 ]
 
 
@@ -532,9 +547,13 @@ _EDGE_FLOATS = st.one_of(
 )
 
 
+_NOT_NUMBERS = st.sampled_from([True, False, None, "0.5", "3", [0.5]])
+
+
 @st.composite
 def _models(draw):
-    """Model JSON of at most 12 trials: any kind, probabilities in [0,1] or not."""
+    """Model JSON of at most 12 trials: any kind, probabilities in [0,1] or not,
+    and now and then one field of another JSON type than the model reads."""
     kind = draw(st.sampled_from(
         ["two-runs", "k1k2-runs", "custom-bernoulli-product", "geometric"]))
     probs = st.floats(0.0, 1.0) if draw(st.booleans()) else _EDGE_FLOATS
@@ -545,6 +564,11 @@ def _models(draw):
         obj.update(k1=k1, k2=k2, n=n)
         size = max((n + 1) * (k1 + k2 - 1), 0)
     obj["p"] = draw(st.lists(probs, min_size=size or 0, max_size=12 if size is None else size))
+    wrong = draw(st.sampled_from([None, None, None, "p", "p[0]", "k1", "k2", "n"]))
+    if wrong == "p[0]" and obj["p"]:
+        obj["p"][0] = draw(_NOT_NUMBERS)
+    elif wrong in obj:
+        obj[wrong] = draw(st.one_of(_NOT_NUMBERS, st.sampled_from([1.9, 2.0, 2.7])))
     return obj
 
 

@@ -100,6 +100,36 @@ def test_dp_equals_brute_force_float():
     assert np.allclose(dp.as_array(), bf.as_array(), atol=1e-14)
 
 
+def _dp_float_full_width(automaton, trial_probs) -> tuple:
+    """Reference: the float DP updating every count ``0..T`` at every trial."""
+    T, S = len(trial_probs), automaton.n_states
+    layer = np.zeros((S, T + 2))
+    layer[0, 0] = 1.0
+    for p in trial_probs:
+        p = float(p)
+        nxt = np.zeros_like(layer)
+        for s in range(S):
+            (s0, i0), (s1, i1) = automaton.transitions[s]
+            nxt[s0, i0 : i0 + T + 1] += layer[s, : T + 1] * (1.0 - p)
+            nxt[s1, i1 : i1 + T + 1] += layer[s, : T + 1] * p
+        layer = nxt
+    masses = layer.sum(axis=0)[: T + 1]
+    last = T
+    while last > 0 and masses[last] == 0:
+        last -= 1
+    return tuple(masses[: last + 1])
+
+
+@pytest.mark.parametrize("automaton, trials", [
+    (two_runs_automaton(), 2000), (k1k2_automaton(1, 2), 600), (k1k2_automaton(3, 3), 200),
+    (k1k2_automaton(3, 3), 1), (k1k2_automaton(3, 3), 3), (two_runs_automaton(), 0)])
+def test_dp_float_band_equals_full_width_loop(automaton, trials):
+    rng = np.random.default_rng(trials)
+    for probs in (rng.uniform(0, 1, trials).tolist(),
+                  rng.choice([0.0, 1.0, 0.5], trials).tolist()):
+        assert dp_distribution(automaton, probs).masses == _dp_float_full_width(automaton, probs)
+
+
 def test_dp_equals_brute_force_exact_rational():
     probs = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 8), Fraction(1, 8), Fraction(1, 2)]
     model = TwoRunsModel([float(x) for x in probs])

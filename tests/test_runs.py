@@ -2,6 +2,9 @@
 
 import json
 import math
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from psdapprox.runs import (
     conditional_zero_max,
     k1k2_bound,
     k1k2_ci_star,
+    k1k2_ci_star_parts,
     k1k2_moment_set,
     nb_bound_closed_form,
     nb_fit_from_moments,
@@ -528,6 +532,108 @@ def test_conditional_zero_max_matches_full_enumeration():
                     zeros[key] = zeros.get(key, 0.0) + mass
             direct = max(zeros.get(k, 0.0) / v for k, v in groups.items() if v > 0)
             assert conditional_zero_max(model, ell) == pytest.approx(direct, abs=1e-12)
+
+
+def _conditional_zero_max_one_index(model: K1K2Model, ell: int) -> float:
+    """Reference: the forward DP of ``conditional_zero_max`` run on one index alone."""
+    m = model.m
+    lo_block = max(1, ell - 1)
+    hi_block = min(model.n, ell + 1)
+    automaton = k1k2_automaton(model.k1, model.k2)
+    codes = np.arange(1 << (hi_block - lo_block + 1))
+    layer = np.zeros((automaton.n_states, len(codes)))
+    layer[0, 0] = 1.0
+    t_lo = (lo_block - 1) * m + 1
+    for t in range(t_lo, (hi_block + 1) * m + 1):
+        p = model.trial_probs[t - 1]
+        bit = 1 << ((max(t - m, t_lo) - 1) // m + 1 - lo_block)
+        free = codes[(codes & bit) == 0]
+        nxt = np.zeros_like(layer)
+        for s, row in enumerate(automaton.transitions):
+            for (s_next, inc), weight in zip(row, (1.0 - p, p)):
+                if inc:
+                    nxt[s_next, free | bit] += layer[s, free] * weight
+                else:
+                    nxt[s_next] += layer[s] * weight
+        layer = nxt
+    joint = layer.sum(axis=0)
+    ell_bit = 1 << (ell - lo_block)
+    others = codes[(codes & ell_bit) == 0]
+    numer = joint[others]
+    denom = numer + joint[others | ell_bit]
+    return float((numer[denom > 0] / denom[denom > 0]).max())
+
+
+def _batched_dp_models() -> list:
+    rng = np.random.default_rng(11)
+    shapes = [(1, 2, 1000), (2, 2, 300), (1, 1, 12), (2, 3, 15), (3, 3, 12), (4, 4, 21),
+              (5, 5, 4), (2, 1, 10), (1, 3, 10)]
+    shapes += [(k1, k2, n) for k1, k2 in ((1, 2), (3, 3)) for n in (1, 2, 3)]
+    models = []
+    for k1, k2, n in shapes:
+        size = (n + 1) * (k1 + k2 - 1)
+        models.append(K1K2Model(k1, k2, n, rng.uniform(0, 1, size).tolist()))
+        if n < 100:  # trials at 0 and 1 among the others
+            models.append(K1K2Model(k1, k2, n, rng.choice([0.0, 1.0, 0.3], size).tolist()))
+    return models
+
+
+def test_conditional_zero_max_batched_equals_per_index_dp():
+    for model in _batched_dp_models():
+        batched = [conditional_zero_max(model, ell) for ell in range(1, model.n + 1)]
+        assert batched == [_conditional_zero_max_one_index(model, ell)
+                           for ell in range(1, model.n + 1)], (model.k1, model.k2, model.n)
+
+
+def test_one_smoothing_dp_per_model(monkeypatch):
+    import psdapprox.runs as runs
+
+    calls = []
+    real = runs.k1k2_automaton
+    monkeypatch.setattr(runs, "k1k2_automaton", lambda *a: calls.append(a) or real(*a))
+    model = K1K2Model(1, 2, 40, [0.3] * 82)
+    k1k2_bound(model, poisson_family(k1k2_moment_set(model).mean_w))
+    build_smoothing(model)
+    for ell in range(1, model.n + 1):
+        conditional_zero_max(model, ell)
+    assert calls == [(1, 2)]
+    assert sorted(model._cache["cond_zero"]) == list(range(1, model.n + 1))
+
+
+def _ci_star_fraction_reference(model: K1K2Model) -> list:
+    """``k1k2_ci_star_parts`` at every index, from ``Fraction`` prefix sums."""
+    prefix = {
+        first: list(accumulate(
+            (Fraction(1.0 - conditional_zero_max(model, ell))
+             for ell in range(first, model.n + 1, 2)),
+            initial=Fraction(0)))
+        for first in (1, 2)
+    }
+    out = []
+    for i in range(1, model.n + 1):
+        vals = []
+        for first in (1, 2):
+            ells = range(first, model.n + 1, 2)
+            lo, hi = bisect_left(ells, i - 2), bisect_right(ells, i + 2)
+            s = min(1.0, float(prefix[first][-1] - prefix[first][hi] + prefix[first][lo]))
+            vals.append(math.inf if s <= 0 else 2.0 * (0.5 * s) ** -0.5)
+        out.append((vals[0], "roellin-even") if vals[0] <= vals[1] else (vals[1], "roellin-odd"))
+    return out
+
+
+@pytest.mark.parametrize("k1, k2, n, lo, hi", [
+    (1, 2, 1000, 0.01, 0.03), (2, 2, 300, 0.02, 0.04), (1, 1, 12, 0.2, 0.4)])
+def test_k1k2_ci_star_parts_equal_fraction_prefix_sums(k1, k2, n, lo, hi):
+    # Rare occurrences keep the sums below the cap 1, so every constant is compared.
+    m = k1 + k2 - 1
+    rng = np.random.default_rng(n)
+    model = K1K2Model(k1, k2, n, rng.uniform(lo, hi, (n + 1) * m).tolist())
+    got = [k1k2_ci_star_parts(model, i) for i in range(1, n + 1)]
+    assert got == _ci_star_fraction_reference(model)
+    if (k1, k2) == (1, 1):
+        assert all(c == math.inf for c, _ in got)
+    else:
+        assert all(2 * math.sqrt(2) < c < math.inf for c, _ in got)
 
 
 def test_k1k2_ci_star_finite_and_capped_below():
