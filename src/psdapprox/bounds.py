@@ -8,8 +8,11 @@ against.  The Stein factors ``||Delta g||`` and ``||g||`` always come from the
 target (:func:`default_delta_g`, :func:`families.g_norm_bound`).  The main
 bound, ``d1`` and ``d2`` are one display, ``|Delta g| {(|1-b|/2) sum quad +
 sum lin + |tau (1-b)|}``, fed different inner sums; one assembly builds their
-reports, and ``min`` is the smaller of the ``d1`` and ``d2`` reports.  All
-reports itemize their terms and are recomputable from parts.
+reports, and ``min`` is the smaller of the ``d1`` and ``d2`` reports.  The
+``d1`` smoothing constants are one :class:`SmoothingEstimate` per model,
+per-index tuples ``c``, ``raw`` and ``method`` from one call to the model's
+``smoothing_constants()``.  All reports itemize their terms and are
+recomputable from parts.
 """
 
 from __future__ import annotations
@@ -89,68 +92,56 @@ def exact_tv(p: PMFTable, q: PMFTable) -> TVInterval:
 
 
 @dataclass(frozen=True)
-class SmoothingEntry:
-    """One index's bound on the conditional shift regularity."""
-
-    c: float
-    method: str
-    raw: float
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("smoothing constant must be non-negative")
-
-
-@dataclass(frozen=True)
 class SmoothingEstimate:
     """Per-index smoothing constants ``c_i(n)`` with their provenance.
 
-    :func:`build_smoothing` caps entries at 2 (the shift regularity of any
-    law is at most 2), so there a model formula may exceed the cap only
-    through ``raw``.  The runs closed-form bounds pass their model constants
+    ``c``, ``raw`` and ``method`` each hold one entry per index: the constant
+    the bounds use, the value its method gave, and that method.
+    :func:`build_smoothing` caps ``c`` at 2 (the shift regularity of any law
+    is at most 2), so there a model formula may exceed the cap only through
+    ``raw``.  The runs closed-form bounds pass their model constants
     uncapped, as the model bounds state them.
     """
 
-    entries: tuple
-    m_star: int
+    c: tuple
+    raw: tuple
+    method: tuple
 
-    @property
-    def c(self) -> tuple:
-        return tuple(e.c for e in self.entries)
+    def __post_init__(self):
+        if not len(self.c) == len(self.raw) == len(self.method):
+            raise ValueError("c, raw and method need one entry per index")
+        if any(c < 0 for c in self.c):
+            raise ValueError("smoothing constant must be non-negative")
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.c)
 
     @classmethod
     def constant(cls, value: float, n: int, method: str = "model-closed-form") -> "SmoothingEstimate":
-        entry = SmoothingEntry(min(value, 2.0), method, value)
-        return cls((entry,) * n, m_star(n))
-
-
-def smoothing_roellin(seq: DependentSequence, i: int) -> SmoothingEntry:
-    """Bound on ``D(W_n | X_{N_{i,2}})`` for index ``i``.
-
-    Uses the model's registered even/odd-conditioning decomposition when one
-    exists; otherwise falls back to exact conditional evaluation on
-    enumerable instances (the max over both conditioning shapes, so the
-    result is valid wherever either form is consumed).
-    """
-    provider = getattr(seq, "roellin_smoothing", None)
-    if provider is not None:
-        raw, method = provider(i)
-        return SmoothingEntry(min(raw, 2.0), method, raw)
-    if seq.enumerable:
-        worst = max(max(exact_conditional_D(seq, i, c).values()) for c in ("n2", "n1n2"))
-        return SmoothingEntry(worst, "exact-conditional", worst)
-    raise UnavailableError(
-        "no smoothing provider registered and the instance is not enumerable"
-    )
+        return cls((min(value, 2.0),) * n, (value,) * n, (method,) * n)
 
 
 def build_smoothing(seq: DependentSequence) -> SmoothingEstimate:
-    entries = tuple(smoothing_roellin(seq, i) for i in range(1, seq.n + 1))
-    return SmoothingEstimate(entries, m_star(seq.n))
+    """Bounds on ``D(W_n | X_{N_{i,2}})`` for every index ``i``.
+
+    Uses the model's even/odd-conditioning constants when it has a
+    ``smoothing_constants()`` hook, capped at 2; otherwise falls back to
+    exact conditional evaluation on enumerable instances (the max over both
+    conditioning shapes, so the result is valid wherever either form is
+    consumed).
+    """
+    provider = getattr(seq, "smoothing_constants", None)
+    if provider is not None:
+        raw, method = provider()
+        return SmoothingEstimate(tuple(min(r, 2.0) for r in raw), raw, method)
+    if seq.enumerable:
+        worst = tuple(max(max(exact_conditional_D(seq, i, c).values()) for c in ("n2", "n1n2"))
+                      for i in range(1, seq.n + 1))
+        return SmoothingEstimate(worst, worst, ("exact-conditional",) * seq.n)
+    raise UnavailableError(
+        "no smoothing provider registered and the instance is not enumerable"
+    )
 
 
 # -- reports ------------------------------------------------------------------------
@@ -340,9 +331,10 @@ def bound_d1(
     _check_n(moments.n, 6, allow_small_n, "use the crude bound below that")
     if smoothing.n != moments.n:
         raise ValueError("smoothing length does not match moment set")
-    weights = list(zip(smoothing.c, moments.smoothing_weights()))
-    quadratic = abs(1 - spec.b) / 2 * math.fsum(c * quad for c, (quad, _) in weights)
-    linear = math.fsum(c * lin for c, (_, lin) in weights)
+    c = np.asarray(smoothing.c)
+    quad, lin = moments.smoothing_weights()
+    quadratic = abs(1 - spec.b) / 2 * math.fsum(c * quad)
+    linear = math.fsum(c * lin)
     return _moment_bound("d1", moments, spec, quadratic, linear, smoothing=smoothing)
 
 

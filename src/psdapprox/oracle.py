@@ -117,49 +117,31 @@ def dp_distribution(
 ) -> PMFTable:
     """Exact law of the automaton count, by forward DP over (state, count).
 
-    Float mode accumulates in float64 and, after ``t`` trials, updates only
-    the counts ``0..t`` that can carry mass; exact mode uses rational
-    arithmetic throughout and returns a table of ``Fraction`` masses.
+    After ``t`` trials only the counts ``0..t`` can carry mass, so the layer
+    holds them alone.  Float mode accumulates in float64; exact mode runs the
+    same loop on ``Fraction`` masses and returns a table of them.
     """
-    T = len(trial_probs)
-    S = automaton.n_states
-    c_max = T  # counts cannot exceed the number of trials
-    if exact:
-        probs = [p if isinstance(p, Fraction) else Fraction(p) for p in trial_probs]
-        zero, one = Fraction(0), Fraction(1)
-        layer = [[zero] * (c_max + 1) for _ in range(S)]
-        layer[0][0] = one
-        for p in probs:
-            nxt = [[zero] * (c_max + 1) for _ in range(S)]
-            for s in range(S):
-                row = layer[s]
-                (s0, i0), (s1, i1) = automaton.transitions[s]
-                q = one - p
-                for c in range(c_max + 1):
-                    m = row[c]
-                    if m == 0:
-                        continue
-                    if q != 0:
-                        nxt[s0][c + i0] += m * q
-                    if p != 0:
-                        nxt[s1][c + i1] += m * p
-            layer = nxt
-        masses = [sum(layer[s][c] for s in range(S)) for c in range(c_max + 1)]
+    if exact:  # the zeros of an object layer are int 0; every mass is a Fraction
+        probs, dtype, one = [Fraction(p) for p in trial_probs], object, Fraction(1)
     else:
-        # After t trials only counts 0..t can carry mass: the layer holds them alone.
-        layer = np.zeros((S, 1), dtype=float)
-        layer[0, 0] = 1.0
-        for t, p in enumerate(trial_probs):
-            p = float(p)
-            nxt = np.zeros((S, t + 2), dtype=float)
-            for s in range(S):
-                (s0, i0), (s1, i1) = automaton.transitions[s]
-                nxt[s0, i0 : i0 + t + 1] += layer[s] * (1.0 - p)
-                nxt[s1, i1 : i1 + t + 1] += layer[s] * p
-            layer = nxt
-        masses = layer.sum(axis=0)
-    # Trim trailing zero counts but keep at least the point mass at 0.
-    last = c_max
+        probs, dtype, one = [float(p) for p in trial_probs], float, 1.0
+    S = automaton.n_states
+    layer = np.zeros((S, 1), dtype=dtype)
+    layer[0, 0] = one
+    for t, p in enumerate(probs):
+        nxt = np.zeros((S, t + 2), dtype=dtype)
+        for s in range(S):
+            (s0, i0), (s1, i1) = automaton.transitions[s]
+            nxt[s0, i0 : i0 + t + 1] += layer[s] * (1 - p)
+            nxt[s1, i1 : i1 + t + 1] += layer[s] * p
+        layer = nxt
+    return _law(layer.sum(axis=0))
+
+
+def _law(masses) -> PMFTable:
+    """The table of ``masses`` at counts ``0, 1, ...`` with trailing zero
+    masses trimmed; the mass at 0 stays."""
+    last = len(masses) - 1
     while last > 0 and masses[last] == 0:
         last -= 1
     return PMFTable(0, tuple(masses[: last + 1]), 0.0)
@@ -194,7 +176,7 @@ def brute_force_distribution(
             )
         return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
     joint = _conditional_laws(seq, ())[2]
-    return PMFTable(0, tuple(float(m) for m in joint[0]), 0.0)
+    return _law([float(m) for m in joint[0]])
 
 
 def _numerators(probs) -> np.ndarray:
@@ -223,8 +205,7 @@ def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
         for v, s in zip(values.tolist(), np.add.reduceat(low[order], starts)):
             sums[v] += scale * s
     denominator = math.prod(p.denominator for p in probs)
-    top = max(v for v, s in enumerate(sums) if s)
-    return PMFTable(0, tuple(Fraction(s, denominator) for s in sums[: top + 1]), 0.0)
+    return _law([Fraction(s, denominator) for s in sums])
 
 
 def shift_regularity(masses: np.ndarray) -> float:

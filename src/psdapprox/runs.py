@@ -9,28 +9,20 @@ occurrences of ``k1`` failures followed by ``k2`` successes over
 per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
 (certified against enumeration elsewhere).  Each model's closed-form bound is
 ``bounds.bound_d1`` over that moment set with the model's uncapped smoothing
-constants.  The module also supplies those constants, moment-matched target
-fitting, and the published comparison table.
+constants.  The module also supplies those constants, each model's ``n`` of
+them and their labels as one pair of arrays from ``smoothing_constants()``,
+moment-matched target fitting, and the published comparison table.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    SmoothingEntry,
-    SmoothingEstimate,
-    bound_d1,
-    build_smoothing,
-    m_star,
-)
+from .bounds import BoundReport, SmoothingEstimate, bound_d1, build_smoothing, m_star
 from .errors import NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family
 from .oracle import k1k2_automaton
@@ -67,20 +59,20 @@ class RunsBoundReport(BoundReport):
 # -- shared by both models: 1-dependent 0/1 summands -------------------------------
 
 
-def _closed_form_bound(moments: MomentSet, parts: list, spec, term_weights,
+def _closed_form_bound(moments: MomentSet, c: tuple, labels: tuple, spec, term_weights,
                        c_constant, comparison=None) -> RunsBoundReport:
     """``bound_d1`` with a model's uncapped smoothing constants, as ``closed-form``.
 
-    ``parts`` holds ``(c_i, label)`` per index; the model's own validity
-    replaces the generic ``n >= 6``.  ``moment_terms`` lists the per-index
-    quadratic and linear summands, each times ``term_weights[i]``.
+    ``c`` and ``labels`` hold each index's constant and its method; the
+    model's own validity replaces the generic ``n >= 6``.  ``moment_terms``
+    lists the per-index quadratic and linear summands, each times
+    ``term_weights[i]``.
     """
-    smoothing = SmoothingEstimate(
-        tuple(SmoothingEntry(c, label, c) for c, label in parts), m_star(moments.n))
-    d1 = bound_d1(moments, smoothing, spec, allow_small_n=True)
+    d1 = bound_d1(moments, SmoothingEstimate(c, c, labels), spec, allow_small_n=True)
     half = abs(d1.one_minus_b) / 2
-    terms = tuple((w * half * quad, w * lin)
-                  for w, (quad, lin) in zip(term_weights, moments.smoothing_weights()))
+    quad, lin = moments.smoothing_weights()
+    w = np.asarray(term_weights)
+    terms = tuple(zip((w * half * quad).tolist(), (w * lin).tolist()))
     return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
                            moment_terms=terms, c_constant=c_constant, comparison=comparison)
 
@@ -112,9 +104,9 @@ class TwoRunsModel(DependentSequence):
     def closed_form_moments(self) -> MomentSet:
         return two_runs_moment_set(self)
 
-    def roellin_smoothing(self, i: int):
-        del i  # the 2-runs constant is index-free
-        return two_runs_cbar_parts(self.n)
+    def smoothing_constants(self) -> tuple:
+        cbar, label = two_runs_cbar_parts(self.n)  # the same at every index
+        return (cbar,) * self.n, (label,) * self.n
 
 
 register_model("two-runs", lambda obj: TwoRunsModel(*model_args(obj)))
@@ -194,7 +186,7 @@ def two_runs_bound(
         if len(probs) == 1:
             cmp_val = brown_xia_bound(n, next(iter(probs)))
     return _closed_form_bound(
-        two_runs_moment_set(model), [(cbar, label)] * n, spec,
+        two_runs_moment_set(model), (cbar,) * n, (label,) * n, spec,
         term_weights=[1.0] * n, c_constant=cbar, comparison=cmp_val,
     )
 
@@ -334,8 +326,8 @@ class K1K2Model(DependentSequence):
     def closed_form_moments(self) -> MomentSet:
         return k1k2_moment_set(self)
 
-    def roellin_smoothing(self, i: int):
-        return k1k2_ci_star_parts(self, i)
+    def smoothing_constants(self) -> tuple:
+        return k1k2_ci_star_parts(self)
 
 
 register_model("k1k2-runs", lambda obj: K1K2Model(*model_args(obj, "k1", "k2", "n")))
@@ -527,50 +519,45 @@ def _k1k2_check_conditions(model: K1K2Model):
     model._cache["conditions_ok"] = True
 
 
-def k1k2_ci_star_parts(model: K1K2Model, i: int) -> tuple:
-    """Smoothing constant ``c*_i(n)`` with the winning conditioning label.
+def k1k2_ci_star_parts(model: K1K2Model) -> tuple:
+    """Smoothing constants ``c*_i(n)`` at every index, with the winning
+    conditioning labels: ``(values, labels)``.
 
-    ``min`` of the even- and odd-conditioning values
+    ``c*_i`` is the ``min`` of the even- and odd-conditioning values
     ``2 (min{1, sum_j (1 - cond-zero-max of the remaining summand)}/2)^{-1/2}``,
     where the sums run over summands whose index is farther than 2 from
     ``i``.  Degenerate smoothing information (empty or forced-zero sums)
-    yields ``inf``.  Each parity's sum is formed once per model, as exact
-    prefix sums in integers over a common power-of-two denominator, so all
-    ``n`` constants cost ``O(n)`` in total.
+    yields ``inf``.  The summands are exact integers over a common
+    power-of-two denominator, so each parity's sum at ``i`` is its total
+    less the at most three summands near ``i``, and rounds once (``int /
+    int`` is correctly rounded) to the fsum of the rest, exactly to 0 when
+    it is 0.  All ``n`` constants cost ``O(n)`` in total.
     """
     _k1k2_check_conditions(model)
-    if not 1 <= i <= model.n:
-        raise ValueError(f"index {i} outside 1..{model.n}")
+    n = model.n
+    ratios = [(1.0 - conditional_zero_max(model, ell)).as_integer_ratio()
+              for ell in range(1, n + 1)]
+    scale = max(den for _, den in ratios)  # a power of two
+    nums = [0, 0] + [num * (scale // den) for num, den in ratios] + [0, 0]  # ell at ell + 1
+    totals = {first: sum(nums[first + 1 :: 2]) for first in (1, 2)}
 
-    def v_value(first: int) -> float:
-        # Exact prefix sums: dropping the summands near i by subtraction still
-        # rounds once (int / int is correctly rounded), to the fsum of the
-        # rest, and exactly to 0 when it is 0.
-        ells = range(first, model.n + 1, 2)
-        sums = model._cache.get(("smoothing_sums", first))
-        if sums is None:
-            ratios = [(1.0 - conditional_zero_max(model, ell)).as_integer_ratio()
-                      for ell in ells]
-            scale = max((den for _, den in ratios), default=1)  # a power of two
-            prefix = list(accumulate((num * (scale // den) for num, den in ratios),
-                                     initial=0))
-            sums = model._cache[("smoothing_sums", first)] = prefix, scale
-        prefix, scale = sums
-        lo, hi = bisect_left(ells, i - 2), bisect_right(ells, i + 2)
-        s = min(1.0, (prefix[-1] - prefix[hi] + prefix[lo]) / scale)
-        if s <= 0:
-            return math.inf
-        return 2.0 * (0.5 * s) ** -0.5
+    def value(first: int, i: int) -> float:
+        # The summands first, first + 2, ... remain, less those within 2 of i.
+        near = nums[i - 1 + (i - first) % 2 : i + 4 : 2]
+        s = min(1.0, (totals[first] - sum(near)) / scale)
+        return math.inf if s <= 0 else 2.0 * (0.5 * s) ** -0.5
 
-    v_even = v_value(1)  # odd summands remain
-    v_odd = v_value(2)  # even summands remain
-    if v_even <= v_odd:
-        return v_even, "roellin-even"
-    return v_odd, "roellin-odd"
+    values, labels = [], []
+    for i in range(1, n + 1):
+        v_even, v_odd = value(1, i), value(2, i)  # odd, even summands remain
+        values.append(min(v_even, v_odd))
+        labels.append("roellin-even" if v_even <= v_odd else "roellin-odd")
+    return tuple(values), tuple(labels)
 
 
-def k1k2_ci_star(model: K1K2Model, i: int) -> float:
-    return k1k2_ci_star_parts(model, i)[0]
+def k1k2_ci_star(model: K1K2Model) -> tuple:
+    """The constants ``c*_i(n)`` of :func:`k1k2_ci_star_parts`."""
+    return k1k2_ci_star_parts(model)[0]
 
 
 def k1k2_bound(
@@ -583,19 +570,19 @@ def k1k2_bound(
     nonzero weight (every (1,1) model with an occurrence fails the last)."""
     _k1k2_check_conditions(model)
     moments = k1k2_moment_set(model)
+    quad, lin = moments.smoothing_weights()
+    weighted = ((quad != 0.0) | (lin != 0.0)).tolist()
+    values, labels = k1k2_ci_star_parts(model)
     # An index with nothing to weight gets c = 0 instead of its constant,
     # which may be inf on degenerate instances (and inf * 0 is NaN).
-    parts = [
-        k1k2_ci_star_parts(model, i) if quad != 0.0 or lin != 0.0 else (0.0, "zero-weight")
-        for i, (quad, lin) in enumerate(moments.smoothing_weights(), start=1)
-    ]
-    vacuous = next((i for i, (c, _) in enumerate(parts, start=1) if c == math.inf), None)
-    if vacuous is not None:
+    cs = tuple(c if w else 0.0 for c, w in zip(values, weighted))
+    labels = tuple(label if w else "zero-weight" for label, w in zip(labels, weighted))
+    if math.inf in cs:
+        vacuous = cs.index(math.inf) + 1
         raise PreconditionError(
             f"c*_{vacuous} is infinite at index {vacuous} of nonzero weight: the model "
             "gives no smoothing information there, so the closed-form bound is vacuous")
-    cs = tuple(c for c, _ in parts)
-    return _closed_form_bound(moments, parts, spec, term_weights=cs, c_constant=cs)
+    return _closed_form_bound(moments, cs, labels, spec, term_weights=cs, c_constant=cs)
 
 
 # Former name of ``build_smoothing``, still bound by the benchmark's spans.

@@ -83,12 +83,14 @@ class MomentSet:
     def n(self) -> int:
         return len(self.e_x)
 
-    def smoothing_weights(self) -> list:
-        """Per index, the quadratic weight ``E X_i E[bracket] + E[X_i bracket]``
-        and the linear weight ``E[X_i (X_{N_{i,2}} - 1)]`` that a smoothing
-        constant ``c_i`` multiplies in the bounds."""
-        return [(x * q1 + q2, lin) for x, q1, q2, lin in zip(
-            self.e_x, self.e_n1_bracket, self.e_x_n1_bracket, self.e_x_n2m1)]
+    def smoothing_weights(self) -> tuple:
+        """``(quad, lin)``: the arrays of the quadratic weights ``E X_i
+        E[bracket] + E[X_i bracket]`` and the linear weights ``E[X_i
+        (X_{N_{i,2}} - 1)]`` that the smoothing constants ``c_i`` multiply in
+        the bounds."""
+        x, q1, q2, lin = (np.asarray(v, dtype=float) for v in (
+            self.e_x, self.e_n1_bracket, self.e_x_n1_bracket, self.e_x_n2m1))
+        return x * q1 + q2, lin
 
     def var_from_neighborhoods(self) -> float:
         """Variance via the neighborhood display, for identity checks."""

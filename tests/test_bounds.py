@@ -13,7 +13,6 @@ from psdapprox.bounds import (
     BoundReport,
     D_statistic,
     ExactConditionalTerms,
-    SmoothingEntry,
     SmoothingEstimate,
     bound_crude,
     bound_d1,
@@ -23,7 +22,6 @@ from psdapprox.bounds import (
     default_delta_g,
     exact_tv,
     m_star,
-    smoothing_roellin,
     theorem31_bound,
 )
 from psdapprox.errors import MomentMatchError, PreconditionError, UnavailableError
@@ -44,6 +42,7 @@ from psdapprox.runs import (
     k1k2_moment_set,
     nb_fit_from_moments,
     nb_moment_match_2runs,
+    smoothing_from_runs_model,
     two_runs_bound,
     two_runs_cbar,
     two_runs_moment_set,
@@ -126,36 +125,46 @@ def test_m_star_parity():
         m_star(0)
 
 
-def test_smoothing_roellin_two_runs_formula():
+def test_build_smoothing_two_runs_formula():
     seq = TwoRunsModel([0.2] * 21)  # n = 20
-    entry = smoothing_roellin(seq, 5)
-    assert entry.raw == pytest.approx(4 / math.sqrt(7), abs=1e-12)
-    assert entry.c == pytest.approx(4 / math.sqrt(7), abs=1e-12)
-    assert entry.method == "roellin-even"
+    est = build_smoothing(seq)
+    assert est.n == 20
+    assert est.raw == (pytest.approx(4 / math.sqrt(7), abs=1e-12),) * 20
+    assert est.c == est.raw  # below the cap of 2
+    assert est.method == ("roellin-even",) * 20
 
 
-def test_smoothing_roellin_exact_fallback():
+def test_build_smoothing_exact_fallback():
     seq = BernoulliProductSequence([0.3] * 8)
-    entry = smoothing_roellin(seq, 4)
-    assert entry.method == "exact-conditional"
-    assert 0 < entry.c <= 2.0
-    # The fallback dominates every conditional D value it summarizes.
-    for conditioning in ("n2", "n1n2"):
-        dmap = exact_conditional_D(seq, 4, conditioning)
-        assert entry.c >= max(dmap.values()) - 1e-12
+    est = build_smoothing(seq)
+    assert est.method == ("exact-conditional",) * 8
+    assert est.raw == est.c
+    for i, c in enumerate(est.c, start=1):
+        assert 0 < c <= 2.0
+        # The fallback dominates every conditional D value it summarizes.
+        for conditioning in ("n2", "n1n2"):
+            dmap = exact_conditional_D(seq, i, conditioning)
+            assert c >= max(dmap.values()) - 1e-12
 
 
 def test_smoothing_unavailable():
     seq = BernoulliProductSequence([0.5] * 25)  # not enumerable, no provider
     with pytest.raises(UnavailableError):
-        smoothing_roellin(seq, 1)
+        build_smoothing(seq)
 
 
 def test_smoothing_cap_at_two():
     est = SmoothingEstimate.constant(4.0, 8)
-    assert all(c == 2.0 for c in est.c)
-    assert est.entries[0].raw == 4.0
-    assert est.m_star == m_star(8)
+    assert est.c == (2.0,) * 8
+    assert est.raw == (4.0,) * 8
+    assert est.method == ("model-closed-form",) * 8
+
+
+def test_smoothing_estimate_refuses_bad_entries():
+    with pytest.raises(ValueError, match="non-negative"):
+        SmoothingEstimate((1.0, -0.5), (1.0, -0.5), ("a", "b"))
+    with pytest.raises(ValueError, match="one entry per index"):
+        SmoothingEstimate((1.0, 1.0), (1.0,), ("a", "b"))
 
 
 # -- main bound and variants -----------------------------------------------------------
@@ -308,8 +317,8 @@ def test_k1k2_theorem31_domination():
 def test_smoothing_from_runs_model_matches_entry():
     model = TwoRunsModel([0.2] * 21)
     est = build_smoothing(model)
-    entry = smoothing_roellin(model, 3)
-    assert est.c[2] == entry.c
+    assert est.c[2] == two_runs_cbar(20)
+    assert smoothing_from_runs_model(model) == est
 
 
 # -- reference: each variant's display written out on its own -----------------------
@@ -330,9 +339,15 @@ def _ref_theorem31(moments, conditionals, spec):
                        one_minus_b=1 - b)
 
 
+def _ref_weights(moments):
+    """Per index ``(quadratic, linear)`` smoothing weights, in Python floats."""
+    return [(x * q1 + q2, ln) for x, q1, q2, ln in zip(
+        moments.e_x, moments.e_n1_bracket, moments.e_x_n1_bracket, moments.e_x_n2m1)]
+
+
 def _ref_d1(moments, smoothing, spec):
     dg, b = default_delta_g(spec), spec.b
-    weights = list(zip(smoothing.c, moments.smoothing_weights()))
+    weights = list(zip(smoothing.c, _ref_weights(moments)))
     quad = abs(1 - b) / 2 * math.fsum(c * q for c, (q, _) in weights)
     lin = math.fsum(c * ln for c, (_, ln) in weights)
     tau = _ref_tau(spec, moments.var_w)
@@ -365,12 +380,11 @@ def _ref_crude(moments, spec):
 
 
 def _ref_closed_form(moments, cs, spec, term_weights, c_constant, comparison=None):
-    smoothing = SmoothingEstimate(tuple(SmoothingEntry(c, "ref", c) for c in cs),
-                                  m_star(moments.n))
+    smoothing = SmoothingEstimate(tuple(cs), tuple(cs), ("ref",) * len(cs))
     d1 = _ref_d1(moments, smoothing, spec)
     half = abs(d1.one_minus_b) / 2
     terms = tuple((w * half * q, w * ln)
-                  for w, (q, ln) in zip(term_weights, moments.smoothing_weights()))
+                  for w, (q, ln) in zip(term_weights, _ref_weights(moments)))
     return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
                            moment_terms=terms, c_constant=c_constant, comparison=comparison)
 
@@ -426,7 +440,7 @@ def test_variants_equal_their_reference_assembly(model):
                                  [1.0] * n, cbar, comparison))
         elif isinstance(model, K1K2Model):
             closed = k1k2_moment_set(model)
-            cs = tuple(k1k2_ci_star(model, i) if q != 0.0 or ln != 0.0 else 0.0
-                       for i, (q, ln) in enumerate(closed.smoothing_weights(), start=1))
+            cs = tuple(c if q != 0.0 or ln != 0.0 else 0.0
+                       for c, (q, ln) in zip(k1k2_ci_star(model), _ref_weights(closed)))
             _assert_same_report(k1k2_bound(model, spec),
                                 _ref_closed_form(closed, cs, spec, cs, cs))

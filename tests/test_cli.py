@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from psdapprox.bounds import exact_tv
 from psdapprox.cli import BOUND_VARIANTS, main
 from psdapprox.families import family_from_json
-from psdapprox.oracle import dp_distribution, two_runs_automaton
+from psdapprox.oracle import brute_force_distribution, dp_distribution, two_runs_automaton
 from psdapprox.runs import TABLE1_PRINTED, TwoRunsModel, nb_fit_from_moments, two_runs_bound
 from psdapprox.sequences import compute_moments
 
@@ -493,6 +493,32 @@ def test_verify_reports_skipped_domination_checks(tmp_path, capsys):
     assert all("n >= 6" in reason for name, reason in skipped
                if not name.endswith("closed-form"))
     assert all("n >= 8" in reason for name, reason in skipped if name.endswith("closed-form"))
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.0, 0.5] * 3 + [0.5], [0.0] * 12])
+def test_verify_passes_with_trials_at_probability_zero(tmp_path, capsys, p):
+    # Outcomes of probability 0 reach a larger W than any outcome with mass;
+    # the enumerated law drops their zero masses, as the DP law does.
+    model = tmp_path / "zeros.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": p}))
+    law = brute_force_distribution(TwoRunsModel(p))
+    assert law.masses == dp_distribution(two_runs_automaton(), p).masses
+    assert main(["verify", "--model", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS dp-vs-enumeration\n" in out
+    assert "FAIL" not in out
+
+
+def test_verify_reports_skipped_point_mass_fit(tmp_path, capsys):
+    model = tmp_path / "zeros.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.0] * 12}))
+    assert main(["verify", "--model", str(model)]) == 0
+    skipped = [line.split(" ", 2)[1:] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("SKIP ")]
+    assert [name for name, _ in skipped] == [
+        f"domination-poisson-{v}"
+        for v in ("closed-form", "crude", "d1", "d2", "min", "theorem31")]
+    assert all("point mass" in reason for _, reason in skipped)
 
 
 def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, monkeypatch):

@@ -131,11 +131,13 @@ def test_dp_float_band_equals_full_width_loop(automaton, trials):
 
 
 def test_dp_equals_brute_force_exact_rational():
-    probs = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 8), Fraction(1, 8), Fraction(1, 2)]
-    model = TwoRunsModel([float(x) for x in probs])
-    dp = dp_distribution(two_runs_automaton(), probs, exact=True)
-    bf = brute_force_distribution(model, exact=True, exact_probs=probs)
-    assert dp.masses == bf.masses  # exact equality of Fractions
+    for probs in ([Fraction(1, 4), Fraction(1, 2), Fraction(3, 8), Fraction(1, 8), Fraction(1, 2)],
+                  [Fraction(x) for x in (0, 1, 1, Fraction(1, 2), 0, 1)]):
+        model = TwoRunsModel([float(x) for x in probs])
+        dp = dp_distribution(two_runs_automaton(), probs, exact=True)
+        bf = brute_force_distribution(model, exact=True, exact_probs=probs)
+        assert dp.masses == bf.masses  # exact equality of Fractions
+        assert all(type(m) is Fraction for m in dp.masses)
 
 
 def test_dp_equals_brute_force_k1k2_exact():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from psdapprox.bounds import (
-    SmoothingEntry,
     SmoothingEstimate,
     bound_d1,
     build_smoothing,
@@ -387,11 +386,10 @@ def test_two_runs_bound_matches_d1_with_same_constants():
     moments = k1k2_moment_set(model)
     spec = poisson_family(moments.mean_w)
     closed = k1k2_bound(model, spec)
-    cs = [k1k2_ci_star(model, i) for i in range(1, n + 1)]
-    smoothing = SmoothingEstimate(
-        tuple(SmoothingEntry(c, "roellin", c) for c in cs), m_star(n))
+    cs = k1k2_ci_star(model)
+    smoothing = SmoothingEstimate(cs, cs, ("roellin",) * n)
     generic = bound_d1(moments, smoothing, spec, allow_small_n=True)
-    assert closed.c_constant == tuple(cs)
+    assert closed.c_constant == cs
     assert closed.total == pytest.approx(generic.total, rel=1e-12)
 
 
@@ -600,6 +598,23 @@ def test_one_smoothing_dp_per_model(monkeypatch):
     assert sorted(model._cache["cond_zero"]) == list(range(1, model.n + 1))
 
 
+def test_build_smoothing_asks_each_model_once(monkeypatch):
+    import psdapprox.runs as runs
+
+    calls = []
+    for name in ("two_runs_cbar_parts", "_conditional_zero_table"):
+        real = getattr(runs, name)
+        monkeypatch.setattr(runs, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    est = build_smoothing(TwoRunsModel([0.2] * 51))
+    assert calls == ["two_runs_cbar_parts"]
+    assert est.n == 50
+    calls.clear()
+    est = build_smoothing(K1K2Model(1, 2, 40, [0.3] * 82))
+    assert calls == ["_conditional_zero_table"]
+    assert est.n == 40
+
+
 def _ci_star_fraction_reference(model: K1K2Model) -> list:
     """``k1k2_ci_star_parts`` at every index, from ``Fraction`` prefix sums."""
     prefix = {
@@ -628,7 +643,7 @@ def test_k1k2_ci_star_parts_equal_fraction_prefix_sums(k1, k2, n, lo, hi):
     m = k1 + k2 - 1
     rng = np.random.default_rng(n)
     model = K1K2Model(k1, k2, n, rng.uniform(lo, hi, (n + 1) * m).tolist())
-    got = [k1k2_ci_star_parts(model, i) for i in range(1, n + 1)]
+    got = list(zip(*k1k2_ci_star_parts(model)))
     assert got == _ci_star_fraction_reference(model)
     if (k1, k2) == (1, 1):
         assert all(c == math.inf for c, _ in got)
@@ -638,8 +653,7 @@ def test_k1k2_ci_star_parts_equal_fraction_prefix_sums(k1, k2, n, lo, hi):
 
 def test_k1k2_ci_star_finite_and_capped_below():
     model = K1K2Model(1, 2, 6, [0.3] * 14)
-    for i in (1, 3, 6):
-        c = k1k2_ci_star(model, i)
+    for c in k1k2_ci_star(model):
         assert math.isfinite(c)
         assert c >= 2 * math.sqrt(2) - 1e-12  # the min{1, .} cap floors V*
 
@@ -649,7 +663,7 @@ def test_k1k2_ci_star_degenerate_for_k1_equals_k2_equals_1():
     # 1, so the smoothing information degenerates to an infinite constant.
     model = K1K2Model(1, 1, 12, [0.3] * 13)
     assert conditional_zero_max(model, 5) == pytest.approx(1.0)
-    assert k1k2_ci_star(model, 4) == math.inf
+    assert k1k2_ci_star(model)[3] == math.inf
 
 
 def test_k1k2_ci_star_equals_fsum_over_remaining_summands():
@@ -659,6 +673,7 @@ def test_k1k2_ci_star_equals_fsum_over_remaining_summands():
     for k1, k2, n in [(1, 2, 9), (2, 2, 14), (1, 1, 12)]:
         m = k1 + k2 - 1
         model = K1K2Model(k1, k2, n, rng.uniform(0.1, 0.3, (n + 1) * m).tolist())
+        cs = k1k2_ci_star(model)
         for i in range(1, n + 1):
             vals = []
             for first in (1, 2):
@@ -668,7 +683,7 @@ def test_k1k2_ci_star_equals_fsum_over_remaining_summands():
                     if abs(ell - i) > 2
                 ))
                 vals.append(math.inf if s <= 0 else 2.0 * (0.5 * s) ** -0.5)
-            assert k1k2_ci_star(model, i) == min(vals)
+            assert cs[i - 1] == min(vals)
 
 
 # -- (k1,k2)-runs beyond the enumerable conditioning window ------------------------
@@ -683,8 +698,7 @@ def _wide_model() -> K1K2Model:
 
 def test_wide_window_ci_star_finite():
     model = _wide_model()
-    for i in range(1, model.n + 1):
-        c = k1k2_ci_star(model, i)
+    for c in k1k2_ci_star(model):
         assert math.isfinite(c)
         assert c >= 2 * math.sqrt(2) - 1e-12
 
@@ -733,12 +747,12 @@ def test_wide_window_cli_closed_form_bound_dominates_exact_tv(tmp_path, capsys):
 
 def test_k1k2_ci_star_preconditions():
     with pytest.raises(PreconditionError, match="3m"):
-        k1k2_ci_star(K1K2Model(1, 2, 5, [0.3] * 12), 1)
+        k1k2_ci_star(K1K2Model(1, 2, 5, [0.3] * 12))
     # Alternating near-deterministic trials push one occurrence probability
     # toward 1, violating the <= 1/3 condition.
     hot = [0.01, 0.99] * 6 + [0.01]
     with pytest.raises(PreconditionError, match="1/3"):
-        k1k2_ci_star(K1K2Model(1, 1, 12, hot), 1)
+        k1k2_ci_star(K1K2Model(1, 1, 12, hot))
 
 
 def test_k1k2_bound_all_success_is_zero():
@@ -780,5 +794,6 @@ def test_k1k2_bound_dominates_exact_tv_poisson():
 def test_smoothing_from_runs_model_capped():
     model = TwoRunsModel([0.2] * 9)  # n = 8, cbar = 4
     est = build_smoothing(model)
-    assert all(c == 2.0 for c in est.c)
-    assert est.entries[0].raw == pytest.approx(4.0)
+    assert est.c == (2.0,) * 8
+    assert est.raw == (pytest.approx(4.0),) * 8
+    assert est.method == ("roellin-even",) * 8
