@@ -1,9 +1,10 @@
 """Total-variation error bounds for 1-dependent sums against Panjer targets.
 
 Implements the main moment-based bound (exact conditional shift-regularity
-terms), its smoothing-constant variant ``d1``, the first-moment-only variant
-``d2``, their minimum, and the crude ``(2|1-b| ||g|| + ||Delta g||) sum E X_i``
-bound, plus the exact total-variation utilities every bound is certified
+terms, from :func:`build_conditional_terms`: a model's ``conditional_terms()``
+hook, else enumeration), its smoothing-constant variant ``d1``, the
+first-moment-only variant ``d2``, their minimum, and the crude ``(2|1-b| ||g||
++ ||Delta g||) sum E X_i`` bound, plus the exact total-variation utilities every bound is certified
 against.  The Stein factors ``||Delta g||`` and ``||g||`` always come from the
 target (:func:`default_delta_g`, :func:`families.g_norm_bound`).  The main
 bound, ``d1`` and ``d2`` are one display, ``|Delta g| {(|1-b|/2) sum quad +
@@ -241,6 +242,8 @@ class ExactConditionalTerms:
     the conditional ``D`` enters as a weight: the two bracketed third-moment
     sums conditioned on the (radius-1, radius-2) pair, and the linear term
     conditioned on the radius-2 window, computed once from the oracle's conditional-law table.
+    This is the enumeration oracle; :func:`build_conditional_terms` prefers a
+    model's own engine.
     """
 
     def __init__(self, seq: DependentSequence):
@@ -273,6 +276,24 @@ class ExactConditionalTerms:
             sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
         self._sums = (sum_q1, sum_q2, sum_lin)
         return self._sums
+
+
+def build_conditional_terms(seq: DependentSequence):
+    """The provider of theorem 3.1's weighted sums for ``seq``.
+
+    The model's ``conditional_terms()`` hook when it has one (the runs
+    models' imbedding engine, polynomial in ``n``); else
+    :class:`ExactConditionalTerms` on an enumerable instance; else
+    :class:`UnavailableError`.  Either provider has ``weighted_sums()``.
+    """
+    provider = getattr(seq, "conditional_terms", None)
+    if provider is not None:
+        return provider()
+    if seq.enumerable:
+        return ExactConditionalTerms(seq)
+    raise UnavailableError(
+        "no conditional-terms provider registered and the instance is not enumerable"
+    )
 
 
 # -- bound variants ---------------------------------------------------------------------
@@ -308,7 +329,8 @@ def theorem31_bound(
     spec,
     allow_small_n: bool = False,
 ) -> BoundReport:
-    """Main bound with exact conditional shift-regularity weights.
+    """Main bound with exact conditional shift-regularity weights, the
+    ``weighted_sums()`` of ``conditionals`` (see :func:`build_conditional_terms`).
 
     Requires first moments matched and ``n >= 6`` (override via
     ``allow_small_n`` for experimentation; the stated validity starts at 6).

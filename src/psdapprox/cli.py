@@ -20,6 +20,7 @@ from .bounds import (
     bound_d1,
     bound_d2,
     bound_min,
+    build_conditional_terms,
     build_smoothing,
     exact_tv,
     theorem31_bound,
@@ -160,7 +161,7 @@ def cmd_bound(args) -> int:
             spec = _fit_target(args.fit, moments.mean_w, moments.var_w)
         if variant == "theorem":
             report = theorem31_bound(
-                moments, ExactConditionalTerms(seq), spec,
+                moments, build_conditional_terms(seq), spec,
                 allow_small_n=args.allow_small_n,
             )
         elif variant == "d1":
@@ -295,13 +296,20 @@ def cmd_verify(args) -> int:
     gap = 2 if seq.dependence_radius >= 1 else 1
     check("dependence-certificate", dependence_certificate(seq, gap=gap))
 
+    # The model's conditional-terms engine against the enumeration oracle.
+    conditionals = ExactConditionalTerms(seq)  # weighted sums shared by the targets
+    engine = getattr(seq, "conditional_terms", None)
+    if engine is not None:
+        check("conditional-terms-vs-enumeration", all(
+            abs(got - want) <= (1e-12 * abs(want) if want else 1e-15)
+            for got, want in zip(engine().weighted_sums(), conditionals.weighted_sums())))
+
     # Bound domination against the exact law.
     targets = [("poisson", poisson_family(oracle_moments.mean_w))]
     if oracle_moments.var_w > oracle_moments.mean_w > 0:
         targets.append(
             ("nb", nb_fit_from_moments(oracle_moments.mean_w, oracle_moments.var_w))
         )
-    conditionals = ExactConditionalTerms(seq)  # weighted sums shared by the targets
     closed_form = _closed_form_bound(seq)
     for name, spec in targets:
         if spec.a <= 0:

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the closed-form moment functions or bound
 formulas it is used to check: run-statistic laws come from a failure-function
-automaton driven by a forward dynamic program, cross-checked against direct
+automaton driven by a forward dynamic program (:func:`forward_layers`, whose
+float layers the imbedding engine also reads), cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
 laws come from one table of outcome groups against ``W``.  The exact-rational
 law of ``W`` sums integer outcome numerators over the same ``W``.  ``W`` is the
@@ -117,17 +118,30 @@ def dp_distribution(
 ) -> PMFTable:
     """Exact law of the automaton count, by forward DP over (state, count).
 
-    After ``t`` trials only the counts ``0..t`` can carry mass, so the layer
-    holds them alone.  Float mode accumulates in float64; exact mode runs the
-    same loop on ``Fraction`` masses and returns a table of them.
+    The last layer of :func:`forward_layers`, summed over the states.  Float
+    mode accumulates in float64; exact mode runs the same loop on ``Fraction``
+    masses and returns a table of them.
     """
-    if exact:  # the zeros of an object layer are int 0; every mass is a Fraction
+    for layer in forward_layers(automaton, trial_probs, exact):
+        pass
+    return _law(layer.sum(axis=0))
+
+
+def forward_layers(automaton: RunAutomaton, trial_probs: Sequence, exact: bool = False):
+    """Yield the joint law ``layer[state, count]`` after 0, 1, ..., T trials.
+
+    After ``t`` trials only the counts ``0..t`` can carry mass, so the layer
+    holds them alone; each yielded layer is a new array.  Exact mode holds
+    ``Fraction`` masses (the zeros of an object layer are int 0).
+    """
+    if exact:
         probs, dtype, one = [Fraction(p) for p in trial_probs], object, Fraction(1)
     else:
         probs, dtype, one = [float(p) for p in trial_probs], float, 1.0
     S = automaton.n_states
     layer = np.zeros((S, 1), dtype=dtype)
     layer[0, 0] = one
+    yield layer
     for t, p in enumerate(probs):
         nxt = np.zeros((S, t + 2), dtype=dtype)
         for s in range(S):
@@ -135,7 +149,7 @@ def dp_distribution(
             nxt[s0, i0 : i0 + t + 1] += layer[s] * (1 - p)
             nxt[s1, i1 : i1 + t + 1] += layer[s] * p
         layer = nxt
-    return _law(layer.sum(axis=0))
+        yield layer
 
 
 def _law(masses) -> PMFTable:
@@ -208,17 +222,25 @@ def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
     return _law([Fraction(s, denominator) for s in sums])
 
 
-def shift_regularity(masses: np.ndarray) -> float:
+def shift_regularity(masses: np.ndarray):
     """``D = 2 d_TV(Y, Y+1) = sum_k |q_k - q_{k-1}|`` of a mass vector
-    (zero-padded both sides)."""
-    padded = np.concatenate(([0.0], masses, [0.0]))
-    return float(np.abs(np.diff(padded)).sum())
+    (zero-padded both sides), as a float; of each row of a matrix, as an array."""
+    masses = np.asarray(masses, dtype=float)
+    padded = np.zeros(masses.shape[:-1] + (masses.shape[-1] + 2,))
+    padded[..., 1:-1] = masses
+    d = np.abs(np.diff(padded)).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def _conditional_laws(seq: DependentSequence, keys) -> tuple:
     """``(ids, first, joint, d)``: :func:`group_rows` on the integer columns ``keys``,
     ``joint[g, k]`` the mass of group ``g`` at ``W = k`` (one ``bincount``), and
-    ``d[g]`` the shift regularity of ``W`` given group ``g`` (0.0 at zero mass)."""
+    ``d[g]`` the shift regularity of ``W`` given group ``g`` (0.0 at zero mass).
+
+    This enumeration is the independent oracle of the conditional laws: the
+    imbedding engine that gives the runs models' theorem 3.1 terms at any
+    ``n`` (``psdapprox.imbedding``) shares none of it, and ``verify`` checks
+    the two against each other."""
     total = seq.w_values()
     w = seq.outcome_probs()
     ids, first = group_rows(keys, len(w))

@@ -11,6 +11,8 @@ per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
 ``bounds.bound_d1`` over that moment set with the model's uncapped smoothing
 constants.  The module also supplies those constants, each model's ``n`` of
 them and their labels as one pair of arrays from ``smoothing_constants()``,
+each model's exact theorem 3.1 terms from ``conditional_terms()`` (the
+imbedding engine of :mod:`psdapprox.imbedding`, at any ``n``),
 moment-matched target fitting, and the published comparison table.
 """
 
@@ -25,7 +27,8 @@ import numpy as np
 from .bounds import BoundReport, SmoothingEstimate, bound_d1, build_smoothing, m_star
 from .errors import NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family
-from .oracle import k1k2_automaton
+from .imbedding import ImbeddedConditionalTerms, block_step
+from .oracle import k1k2_automaton, two_runs_automaton
 from .sequences import (
     DependentSequence,
     MomentSet,
@@ -107,6 +110,9 @@ class TwoRunsModel(DependentSequence):
     def smoothing_constants(self) -> tuple:
         cbar, label = two_runs_cbar_parts(self.n)  # the same at every index
         return (cbar,) * self.n, (label,) * self.n
+
+    def conditional_terms(self) -> ImbeddedConditionalTerms:
+        return ImbeddedConditionalTerms(two_runs_automaton(), self.trial_probs, self.n, 1)
 
 
 register_model("two-runs", lambda obj: TwoRunsModel(*model_args(obj)))
@@ -329,6 +335,10 @@ class K1K2Model(DependentSequence):
     def smoothing_constants(self) -> tuple:
         return k1k2_ci_star_parts(self)
 
+    def conditional_terms(self) -> ImbeddedConditionalTerms:
+        return ImbeddedConditionalTerms(k1k2_automaton(self.k1, self.k2), self.trial_probs,
+                                        self.n, self.m)
+
 
 register_model("k1k2-runs", lambda obj: K1K2Model(*model_args(obj, "k1", "k2", "n")))
 
@@ -477,20 +487,9 @@ def _conditional_zero_batch(automaton, probs: np.ndarray, first_trials: np.ndarr
     layer = np.zeros((len(first_trials), automaton.n_states, len(codes)))
     layer[:, 0, 0] = 1.0
     for step in range((blocks + 1) * m):
-        p = probs[first_trials + step][:, None]
-        weights = (1.0 - p, p)
-        # Block of window step - m (nothing completes in the first m steps); a
-        # block holds at most one occurrence, so codes with its bit set carry none.
-        bit = 1 << (max(step - m, 0) // m)
-        free = codes[(codes & bit) == 0]
-        nxt = np.zeros_like(layer)
-        for s, row in enumerate(automaton.transitions):
-            for (s_next, inc), weight in zip(row, weights):
-                if inc:
-                    nxt[:, s_next, free | bit] += layer[:, s, free] * weight
-                else:
-                    nxt[:, s_next] += layer[:, s] * weight
-        layer = nxt
+        # Block of window step - m (nothing completes in the first m steps).
+        layer = block_step(layer, automaton, probs[first_trials + step],
+                           1 << (max(step - m, 0) // m))
     joint = layer.sum(axis=1)  # law of the block values, per window
     ell_bit = 1 << pos
     others = codes[(codes & ell_bit) == 0]

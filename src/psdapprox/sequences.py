@@ -462,12 +462,25 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
 
 
 def _fold(groups: tuple, col) -> tuple:
-    """Refine the groups ``(ids, first)`` by one more integer column."""
+    """Refine the groups ``(ids, first)`` by one more integer column.
+
+    The packed key ``id * radix + value`` is ranked by counting when its
+    space is no larger than the outcome count, and by ``np.unique`` (a sort)
+    otherwise; both give the same dense ids and first rows.
+    """
     col = np.asarray(col, dtype=np.int64)
     col = col - col.min()
-    _, first, ids = np.unique(groups[0] * (int(col.max()) + 1) + col,
-                              return_index=True, return_inverse=True)
-    return ids, first
+    radix = int(col.max()) + 1
+    key = groups[0] * radix + col
+    count = len(key)
+    space = len(groups[1]) * radix
+    if space > count:
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+        return ids, first
+    first = np.full(space, count, dtype=np.int64)
+    np.minimum.at(first, key, np.arange(count))
+    present = first < count
+    return (np.cumsum(present) - 1)[key], first[present]
 
 
 def group_rows(cols, count: int) -> tuple:
@@ -475,7 +488,9 @@ def group_rows(cols, count: int) -> tuple:
 
     Equal value tuples share a dense id, ids follow the lexicographic order of
     the tuples, and ``first[g]`` is the first outcome of group ``g``.  Columns
-    fold in one at a time with renumbering, so packed keys never overflow.
+    fold in one at a time with renumbering, so packed keys never overflow;
+    each fold ranks its keys by counting where the key space (groups so far
+    times the column's range) is at most ``count``, and sorts them otherwise.
     With no columns all outcomes form group 0.
     """
     return reduce(_fold, cols, (np.zeros(count, dtype=np.int64), np.zeros(1, dtype=np.int64)))
@@ -495,9 +510,9 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e
     start = group_rows((), len(w))
     suffixes = list(accumulate(xs.T[gap:][::-1], _fold, initial=start))
     prefixes = accumulate(xs.T[: max(n - gap, 0)], _fold, initial=start)
-    for i, (pre, _) in enumerate(islice(prefixes, 1, None), start=1):
+    for i, (pre, pre_first) in enumerate(islice(prefixes, 1, None), start=1):
         suf = suffixes[n - i - gap + 1][0]
-        pair, first = _fold((pre, None), suf)
+        pair, first = _fold((pre, pre_first), suf)
         joint, pm, sm = (np.bincount(ids, weights=w) for ids in (pair, pre, suf))
         if np.any(np.abs(joint - pm[pre[first]] * sm[suf[first]]) > tol):
             return False

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from psdapprox.bounds import (
-    ExactConditionalTerms,
     SmoothingEstimate,
     bound_d1,
     bound_d2,
     bound_min,
+    build_conditional_terms,
     build_smoothing,
     exact_tv,
     m_star,
@@ -215,11 +215,10 @@ def test_criterion_7_bound_domination():
             if moments.var_w > moments.mean_w:
                 targets.append(nb_fit_from_moments(moments.mean_w, moments.var_w))
             smoothing = SmoothingEstimate.constant(two_runs_cbar(n), n)
+            conditionals = build_conditional_terms(model)
             for spec in targets:
                 totals = {
-                    "theorem31": theorem31_bound(
-                        moments, ExactConditionalTerms(model), spec
-                    ).total,
+                    "theorem31": theorem31_bound(moments, conditionals, spec).total,
                     "d1": bound_d1(moments, smoothing, spec).total,
                     "d2": bound_d2(moments, spec).total,
                     "min": bound_min(moments, smoothing, spec).total,
@@ -237,11 +236,10 @@ def test_criterion_7_bound_domination():
         if moments.var_w > moments.mean_w:
             targets.append(nb_fit_from_moments(moments.mean_w, moments.var_w))
         smoothing = build_smoothing(model)
+        conditionals = build_conditional_terms(model)
         for spec in targets:
             totals = {
-                "theorem31": theorem31_bound(
-                    moments, ExactConditionalTerms(model), spec
-                ).total,
+                "theorem31": theorem31_bound(moments, conditionals, spec).total,
                 "d1": bound_d1(moments, smoothing, spec).total,
                 "d2": bound_d2(moments, spec).total,
                 "min": bound_min(moments, smoothing, spec).total,

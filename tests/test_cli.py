@@ -417,6 +417,17 @@ def test_bound_theorem_variant(two_runs_model_file, capsys):
     assert payload["variant"] == "theorem31"
 
 
+def test_bound_theorem_variant_beyond_enumeration(tmp_path, capsys):
+    p = np.random.default_rng(12).uniform(0.05, 0.5, 41).tolist()
+    model = tmp_path / "two_runs_40.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": p}))
+    assert main(["bound", "--model", str(model), "--fit", "nb", "--variant", "theorem"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["variant"] == "theorem31"
+    law = dp_distribution(two_runs_automaton(), p)
+    assert exact_tv(law, family_from_json(payload["target"]).pmf()).upper <= payload["total"]
+
+
 def test_bound_csv_format(two_runs_model_file, capsys):
     assert main([
         "bound", "--model", two_runs_model_file, "--fit", "poisson",
@@ -533,6 +544,27 @@ def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, mon
     assert "PASS domination-poisson-theorem31" in out
     assert "PASS domination-nb-theorem31" in out
     assert len(tables) == 2 * 10  # one (n1n2, n2) pair per index, for both targets
+
+
+def test_verify_checks_the_conditional_terms_engine(two_runs_model_file, k1k2_model_file,
+                                                   tmp_path, capsys):
+    for path in (two_runs_model_file, k1k2_model_file):
+        assert main(["verify", "--model", path]) == 0
+        assert "PASS conditional-terms-vs-enumeration\n" in capsys.readouterr().out
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.3] * 8}))
+    assert main(["verify", "--model", str(product)]) == 0
+    assert "conditional-terms" not in capsys.readouterr().out  # no engine to check
+
+
+def test_verify_detects_an_engine_off_by_1e_11(two_runs_model_file, capsys, monkeypatch):
+    from psdapprox.imbedding import ImbeddedConditionalTerms
+
+    original = ImbeddedConditionalTerms.weighted_sums
+    monkeypatch.setattr(ImbeddedConditionalTerms, "weighted_sums",
+                        lambda self: (original(self)[0] * (1 + 1e-11), *original(self)[1:]))
+    assert main(["verify", "--model", two_runs_model_file]) == 1
+    assert "FAIL conditional-terms-vs-enumeration" in capsys.readouterr().out
 
 
 def test_verify_detects_corrupted_moments(two_runs_model_file, capsys, monkeypatch):

@@ -127,7 +127,41 @@ def _reference_weighted_sums(seq):
     return sum_q1, sum_q2, sum_lin
 
 
+def _unique_fold(groups, col):
+    """The sorting fold that ``sequences._fold`` replaced where keys fit the outcome count."""
+    col = np.asarray(col, dtype=np.int64)
+    col = col - col.min()
+    _, first, ids = np.unique(groups[0] * (int(col.max()) + 1) + col,
+                              return_index=True, return_inverse=True)
+    return ids, first
+
+
+def _unique_group_rows(cols, count):
+    groups = (np.zeros(count, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    for col in cols:
+        groups = _unique_fold(groups, col)
+    return groups
+
+
 # -- tests ---------------------------------------------------------------------------
+
+
+def test_counting_fold_equals_sorting_fold():
+    cases = []
+    for seq in _models():
+        xs = seq.x_values()
+        cases.append(list(xs.T))
+        cases.append([seq._window_values(xs, i, ell) for i in (1, seq.n) for ell in (1, 2)])
+    rng = np.random.default_rng(5)
+    cases.append(list(rng.integers(-7, 3, size=(4, 500))))  # negative values
+    cases.append(list(rng.integers(0, 10, size=(40, 300))))  # 40 columns
+    # 50 distinct values in 60 rows: the second fold's key space 50 * 2 exceeds 60.
+    cases.append([np.arange(60) % 50, np.arange(60) % 2])
+    for cols in cases:
+        count = len(cols[0])
+        got, want = group_rows(cols, count), _unique_group_rows(cols, count)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
 
 
 def test_group_rows_dense_lexicographic_ids_and_first_rows():
