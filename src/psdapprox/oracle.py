@@ -22,12 +22,9 @@ import numpy as np
 
 from .errors import EnumerationLimitError
 from .families import PMFTable
-from .sequences import DependentSequence, MomentSet, compute_moments, group_rows
+from .sequences import BLOCK_TRIALS, DependentSequence, MomentSet, compute_moments, group_rows
 
 MAX_BRUTE_TRIALS = 24
-
-# Trials per block of the exact law: one block holds 2^16 Python-int numerators.
-_EXACT_BLOCK_TRIALS = 16
 
 
 def failure_function(pattern: Sequence[int]) -> list:
@@ -206,14 +203,14 @@ def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
     """Exact law of ``W`` from its per-outcome values in enumeration row order.
 
     Row ``h`` of the reshaped ``total`` holds the outcomes whose trials past
-    the first ``_EXACT_BLOCK_TRIALS`` spell ``h``; their numerators are the
+    the first ``BLOCK_TRIALS`` spell ``h``; their numerators are the
     low-trial numerators times the one high-trial numerator of ``h``, so each
     block sums the low numerators per value (one stable sort and one
     ``reduceat``) and scales the sums.
     """
-    low = _numerators(probs[:_EXACT_BLOCK_TRIALS])
+    low = _numerators(probs[:BLOCK_TRIALS])
     sums = [0] * (int(total.max()) + 1)
-    for scale, w in zip(_numerators(probs[_EXACT_BLOCK_TRIALS:]), total.reshape(-1, len(low))):
+    for scale, w in zip(_numerators(probs[BLOCK_TRIALS:]), total.reshape(-1, len(low))):
         order = np.argsort(w, kind="stable")
         values, starts = np.unique(w[order], return_index=True)
         for v, s in zip(values.tolist(), np.add.reduceat(low[order], starts)):

@@ -313,15 +313,13 @@ class K1K2Model(DependentSequence):
 
     def _y_columns(self, bits: np.ndarray) -> np.ndarray:
         cols = bits.T
-        return np.stack([self.window(cols, j) for j in range(1, self.n * self.m + 1)],
-                        axis=1)
+        return np.stack([self.window(cols, j) for j in range(1, self.n * self.m + 1)]).T
 
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
         y = self._y_columns(bits)
         return np.stack(
-            [y[:, (i - 1) * self.m : i * self.m].sum(axis=1) for i in range(1, self.n + 1)],
-            axis=1,
-        )
+            [y[:, (i - 1) * self.m : i * self.m].sum(axis=1) for i in range(1, self.n + 1)]
+        ).T
 
     def x_scalar(self, bits: tuple) -> tuple:
         return tuple(

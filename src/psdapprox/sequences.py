@@ -1,9 +1,13 @@
 """Finite sequences of Z+-valued 1-dependent variables over Bernoulli trials.
 
 A :class:`DependentSequence` owns a vector of independent trial probabilities
-and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  It
-caches the enumerated outcome bits, their probabilities, the summand values
-and the total ``W`` of every outcome.  Its moments are exact: vectorized
+and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  Its
+enumeration streams the outcome space in row blocks of ``2^BLOCK_TRIALS``
+outcomes: each block's bits are built column-major from one fixed pattern of
+the low trials and mapped to summand values at once.  The sequence caches the
+outcome probabilities, the total ``W`` of every outcome, summed block by block
+without keeping the bits or the summand values, and the column-major summand
+values once a caller asks for them.  Its moments are exact: vectorized
 enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
 exact rational enumeration for small instances, or a model's closed form,
 which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
@@ -30,6 +34,9 @@ import numpy as np
 from .errors import EnumerationLimitError, UnavailableError
 
 MAX_ENUM_OUTCOMES = 2**24
+
+# Trials per row block of the enumeration: a block holds 2^16 outcomes.
+BLOCK_TRIALS = 16
 
 # Builders for sequence_from_json, keyed by the "model" tag.  The runs module
 # registers its models on import.
@@ -141,7 +148,10 @@ class DependentSequence:
 
     Subclasses implement :meth:`x_columns` (vectorized) and
     :meth:`x_scalar` (tuple in, tuple out, exact-arithmetic friendly) and give
-    ``n`` and ``dependence_radius``.  ``kind``/``params`` drive serialization.
+    ``n`` and ``dependence_radius``.  :meth:`x_columns` maps a ``(rows, T)``
+    bit block to its ``(rows, n)`` summand values; blocks arrive
+    column-major, and a mapping that stacks its columns along axis 0 and
+    transposes keeps them so.  ``kind``/``params`` drive serialization.
     """
 
     def __init__(self, trial_probs: Sequence[float], n: int, dependence_radius: int,
@@ -185,45 +195,86 @@ class DependentSequence:
                 f"2^{self.trial_count} outcomes exceed the enumeration cutoff"
             )
 
+    def _bit_blocks(self) -> Iterator[tuple]:
+        """Yield ``(rows, bits)`` for consecutive slices of ``2^BLOCK_TRIALS``
+        rows (fewer when there are fewer trials), in :meth:`enumerate_bits`
+        row order.  ``bits`` is the block's ``(rows, T)`` bit matrix, stored
+        column-major: the low trials repeat one fixed pattern, built once,
+        and the high trials are constant within a block.  Every block is
+        the same buffer, so a caller reads it before the next one."""
+        T = self.trial_count
+        low = min(T, BLOCK_TRIALS)
+        size = 1 << low
+        trial = np.arange(T)[:, None]
+        block = np.empty((T, size), dtype=np.uint8)
+        block[:low] = (np.arange(size) >> trial[:low]) & 1
+        for h in range(1 << (T - low)):
+            block[low:] = ((h >> trial[: T - low]) & 1).astype(np.uint8)
+            yield slice(h * size, (h + 1) * size), block.T
+
+    def _x_blocks(self) -> Iterator[tuple]:
+        """Yield ``(rows, x)``: :meth:`x_columns` of each :meth:`_bit_blocks` block."""
+        for rows, bits in self._bit_blocks():
+            x = self.x_columns(bits)
+            if x.shape != (rows.stop - rows.start, self.n):
+                raise ValueError("x_columns returned a misshaped matrix")
+            yield rows, x
+
     def enumerate_bits(self) -> np.ndarray:
-        """All trial outcomes as a (2^T, T) uint8 matrix."""
-        self._require_enumerable()
+        """All trial outcomes as a C-contiguous (2^T, T) uint8 matrix: row
+        ``r`` holds the low bits of ``r``, least significant first."""
         bits = self._cache.get("bits")
         if bits is None:
-            # Row r holds the trial_count low bits of r, least significant first:
-            # unpack the little-endian bytes of each 32-bit row index.
-            idx = np.arange(self.outcome_count, dtype="<u4").view(np.uint8).reshape(-1, 4)
-            bits = self._cache["bits"] = np.unpackbits(
-                idx, axis=1, count=self.trial_count, bitorder="little")
+            self._require_enumerable()
+            bits = np.empty((self.outcome_count, self.trial_count), dtype=np.uint8)
+            for rows, block in self._bit_blocks():
+                bits[rows] = block
+            self._cache["bits"] = bits
         return bits
 
     def outcome_probs(self) -> np.ndarray:
         """Outcome probabilities in :meth:`enumerate_bits` row order, built
-        by doubling the table once per trial: factors multiply in trial order."""
+        by doubling the table in place once per trial: factors multiply in
+        trial order."""
         probs = self._cache.get("probs")
         if probs is None:
             self._require_enumerable()
-            probs = np.ones(1)
-            for p in self.trial_probs:
-                probs = np.concatenate((probs * (1.0 - p), probs * p))
+            probs = np.empty(self.outcome_count)
+            probs[0] = 1.0
+            for t, p in enumerate(self.trial_probs):
+                half = probs[: 1 << t]
+                np.multiply(half, p, out=probs[1 << t : 2 << t])
+                half *= 1.0 - p
             self._cache["probs"] = probs
         return probs
 
     def x_values(self) -> np.ndarray:
+        """The summand values of every outcome, as a column-major
+        ``(outcomes, n)`` int16 matrix in :meth:`enumerate_bits` row order.
+        The same pass records :meth:`w_values`."""
         xs = self._cache.get("x")
         if xs is None:
-            xs = self.x_columns(self.enumerate_bits()).astype(np.int16)
-            if xs.shape != (self.outcome_count, self.n):
-                raise ValueError("x_columns returned a misshaped matrix")
+            self._require_enumerable()
+            xs = np.empty((self.n, self.outcome_count), dtype=np.int16).T
+            total = np.empty(self.outcome_count, dtype=np.int32)
+            for rows, x in self._x_blocks():
+                xs[rows] = x
+                total[rows] = x.sum(axis=1, dtype=np.int32)
             self._cache["x"] = xs
+            self._cache["w"] = total
         return xs
 
     def w_values(self) -> np.ndarray:
         """``W = X_1 + ... + X_n`` of every outcome in :meth:`enumerate_bits`
-        row order, as int32."""
+        row order, as int32, summed block by block without keeping the
+        summand values."""
         total = self._cache.get("w")
         if total is None:
-            total = self._cache["w"] = self.x_values().sum(axis=1, dtype=np.int32)
+            self._require_enumerable()
+            total = np.empty(self.outcome_count, dtype=np.int32)
+            for rows, x in self._x_blocks():
+                total[rows] = x.sum(axis=1, dtype=np.int32)
+            self._cache["w"] = total
         return total
 
     def exact_trial_probs(self) -> list:
@@ -361,8 +412,7 @@ class BlockedSequence(DependentSequence):
 
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
         xs = self.source.x_columns(bits)
-        cols = [xs[:, lo - 1 : hi].sum(axis=1) for lo, hi in self.blocks]
-        return np.stack(cols, axis=1)
+        return np.stack([xs[:, lo - 1 : hi].sum(axis=1) for lo, hi in self.blocks]).T
 
     def x_scalar(self, bits: tuple) -> tuple:
         xs = self.source.x_scalar(bits)
@@ -432,10 +482,11 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     Radius-1 and radius-2 window sums slide along the indices in float64.
     Every column holds small integers, so it equals the integer column of a
     full ``(outcomes, n)`` matrix evaluation, and each moment is the same
-    dot product bit for bit; only one transposed copy of the summand values
-    is held.  ``mean_w`` and ``var_w`` come from :func:`mean_var`.
+    dot product bit for bit.  The cached summand values are column-major, so
+    their transpose is a free view whose rows are contiguous columns.
+    ``mean_w`` and ``var_w`` come from :func:`mean_var`.
     """
-    xt = np.ascontiguousarray(seq.x_values().T)
+    xt = seq.x_values().T
     w = seq.outcome_probs()
     n = seq.n
     pad = np.zeros(len(w))

@@ -180,7 +180,7 @@ _EXACT_MODELS = {
 @pytest.mark.parametrize("name", sorted(_EXACT_MODELS))
 def test_exact_law_equals_fraction_reference(name, block_trials, monkeypatch):
     # A block of 3 trials splits every model into several blocks of outcomes.
-    monkeypatch.setattr(oracle, "_EXACT_BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(oracle, "BLOCK_TRIALS", block_trials)
     seq = _EXACT_MODELS[name]
     got = brute_force_distribution(seq, exact=True)  # the limit_denominator default
     assert got == PMFTable(0, _fraction_law(seq), 0.0)

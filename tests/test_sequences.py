@@ -330,3 +330,67 @@ def test_enumerate_bits_matches_the_shift_loop(trials):
     assert bits.dtype == want.dtype and bits.shape == want.shape
     assert bits.flags.c_contiguous
     assert np.array_equal(bits, want)
+
+
+# -- the outcome space streamed in row blocks ---------------------------------------
+
+_STREAM_KINDS = ("two-runs", "(k1,k2)-runs", "(k1,k2) windows", "bernoulli product",
+                 "blocked")
+
+
+def _stream_case(kind: str, trials: int):
+    """A fresh model of ``kind`` over ``trials`` trials: (1,2)-runs where the
+    count allows it, else (1,1)-runs; a blocked runs model needs two trials."""
+    p = [0.05 + 0.9 * ((7 * t) % 11) / 11 for t in range(trials)]
+    k2 = 2 if trials % 2 == 0 and trials >= 4 else 1
+    n = trials // k2 - 1
+    return {
+        "two-runs": lambda: TwoRunsModel(p),
+        "(k1,k2)-runs": lambda: K1K2Model(1, k2, n, p),
+        "(k1,k2) windows": lambda: K1K2WindowSequence(1, k2, n, p),
+        "bernoulli product": lambda: BernoulliProductSequence(p),
+        "blocked": lambda: block_m_dependent(
+            K1K2WindowSequence(1, k2, n, p) if trials >= 2 else BernoulliProductSequence(p),
+            m=3),
+    }[kind]()
+
+
+# Trial counts below, at and past one block of 2^16 outcomes; one trial has
+# no runs model.
+_STREAM_CASES = [(kind, trials) for trials in (1, 2, 15, 16, 17, 21) for kind in _STREAM_KINDS
+                 if trials >= 2 or kind in ("bernoulli product", "blocked")]
+
+
+@pytest.mark.parametrize("kind,trials", _STREAM_CASES)
+def test_streamed_values_equal_the_full_bit_matrix_map(kind, trials):
+    seq = _stream_case(kind, trials)
+    want = seq.x_columns(seq.enumerate_bits())
+    xs = seq.x_values()
+    assert xs.dtype == np.int16 and xs.flags.f_contiguous
+    assert np.array_equal(xs, want)
+    assert np.array_equal(seq.w_values(), want.sum(axis=1))  # recorded by x_values
+    total = _stream_case(kind, trials).w_values()  # streamed without x_values
+    assert total.dtype == np.int32
+    assert np.array_equal(total, want.sum(axis=1))
+
+
+def test_mean_var_keeps_neither_bits_nor_summand_values():
+    seq = TwoRunsModel([0.05] * 21)
+    mean, var = mean_var(seq)
+    assert "bits" not in seq._cache and "x" not in seq._cache
+    total = seq.x_columns(seq.enumerate_bits()).sum(axis=1).astype(float)
+    w = _reference_outcome_probs(seq)
+    assert mean == float(w @ total)
+    assert var == float(w @ total**2) - mean**2
+
+
+class _MisshapedProduct(BernoulliProductSequence):
+    def x_columns(self, bits):
+        return bits[:, 1:]
+
+
+@pytest.mark.parametrize("trials", [3, 17])
+@pytest.mark.parametrize("reader", ["w_values", "x_values"])
+def test_misshaped_mapping_is_refused(reader, trials):
+    with pytest.raises(ValueError, match="misshaped"):
+        getattr(_MisshapedProduct([0.5] * trials), reader)()
