@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
-from .oracle import _conditional_laws, exact_conditional_D, shift_regularity
-from .sequences import DependentSequence, MomentSet
+from .oracle import conditional_table, exact_conditional_D, shift_regularity
+from .sequences import DependentSequence, MomentSet, sliding_windows
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -241,7 +241,10 @@ class ExactConditionalTerms:
     Computes, by full enumeration, the three per-index expectations in which
     the conditional ``D`` enters as a weight: the two bracketed third-moment
     sums conditioned on the (radius-1, radius-2) pair, and the linear term
-    conditioned on the radius-2 window, computed once from the oracle's conditional-law table.
+    conditioned on the radius-2 window, computed once.  The window sums
+    slide along the indices in integers, and each index reads the oracle's
+    two conditional tables, which the sequence keeps for
+    :func:`exact_conditional_D` (and so :func:`build_smoothing`) to read.
     This is the enumeration oracle; :func:`build_conditional_terms` prefers a
     model's own engine.
     """
@@ -256,19 +259,16 @@ class ExactConditionalTerms:
         if self._sums is not None:
             return self._sums
         seq = self.seq
-        xs = seq.x_values()
         w = seq.outcome_probs()
         sum_q1 = 0.0
         sum_q2 = 0.0
         sum_lin = 0.0
-        for i in range(1, seq.n + 1):
-            xi = xs[:, i - 1].astype(float)
-            v1 = seq._window_values(xs, i, 1).astype(np.int64)
-            v2 = seq._window_values(xs, i, 2).astype(np.int64)
+        for i, (x, v1, v2) in enumerate(sliding_windows(seq, np.int64), start=1):
+            xi = x.astype(float)
             bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
-            ids12, _, _, d12 = _conditional_laws(seq, (v1, v2))
-            ids2, _, _, d2 = _conditional_laws(seq, (v2,))
-            d12_w, d2_w = np.take(d12, ids12), np.take(d2, ids2)
+            t12, ids12 = conditional_table(seq, i, "n1n2", (v1, v2))
+            t2, ids2 = conditional_table(seq, i, "n2", (v2,))
+            d12_w, d2_w = t12.d[ids12], t2.d[ids2]
 
             e_x = float(w @ xi)
             sum_q1 += e_x * float(w @ (bracket * d12_w))

@@ -82,6 +82,14 @@ def _precision(text: str) -> int:
     return digits
 
 
+def _max_outcomes(text: str) -> int:
+    """The ``--max-outcomes`` argument: an outcome count, an integer >= 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{count} is below 1")
+    return count
+
+
 def _print(line: str = "") -> None:
     sys.stdout.write(line + "\n")
 
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the oracle cross-check suite")
     v.add_argument("--model", required=True)
-    v.add_argument("--max-outcomes", type=int, default=2**20)
+    v.add_argument("--max-outcomes", type=_max_outcomes, default=2**20)
     v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("oracle", help="print exact distributions and distances")

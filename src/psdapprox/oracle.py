@@ -5,10 +5,14 @@ formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program (:func:`forward_layers`, whose
 float layers the imbedding engine also reads), cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
-laws come from one table of outcome groups against ``W``.  The exact-rational
-law of ``W`` sums integer outcome numerators over the same ``W``.  ``W`` is the
-sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`;
-nothing here writes into a sequence.
+laws come from one ``bincount`` of outcome groups against ``W``.  The
+exact-rational law of ``W`` sums integer outcome numerators over the same
+``W``.  ``W`` is the sequence's own cached
+:meth:`~psdapprox.sequences.DependentSequence.w_values`.  The one thing written
+into a sequence is the memo of :func:`conditional_table`: its cache keeps one
+:class:`ConditionalTable` per (index, conditioning), per-group arrays only, so
+the exact conditional terms, :func:`exact_conditional_D` and the smoothing
+fallback built on it share each table.
 """
 
 from __future__ import annotations
@@ -186,8 +190,7 @@ def brute_force_distribution(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
         return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
-    joint = _conditional_laws(seq, ())[2]
-    return _law([float(m) for m in joint[0]])
+    return _law([float(m) for m in _joint(seq, 0, 1)[0]])
 
 
 def _numerators(probs) -> np.ndarray:
@@ -229,23 +232,125 @@ def shift_regularity(masses: np.ndarray):
     return float(d) if d.ndim == 0 else d
 
 
-def _conditional_laws(seq: DependentSequence, keys) -> tuple:
-    """``(ids, first, joint, d)``: :func:`group_rows` on the integer columns ``keys``,
-    ``joint[g, k]`` the mass of group ``g`` at ``W = k`` (one ``bincount``), and
-    ``d[g]`` the shift regularity of ``W`` given group ``g`` (0.0 at zero mass).
+@dataclass(frozen=True)
+class ConditionalTable:
+    """The conditional laws of ``W`` given a statistic of integer columns,
+    summarized per group of outcomes with equal column values.
 
-    This enumeration is the independent oracle of the conditional laws: the
-    imbedding engine that gives the runs models' theorem 3.1 terms at any
-    ``n`` (``psdapprox.imbedding``) shares none of it, and ``verify`` checks
-    the two against each other."""
+    A group is the packed key ``sum_j (col_j - lows[j]) * stride_j`` of the
+    mixed radix ``radices`` (so groups follow the lexicographic order of the
+    value tuples, and some keys may name no outcome), or, where that key
+    space exceeds the outcome count, a dense id of :func:`group_rows`
+    (``radices`` is None and ``grouped[g]`` holds group ``g``'s values).
+    ``d[g]`` is the shift regularity of ``W`` given group ``g``, 0.0 where
+    the group has no mass, and ``has_mass[g]`` says whether it has any.
+    Every array is per group; none is per outcome.
+    """
+
+    d: np.ndarray
+    has_mass: np.ndarray
+    lows: tuple
+    radices: Optional[tuple]
+    grouped: Optional[np.ndarray] = None
+
+    def ids(self, cols) -> np.ndarray:
+        """The group of every outcome, from the columns the table was built on."""
+        if self.radices is None:
+            return group_rows(cols, len(cols[0]))[0]
+        return _pack(cols, self.lows, self.radices)
+
+    def values(self, groups: np.ndarray) -> np.ndarray:
+        """The column values of ``groups``, one row per group."""
+        if self.radices is None:
+            return self.grouped[groups]
+        out = np.empty((len(groups), len(self.radices)), dtype=np.int64)
+        for j in reversed(range(len(self.radices))):
+            groups, out[:, j] = np.divmod(groups, self.radices[j])
+        return out + np.asarray(self.lows, dtype=np.int64)
+
+
+def _pack(cols, lows: tuple, radices: tuple):
+    """The packed key of every outcome; 0 for all of them with no columns."""
+    if not len(cols):
+        return 0
+    key = np.asarray(cols[0], dtype=np.int64) - lows[0]
+    for col, lo, radix in zip(cols[1:], lows[1:], radices[1:]):
+        key *= radix
+        key += col
+        key -= lo
+    return key
+
+
+def _joint(seq: DependentSequence, ids, size: int) -> np.ndarray:
+    """``joint[g, k]``, the mass of group ``g`` at ``W = k``: one ``bincount``
+    over the sequence's cached ``W``, which adds each cell's outcomes in
+    enumeration order however the groups are numbered."""
     total = seq.w_values()
-    w = seq.outcome_probs()
-    ids, first = group_rows(keys, len(w))
     radix = int(total.max()) + 1
-    joint = np.bincount(ids * radix + total, weights=w,
-                        minlength=len(first) * radix).reshape(-1, radix)
-    d = [shift_regularity(row / m) if m > 0 else 0.0 for row, m in zip(joint, joint.sum(axis=1))]
-    return ids, first, joint, d
+    return np.bincount(ids * radix + total, weights=seq.outcome_probs(),
+                       minlength=size * radix).reshape(size, radix)
+
+
+def _conditional_laws(seq: DependentSequence, cols) -> tuple:
+    """``(ids, table)``: the :class:`ConditionalTable` of ``W`` given the
+    integer columns ``cols``, and the group of every outcome.
+
+    Groups are packed keys where their space is at most the outcome count,
+    else :func:`group_rows` ids.  This enumeration is the independent oracle
+    of the conditional laws: the imbedding engine that gives the runs
+    models' theorem 3.1 terms at any ``n`` (``psdapprox.imbedding``) shares
+    none of it, and ``verify`` checks the two against each other."""
+    count = seq.outcome_count
+    lows = tuple(int(col.min()) for col in cols)
+    radices = tuple(int(col.max()) - lo + 1 for col, lo in zip(cols, lows))
+    size = math.prod(radices)
+    grouped = None
+    if size <= count:
+        ids = _pack(cols, lows, radices)
+    else:
+        ids, size = group_rows(cols, count)
+        radices = None
+        grouped = np.empty((size, len(cols)), dtype=np.int64)
+        for j, col in enumerate(cols):
+            grouped[ids, j] = col
+    joint = _joint(seq, ids, size)
+    mass = joint.sum(axis=1)
+    has_mass = mass > 0
+    d = np.zeros(size)
+    d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
+    return ids, ConditionalTable(d, has_mass, lows, radices, grouped)
+
+
+def _conditioning_columns(seq: DependentSequence, i: int, conditioning: str) -> list:
+    xs = seq.x_values()
+    if conditioning == "n2":
+        return [seq._window_values(xs, i, 2)]
+    if conditioning == "n1n2":
+        return [seq._window_values(xs, i, 1), seq._window_values(xs, i, 2)]
+    if conditioning in ("even", "odd"):
+        return [xs[:, j] for j in range(1 if conditioning == "even" else 0, seq.n, 2)]
+    raise ValueError(f"unknown conditioning {conditioning!r}")
+
+
+def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=None) -> tuple:
+    """``(table, ids)``: the :class:`ConditionalTable` of ``W`` given
+    ``conditioning`` at index ``i`` (see :func:`exact_conditional_D`), and
+    the group of every outcome when the caller passes the conditioning's
+    columns ``cols``, else None.
+
+    Each table is built once per sequence and kept in its cache under
+    ``"conditional"`` (one even and one odd table, whatever ``i``); only
+    per-group arrays are kept.
+    """
+    memo = seq._cache.setdefault("conditional", {})
+    key = (i if conditioning in ("n2", "n1n2") else None, conditioning)  # even/odd ignore i
+    table = memo.get(key)
+    if table is None:
+        ids, table = _conditional_laws(
+            seq, _conditioning_columns(seq, i, conditioning) if cols is None else cols)
+        memo[key] = table
+        return table, None if cols is None else ids
+    return table, None if cols is None else table.ids(cols)
 
 
 def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> dict:
@@ -255,23 +360,13 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
     ``D = 2 d_TV(L(W | value), L(W | value) + 1)``.  Conditioning choices:
     ``"n2"`` on the radius-2 window sum, ``"n1n2"`` on the (radius-1,
     radius-2) pair, ``"even"``/``"odd"`` on the tuple of even- or odd-indexed
-    summands.  Keys come in increasing (lexicographic) order.
+    summands.  Keys come in increasing (lexicographic) order, as Python ints.
     """
-    xs = seq.x_values()
-    if conditioning == "n2":
-        keys = [seq._window_values(xs, i, 2)]
-    elif conditioning == "n1n2":
-        keys = [seq._window_values(xs, i, 1), seq._window_values(xs, i, 2)]
-    elif conditioning in ("even", "odd"):
-        keys = [xs[:, j] for j in range(1 if conditioning == "even" else 0, seq.n, 2)]
-    else:
-        raise ValueError(f"unknown conditioning {conditioning!r}")
-
-    _, first, joint, d = _conditional_laws(seq, keys)
+    table, _ = conditional_table(seq, i, conditioning)
+    groups = np.flatnonzero(table.has_mass)
     out = {}
-    for g in np.flatnonzero(joint.any(axis=1)):
-        value = tuple(int(col[first[g]]) for col in keys)
-        out[value[0] if len(value) == 1 else value] = d[g]
+    for value, d in zip(table.values(groups).tolist(), table.d[groups].tolist()):
+        out[value[0] if len(value) == 1 else tuple(value)] = d
     return out
 
 

@@ -12,11 +12,13 @@ enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
 exact rational enumeration for small instances, or a model's closed form,
 which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
 moments stream over the indices, one float64 column and dot product at a
-time, with sliding window sums; their ``mean_w`` and ``var_w`` are
-:func:`mean_var`, two dot products over the cached ``W``.  Blocking
+time, with the window sums of :func:`sliding_windows` (which the exact
+conditional terms also slide, in integers); their ``mean_w`` and ``var_w``
+are :func:`mean_var`, two dot products over the cached ``W``.  Blocking
 reduces an m-dependent sequence to a 1-dependent one without changing the
 total sum.  :func:`group_rows` groups outcomes by equal values, for the
-dependence certificate here and for the exact conditional oracles.
+dependence certificate here and for the exact conditional oracles where
+their packed keys would not fit the outcome count.
 """
 
 from __future__ import annotations
@@ -476,75 +478,102 @@ def mean_var(seq: DependentSequence) -> tuple:
     return mean, float(w @ total**2) - mean**2
 
 
-def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
-    """Exact moments, streamed over indices with one ``w @ column`` each.
-
-    Radius-1 and radius-2 window sums slide along the indices in float64.
-    Every column holds small integers, so it equals the integer column of a
-    full ``(outcomes, n)`` matrix evaluation, and each moment is the same
-    dot product bit for bit.  The cached summand values are column-major, so
-    their transpose is a free view whose rows are contiguous columns.
-    ``mean_w`` and ``var_w`` come from :func:`mean_var`.
-    """
+def sliding_windows(seq: DependentSequence, dtype) -> Iterator[tuple]:
+    """Yield ``(x, xn1, xn2)`` for ``i = 1..n``: the column of ``X_i`` and
+    the radius-1 and radius-2 window sums around it over every outcome, in
+    ``dtype``.  The windows slide along the indices, one add of a difference
+    of two columns each per step, and are updated in place: a caller reads
+    them before the next step.  The cached summand values are column-major,
+    so their transpose is a free view whose rows are contiguous columns."""
     xt = seq.x_values().T
-    w = seq.outcome_probs()
     n = seq.n
-    pad = np.zeros(len(w))
+    pad = np.zeros(seq.outcome_count, dtype=dtype)
     cols: dict = {}
 
     def col(j: int) -> np.ndarray:
         if 0 <= j < n and j not in cols:
-            cols[j] = xt[j].astype(float)
+            cols[j] = xt[j].astype(dtype)
         return cols.get(j, pad)
 
     xn1, xn2 = pad.copy(), pad.copy()
-    fields = tuple([] for _ in range(6))
     for i in range(-2, n):  # 0-based; the first two steps fill the windows
         xn1 += col(i + 1) - col(i - 2)
         xn2 += col(i + 2) - col(i - 3)
         cols.pop(i - 3, None)
         if i >= 0:
-            for out, v in zip(fields, _moment_columns(cols[i], xn1, xn2)):
-                out.append(float(w @ v))
+            yield cols[i], xn1, xn2
+
+
+def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
+    """Exact moments, streamed over indices with one ``w @ column`` each.
+
+    The columns and window sums of :func:`sliding_windows` are float64.
+    Every column holds small integers, so it equals the integer column of a
+    full ``(outcomes, n)`` matrix evaluation, and each moment is the same
+    dot product bit for bit.  ``mean_w`` and ``var_w`` come from
+    :func:`mean_var`.
+    """
+    w = seq.outcome_probs()
+    fields = tuple([] for _ in range(6))
+    for x, xn1, xn2 in sliding_windows(seq, float):
+        for out, v in zip(fields, _moment_columns(x, xn1, xn2)):
+            out.append(float(w @ v))
     return MomentSet(*(tuple(f) for f in fields), *mean_var(seq))
 
 
 # -- certificates -------------------------------------------------------------------
 
 
-def _fold(groups: tuple, col) -> tuple:
-    """Refine the groups ``(ids, first)`` by one more integer column.
+def _rank(key: np.ndarray, space: int) -> tuple:
+    """``(ids, values)``: the dense rank of each non-negative integer key
+    below ``space``, in increasing order of value, and the distinct keys in
+    that order.  Keys are ranked by a presence ``bincount`` and its
+    ``cumsum`` where ``space`` is at most the number of keys, and by
+    ``np.unique`` (a sort) otherwise; both give the same ranks."""
+    if space > len(key):
+        values, ids = np.unique(key, return_inverse=True)
+        return ids, values
+    present = np.bincount(key, minlength=space) > 0
+    return (np.cumsum(present) - 1)[key], np.flatnonzero(present)
 
-    The packed key ``id * radix + value`` is ranked by counting when its
-    space is no larger than the outcome count, and by ``np.unique`` (a sort)
-    otherwise; both give the same dense ids and first rows.
+
+def _dense(groups: tuple) -> tuple:
+    """The groups ``(ids, size)`` renumbered densely by :func:`_rank`."""
+    ids, values = _rank(*groups)
+    return ids, len(values)
+
+
+def _fold(groups: tuple, col) -> tuple:
+    """Refine the groups ``(ids, size)`` by one more integer column.
+
+    Every id lies below ``size``, but not every id below ``size`` need be
+    attained.  The packed key ``id * radix + value`` is kept as the new id
+    while its space, ``size * radix``, fits the outcome count; past that the
+    ids are made dense first, and a key space that still does not fit is
+    ranked by sorting.  So sizes never pass the outcome count and packed
+    keys never overflow.
     """
+    ids, size = groups
     col = np.asarray(col, dtype=np.int64)
     col = col - col.min()
     radix = int(col.max()) + 1
-    key = groups[0] * radix + col
-    count = len(key)
-    space = len(groups[1]) * radix
-    if space > count:
-        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-        return ids, first
-    first = np.full(space, count, dtype=np.int64)
-    np.minimum.at(first, key, np.arange(count))
-    present = first < count
-    return (np.cumsum(present) - 1)[key], first[present]
+    count = len(ids)
+    if size * radix > count:
+        ids, size = _dense((ids, size))
+    ids, size = ids * radix + col, size * radix
+    return _dense((ids, size)) if size > count else (ids, size)
 
 
 def group_rows(cols, count: int) -> tuple:
-    """``(ids, first)`` grouping ``count`` outcomes by their values in ``cols``.
+    """``(ids, size)`` grouping ``count`` outcomes by their values in ``cols``.
 
-    Equal value tuples share a dense id, ids follow the lexicographic order of
-    the tuples, and ``first[g]`` is the first outcome of group ``g``.  Columns
-    fold in one at a time with renumbering, so packed keys never overflow;
-    each fold ranks its keys by counting where the key space (groups so far
-    times the column's range) is at most ``count``, and sorts them otherwise.
-    With no columns all outcomes form group 0.
+    Equal value tuples share a dense id below ``size``, the number of
+    groups, and ids follow the lexicographic order of the tuples.  Columns
+    fold in one at a time (:func:`_fold`), and the folded key is ranked once
+    at the end: by counting where its space is at most ``count``, by
+    sorting otherwise.  With no columns all outcomes form group 0.
     """
-    return reduce(_fold, cols, (np.zeros(count, dtype=np.int64), np.zeros(1, dtype=np.int64)))
+    return _dense(reduce(_fold, cols, (np.zeros(count, dtype=np.int64), 1)))
 
 
 def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e-12) -> bool:
@@ -557,15 +586,18 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e
     xs = seq.x_values()
     w = seq.outcome_probs()
     n = seq.n
-    # prefixes[i] and suffixes[k] group the outcomes by their first i or last k summands.
+    # prefixes[i] and suffixes[k] group the outcomes by their first i or last
+    # k summands (ids below a size, not all of them attained).
     start = group_rows((), len(w))
     suffixes = list(accumulate(xs.T[gap:][::-1], _fold, initial=start))
     prefixes = accumulate(xs.T[: max(n - gap, 0)], _fold, initial=start)
-    for i, (pre, pre_first) in enumerate(islice(prefixes, 1, None), start=1):
-        suf = suffixes[n - i - gap + 1][0]
-        pair, first = _fold((pre, pre_first), suf)
+    for i, (pre, n_pre) in enumerate(islice(prefixes, 1, None), start=1):
+        suf, n_suf = suffixes[n - i - gap + 1]
+        # The attained pairs, ranked by their key; each key names its two groups.
+        pair, keys = _rank(pre * n_suf + suf, n_pre * n_suf)
         joint, pm, sm = (np.bincount(ids, weights=w) for ids in (pair, pre, suf))
-        if np.any(np.abs(joint - pm[pre[first]] * sm[suf[first]]) > tol):
+        pre_of, suf_of = np.divmod(keys, n_suf)
+        if np.any(np.abs(joint - pm[pre_of] * sm[suf_of]) > tol):
             return False
     return True
 

@@ -447,6 +447,21 @@ def test_oracle_distribution_and_conditionals(two_runs_model_file, capsys):
     assert "n2" in payload["conditional_D"]
 
 
+def test_oracle_conditional_keys_are_python_ints_equal_to_the_maps(two_runs_model_file, capsys):
+    from psdapprox.oracle import exact_conditional_D
+
+    assert main(["oracle", "--model", two_runs_model_file, "--conditional", "3"]) == 0
+    maps = json.loads(capsys.readouterr().out)["conditional_D"]
+    seq = TwoRunsModel([0.3] * 11)
+    n2, n1n2 = exact_conditional_D(seq, 3, "n2"), exact_conditional_D(seq, 3, "n1n2")
+    # The window sum around index 3 covers X_1..X_5.
+    assert list(n2) == list(range(6)) and all(type(k) is int for k in n2)
+    assert maps["n2"] == {"0": n2[0], "1": n2[1], "2": n2[2], "3": n2[3], "4": n2[4], "5": n2[5]}
+    assert all(type(a) is int and type(b) is int for a, b in n1n2)
+    assert maps["n1n2"] == {f"({a}, {b})": d for (a, b), d in n1n2.items()}
+    assert "(0, 0)" in maps["n1n2"]
+
+
 def test_oracle_tv_against_target(two_runs_model_file, poisson_target_file, capsys):
     assert main([
         "oracle", "--model", two_runs_model_file, "--target", poisson_target_file,
@@ -533,17 +548,34 @@ def test_verify_reports_skipped_point_mass_fit(tmp_path, capsys):
 
 
 def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, monkeypatch):
-    import psdapprox.bounds as bounds_mod
+    import psdapprox.oracle as oracle_mod
 
     tables = []
-    original = bounds_mod._conditional_laws
-    monkeypatch.setattr(bounds_mod, "_conditional_laws",
-                        lambda seq, keys: tables.append(keys) or original(seq, keys))
+    original = oracle_mod._conditional_laws
+    monkeypatch.setattr(oracle_mod, "_conditional_laws",
+                        lambda seq, cols: tables.append(cols) or original(seq, cols))
     assert main(["verify", "--model", two_runs_model_file]) == 0
     out = capsys.readouterr().out
     assert "PASS domination-poisson-theorem31" in out
     assert "PASS domination-nb-theorem31" in out
     assert len(tables) == 2 * 10  # one (n1n2, n2) pair per index, for both targets
+
+
+def test_verify_shares_the_conditional_tables_with_the_smoothing(tmp_path, capsys, monkeypatch):
+    import psdapprox.oracle as oracle_mod
+
+    tables = []
+    original = oracle_mod._conditional_laws
+    monkeypatch.setattr(oracle_mod, "_conditional_laws",
+                        lambda seq, cols: tables.append(cols) or original(seq, cols))
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.3] * 8}))
+    assert main(["verify", "--model", str(product)]) == 0
+    out = capsys.readouterr().out
+    # The exact smoothing fallback feeds d1 and min; it reads the tables the
+    # weighted sums of theorem 3.1 built.
+    assert "PASS domination-poisson-d1" in out and "PASS domination-poisson-theorem31" in out
+    assert len(tables) == 2 * 8  # one (n1n2, n2) pair per index, not two
 
 
 def test_verify_checks_the_conditional_terms_engine(two_runs_model_file, k1k2_model_file,
@@ -589,6 +621,16 @@ def test_verify_max_outcomes_guard(tmp_path, capsys):
     model.write_text(json.dumps({"model": "two-runs", "p": [0.4] * 22}))
     assert main(["verify", "--model", str(model), "--max-outcomes", "1024"]) == 1
     assert "outcomes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-1024"])
+def test_verify_max_outcomes_below_one_is_usage_error(two_runs_model_file, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", two_runs_model_file, "--max-outcomes", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and "--max-outcomes" in err.splitlines()[-1]
 
 
 def test_usage_error_exit_code():

@@ -1,13 +1,16 @@
-"""The one outcome grouping behind the exact oracles, against references.
+"""The outcome groupings behind the exact oracles, against references.
 
-``exact_conditional_D``, ``dependence_certificate`` and
-``ExactConditionalTerms.weighted_sums`` group the full joint law with
-``sequences.group_rows``; the float ``brute_force_distribution`` reads the
-same table of ``W`` against the groups, with no key columns.  The earlier
+``exact_conditional_D`` and ``ExactConditionalTerms.weighted_sums`` read one
+memoized table per (index, conditioning): the law of ``W`` given each packed
+key of the conditioning's columns, or, where the packed key space exceeds the
+outcome count, given each ``sequences.group_rows`` group.
+``dependence_certificate`` folds prefix and suffix groups and reads each
+attained pair's two groups from the pair's key; the float
+``brute_force_distribution`` is one ``bincount`` of ``W``.  The earlier
 per-outcome implementations are inlined below as references: radix-packed
 keys decoded back, dicts of prefix and suffix tuples, and one dict lookup per
 outcome.  Every result must be ``==`` to its reference, dict key order
-included.
+included, whether a table is built or read back from the memo.
 """
 
 import itertools
@@ -16,16 +19,37 @@ import numpy as np
 import pytest
 
 from psdapprox.bounds import ExactConditionalTerms
-from psdapprox.oracle import brute_force_distribution, exact_conditional_D, shift_regularity
+from psdapprox.oracle import (
+    brute_force_distribution,
+    conditional_table,
+    exact_conditional_D,
+    shift_regularity,
+)
 from psdapprox.runs import K1K2Model, K1K2WindowSequence, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
+    DependentSequence,
     block_m_dependent,
     dependence_certificate,
     group_rows,
 )
 
 CONDITIONINGS = ("n2", "n1n2", "even", "odd")
+
+
+class ScaledRuns(DependentSequence):
+    """``X_i = 5 * trial_i * trial_{i+1}``: 2-runs indicators scaled so far
+    apart that, on 8 trials, the packed keys of ``n1n2`` at the middle
+    indices and of ``odd`` span more values than the 256 outcomes."""
+
+    def __init__(self, probs):
+        super().__init__(probs, n=len(probs) - 1, dependence_radius=1, kind="scaled-two-runs")
+
+    def x_columns(self, bits):
+        return 5 * (bits[:, :-1] * bits[:, 1:]).astype(np.int16)
+
+    def x_scalar(self, bits):
+        return tuple(5 * bits[i] * bits[i + 1] for i in range(self.n))
 
 
 def _uniform(seed: int, size: int) -> list:
@@ -35,6 +59,7 @@ def _uniform(seed: int, size: int) -> list:
 def _models():
     windows = K1K2WindowSequence(1, 1, 6, _uniform(4, 7))
     return [
+        ScaledRuns(_uniform(6, 8)),
         TwoRunsModel([0.3, 0.0, 0.5, 1.0, 0.2, 0.45, 0.25, 0.4]),  # trials at 0 and 1
         TwoRunsModel([0.35, 0.6]),  # n = 1: "even" conditions on nothing
         TwoRunsModel([0.5] * 5),
@@ -161,46 +186,62 @@ def test_counting_fold_equals_sorting_fold():
         count = len(cols[0])
         got, want = group_rows(cols, count), _unique_group_rows(cols, count)
         assert got[0].tolist() == want[0].tolist()
-        assert got[1].tolist() == want[1].tolist()
+        assert got[1] == len(want[1])  # the number of groups
 
 
-def test_group_rows_dense_lexicographic_ids_and_first_rows():
-    ids, first = group_rows(([2, 0, 2, 1, 0], [1, 5, 1, 0, 5]), 5)
+def test_group_rows_dense_lexicographic_ids_and_group_count():
+    ids, size = group_rows(([2, 0, 2, 1, 0], [1, 5, 1, 0, 5]), 5)
     # (0,5) < (1,0) < (2,1)
     assert ids.tolist() == [2, 0, 2, 1, 0]
-    assert first.tolist() == [1, 3, 0]
-    ids, _ = group_rows(([-1, 2, -1, 2], [2, -3, 0, 4]), 4)  # any integers
+    assert size == 3
+    ids, size = group_rows(([-1, 2, -1, 2], [2, -3, 0, 4]), 4)  # any integers
     assert ids.tolist() == [1, 2, 0, 3]
-    ids, first = group_rows((), 4)
+    assert size == 4
+    ids, size = group_rows((), 4)
     assert ids.tolist() == [0, 0, 0, 0]
-    assert first.tolist() == [0]
+    assert size == 1
 
 
 def test_group_rows_many_columns_do_not_overflow():
     # 40 columns of range 10 would need a packed key of 10^40 in one radix.
     rows = np.random.default_rng(3).integers(0, 10, size=(300, 40))
     rows[7] = rows[250]
-    ids, first = group_rows(rows.T, len(rows))
+    ids, size = group_rows(rows.T, len(rows))
     tuples = [tuple(r) for r in rows.tolist()]
     rank = {t: g for g, t in enumerate(sorted(set(tuples)))}
     assert ids.tolist() == [rank[t] for t in tuples]
-    assert [tuples[f] for f in first] == sorted(set(tuples))
-    assert first[ids[250]] == 7
+    assert size == len(rank) == len(rows) - 1
+    assert ids[7] == ids[250]
 
 
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
 def test_exact_conditional_D_matches_radix_packed_reference(seq):
+    seq._cache.pop("conditional", None)
     for i, conditioning in itertools.product(range(1, seq.n + 1), CONDITIONINGS):
         got = exact_conditional_D(seq, i, conditioning)
         want = _reference_conditional_D(seq, i, conditioning)
         assert list(got.items()) == list(want.items())
+        assert list(exact_conditional_D(seq, i, conditioning).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
 def test_weighted_sums_match_per_outcome_lookup_reference(seq):
-    got = ExactConditionalTerms(seq).weighted_sums()
-    assert got == _reference_weighted_sums(seq)
-    assert not any(np.isnan(got))
+    seq._cache.pop("conditional", None)
+    built = ExactConditionalTerms(seq).weighted_sums()  # builds every table
+    read = ExactConditionalTerms(seq).weighted_sums()  # reads them back
+    assert built == read == _reference_weighted_sums(seq)
+    assert not any(np.isnan(built))
+
+
+def test_scaled_model_groups_past_the_packed_key_space():
+    seq = ScaledRuns(_uniform(6, 8))
+    assert seq.outcome_count == 256
+    # v1 takes 16 values and v2 26 at index 4: 416 packed keys.
+    assert conditional_table(seq, 4, "n1n2")[0].radices is None
+    assert conditional_table(seq, 4, "odd")[0].radices is None
+    assert conditional_table(seq, 4, "n2")[0].radices == (26,)
+    assert conditional_table(seq, 1, "n1n2")[0].radices == (11, 16)
+    assert len(exact_conditional_D(seq, 4, "n1n2")) > 1
 
 
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
