@@ -15,7 +15,6 @@ from psdapprox import (
     block_m_dependent,
     compute_moments,
     dependence_certificate,
-    neighborhood_sum,
     two_runs_moment_set,
 )
 
@@ -41,9 +40,9 @@ for i in range(model.n):
 print()
 print("=== neighborhood windows truncate at the boundary ===")
 for i in (1, 3, model.n):
-    inner = neighborhood_sum(model, i, 1)
-    outer = neighborhood_sum(model, i, 2)
-    print(f"i={i}: N_(i,1) = {list(inner.indices)}   N_(i,2) = {list(outer.indices)}")
+    inner = model.neighborhood_indices(i, 1)
+    outer = model.neighborhood_indices(i, 2)
+    print(f"i={i}: N_(i,1) = {list(inner)}   N_(i,2) = {list(outer)}")
 
 print()
 print("=== 1-dependence certificate ===")

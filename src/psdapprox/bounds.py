@@ -18,6 +18,8 @@ recomputable from parts.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -119,8 +121,8 @@ class SmoothingEstimate:
         return len(self.c)
 
     @classmethod
-    def constant(cls, value: float, n: int, method: str = "model-closed-form") -> "SmoothingEstimate":
-        return cls((min(value, 2.0),) * n, (value,) * n, (method,) * n)
+    def constant(cls, value: float, n: int) -> "SmoothingEstimate":
+        return cls((min(value, 2.0),) * n, (value,) * n, ("model-closed-form",) * n)
 
 
 def build_smoothing(seq: DependentSequence) -> SmoothingEstimate:
@@ -199,9 +201,12 @@ class BoundReport:
         return out
 
     def csv_row(self, n: Optional[int] = None, params: str = "") -> str:
+        """One CSV row, a cell quoted only where it holds a comma or a quote."""
         cells = [self.variant, "" if n is None else str(n), params,
                  f"{self.total:.12g}", f"{self.slack:.3g}"]
-        return ",".join(cells)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(cells)
+        return out.getvalue()
 
 
 def _check_target(spec, mean_w: float):

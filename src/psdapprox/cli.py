@@ -27,24 +27,8 @@ from .bounds import (
 )
 from .errors import PsdApproxError
 from .families import family_from_json, poisson_family
-from .oracle import (
-    brute_force_distribution,
-    dp_distribution,
-    exact_conditional_D,
-    k1k2_automaton,
-    moment_oracle,
-    two_runs_automaton,
-)
-from .runs import (
-    K1K2Model,
-    TABLE1_PRINTED,
-    TwoRunsModel,
-    k1k2_bound,
-    nb_fit_from_moments,
-    table1,
-    table1_mismatches,
-    two_runs_bound,
-)
+from .oracle import brute_force_distribution, dp_distribution, exact_conditional_D
+from .runs import TABLE1_PRINTED, nb_fit_from_moments, table1, table1_mismatches
 from .sequences import compute_moments, dependence_certificate, mean_var, sequence_from_json
 
 BOUND_VARIANTS = ("theorem", "d1", "d2", "crude", "min", "closed-form")
@@ -69,7 +53,7 @@ def _read_input(path: str, parse):
         return parse(obj)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise InputError(f"{path}: {reason}") from exc
 
@@ -137,22 +121,13 @@ def _fit_target(kind: str, mean: float, var: float):
     raise PsdApproxError(f"unknown fit target {kind!r}")
 
 
-def _closed_form_bound(seq):
-    """The runs model's closed-form bound function, or None for other models."""
-    if isinstance(seq, TwoRunsModel):
-        return two_runs_bound
-    if isinstance(seq, K1K2Model):
-        return k1k2_bound
-    return None
-
-
 def cmd_bound(args) -> int:
     seq = _read_input(args.model, sequence_from_json)
     if not (args.fit or args.target):
         sys.stderr.write("one of --target or --fit is required\n")
         return 2
     variant = args.variant
-    closed_form = _closed_form_bound(seq)
+    closed_form = getattr(seq, "closed_form_bound", None)
     if variant == "closed-form" and closed_form is None:
         sys.stderr.write("closed-form variant needs a runs model\n")
         return 2
@@ -162,7 +137,7 @@ def cmd_bound(args) -> int:
         # The closed form builds its own moments: a fit reads only W's mean and variance.
         if spec is None:
             spec = _fit_target(args.fit, *mean_var(seq))
-        report = closed_form(seq, spec)
+        report = closed_form(spec)
     else:
         moments = compute_moments(seq)
         if spec is None:
@@ -207,17 +182,8 @@ def cmd_bound(args) -> int:
 # -- oracle --------------------------------------------------------------------------
 
 
-def _automaton(seq):
-    """The pattern automaton counting a runs model, or None for other models."""
-    if isinstance(seq, TwoRunsModel):
-        return two_runs_automaton()
-    if isinstance(seq, K1K2Model):
-        return k1k2_automaton(seq.k1, seq.k2)
-    return None
-
-
 def _model_law(seq):
-    automaton = _automaton(seq)
+    automaton = getattr(seq, "automaton", None)
     if automaton is None:
         return brute_force_distribution(seq)
     return dp_distribution(automaton, seq.trial_probs)
@@ -273,7 +239,7 @@ def cmd_verify(args) -> int:
         np.allclose(law.as_array(), brute.as_array(), atol=1e-14)
     )
     check("dp-vs-enumeration", agree)
-    automaton = _automaton(seq)
+    automaton = getattr(seq, "automaton", None)
     if automaton is not None:  # both engines on the same rationals of the trials
         rational = seq.exact_trial_probs()
         exact_dp = dp_distribution(automaton, rational, exact=True)
@@ -281,7 +247,7 @@ def cmd_verify(args) -> int:
         check("dp-vs-enumeration-exact", exact_dp.masses == exact_bf.masses)
 
     # Closed-form moments against the enumeration oracle.
-    oracle_moments = moment_oracle(seq)
+    oracle_moments = compute_moments(seq, "enumerate")
     provider = getattr(seq, "closed_form_moments", None)
     if provider is not None:
         closed = provider()
@@ -318,7 +284,7 @@ def cmd_verify(args) -> int:
         targets.append(
             ("nb", nb_fit_from_moments(oracle_moments.mean_w, oracle_moments.var_w))
         )
-    closed_form = _closed_form_bound(seq)
+    closed_form = getattr(seq, "closed_form_bound", None)
     for name, spec in targets:
         if spec.a <= 0:
             vnames = ["theorem31", "d1", "min", "d2", "crude"]
@@ -342,7 +308,7 @@ def cmd_verify(args) -> int:
         variants["crude"] = bound_crude(oracle_moments, spec).total
         if closed_form is not None:
             try:
-                variants["closed-form"] = closed_form(seq, spec).total
+                variants["closed-form"] = closed_form(spec).total
             except PsdApproxError as exc:  # outside the model's stated validity
                 skip(f"domination-{name}-closed-form", exc)
         for vname, total in sorted(variants.items()):

@@ -342,7 +342,7 @@ class PSDSpec:
         object.__setattr__(self, "_terms", tuple(terms))
         object.__setattr__(self, "_tail", tail)
 
-    def _terms_with_tail(self, rel_tol: float = 1e-18):
+    def _terms_with_tail(self):
         terms = []
         running = 0.0
         k = 0
@@ -360,7 +360,7 @@ class PSDSpec:
             running += terms[-1]
             if k >= 2 and terms[-1] > 0 and terms[-2] > 0:
                 r = terms[-1] / terms[-2]
-                if r < 1 and terms[-1] * r / (1 - r) < rel_tol * running:
+                if r < 1 and terms[-1] * r / (1 - r) < 1e-18 * running:
                     return terms, terms[-1] * r / (1 - r)
             if terms[-1] == 0.0 and k >= 2 and terms[-2] == 0.0 and running > 0:
                 # Two consecutive zero terms: treat support as exhausted.
@@ -692,18 +692,18 @@ def delta_g_uniform_bound(spec: PanjerPSD) -> float:
     return val / spec.g_scale
 
 
-def delta_g_exact_sup(spec, k_max: int, cond_tol: float = 1e-9) -> float:
+def delta_g_exact_sup(spec, k_max: int) -> float:
     """Exact supremum of ``|Delta g_f(k)|`` over ``f`` with values in [0,1].
 
     Evaluates ``Fbar(k+1)/c_k + F(k-1)/k`` for ``1 <= k <= k_max`` after
     verifying the monotonicity condition
-    ``k F(k)/F(k-1) >= c_k >= k Fbar(k+1)/Fbar(k)`` at every tabulated k
-    (the condition is checked, not assumed; violations carry the offending
-    ``k``).  ``c_k`` is the operator coefficient at ``k``.  Where ``F(k-1)``
-    is a subnormal float the masses summed into it have lost their precision,
-    so there ``k F(k)/F(k-1)`` is ``k + k/L_k`` with ``L_k = F(k-1)/p_k``
-    carried up the recursion ratios, ``L_{k+1} = (L_k + 1)(k+1)/c_k``, from 0
-    at the table's first positive mass.
+    ``k F(k)/F(k-1) >= c_k >= k Fbar(k+1)/Fbar(k)`` at every tabulated k,
+    to within 1e-9 (the condition is checked, not assumed; violations carry
+    the offending ``k``).  ``c_k`` is the operator coefficient at ``k``.
+    Where ``F(k-1)`` is a subnormal float the masses summed into it have
+    lost their precision, so there ``k F(k)/F(k-1)`` is ``k + k/L_k`` with
+    ``L_k = F(k-1)/p_k`` carried up the recursion ratios, ``L_{k+1} =
+    (L_k + 1)(k+1)/c_k``, from 0 at the table's first positive mass.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -724,25 +724,25 @@ def delta_g_exact_sup(spec, k_max: int, cond_tol: float = 1e-9) -> float:
             ratio = (ratio + 1) * (j + 1) / np.float64(spec.op_coeff(j))
             lhs[j] = (j + 1) + (j + 1) / ratio
     live = p[1 : kk + 1] != 0.0
-    bad = live & ~((lhs >= c - cond_tol) & (c >= rhs - cond_tol))
+    bad = live & ~((lhs >= c - 1e-9) & (c >= rhs - 1e-9))
     if bad.any():
         raise LemmaConditionError(int(k[bad.argmax()]))
     val = first + below / k
     return float(np.max(val[live], initial=0.0)) / spec.g_scale
 
 
-def g_norm_bound(spec, k_probe: Optional[int] = None) -> float:
+def g_norm_bound(spec) -> float:
     """Certified numeric bound on ``sup_f sup_k |g_f(k)|`` over indicators.
 
     The solution is linear in ``f``, so ``|g_{1_A}(k)|`` is at most the sum of
     the one-point solutions ``|g_{1_{j}}(k)|`` over ``j in A``; that sum has
     the closed form ``2 F(k-1) Fbar(k) / (k p_k)``, a doubling of the exact
-    one-sided supremum by the triangle inequality.  Beyond the probed range
-    the expression is dominated by ``2/(k(1-r))`` with ``r`` the certified
+    one-sided supremum by the triangle inequality.  Beyond the table the
+    expression is dominated by ``2/(k(1-r))`` with ``r`` the certified
     tail ratio, which is folded into the result.
     """
     p, cdf, sf = _cumulative(spec.pmf(tail_target=_SUP_TAIL))
-    hi = max(len(p) - 1 if k_probe is None else min(k_probe, len(p) - 1), 0)
+    hi = max(len(p) - 1, 0)
     mass = p[1 : hi + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = 2.0 * cdf[:hi] * sf[1 : hi + 1] / (np.arange(1, hi + 1) * mass)

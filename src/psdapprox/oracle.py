@@ -24,11 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EnumerationLimitError
 from .families import PMFTable
-from .sequences import BLOCK_TRIALS, DependentSequence, MomentSet, compute_moments, group_rows
-
-MAX_BRUTE_TRIALS = 24
+from .sequences import BLOCK_TRIALS, DependentSequence, group_rows
 
 
 def failure_function(pattern: Sequence[int]) -> list:
@@ -101,17 +98,6 @@ def k1k2_automaton(k1: int, k2: int) -> RunAutomaton:
     return RunAutomaton.from_pattern((0,) * k1 + (1,) * k2)
 
 
-def direct_pattern_count(pattern: Sequence[int], trials: Sequence[int]) -> int:
-    """Naive occurrence count (overlaps allowed), for automaton validation."""
-    pattern = tuple(pattern)
-    L = len(pattern)
-    return sum(
-        1
-        for j in range(len(trials) - L + 1)
-        if tuple(trials[j : j + L]) == pattern
-    )
-
-
 def dp_distribution(
     automaton: RunAutomaton,
     trial_probs: Sequence,
@@ -170,18 +156,16 @@ def brute_force_distribution(
     """Law of the total sum by full enumeration of the trial space.
 
     The statistic is re-derived from the sequence's own trials->X mapping, so
-    the result is independent of the automaton route.  Exact mode writes each
-    trial probability as ``a_t/d_t`` (``exact_probs``, else
+    the result is independent of the automaton route.  An instance past the
+    enumeration cutoff of :mod:`psdapprox.sequences` is refused.  Exact mode
+    writes each trial probability as ``a_t/d_t`` (``exact_probs``, else
     :meth:`~DependentSequence.exact_trial_probs`; a list of another length
     than the trial count is a ``ValueError``), so every outcome has an
     integer numerator over ``D = prod d_t``; the numerators are summed per
     value of ``W`` in Python integers, one block of ``2^16`` outcomes at a time,
     and each mass is one ``Fraction(sum, D)``.
     """
-    if seq.trial_count > MAX_BRUTE_TRIALS:
-        raise EnumerationLimitError(
-            f"{seq.trial_count} trials exceed the brute-force cutoff"
-        )
+    seq._require_enumerable()
     if exact:
         if exact_probs is None:
             exact_probs = seq.exact_trial_probs()
@@ -369,7 +353,3 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
         out[value[0] if len(value) == 1 else tuple(value)] = d
     return out
 
-
-def moment_oracle(seq: DependentSequence) -> MomentSet:
-    """Ground-truth moments by direct expectation over the joint law."""
-    return compute_moments(seq, method="enumerate")

@@ -4,15 +4,18 @@ Both models are 1-dependent Bernoulli-block sequences over independent
 trials: the 2-runs count sums ``X_i = trial_i * trial_{i+1}`` over ``n+1``
 trials, and the (k1,k2)-runs count sums block variables built from
 occurrences of ``k1`` failures followed by ``k2`` successes over
-``(n+1)(k1+k2-1)`` trials.  Both are 0/1 summands, so one formula,
+``(n+1)(k1+k2-1)`` trials.  Each model builds, once, the pattern automaton
+that counts it and its block length ``m`` (1 for 2-runs).  Both are 0/1
+summands, so one formula,
 :func:`sequences.neighborhood_moment_set`, gives their neighborhood moments from the
 per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
 (certified against enumeration elsewhere).  Each model's closed-form bound is
 ``bounds.bound_d1`` over that moment set with the model's uncapped smoothing
-constants.  The module also supplies those constants, each model's ``n`` of
-them and their labels as one pair of arrays from ``smoothing_constants()``,
-each model's exact theorem 3.1 terms from ``conditional_terms()`` (the
-imbedding engine of :mod:`psdapprox.imbedding`, at any ``n``),
+constants, which the model's ``closed_form_bound(spec)`` returns.  The module
+also supplies those constants, each model's ``n`` of them and their labels as
+one pair of arrays from ``smoothing_constants()``, each model's exact theorem
+3.1 terms from the shared ``conditional_terms()`` (the imbedding engine of
+:mod:`psdapprox.imbedding` over the model's automaton, at any ``n``),
 moment-matched target fitting, and the published comparison table.
 """
 
@@ -28,7 +31,7 @@ from .bounds import BoundReport, SmoothingEstimate, bound_d1, build_smoothing, m
 from .errors import NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family
 from .imbedding import ImbeddedConditionalTerms, block_step
-from .oracle import k1k2_automaton, two_runs_automaton
+from .oracle import RunAutomaton, k1k2_automaton, two_runs_automaton
 from .sequences import (
     DependentSequence,
     MomentSet,
@@ -44,7 +47,6 @@ class RunsBoundReport(BoundReport):
 
     moment_terms: tuple = ()
     c_constant: object = None
-    comparison: Optional[float] = None
 
     def to_json(self) -> dict:
         out = super().to_json()
@@ -54,8 +56,6 @@ class RunsBoundReport(BoundReport):
             if isinstance(self.c_constant, tuple)
             else self.c_constant
         )
-        if self.comparison is not None:
-            out["comparison_brown_xia"] = self.comparison
         return out
 
 
@@ -63,7 +63,7 @@ class RunsBoundReport(BoundReport):
 
 
 def _closed_form_bound(moments: MomentSet, c: tuple, labels: tuple, spec, term_weights,
-                       c_constant, comparison=None) -> RunsBoundReport:
+                       c_constant) -> RunsBoundReport:
     """``bound_d1`` with a model's uncapped smoothing constants, as ``closed-form``.
 
     ``c`` and ``labels`` hold each index's constant and its method; the
@@ -77,13 +77,24 @@ def _closed_form_bound(moments: MomentSet, c: tuple, labels: tuple, spec, term_w
     w = np.asarray(term_weights)
     terms = tuple(zip((w * half * quad).tolist(), (w * lin).tolist()))
     return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
-                           moment_terms=terms, c_constant=c_constant, comparison=comparison)
+                           moment_terms=terms, c_constant=c_constant)
+
+
+class _RunsModel(DependentSequence):
+    """A runs count: occurrences of one pattern, counted by ``automaton`` over
+    the trials, summed in blocks of ``m`` windows per index."""
+
+    automaton: RunAutomaton
+    m: int
+
+    def conditional_terms(self) -> ImbeddedConditionalTerms:
+        return ImbeddedConditionalTerms(self.automaton, self.trial_probs, self.n, self.m)
 
 
 # -- 2-runs model -------------------------------------------------------------------
 
 
-class TwoRunsModel(DependentSequence):
+class TwoRunsModel(_RunsModel):
     """Overlapping success pairs in ``n+1`` independent Bernoulli trials.
 
     The standing assumption of the run bounds is ``p_i <= 1/2`` for every
@@ -96,6 +107,8 @@ class TwoRunsModel(DependentSequence):
             raise ValueError("need at least two trials")
         super().__init__(p, n=len(p) - 1, dependence_radius=1, kind="two-runs")
         self.assumption_ok = all(pi <= 0.5 for pi in self.trial_probs)
+        self.automaton = two_runs_automaton()
+        self.m = 1
 
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
         return bits[:, :-1] * bits[:, 1:]
@@ -111,8 +124,8 @@ class TwoRunsModel(DependentSequence):
         cbar, label = two_runs_cbar_parts(self.n)  # the same at every index
         return (cbar,) * self.n, (label,) * self.n
 
-    def conditional_terms(self) -> ImbeddedConditionalTerms:
-        return ImbeddedConditionalTerms(two_runs_automaton(), self.trial_probs, self.n, 1)
+    def closed_form_bound(self, spec: PanjerPSD) -> RunsBoundReport:
+        return two_runs_bound(self, spec)
 
 
 register_model("two-runs", lambda obj: TwoRunsModel(*model_args(obj)))
@@ -173,11 +186,7 @@ def nb_moment_match_2runs(n: int, p: float) -> PanjerPSD:
     return nb_fit_from_moments(n * p**2, two_runs_var(n, p))
 
 
-def two_runs_bound(
-    model: TwoRunsModel,
-    spec: PanjerPSD,
-    comparison: bool = False,
-) -> RunsBoundReport:
+def two_runs_bound(model: TwoRunsModel, spec: PanjerPSD) -> RunsBoundReport:
     """Model-specialized bound: ``|Dg| { cbar(n) sum_i [(|1-b|/2)(a1 abar1 +
     abar2) + abar3] + |tau(1-b)| }``; requires ``n >= 8``, trials <= 1/2, and
     matched first moments.  ``moment_terms`` holds the per-index summands
@@ -186,14 +195,9 @@ def two_runs_bound(
     if not model.assumption_ok:
         raise PreconditionError("trial probabilities must satisfy p_i <= 1/2")
     cbar, label = two_runs_cbar_parts(n)  # enforces n >= 8
-    cmp_val = None
-    if comparison:
-        probs = set(model.trial_probs)
-        if len(probs) == 1:
-            cmp_val = brown_xia_bound(n, next(iter(probs)))
     return _closed_form_bound(
         two_runs_moment_set(model), (cbar,) * n, (label,) * n, spec,
-        term_weights=[1.0] * n, c_constant=cbar, comparison=cmp_val,
+        term_weights=[1.0] * n, c_constant=cbar,
     )
 
 
@@ -245,12 +249,10 @@ TABLE1_PRINTED = {
 }
 
 
-def table1(cells: Optional[Sequence[tuple]] = None) -> list:
+def table1() -> list:
     """Both bounds on the published grid: rows ``(n, p, ours, comparison)``."""
-    if cells is None:
-        cells = list(TABLE1_PRINTED)
     return [
-        (n, p, nb_bound_closed_form(n, p), brown_xia_bound(n, p)) for n, p in cells
+        (n, p, nb_bound_closed_form(n, p), brown_xia_bound(n, p)) for n, p in TABLE1_PRINTED
     ]
 
 
@@ -270,7 +272,7 @@ def table1_mismatches(rows: Optional[list] = None) -> list:
 # -- (k1,k2)-runs model ------------------------------------------------------------
 
 
-class K1K2Model(DependentSequence):
+class K1K2Model(_RunsModel):
     """Blocks of (k1 failures, k2 successes) occurrences, 1-dependent by design.
 
     ``(n+1) m`` trials with ``m = k1+k2-1``; window ``j`` (of ``nm``) spans
@@ -296,6 +298,7 @@ class K1K2Model(DependentSequence):
         self.k1 = k1
         self.k2 = k2
         self.m = m
+        self.automaton = k1k2_automaton(k1, k2)
 
     def window(self, trials, j: int):
         """``(1-t_j)...(1-t_{j+k1-1}) t_{j+k1}...t_{j+k1+k2-1}`` for window ``j``
@@ -333,9 +336,8 @@ class K1K2Model(DependentSequence):
     def smoothing_constants(self) -> tuple:
         return k1k2_ci_star_parts(self)
 
-    def conditional_terms(self) -> ImbeddedConditionalTerms:
-        return ImbeddedConditionalTerms(k1k2_automaton(self.k1, self.k2), self.trial_probs,
-                                        self.n, self.m)
+    def closed_form_bound(self, spec: PanjerPSD) -> RunsBoundReport:
+        return k1k2_bound(self, spec)
 
 
 register_model("k1k2-runs", lambda obj: K1K2Model(*model_args(obj, "k1", "k2", "n")))
@@ -454,7 +456,6 @@ def conditional_zero_max(model: K1K2Model, ell: int) -> float:
 
 def _conditional_zero_table(model: K1K2Model) -> dict:
     """:func:`conditional_zero_max` at every index, keyed by index."""
-    automaton = k1k2_automaton(model.k1, model.k2)
     probs = np.asarray(model.trial_probs)
     # Indices whose window has as many blocks, with ell at the same place in
     # it, share one DP: interior ones, ell = 1, ell = n, and n = 1.
@@ -467,7 +468,7 @@ def _conditional_zero_table(model: K1K2Model) -> dict:
         for start in range(0, len(ells), _COND_ZERO_BATCH):
             batch = ells[start : start + _COND_ZERO_BATCH]
             first_trials = (np.array(batch) - pos - 1) * model.m  # 0-based
-            values = _conditional_zero_batch(automaton, probs, first_trials,
+            values = _conditional_zero_batch(model.automaton, probs, first_trials,
                                              blocks, pos, model.m)
             out.update(zip(batch, values.tolist()))
     return out
@@ -550,11 +551,6 @@ def k1k2_ci_star_parts(model: K1K2Model) -> tuple:
         values.append(min(v_even, v_odd))
         labels.append("roellin-even" if v_even <= v_odd else "roellin-odd")
     return tuple(values), tuple(labels)
-
-
-def k1k2_ci_star(model: K1K2Model) -> tuple:
-    """The constants ``c*_i(n)`` of :func:`k1k2_ci_star_parts`."""
-    return k1k2_ci_star_parts(model)[0]
 
 
 def k1k2_bound(

@@ -338,27 +338,6 @@ class DependentSequence:
         return out
 
 
-class NeighborhoodSum:
-    """Handle for ``sum of X_j over the radius-ell window around i``."""
-
-    def __init__(self, seq: DependentSequence, i: int, ell: int):
-        self.seq = seq
-        self.i = i
-        self.ell = ell
-        self.indices = seq.neighborhood_indices(i, ell)
-
-    def values(self) -> np.ndarray:
-        """Per-outcome values over the full enumeration."""
-        return self.seq._window_values(self.seq.x_values(), self.i, self.ell)
-
-    def of_x(self, x: Sequence) -> int:
-        return sum(x[j - 1] for j in self.indices)
-
-
-def neighborhood_sum(seq: DependentSequence, i: int, ell: int) -> NeighborhoodSum:
-    return NeighborhoodSum(seq, i, ell)
-
-
 class BernoulliProductSequence(DependentSequence):
     """Independent summands ``X_i = trial_i`` (dependence radius 0)."""
 
@@ -576,12 +555,12 @@ def group_rows(cols, count: int) -> tuple:
     return _dense(reduce(_fold, cols, (np.zeros(count, dtype=np.int64), 1)))
 
 
-def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e-12) -> bool:
+def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     """Check the joint law factorizes across every split with the stated gap.
 
     For all i < j with ``j - i >= gap`` (gap 2 means 1-dependence), the joint
     distribution of ``(X_1..X_i)`` and ``(X_j..X_n)`` must be the product of
-    its marginals on every attainable value pair.
+    its marginals, to within 1e-12, on every attainable value pair.
     """
     xs = seq.x_values()
     w = seq.outcome_probs()
@@ -597,7 +576,7 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2, tol: float = 1e
         pair, keys = _rank(pre * n_suf + suf, n_pre * n_suf)
         joint, pm, sm = (np.bincount(ids, weights=w) for ids in (pair, pre, suf))
         pre_of, suf_of = np.divmod(keys, n_suf)
-        if np.any(np.abs(joint - pm[pre_of] * sm[suf_of]) > tol):
+        if np.any(np.abs(joint - pm[pre_of] * sm[suf_of]) > 1e-12):
             return False
     return True
 

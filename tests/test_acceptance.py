@@ -36,7 +36,6 @@ from psdapprox.oracle import (
     brute_force_distribution,
     dp_distribution,
     k1k2_automaton,
-    moment_oracle,
     two_runs_automaton,
 )
 from psdapprox.runs import (
@@ -191,14 +190,14 @@ def test_criterion_6_closed_form_moment_certification():
     for _ in range(20):
         n = int(rng.integers(4, 9))
         model = TwoRunsModel(rng.uniform(0.0, 0.5, size=n + 1).tolist())
-        ok = ok and agrees(two_runs_moment_set(model), moment_oracle(model), n)
+        ok = ok and agrees(two_runs_moment_set(model), compute_moments(model, "enumerate"), n)
     shapes = [(1, 1, 6), (1, 2, 4), (2, 2, 3), (1, 2, 5), (2, 1, 4)]
     count_k = 0
     while count_k < 20:
         k1, k2, n = shapes[count_k % len(shapes)]
         m = k1 + k2 - 1
         model = K1K2Model(k1, k2, n, rng.uniform(0.05, 0.6, size=(n + 1) * m).tolist())
-        ok = ok and agrees(k1k2_moment_set(model), moment_oracle(model), n)
+        ok = ok and agrees(k1k2_moment_set(model), compute_moments(model, "enumerate"), n)
         count_k += 1
     _verdict(6, "closed-form moments equal enumeration at every index (40 models)", ok)
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 import math
 import time
@@ -394,6 +396,16 @@ def test_verify_and_oracle_malformed_inputs_are_usage_errors(
     _assert_input_error(target, "unknown family kind", capsys)
 
 
+def test_deeply_nested_input_is_usage_error(tmp_path, two_runs_model_file, capsys):
+    # The JSON decoder gives up on 10^5 levels with a RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    assert main(["bound", "--model", str(deep), "--fit", "poisson"]) == 2
+    _assert_input_error(deep, "recursion", capsys)
+    assert main(["bound", "--model", two_runs_model_file, "--target", str(deep)]) == 2
+    _assert_input_error(deep, "recursion", capsys)
+
+
 def test_bound_refuses_vacuous_k1k2_closed_form(tmp_path, capsys):
     # (1,1)-runs: every c*_i of nonzero weight is infinite.
     model = tmp_path / "k11.json"
@@ -428,14 +440,24 @@ def test_bound_theorem_variant_beyond_enumeration(tmp_path, capsys):
     assert exact_tv(law, family_from_json(payload["target"]).pmf()).upper <= payload["total"]
 
 
-def test_bound_csv_format(two_runs_model_file, capsys):
+def test_bound_csv_format(two_runs_model_file, k1k2_model_file, capsys):
     assert main([
         "bound", "--model", two_runs_model_file, "--fit", "poisson",
         "--variant", "d2", "--format", "csv",
     ]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "variant,n,params,total,slack"
-    assert lines[1].startswith("d2,10")
+    assert lines[1].startswith("d2,10,{},")
+    # The (k1,k2) params cell holds commas and quotes: it is quoted, one cell.
+    assert main([
+        "bound", "--model", k1k2_model_file, "--fit", "poisson",
+        "--variant", "d2", "--format", "csv",
+    ]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["variant", "n", "params", "total", "slack"]
+    assert len(row) == len(header)
+    assert row[:2] == ["d2", "6"]
+    assert json.loads(row[2]) == {"k1": 1, "k2": 2, "n": 6}
 
 
 def test_oracle_distribution_and_conditionals(two_runs_model_file, capsys):

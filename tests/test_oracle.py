@@ -13,12 +13,10 @@ from psdapprox.families import PMFTable
 from psdapprox.oracle import (
     RunAutomaton,
     brute_force_distribution,
-    direct_pattern_count,
     dp_distribution,
     exact_conditional_D,
     failure_function,
     k1k2_automaton,
-    moment_oracle,
     two_runs_automaton,
 )
 from psdapprox.runs import K1K2Model, TwoRunsModel
@@ -26,7 +24,19 @@ from psdapprox.sequences import (
     BernoulliProductSequence,
     DependentSequence,
     block_m_dependent,
+    compute_moments,
 )
+
+
+def direct_pattern_count(pattern, trials) -> int:
+    """Naive occurrence count (overlaps allowed), for automaton validation."""
+    pattern = tuple(pattern)
+    L = len(pattern)
+    return sum(
+        1
+        for j in range(len(trials) - L + 1)
+        if tuple(trials[j : j + L]) == pattern
+    )
 
 
 def test_failure_function_known_values():
@@ -228,7 +238,8 @@ def test_brute_force_point_mass_for_deterministic_trials():
 
 
 def test_brute_force_refuses_large_instances():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^2\^25 outcomes exceed the enumeration cutoff$"):
         brute_force_distribution(BernoulliProductSequence([0.5] * 25))
 
 
@@ -259,6 +270,6 @@ def test_conditional_D_finer_conditioning_consistency():
 
 def test_moment_oracle_matches_direct_expectation():
     seq = TwoRunsModel([0.25] * 7)  # n = 6, iid p = 0.25
-    mom = moment_oracle(seq)
+    mom = compute_moments(seq, "enumerate")
     assert mom.mean_w == pytest.approx(6 * 0.0625, abs=1e-12)
     assert all(v == pytest.approx(0.0625, abs=1e-12) for v in mom.e_x)

@@ -28,7 +28,6 @@ from psdapprox.oracle import (
     brute_force_distribution,
     dp_distribution,
     k1k2_automaton,
-    moment_oracle,
     two_runs_automaton,
 )
 from psdapprox.runs import (
@@ -43,7 +42,6 @@ from psdapprox.runs import (
     brown_xia_bound,
     conditional_zero_max,
     k1k2_bound,
-    k1k2_ci_star,
     k1k2_ci_star_parts,
     k1k2_moment_set,
     nb_bound_closed_form,
@@ -57,6 +55,7 @@ from psdapprox.runs import (
     two_runs_var,
     window_probability,
 )
+from psdapprox.sequences import compute_moments
 
 
 def _at(arrays, moments, i: int) -> tuple:
@@ -204,7 +203,7 @@ def test_two_runs_closed_forms_match_enumeration_every_index():
     for _ in range(6):
         p = rng.uniform(0.0, 0.5, size=rng.integers(5, 9))
         model = TwoRunsModel(p.tolist())
-        oracle = moment_oracle(model)
+        oracle = compute_moments(model, "enumerate")
         closed = two_runs_moment_set(model)
         for i in range(model.n):
             assert closed.e_x[i] == pytest.approx(oracle.e_x[i], abs=1e-12)
@@ -226,7 +225,7 @@ def test_two_runs_closed_forms_match_enumeration_every_index():
 def test_two_runs_variance_formula_vs_enumeration():
     n, p = 10, 0.35
     model = TwoRunsModel([p] * (n + 1))
-    assert two_runs_var(n, p) == pytest.approx(moment_oracle(model).var_w, abs=1e-12)
+    assert two_runs_var(n, p) == pytest.approx(compute_moments(model, "enumerate").var_w, abs=1e-12)
 
 
 # -- smoothing constant ---------------------------------------------------------
@@ -386,7 +385,7 @@ def test_two_runs_bound_matches_d1_with_same_constants():
     moments = k1k2_moment_set(model)
     spec = poisson_family(moments.mean_w)
     closed = k1k2_bound(model, spec)
-    cs = k1k2_ci_star(model)
+    cs = k1k2_ci_star_parts(model)[0]
     smoothing = SmoothingEstimate(cs, cs, ("roellin",) * n)
     generic = bound_d1(moments, smoothing, spec, allow_small_n=True)
     assert closed.c_constant == cs
@@ -419,11 +418,10 @@ def test_two_runs_report_recomputable_and_serializable():
     n, p = 12, 0.2
     model = TwoRunsModel([p] * (n + 1))
     spec = nb_moment_match_2runs(n, p)
-    report = two_runs_bound(model, spec, comparison=True)
+    report = two_runs_bound(model, spec)
     assert report.recompute_total() == pytest.approx(report.total, abs=1e-12)
     blob = report.to_json()
     assert blob["variant"] == "closed-form"
-    assert blob["comparison_brown_xia"] == pytest.approx(brown_xia_bound(n, p))
 
 
 # -- (k1,k2)-runs closed forms --------------------------------------------------------
@@ -447,7 +445,7 @@ def test_k1k2_smallest_case_formulas():
 def test_k1k2_closed_forms_match_enumeration():
     # Derived example: k1=1, k2=2, n=3, iid 0.4 -- all six values.
     model = K1K2Model(1, 2, 3, [0.4] * 8)
-    oracle = moment_oracle(model)
+    oracle = compute_moments(model, "enumerate")
     closed = k1k2_moment_set(model)
     np.testing.assert_allclose(closed.e_x, oracle.e_x, atol=1e-12)
     np.testing.assert_allclose(closed.e_xn1, oracle.e_xn1, atol=1e-12)
@@ -467,7 +465,7 @@ def test_k1k2_closed_forms_match_enumeration_random_models():
         for _ in range(3):
             p = rng.uniform(0.05, 0.6, size=(n + 1) * m).tolist()
             model = K1K2Model(k1, k2, n, p)
-            oracle = moment_oracle(model)
+            oracle = compute_moments(model, "enumerate")
             closed = k1k2_moment_set(model)
             np.testing.assert_allclose(closed.e_x, oracle.e_x, atol=1e-12)
             np.testing.assert_allclose(
@@ -586,15 +584,19 @@ def test_conditional_zero_max_batched_equals_per_index_dp():
 def test_one_smoothing_dp_per_model(monkeypatch):
     import psdapprox.runs as runs
 
-    calls = []
+    calls, tables = [], []
     real = runs.k1k2_automaton
     monkeypatch.setattr(runs, "k1k2_automaton", lambda *a: calls.append(a) or real(*a))
+    real_table = runs._conditional_zero_table
+    monkeypatch.setattr(runs, "_conditional_zero_table",
+                        lambda m: tables.append(m) or real_table(m))
     model = K1K2Model(1, 2, 40, [0.3] * 82)
     k1k2_bound(model, poisson_family(k1k2_moment_set(model).mean_w))
     build_smoothing(model)
     for ell in range(1, model.n + 1):
         conditional_zero_max(model, ell)
-    assert calls == [(1, 2)]
+    assert calls == [(1, 2)]  # the model's automaton, built in its constructor
+    assert tables == [model]
     assert sorted(model._cache["cond_zero"]) == list(range(1, model.n + 1))
 
 
@@ -653,7 +655,7 @@ def test_k1k2_ci_star_parts_equal_fraction_prefix_sums(k1, k2, n, lo, hi):
 
 def test_k1k2_ci_star_finite_and_capped_below():
     model = K1K2Model(1, 2, 6, [0.3] * 14)
-    for c in k1k2_ci_star(model):
+    for c in k1k2_ci_star_parts(model)[0]:
         assert math.isfinite(c)
         assert c >= 2 * math.sqrt(2) - 1e-12  # the min{1, .} cap floors V*
 
@@ -663,7 +665,7 @@ def test_k1k2_ci_star_degenerate_for_k1_equals_k2_equals_1():
     # 1, so the smoothing information degenerates to an infinite constant.
     model = K1K2Model(1, 1, 12, [0.3] * 13)
     assert conditional_zero_max(model, 5) == pytest.approx(1.0)
-    assert k1k2_ci_star(model)[3] == math.inf
+    assert k1k2_ci_star_parts(model)[0][3] == math.inf
 
 
 def test_k1k2_ci_star_equals_fsum_over_remaining_summands():
@@ -673,7 +675,7 @@ def test_k1k2_ci_star_equals_fsum_over_remaining_summands():
     for k1, k2, n in [(1, 2, 9), (2, 2, 14), (1, 1, 12)]:
         m = k1 + k2 - 1
         model = K1K2Model(k1, k2, n, rng.uniform(0.1, 0.3, (n + 1) * m).tolist())
-        cs = k1k2_ci_star(model)
+        cs = k1k2_ci_star_parts(model)[0]
         for i in range(1, n + 1):
             vals = []
             for first in (1, 2):
@@ -698,7 +700,7 @@ def _wide_model() -> K1K2Model:
 
 def test_wide_window_ci_star_finite():
     model = _wide_model()
-    for c in k1k2_ci_star(model):
+    for c in k1k2_ci_star_parts(model)[0]:
         assert math.isfinite(c)
         assert c >= 2 * math.sqrt(2) - 1e-12
 
@@ -747,12 +749,12 @@ def test_wide_window_cli_closed_form_bound_dominates_exact_tv(tmp_path, capsys):
 
 def test_k1k2_ci_star_preconditions():
     with pytest.raises(PreconditionError, match="3m"):
-        k1k2_ci_star(K1K2Model(1, 2, 5, [0.3] * 12))
+        k1k2_ci_star_parts(K1K2Model(1, 2, 5, [0.3] * 12))
     # Alternating near-deterministic trials push one occurrence probability
     # toward 1, violating the <= 1/3 condition.
     hot = [0.01, 0.99] * 6 + [0.01]
     with pytest.raises(PreconditionError, match="1/3"):
-        k1k2_ci_star(K1K2Model(1, 1, 12, hot))
+        k1k2_ci_star_parts(K1K2Model(1, 1, 12, hot))
 
 
 def test_k1k2_bound_all_success_is_zero():

@@ -13,7 +13,6 @@ from psdapprox.sequences import (
     compute_moments,
     dependence_certificate,
     mean_var,
-    neighborhood_sum,
     sequence_from_json,
 )
 from psdapprox.oracle import brute_force_distribution
@@ -36,12 +35,16 @@ def test_neighborhood_difference_identity():
     # outcome by outcome.
     seq = TwoRunsModel([0.42, 0.1, 0.5, 0.3, 0.25, 0.44])
     xs = seq.x_values()
+
+    def window_sum(idx):
+        return xs[:, idx.start - 1 : idx.stop - 1].sum(axis=1)
+
     for i in range(1, seq.n + 1):
-        inner = neighborhood_sum(seq, i, 1)
-        outer = neighborhood_sum(seq, i, 2)
-        ring = sorted(set(outer.indices) - set(inner.indices))
+        inner = seq.neighborhood_indices(i, 1)
+        outer = seq.neighborhood_indices(i, 2)
+        ring = sorted(set(outer) - set(inner))
         ring_vals = xs[:, [j - 1 for j in ring]].sum(axis=1) if ring else 0
-        assert np.array_equal(outer.values() - inner.values(), ring_vals)
+        assert np.array_equal(window_sum(outer) - window_sum(inner), ring_vals)
 
 
 def test_outcome_probabilities_sum_to_one():
