@@ -61,20 +61,13 @@ class RunAutomaton:
             raise ValueError("pattern must be a non-empty 0/1 sequence")
         L = len(pattern)
         pi = failure_function(pattern)
+        # A mismatch at state s moves as state pi[s-1] < s would, whose row is
+        # already built; only state L-1 completes a match.
         table = []
-        for state in range(L):
-            row = []
-            for sym in (0, 1):
-                k = state
-                while k > 0 and pattern[k] != sym:
-                    k = pi[k - 1]
-                if pattern[k] == sym:
-                    k += 1
-                if k == L:
-                    row.append((pi[L - 1], 1))
-                else:
-                    row.append((k, 0))
-            table.append(tuple(row))
+        for state, want in enumerate(pattern):
+            fallback = table[pi[state - 1]] if state else ((0, 0), (0, 0))
+            advance = (pi[L - 1], 1) if state == L - 1 else (state + 1, 0)
+            table.append(tuple(advance if sym == want else fallback[sym] for sym in (0, 1)))
         return cls(pattern, tuple(table))
 
     @property

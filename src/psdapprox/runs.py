@@ -9,9 +9,12 @@ that counts it and its block length ``m`` (1 for 2-runs).  Both are 0/1
 summands, so one formula,
 :func:`sequences.neighborhood_moment_set`, gives their neighborhood moments from the
 per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
-(certified against enumeration elsewhere).  Each model's closed-form bound is
-``bounds.bound_d1`` over that moment set with the model's uncapped smoothing
-constants, which the model's ``closed_form_bound(spec)`` returns.  The module
+(certified against enumeration elsewhere); the (k1,k2) model's come from its
+``window_probs``, the float64 array of its window occurrence probabilities,
+built once, which the occurrence-probability precondition also reads.  Each
+model's closed-form bound is ``bounds.bound_d1`` over that moment set with the
+model's uncapped smoothing constants, which the model's
+``closed_form_bound(spec)`` returns.  The module
 also supplies those constants, each model's ``n`` of them and their labels as
 one pair of arrays from ``smoothing_constants()``, each model's exact theorem
 3.1 terms from the shared ``conditional_terms()`` (the imbedding engine of
@@ -106,7 +109,7 @@ class TwoRunsModel(_RunsModel):
         if len(p) < 2:
             raise ValueError("need at least two trials")
         super().__init__(p, n=len(p) - 1, dependence_radius=1, kind="two-runs")
-        self.assumption_ok = all(pi <= 0.5 for pi in self.trial_probs)
+        self.assumption_ok = bool(np.all(np.asarray(self.trial_probs) <= 0.5))
         self.automaton = two_runs_automaton()
         self.m = 1
 
@@ -278,7 +281,10 @@ class K1K2Model(_RunsModel):
     ``(n+1) m`` trials with ``m = k1+k2-1``; window ``j`` (of ``nm``) spans
     trials ``j..j+m``, and block ``i`` sums windows ``(i-1)m+1..im``.  Block
     variables are 0/1 because occurrences closer than ``m`` cannot coexist.
-    Moments have closed forms and the smoothing constants a DP over at most
+    ``window_probs`` holds the occurrence probability of window ``j`` at
+    ``j-1``: :meth:`window` on the trial probabilities, for all ``nm``
+    windows at once, built in the constructor and read-only.  Moments have
+    closed forms over it and the smoothing constants a DP over at most
     ``4m`` trials per index, so no bound path enumerates the trial space and
     ``k1+k2`` is not limited.
     """
@@ -299,6 +305,11 @@ class K1K2Model(_RunsModel):
         self.k2 = k2
         self.m = m
         self.automaton = k1k2_automaton(k1, k2)
+        # Row r of the view holds trials r+1..r+nm, so window 1 of the view is
+        # every window at once, by the float operations of window() itself.
+        shifted = np.lib.stride_tricks.sliding_window_view(np.asarray(self.trial_probs), n * m)
+        self.window_probs = self.window(shifted, 1)
+        self.window_probs.flags.writeable = False
 
     def window(self, trials, j: int):
         """``(1-t_j)...(1-t_{j+k1-1}) t_{j+k1}...t_{j+k1+k2-1}`` for window ``j``
@@ -321,7 +332,8 @@ class K1K2Model(_RunsModel):
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
         y = self._y_columns(bits)
         return np.stack(
-            [y[:, (i - 1) * self.m : i * self.m].sum(axis=1) for i in range(1, self.n + 1)]
+            [y[:, (i - 1) * self.m : i * self.m].sum(axis=1, dtype=np.uint8)
+             for i in range(1, self.n + 1)]
         ).T
 
     def x_scalar(self, bits: tuple) -> tuple:
@@ -368,65 +380,46 @@ def window_probability(model: K1K2Model, j: int) -> float:
     """Occurrence probability ``a(p_j)`` of window ``j`` (1-based), 0 off-range."""
     if not 1 <= j <= model.n * model.m:
         return 0.0
-    return model.window(model.trial_probs, j)
+    return float(model.window_probs[j - 1])
 
 
-def _block_mean(model: K1K2Model, i: int) -> float:
-    if not 1 <= i <= model.n:
-        return 0.0
-    m = model.m
-    return math.fsum(
-        window_probability(model, j) for j in range((i - 1) * m + 1, i * m + 1)
-    )
+def _block_moments(model: K1K2Model) -> tuple:
+    """``(mean, pair, triple)``: the per-block ``E X_i``, ``E(X_i X_{i+1})``
+    and ``E(X_i X_{i+1} X_{i+2})``, zero where an index passes ``n``.
 
-
-def _block_pair(model: K1K2Model, i: int) -> float:
-    """``E(X_i X_{i+1})``: window pairs across adjacent blocks with gap > m.
-
-    Windows closer than ``m+1`` cannot both fire, so the sum runs over
-    ``l1`` in block ``i`` and ``l2 >= l1+m+1`` in block ``i+1``, each pair
-    counted once.
+    All three read the model's ``window_probs``.  A block's mean is the
+    ``fsum`` of its windows.  Windows closer than ``m+1`` cannot both fire,
+    so a pair sums over ``l1`` in block ``i`` and ``l2 >= l1+m+1`` in block
+    ``i+1``, each pair counted once, and a triple over windows with pairwise
+    gap > m in the same way.  The innermost sum of each is one ``fsum``.
     """
-    if not 1 <= i <= model.n - 1:
-        return 0.0
-    m = model.m
-    total = 0.0
-    for l1 in range((i - 1) * m + 1, i * m):
-        inner = math.fsum(
-            window_probability(model, l2) for l2 in range(l1 + m + 1, (i + 1) * m + 1)
-        )
-        total += window_probability(model, l1) * inner
-    return total
-
-
-def _block_triple(model: K1K2Model, i: int) -> float:
-    """``E(X_i X_{i+1} X_{i+2})`` over window triples with pairwise gap > m."""
-    if not 1 <= i <= model.n - 2:
-        return 0.0
-    m = model.m
-    total = 0.0
-    for l1 in range((i - 1) * m + 1, i * m):
-        a1v = window_probability(model, l1)
-        if a1v == 0.0:
-            continue
-        for l2 in range(l1 + m + 1, (i + 1) * m):
-            a2v = window_probability(model, l2)
-            if a2v == 0.0:
+    a = model.window_probs.tolist()  # window j at a[j - 1]
+    n, m = model.n, model.m
+    mean = [math.fsum(a[(i - 1) * m : i * m]) for i in range(1, n + 1)]
+    pair, triple = [0.0] * n, [0.0] * n
+    for i in range(1, n):
+        total = 0.0
+        for l1 in range((i - 1) * m + 1, i * m):
+            total += a[l1 - 1] * math.fsum(a[l1 + m : (i + 1) * m])
+        pair[i - 1] = total
+    for i in range(1, n - 1):
+        total = 0.0
+        for l1 in range((i - 1) * m + 1, i * m):
+            a1v = a[l1 - 1]
+            if a1v == 0.0:
                 continue
-            inner = math.fsum(
-                window_probability(model, l3)
-                for l3 in range(l2 + m + 1, (i + 2) * m + 1)
-            )
-            total += a1v * a2v * inner
-    return total
+            for l2 in range(l1 + m + 1, (i + 1) * m):
+                a2v = a[l2 - 1]
+                if a2v == 0.0:
+                    continue
+                total += a1v * a2v * math.fsum(a[l2 + m : (i + 2) * m])
+        triple[i - 1] = total
+    return mean, pair, triple
 
 
 def k1k2_moment_set(model: K1K2Model) -> MomentSet:
     """Closed-form moment set from the block means, pairs and triples."""
-    blocks = range(1, model.n + 1)
-    return neighborhood_moment_set(
-        *([f(model, i) for i in blocks] for f in (_block_mean, _block_pair, _block_triple))
-    )
+    return neighborhood_moment_set(*_block_moments(model))
 
 
 # Indices per batch of the smoothing DP, so a layer holds at most this many
@@ -506,9 +499,7 @@ def _k1k2_check_conditions(model: K1K2Model):
         raise PreconditionError(
             f"stated validity requires n >= 3m = {3 * model.m} (got n={model.n})"
         )
-    worst = max(
-        window_probability(model, j) for j in range(1, model.n * model.m + 1)
-    )
+    worst = float(model.window_probs.max())
     if worst > 1 / 3 + 1e-12:
         raise PreconditionError(
             f"stated validity requires every occurrence probability <= 1/3 "

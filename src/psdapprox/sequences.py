@@ -6,8 +6,9 @@ enumeration streams the outcome space in row blocks of ``2^BLOCK_TRIALS``
 outcomes: each block's bits are built column-major from one fixed pattern of
 the low trials and mapped to summand values at once.  The sequence caches the
 outcome probabilities, the total ``W`` of every outcome, summed block by block
-without keeping the bits or the summand values, and the column-major summand
-values once a caller asks for them.  Its moments are exact: vectorized
+(at byte width where no row sum can overflow) without keeping the bits or the
+summand values, and the column-major summand values once a caller asks for
+them.  Its moments are exact: vectorized
 enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
 exact rational enumeration for small instances, or a model's closed form,
 which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
@@ -145,6 +146,18 @@ def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
                      var_w=math.fsum(e_x_xn1 - e_x * e_xn1))
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The row sums ``W`` of a ``(rows, n)`` block of summand values, exactly.
+
+    A ``uint8`` block whose largest value times ``n`` is at most 255 is
+    summed at byte width, in its own dtype, which no row sum can then
+    overflow; any other block, ``bool`` included, is summed in ``int32``.
+    """
+    if x.dtype == np.uint8 and int(x.max()) * x.shape[1] <= 255:
+        return x.sum(axis=1, dtype=np.uint8)
+    return x.sum(axis=1, dtype=np.int32)
+
+
 class DependentSequence:
     """Base carrier: trial probabilities plus the trials -> X mapping.
 
@@ -158,8 +171,9 @@ class DependentSequence:
 
     def __init__(self, trial_probs: Sequence[float], n: int, dependence_radius: int,
                  kind: str, params: Optional[dict] = None):
-        self.trial_probs = tuple(float(p) for p in trial_probs)
-        if any(not 0 <= p <= 1 for p in self.trial_probs):
+        self.trial_probs = tuple(map(float, trial_probs))
+        probs = np.asarray(self.trial_probs)
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
             raise ValueError("trial probabilities must lie in [0,1]")
         self.n = int(n)
         if self.n < 1:
@@ -261,7 +275,7 @@ class DependentSequence:
             total = np.empty(self.outcome_count, dtype=np.int32)
             for rows, x in self._x_blocks():
                 xs[rows] = x
-                total[rows] = x.sum(axis=1, dtype=np.int32)
+                total[rows] = _row_sums(x)
             self._cache["x"] = xs
             self._cache["w"] = total
         return xs
@@ -275,7 +289,7 @@ class DependentSequence:
             self._require_enumerable()
             total = np.empty(self.outcome_count, dtype=np.int32)
             for rows, x in self._x_blocks():
-                total[rows] = x.sum(axis=1, dtype=np.int32)
+                total[rows] = _row_sums(x)
             self._cache["w"] = total
         return total
 

@@ -226,6 +226,9 @@ MALFORMED_MODELS = [
     ('{"model": "two-runs"}', "missing key 'p'"),
     ('{"model": "two-runs", "p": [0.3, 1.5, 0.2]}', "must lie in [0,1]"),
     ('{"model": "two-runs", "p": [0.3, -0.1, 0.2]}', "must lie in [0,1]"),
+    ('{"model": "two-runs", "p": [0.3, NaN, 0.2]}', "must lie in [0,1]"),
+    ('{"model": "two-runs", "p": [0.3, Infinity, 0.2]}', "must lie in [0,1]"),
+    ('{"model": "two-runs", "p": [0.3, -Infinity, 0.2]}', "must lie in [0,1]"),
     ('{"model": "two-runs", "p": 5}', "not a list of numbers"),
     ('[0.3, 0.3]', "expected a JSON object"),
     # Model fields of the wrong JSON type are refused, never truncated or coerced.

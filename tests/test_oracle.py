@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -43,6 +44,33 @@ def test_failure_function_known_values():
     assert failure_function((0, 1, 0, 0)) == [0, 0, 1, 1]
     assert failure_function((1, 1)) == [0, 1]
     assert failure_function((0, 0, 1, 1)) == [0, 1, 0, 0]
+
+
+def _reference_transitions(pattern) -> tuple:
+    """The automaton table with the border chain walked separately for every
+    (state, symbol) pair: quadratic in the pattern length."""
+    L = len(pattern)
+    pi = failure_function(pattern)
+    table = []
+    for state in range(L):
+        row = []
+        for sym in (0, 1):
+            k = state
+            while k > 0 and pattern[k] != sym:
+                k = pi[k - 1]
+            if pattern[k] == sym:
+                k += 1
+            row.append((pi[L - 1], 1) if k == L else (k, 0))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def test_automaton_table_equals_the_border_walk():
+    patterns = [bits for L in range(1, 11) for bits in product((0, 1), repeat=L)]
+    patterns += [(0,) * k1 + (1,) * (total - k1) for total in range(2, 61)
+                 for k1 in range(1, total)]
+    for pattern in patterns:
+        assert RunAutomaton.from_pattern(pattern).transitions == _reference_transitions(pattern)
 
 
 def test_automaton_counts_overlapping_two_runs():

@@ -35,9 +35,7 @@ from psdapprox.runs import (
     K1K2WindowSequence,
     TABLE1_PRINTED,
     TwoRunsModel,
-    _block_mean,
-    _block_pair,
-    _block_triple,
+    _block_moments,
     _trial_products,
     brown_xia_bound,
     conditional_zero_max,
@@ -55,7 +53,7 @@ from psdapprox.runs import (
     two_runs_var,
     window_probability,
 )
-from psdapprox.sequences import compute_moments
+from psdapprox.sequences import compute_moments, neighborhood_moment_set
 
 
 def _at(arrays, moments, i: int) -> tuple:
@@ -73,11 +71,57 @@ def _two_runs_at(model: TwoRunsModel, i: int) -> tuple:
     return _at(_trial_products(model), two_runs_moment_set(model), i)
 
 
+# -- (k1,k2) reference: the block moments one scalar window at a time -----------
+
+
+def _window(model: K1K2Model, j: int) -> float:
+    """``K1K2Model.window`` on the trial probabilities, 0 off-range."""
+    if not 1 <= j <= model.n * model.m:
+        return 0.0
+    return model.window(model.trial_probs, j)
+
+
+def _block_mean(model: K1K2Model, i: int) -> float:
+    if not 1 <= i <= model.n:
+        return 0.0
+    m = model.m
+    return math.fsum(_window(model, j) for j in range((i - 1) * m + 1, i * m + 1))
+
+
+def _block_pair(model: K1K2Model, i: int) -> float:
+    """``E(X_i X_{i+1})`` over window pairs across adjacent blocks with gap > m."""
+    if not 1 <= i <= model.n - 1:
+        return 0.0
+    m = model.m
+    total = 0.0
+    for l1 in range((i - 1) * m + 1, i * m):
+        inner = math.fsum(_window(model, l2) for l2 in range(l1 + m + 1, (i + 1) * m + 1))
+        total += _window(model, l1) * inner
+    return total
+
+
+def _block_triple(model: K1K2Model, i: int) -> float:
+    """``E(X_i X_{i+1} X_{i+2})`` over window triples with pairwise gap > m."""
+    if not 1 <= i <= model.n - 2:
+        return 0.0
+    m = model.m
+    total = 0.0
+    for l1 in range((i - 1) * m + 1, i * m):
+        a1v = _window(model, l1)
+        if a1v == 0.0:
+            continue
+        for l2 in range(l1 + m + 1, (i + 1) * m):
+            a2v = _window(model, l2)
+            if a2v == 0.0:
+                continue
+            inner = math.fsum(_window(model, l3) for l3 in range(l2 + m + 1, (i + 2) * m + 1))
+            total += a1v * a2v * inner
+    return total
+
+
 def _k1k2_at(model: K1K2Model, i: int) -> tuple:
     """``(a*, pair, triple, a1*, a2*, a3*)`` at block index ``i``."""
-    blocks = range(1, model.n + 1)
-    arrays = [[f(model, j) for j in blocks] for f in (_block_mean, _block_pair, _block_triple)]
-    return _at(arrays, k1k2_moment_set(model), i)
+    return _at(_block_moments(model), k1k2_moment_set(model), i)
 
 
 # -- per-index reference: the neighborhood expansion index by index ------------
@@ -498,6 +542,41 @@ def test_window_indicator_agrees_across_trial_representations():
                 loop *= p[j - 1 + off]
             assert window_probability(model, j) == loop
         assert window_probability(model, 0) == window_probability(model, n * m + 1) == 0.0
+
+
+def _models_with_certain_trials() -> list:
+    """(k1,k2) models whose trials include probabilities 0 and 1."""
+    rng = np.random.default_rng(23)
+    models = []
+    for k1, k2, n in [(1, 1, 6), (1, 2, 7), (2, 3, 5), (3, 1, 4), (4, 4, 9)]:
+        m = k1 + k2 - 1
+        p = rng.uniform(0, 1, (n + 1) * m)
+        p[::3], p[1::4] = 0.0, 1.0
+        models.append(K1K2Model(k1, k2, n, p.tolist()))
+    return models
+
+
+def test_window_array_equals_the_scalar_window():
+    for model in _models_with_certain_trials():
+        probs = model.window_probs
+        assert probs.dtype == np.float64 and probs.shape == (model.n * model.m,)
+        assert not probs.flags.writeable
+        assert {0.0, 1.0} <= set(model.trial_probs)
+        for j in range(1, model.n * model.m + 1):
+            assert probs[j - 1] == model.window(model.trial_probs, j)
+            assert window_probability(model, j) == model.window(model.trial_probs, j)
+
+
+def test_k1k2_moment_set_equals_the_per_window_reference():
+    rng = np.random.default_rng(29)
+    wide = [K1K2Model(k1, k2, n, rng.uniform(0, 1, (n + 1) * (k1 + k2 - 1)).tolist())
+            for k1, k2, n in [(3, 3, 12), (3, 4, 10), (2, 5, 15)]]
+    models = [model for model, _ in _reference_models() if isinstance(model, K1K2Model)]
+    for model in models + wide + _models_with_certain_trials():
+        blocks = range(1, model.n + 1)
+        want = [[f(model, i) for i in blocks] for f in (_block_mean, _block_pair, _block_triple)]
+        assert list(_block_moments(model)) == want
+        assert k1k2_moment_set(model) == neighborhood_moment_set(*want)
 
 
 def test_k1k2_blocks_are_bernoulli():

@@ -9,6 +9,7 @@ from psdapprox.errors import EnumerationLimitError, UnavailableError
 from psdapprox.sequences import (
     BernoulliProductSequence,
     MomentSet,
+    _row_sums,
     block_m_dependent,
     compute_moments,
     dependence_certificate,
@@ -375,6 +376,57 @@ def test_streamed_values_equal_the_full_bit_matrix_map(kind, trials):
     total = _stream_case(kind, trials).w_values()  # streamed without x_values
     assert total.dtype == np.int32
     assert np.array_equal(total, want.sum(axis=1))
+
+
+def _block_of(dtype, n: int, top: int) -> np.ndarray:
+    """A column-major ``(300, n)`` block of values in ``0..top``, in
+    ``dtype``, whose first row is all ``top``."""
+    rng = np.random.default_rng(n * 1000 + top)
+    x = np.asfortranarray(rng.integers(0, top + 1, (300, n)).astype(dtype))
+    x[0] = top
+    return x
+
+
+# n * top at 255 sums at byte width, at 256 in int32.
+@pytest.mark.parametrize("n,top,byte_wide", [
+    (1, 255, True), (5, 51, True), (15, 17, True), (255, 1, True),
+    (8, 32, False), (2, 128, False), (256, 1, False),
+])
+def test_row_sums_at_byte_width_only_where_no_row_can_overflow(n, top, byte_wide):
+    x = _block_of(np.uint8, n, top)
+    got = _row_sums(x)
+    assert got.dtype == (np.uint8 if byte_wide else np.int32)
+    assert np.array_equal(got, x.sum(axis=1, dtype=np.int32))
+    assert int(got[0]) == n * top
+
+
+@pytest.mark.parametrize("dtype,top", [(bool, 1), (np.int16, 300)])
+def test_row_sums_of_other_dtypes_are_int32(dtype, top):
+    x = _block_of(dtype, 20, top)
+    got = _row_sums(x)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, x.sum(axis=1, dtype=np.int32))
+
+
+_BYTE_WIDE_MODELS = {
+    "2-runs n=20": lambda: TwoRunsModel([0.05] * 21),
+    "17-trial product": lambda: BernoulliProductSequence([(t % 7 + 1) / 16 for t in range(17)]),
+    "(1,2)-runs n=7": lambda: K1K2Model(1, 2, 7, [0.3] * 16),
+}
+
+
+@pytest.mark.parametrize("name", _BYTE_WIDE_MODELS)
+def test_w_summed_at_byte_width_equals_the_int32_sums(name):
+    streamed = _BYTE_WIDE_MODELS[name]()
+    total = streamed.w_values()
+    recorded = _BYTE_WIDE_MODELS[name]()
+    recorded.x_values()
+    assert total.dtype == recorded.w_values().dtype == np.int32
+    for rows, x in streamed._x_blocks():
+        assert x.dtype == np.uint8 and int(x.max()) * streamed.n <= 255  # byte width
+        want = x.sum(axis=1, dtype=np.int32)
+        assert np.array_equal(total[rows], want)
+        assert np.array_equal(recorded.w_values()[rows], want)
 
 
 def test_mean_var_keeps_neither_bits_nor_summand_values():
