@@ -209,12 +209,19 @@ class BoundReport:
         return out.getvalue()
 
 
-def _check_target(spec, mean_w: float):
-    """Every variant's preconditions on the target: a Panjer family, whose
-    ``a`` and ``b`` the bounds use, with the sum's mean."""
+def target_mean(spec) -> float:
+    """The mean of a target every variant takes: a Panjer family, whose ``a``
+    and ``b`` the bounds use, with moments.  It reads nothing of the sum, so
+    a target is refused before any moment of the sum is computed."""
     if not isinstance(spec, PanjerPSD):
         raise PreconditionError("the bounds need a Panjer target (a, b); a series target has none")
-    target = spec.mean
+    return spec.mean
+
+
+def _check_target(spec, mean_w: float):
+    """Every variant's preconditions on the target: :func:`target_mean`, equal
+    to the sum's mean."""
+    target = target_mean(spec)
     if abs(target - mean_w) > MEAN_MATCH_TOL * (1.0 + abs(mean_w)):
         raise MomentMatchError(target, mean_w)
 

@@ -23,6 +23,7 @@ from .bounds import (
     build_conditional_terms,
     build_smoothing,
     exact_tv,
+    target_mean,
     theorem31_bound,
 )
 from .errors import PsdApproxError
@@ -131,8 +132,11 @@ def cmd_bound(args) -> int:
     if variant == "closed-form" and closed_form is None:
         sys.stderr.write("closed-form variant needs a runs model\n")
         return 2
-    # --fit wins over --target; a target file is read before the moments.
+    # --fit wins over --target; a target file is read, and refused if no
+    # variant takes it, before the moments.
     spec = None if args.fit else _read_input(args.target, family_from_json)
+    if spec is not None:
+        target_mean(spec)
     if variant == "closed-form":
         # The closed form builds its own moments: a fit reads only W's mean and variance.
         if spec is None:

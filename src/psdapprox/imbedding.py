@@ -12,7 +12,9 @@ the radius-2 window ``N_{i,2}``, so three pieces cover the trials
   ``oracle.dp_distribution`` runs;
 - a window DP over trials ``lo m + 1 .. (hi+1) m``, from each start state
   ``sL``, whose state is the automaton state and the 0/1 value of each block
-  ``lo..hi`` (a block holds at most one occurrence);
+  ``lo..hi`` (a block holds at most one occurrence): :func:`window_layers`,
+  which also runs the (k1,k2) smoothing DP of ``runs.conditional_zero_max``
+  over the radius-1 windows;
 - the backward law ``B[s, c]`` of the count over the trials past
   ``(hi+1) m`` from state ``s``.
 
@@ -116,33 +118,51 @@ def _window_groups(blocks: int, pos: int) -> tuple:
     return pairs, coef, np.hstack((member, bits[:, pos : pos + 1] * member))
 
 
+def window_layers(automaton: RunAutomaton, probs: np.ndarray, n: int, m: int,
+                  radius: int, start: np.ndarray, lead: int):
+    """The window DP of every index ``i`` of ``n`` blocks, by batches of
+    indices: yields ``(indices, blocks, pos, layer)``.
+
+    Index ``i``'s window is the blocks ``lo..hi`` within ``radius`` of ``i``;
+    the indices of a batch share its ``blocks`` count and ``i``'s place
+    ``pos`` in it.  From the law ``start[..., s]`` of automaton state ``s``
+    after trial ``lo m - lead``, ``layer[k, ..., s, code]`` is the
+    probability for ``indices[k]`` of state ``s`` after trial ``(hi+1) m``
+    with bit ``b`` of ``code`` the value of block ``lo + b``; an occurrence
+    in the ``lead`` trials before the window counts in block ``lo``.  A
+    batch holds as many indices as fit in ``_WINDOW_CELLS`` layer cells, at
+    least one; its rows are independent, so each index gets the float
+    operations, in order, of a DP run on it alone.
+    """
+    shapes: dict = {}
+    for i in range(1, n + 1):
+        lo, hi = max(1, i - radius), min(n, i + radius)
+        shapes.setdefault((hi - lo + 1, i - lo), []).append(i)
+    for (blocks, pos), indices in shapes.items():
+        batch = max(1, _WINDOW_CELLS // (start.size << blocks))
+        for begin in range(0, len(indices), batch):
+            part = indices[begin : begin + batch]
+            first = (np.array(part) - pos) * m - lead  # 0-based trial lo m + 1 - lead
+            layer = np.zeros((len(part),) + start.shape + (1 << blocks,))
+            layer[..., 0] = start
+            for step in range(blocks * m + lead):
+                layer = block_step(layer, automaton, probs[first + step],
+                                   1 << (max(step - lead, 0) // m))
+            yield part, blocks, pos, layer
+
+
 def _window_weights(automaton: RunAutomaton, probs: np.ndarray, n: int, m: int) -> dict:
     """``{i: (pairs, coef, weights)}``: ``weights[sL * S + sR, g]`` is the
     probability, from state ``sL`` after trial ``lo m``, of reaching state
     ``sR`` after trial ``(hi+1) m`` with block values in column ``g`` of
-    :func:`_window_groups`.
-
-    Indices whose windows have as many blocks, with ``i`` at the same place,
-    share one DP, vectorised across them in batches.
+    :func:`_window_groups`, by :func:`window_layers` over ``N_{i,2}``.
     """
     S = automaton.n_states
-    shapes: dict = {}
-    for i in range(1, n + 1):
-        lo, hi = max(1, i - 2), min(n, i + 2)
-        shapes.setdefault((hi - lo + 1, i - lo), []).append(i)
     out = {}
-    for (blocks, pos), indices in shapes.items():
+    for part, blocks, pos, layer in window_layers(automaton, probs, n, m, 2, np.eye(S), 0):
         pairs, coef, groups = _window_groups(blocks, pos)
-        batch = max(1, _WINDOW_CELLS // (S * S << blocks))
-        for start in range(0, len(indices), batch):
-            part = indices[start : start + batch]
-            first = (np.array(part) - pos) * m  # 0-based trial lo m + 1
-            layer = np.zeros((len(part), S, S, 1 << blocks))
-            layer[:, range(S), range(S), 0] = 1.0
-            for step in range(blocks * m):
-                layer = block_step(layer, automaton, probs[first + step], 1 << (step // m))
-            weights = layer.reshape(len(part), S * S, -1) @ groups
-            out.update((i, (pairs, coef, w)) for i, w in zip(part, weights))
+        weights = layer.reshape(len(part), S * S, -1) @ groups
+        out.update((i, (pairs, coef, w)) for i, w in zip(part, weights))
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .bounds import BoundReport, SmoothingEstimate, bound_d1, build_smoothing, m_star
 from .errors import NBFitError, PreconditionError
 from .families import PanjerPSD, negative_binomial_family
-from .imbedding import ImbeddedConditionalTerms, block_step
+from .imbedding import ImbeddedConditionalTerms, window_layers
 from .oracle import RunAutomaton, k1k2_automaton, two_runs_automaton
 from .sequences import (
     DependentSequence,
@@ -285,8 +285,8 @@ class K1K2Model(_RunsModel):
     ``j-1``: :meth:`window` on the trial probabilities, for all ``nm``
     windows at once, built in the constructor and read-only.  Moments have
     closed forms over it and the smoothing constants a DP over at most
-    ``4m`` trials per index, so no bound path enumerates the trial space and
-    ``k1+k2`` is not limited.
+    ``4m`` trials per index, on ``imbedding.window_layers``, so no bound path
+    enumerates the trial space and ``k1+k2`` is not limited.
     """
 
     def __init__(self, k1: int, k2: int, n: int, p: Sequence[float]):
@@ -422,22 +422,18 @@ def k1k2_moment_set(model: K1K2Model) -> MomentSet:
     return neighborhood_moment_set(*_block_moments(model))
 
 
-# Indices per batch of the smoothing DP, so a layer holds at most this many
-# times ``states * 8`` floats at any ``n``.
-_COND_ZERO_BATCH = 4096
-
-
 def conditional_zero_max(model: K1K2Model, ell: int) -> float:
     """``max over neighbor-block values of P(X_ell = 0 | those values)``.
 
-    Exact, by a forward DP (Markov-chain imbedding) over the at most ``4m``
-    trials under blocks ``ell-1..ell+1``, clipped at the ends.  The state is
-    the pattern automaton's match length and the 0/1 value of each block;
-    an occurrence ending at trial ``t`` belongs to the block of window
-    ``t-m``.  The max runs over attainable neighbor values.  The first call
-    runs one DP for every index of the model at once, vectorised across the
-    indices whose windows have the same shape, and caches all ``n`` values;
-    the cost is ``O(n m (k1+k2))`` per model, for any ``k1+k2``.
+    Exact, by the forward DP of ``imbedding.window_layers`` (Markov-chain
+    imbedding) over the radius-1 window, blocks ``ell-1..ell+1`` clipped at
+    the ends, from state 0 ``m`` trials before it: at most ``4m`` trials.
+    The state is the pattern automaton's match length and the 0/1 value of
+    each block; an occurrence ending at trial ``t`` belongs to the block of
+    window ``t-m``.  The max runs over attainable neighbor values.  The
+    first call runs that DP for every index of the model, batched across
+    the indices whose windows have the same shape, and caches all ``n``
+    values; the cost is ``O(n m (k1+k2))`` per model, for any ``k1+k2``.
     """
     if not 1 <= ell <= model.n:
         raise ValueError(f"index {ell} outside 1..{model.n}")
@@ -449,46 +445,18 @@ def conditional_zero_max(model: K1K2Model, ell: int) -> float:
 
 def _conditional_zero_table(model: K1K2Model) -> dict:
     """:func:`conditional_zero_max` at every index, keyed by index."""
-    probs = np.asarray(model.trial_probs)
-    # Indices whose window has as many blocks, with ell at the same place in
-    # it, share one DP: interior ones, ell = 1, ell = n, and n = 1.
-    shapes: dict = {}
-    for ell in range(1, model.n + 1):
-        lo_block, hi_block = max(1, ell - 1), min(model.n, ell + 1)
-        shapes.setdefault((hi_block - lo_block + 1, ell - lo_block), []).append(ell)
+    start = np.eye(model.automaton.n_states)[0]  # state 0, m trials before the window
     out = {}
-    for (blocks, pos), ells in shapes.items():
-        for start in range(0, len(ells), _COND_ZERO_BATCH):
-            batch = ells[start : start + _COND_ZERO_BATCH]
-            first_trials = (np.array(batch) - pos - 1) * model.m  # 0-based
-            values = _conditional_zero_batch(model.automaton, probs, first_trials,
-                                             blocks, pos, model.m)
-            out.update(zip(batch, values.tolist()))
+    for ells, blocks, pos, layer in window_layers(model.automaton, np.asarray(model.trial_probs),
+                                                  model.n, model.m, 1, start, model.m):
+        joint = layer.sum(axis=1)  # law of the block values, per index
+        codes, ell_bit = np.arange(1 << blocks), 1 << pos
+        others = codes[(codes & ell_bit) == 0]
+        numer = joint[:, others]  # X_ell = 0, per neighbor values
+        denom = numer + joint[:, others | ell_bit]
+        ratio = np.divide(numer, denom, out=np.full_like(numer, -np.inf), where=denom > 0)
+        out.update(zip(ells, ratio.max(axis=1).tolist()))
     return out
-
-
-def _conditional_zero_batch(automaton, probs: np.ndarray, first_trials: np.ndarray,
-                            blocks: int, pos: int, m: int) -> np.ndarray:
-    """The DP of :func:`conditional_zero_max` for windows of ``blocks`` blocks
-    starting at each of ``first_trials``, with ``ell`` the block at ``pos``.
-
-    The layer is ``(window, automaton state, block values)``; every window
-    gets the float operations, in the order, of a DP run on it alone.
-    """
-    codes = np.arange(1 << blocks)
-    layer = np.zeros((len(first_trials), automaton.n_states, len(codes)))
-    layer[:, 0, 0] = 1.0
-    for step in range((blocks + 1) * m):
-        # Block of window step - m (nothing completes in the first m steps).
-        layer = block_step(layer, automaton, probs[first_trials + step],
-                           1 << (max(step - m, 0) // m))
-    joint = layer.sum(axis=1)  # law of the block values, per window
-    ell_bit = 1 << pos
-    others = codes[(codes & ell_bit) == 0]
-    numer = joint[:, others]  # X_ell = 0, per neighbor values
-    denom = numer + joint[:, others | ell_bit]
-    ratio = np.divide(numer, denom, out=np.full_like(numer, -np.inf), where=denom > 0)
-    return ratio.max(axis=1)
 
 
 def _k1k2_check_conditions(model: K1K2Model):

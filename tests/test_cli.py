@@ -378,6 +378,33 @@ def test_series_target_is_refused_by_every_variant(
     assert "Panjer target" in err
 
 
+@pytest.mark.parametrize("target, message", [
+    ({"family": "series", "theta": 0.9, "coeffs": [1.0, 0.9, 0.405]},
+     "the bounds need a Panjer target (a, b); a series target has none"),
+    ({"family": "panjer", "a": 0.5, "b": 1.0, "max_support": 10},
+     "moments undefined for b=1.0 >= 1"),
+])
+def test_a_target_no_variant_takes_is_refused_before_the_moments(
+        tmp_path, two_runs_model_file, capsys, monkeypatch, target, message):
+    import psdapprox.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments computed before the target was refused")
+
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(target))
+    argvs = [["bound", "--model", two_runs_model_file, "--target", str(path), "--variant", v]
+             for v in BOUND_VARIANTS]
+    for argv in argvs:
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    for name in ("compute_moments", "mean_var"):
+        monkeypatch.setattr(cli_mod, name, refuse)
+    for argv in argvs:
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("index", ["0", "11", "-3"])
 def test_oracle_conditional_index_outside_the_model_is_usage_error(
         two_runs_model_file, capsys, index):
@@ -441,6 +468,33 @@ def test_bound_theorem_variant_beyond_enumeration(tmp_path, capsys):
     assert payload["variant"] == "theorem31"
     law = dp_distribution(two_runs_automaton(), p)
     assert exact_tv(law, family_from_json(payload["target"]).pmf()).upper <= payload["total"]
+
+
+@pytest.mark.parametrize("model, variant, refusal, allowed", [
+    ("two-runs", "theorem", "n >= 6 (got n=5)", True),
+    ("custom-bernoulli-product", "d1", "n >= 6 (got n=5)", True),
+    ("custom-bernoulli-product", "min", "n >= 6 (got n=5)", True),
+    ("two-runs", "d1", "smoothing constant stated for n >= 8 (got n=5)", False),
+])
+def test_allow_small_n_lifts_only_the_generic_minimum(
+        tmp_path, capsys, model, variant, refusal, allowed):
+    p = [0.3, 0.2, 0.4, 0.25, 0.35, 0.3]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": model, "p": p if model == "two-runs" else p[:5]}))
+    argv = ["bound", "--model", str(path), "--fit", "poisson", "--variant", variant]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and refusal in err
+    code = main(argv + ["--allow-small-n"])
+    out, err = capsys.readouterr()
+    if allowed:
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["variant"] == {"theorem": "theorem31"}.get(variant, variant)
+        assert math.isfinite(payload["total"]) and payload["total"] > 0
+    else:  # the model's own smoothing constant keeps its minimum
+        assert (code, out) == (1, "")
+        assert refusal in err
 
 
 def test_bound_csv_format(two_runs_model_file, k1k2_model_file, capsys):

@@ -22,12 +22,14 @@ from psdapprox.bounds import (
 )
 from psdapprox.errors import UnavailableError
 from psdapprox.families import poisson_family
-from psdapprox.imbedding import ImbeddedConditionalTerms
+from psdapprox import imbedding
+from psdapprox.imbedding import ImbeddedConditionalTerms, imbedded_weighted_sums
 from psdapprox.oracle import dp_distribution, k1k2_automaton, two_runs_automaton
-from psdapprox.runs import K1K2Model, TwoRunsModel, nb_fit_from_moments
+from psdapprox.runs import K1K2Model, TwoRunsModel, _conditional_zero_table, nb_fit_from_moments
 from psdapprox.sequences import BernoulliProductSequence, compute_moments
 
 from test_grouping import _models
+from test_runs import _batched_dp_models
 
 
 def _runs_models():
@@ -56,6 +58,30 @@ def test_engine_matches_enumeration(seq):
     got = engine.weighted_sums()
     want = ExactConditionalTerms(seq).weighted_sums()
     assert _close(got, want, 1e-12), (got, want)
+
+
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+def test_the_batch_budget_changes_no_bit_of_either_engine(monkeypatch, per_batch):
+    # Only the interior window shape has more than one index, so a budget of
+    # per_batch times its cells per index (start.size << blocks) gives
+    # batches of 1..per_batch indices.
+    runs_models, k1k2_models = _runs_models(), _batched_dp_models()
+    sizes = set()
+    real_step = imbedding.block_step
+    monkeypatch.setattr(imbedding, "block_step",
+                        lambda layer, *args: sizes.add(len(layer)) or real_step(layer, *args))
+    sums = [imbedded_weighted_sums(s.automaton, s.trial_probs, s.n, s.m) for s in runs_models]
+    tables = [_conditional_zero_table(model) for model in k1k2_models]
+    assert max(sizes) > 3
+    sizes.clear()
+    for seq, want in zip(runs_models, sums):
+        cells = seq.automaton.n_states ** 2 << 5
+        monkeypatch.setattr(imbedding, "_WINDOW_CELLS", per_batch * cells)
+        assert imbedded_weighted_sums(seq.automaton, seq.trial_probs, seq.n, seq.m) == want
+    for model, want in zip(k1k2_models, tables):
+        monkeypatch.setattr(imbedding, "_WINDOW_CELLS", per_batch * (model.automaton.n_states << 3))
+        assert _conditional_zero_table(model) == want
+    assert max(sizes) == per_batch
 
 
 # -- exact-rational reference ------------------------------------------------------
