@@ -3,16 +3,14 @@
 The 2-runs count is a sum of 1-dependent 0/1 variables X_i = t_i t_{i+1}
 over independent trials t.  We enumerate its joint law exactly, check the
 neighborhood variance identity, certify 1-dependence by factorization, and
-reduce an m-dependent window sequence to 1-dependent blocks.
+reduce the m-dependent windows of a (k1,k2)-runs count to 1-dependent blocks.
 """
 
 import numpy as np
 
 from psdapprox import (
     K1K2Model,
-    K1K2WindowSequence,
     TwoRunsModel,
-    block_m_dependent,
     compute_moments,
     dependence_certificate,
     two_runs_moment_set,
@@ -52,16 +50,19 @@ print(f"...but not across adjacent splits (it is truly dependent): "
       f"{dependence_certificate(model, gap=1)}")
 
 print()
-print("=== blocking an m-dependent window sequence ===")
+print("=== blocking the m-dependent windows of a (k1,k2)-runs count ===")
 k1, k2, n = 1, 2, 3
 m = k1 + k2 - 1
-trials = [0.35] * ((n + 1) * m)
-windows = K1K2WindowSequence(k1, k2, n, trials)
-print(f"(k1,k2) = ({k1},{k2}): {windows.n} windows, dependence radius {m}")
-blocked = block_m_dependent(windows)
-print(f"blocked into {blocked.n} groups of {m}: radius {blocked.dependence_radius}")
-direct = K1K2Model(k1, k2, n, trials)
-same = np.array_equal(blocked.x_values(), direct.x_values())
-print(f"blocked variables equal the 1-dependent block model outcome-wise: {same}")
-print(f"blocked sequence passes the factorization certificate: "
-      f"{dependence_certificate(blocked, gap=2)}")
+runs = K1K2Model(k1, k2, n, [0.35] * ((n + 1) * m))
+bits = runs.enumerate_bits()
+windows = np.stack([runs.window(bits.T, j) for j in range(1, n * m + 1)]).T
+print(f"(k1,k2) = ({k1},{k2}): {n * m} window indicators over {k1 + k2} trials each, "
+      f"dependence radius m = {m}")
+blocks = windows.reshape(-1, n, m).sum(axis=2)
+print(f"summed in {n} blocks of {m}: the model's summands, radius {runs.dependence_radius}")
+print(f"blocks equal the model's summands outcome by outcome: "
+      f"{np.array_equal(blocks, runs.x_values())}")
+print(f"window total equals block total outcome by outcome: "
+      f"{np.array_equal(windows.sum(axis=1), runs.w_values())}")
+print(f"the blocks pass the factorization certificate: "
+      f"{dependence_certificate(runs, gap=2)}")

@@ -157,6 +157,8 @@ class BoundReport:
     ``variant`` selects the recomposition formula: the three main variants
     use ``delta_g * (quadratic + linear + tau)``; ``crude`` uses
     ``(2|1-b| g_norm + delta_g) * linear``; ``min`` carries both operands.
+    The runs closed forms also carry their per-index ``moment_terms`` and the
+    smoothing constants used, ``c_constant``.
     """
 
     variant: str
@@ -170,6 +172,8 @@ class BoundReport:
     g_norm_factor: Optional[float] = None
     one_minus_b: float = 1.0
     operands: Optional[dict] = None
+    moment_terms: Optional[tuple] = None
+    c_constant: object = None
 
     def recompute_total(self) -> float:
         if self.variant == "crude":
@@ -198,6 +202,11 @@ class BoundReport:
             out["smoothing_c"] = list(self.smoothing.c)
         if self.operands:
             out["operands"] = dict(self.operands)
+        if self.moment_terms is not None:
+            out["moment_terms"] = list(self.moment_terms)
+        if self.c_constant is not None:
+            c = self.c_constant
+            out["c_constant"] = list(c) if isinstance(c, tuple) else c
         return out
 
     def csv_row(self, n: Optional[int] = None, params: str = "") -> str:

@@ -322,14 +322,19 @@ class PanjerPSD:
 class PSDSpec:
     """General power-series family ``p_k = coeff(k) theta^k / norm``.
 
-    ``norm`` is computed eagerly at construction (with a geometric tail
-    certificate) when not supplied, so instances are safe to share across
-    threads without lazy-initialization races.
+    ``norm`` is computed eagerly at construction when not supplied, so
+    instances are safe to share across threads without lazy-initialization
+    races.  With ``max_support`` the terms ``0..max_support`` are the whole
+    series, summed exactly with tail 0.  Without it the terms stop at two
+    consecutive zero terms, or where the ratio of the last two terms promises
+    a geometric tail below ``1e-18`` of their sum; that certificate assumes
+    the term ratios do not grow past the cut.
     """
 
     theta: float
     coeff: Callable[[int], float]
     norm: Optional[float] = None
+    max_support: Optional[int] = None
 
     def __post_init__(self):
         if self.theta <= 0:
@@ -342,21 +347,28 @@ class PSDSpec:
         object.__setattr__(self, "_terms", tuple(terms))
         object.__setattr__(self, "_tail", tail)
 
+    def _term(self, k: int) -> float:
+        c = self.coeff(k)
+        if c < 0:
+            raise InvalidFamilyError(f"coeff({k}) < 0")
+        try:
+            term = c * self.theta**k
+        except OverflowError:
+            raise NonNormalizableError("series terms overflow") from None
+        if term > 1e250:
+            raise NonNormalizableError("series terms grow without bound")
+        return term
+
     def _terms_with_tail(self):
+        """``(terms, tail)``: the terms ``coeff(k) theta^k`` and a bound on the
+        sum of the terms past them (see the class docstring)."""
+        if self.max_support is not None:
+            return [self._term(k) for k in range(self.max_support + 1)], 0.0
         terms = []
         running = 0.0
         k = 0
         while True:
-            c = self.coeff(k)
-            if c < 0:
-                raise InvalidFamilyError(f"coeff({k}) < 0")
-            try:
-                term = c * self.theta**k
-            except OverflowError:
-                raise NonNormalizableError("series terms overflow") from None
-            if term > 1e250:
-                raise NonNormalizableError("series terms grow without bound")
-            terms.append(term)
+            terms.append(self._term(k))
             running += terms[-1]
             if k >= 2 and terms[-1] > 0 and terms[-2] > 0:
                 r = terms[-1] / terms[-2]
@@ -372,10 +384,6 @@ class PSDSpec:
     @property
     def g_scale(self) -> float:
         return 1.0
-
-    @property
-    def max_support(self) -> Optional[int]:
-        return None
 
     def op_coeff(self, k: int) -> float:
         """Coefficient ``theta (k+1) coeff(k+1) / coeff(k)`` of ``g(k+1)``."""
@@ -469,10 +477,6 @@ def dgm_to_psd(V: Callable[[int], float], w: float) -> PSDSpec:
     return PSDSpec(theta=w, coeff=coeff)
 
 
-def family_to_json(spec) -> dict:
-    return spec.to_json()
-
-
 def _finite(name: str, value) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -505,7 +509,8 @@ def family_from_json(obj: dict):
         def coeff(k: int) -> float:
             return coeffs[k] if k < len(coeffs) else 0.0
 
-        return PSDSpec(theta=_finite("theta", obj["theta"]), coeff=coeff)
+        return PSDSpec(theta=_finite("theta", obj["theta"]), coeff=coeff,
+                       max_support=len(coeffs) - 1)
     raise ValueError(f"unknown family kind {kind!r}")
 
 

@@ -25,7 +25,7 @@ moment-matched target fitting, and the published comparison table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,29 +44,11 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class RunsBoundReport(BoundReport):
-    """Bound report carrying the per-index moment terms and constants used."""
-
-    moment_terms: tuple = ()
-    c_constant: object = None
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["moment_terms"] = list(self.moment_terms)
-        out["c_constant"] = (
-            list(self.c_constant)
-            if isinstance(self.c_constant, tuple)
-            else self.c_constant
-        )
-        return out
-
-
 # -- shared by both models: 1-dependent 0/1 summands -------------------------------
 
 
 def _closed_form_bound(moments: MomentSet, c: tuple, labels: tuple, spec, term_weights,
-                       c_constant) -> RunsBoundReport:
+                       c_constant) -> BoundReport:
     """``bound_d1`` with a model's uncapped smoothing constants, as ``closed-form``.
 
     ``c`` and ``labels`` hold each index's constant and its method; the
@@ -79,8 +61,8 @@ def _closed_form_bound(moments: MomentSet, c: tuple, labels: tuple, spec, term_w
     quad, lin = moments.smoothing_weights()
     w = np.asarray(term_weights)
     terms = tuple(zip((w * half * quad).tolist(), (w * lin).tolist()))
-    return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
-                           moment_terms=terms, c_constant=c_constant)
+    return replace(d1, variant="closed-form", smoothing=None, moment_terms=terms,
+                   c_constant=c_constant)
 
 
 class _RunsModel(DependentSequence):
@@ -101,8 +83,9 @@ class TwoRunsModel(_RunsModel):
     """Overlapping success pairs in ``n+1`` independent Bernoulli trials.
 
     The standing assumption of the run bounds is ``p_i <= 1/2`` for every
-    trial; violations are flagged on the instance and the bound constructors
-    refuse them (validity of the smoothing constants is not guaranteed).
+    trial; violations are flagged on the instance, and the smoothing constants,
+    and so ``d1``, ``min`` and the closed form, refuse them (the published
+    constant is stated for those trials only).
     """
 
     def __init__(self, p: Sequence[float]):
@@ -124,10 +107,12 @@ class TwoRunsModel(_RunsModel):
         return two_runs_moment_set(self)
 
     def smoothing_constants(self) -> tuple:
+        if not self.assumption_ok:
+            raise PreconditionError("trial probabilities must satisfy p_i <= 1/2")
         cbar, label = two_runs_cbar_parts(self.n)  # the same at every index
         return (cbar,) * self.n, (label,) * self.n
 
-    def closed_form_bound(self, spec: PanjerPSD) -> RunsBoundReport:
+    def closed_form_bound(self, spec: PanjerPSD) -> BoundReport:
         return two_runs_bound(self, spec)
 
 
@@ -189,19 +174,14 @@ def nb_moment_match_2runs(n: int, p: float) -> PanjerPSD:
     return nb_fit_from_moments(n * p**2, two_runs_var(n, p))
 
 
-def two_runs_bound(model: TwoRunsModel, spec: PanjerPSD) -> RunsBoundReport:
+def two_runs_bound(model: TwoRunsModel, spec: PanjerPSD) -> BoundReport:
     """Model-specialized bound: ``|Dg| { cbar(n) sum_i [(|1-b|/2)(a1 abar1 +
     abar2) + abar3] + |tau(1-b)| }``; requires ``n >= 8``, trials <= 1/2, and
     matched first moments.  ``moment_terms`` holds the per-index summands
     before the factor ``cbar``."""
-    n = model.n
-    if not model.assumption_ok:
-        raise PreconditionError("trial probabilities must satisfy p_i <= 1/2")
-    cbar, label = two_runs_cbar_parts(n)  # enforces n >= 8
-    return _closed_form_bound(
-        two_runs_moment_set(model), (cbar,) * n, (label,) * n, spec,
-        term_weights=[1.0] * n, c_constant=cbar,
-    )
+    cs, labels = model.smoothing_constants()  # enforces trials <= 1/2 and n >= 8
+    return _closed_form_bound(two_runs_moment_set(model), cs, labels, spec,
+                              term_weights=[1.0] * model.n, c_constant=cs[0])
 
 
 def nb_bound_closed_form(n: int, p: float) -> float:
@@ -325,12 +305,9 @@ class K1K2Model(_RunsModel):
             val = val * (1 - t if off < self.k1 else t)
         return val
 
-    def _y_columns(self, bits: np.ndarray) -> np.ndarray:
-        cols = bits.T
-        return np.stack([self.window(cols, j) for j in range(1, self.n * self.m + 1)]).T
-
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
-        y = self._y_columns(bits)
+        cols = bits.T
+        y = np.stack([self.window(cols, j) for j in range(1, self.n * self.m + 1)]).T
         return np.stack(
             [y[:, (i - 1) * self.m : i * self.m].sum(axis=1, dtype=np.uint8)
              for i in range(1, self.n + 1)]
@@ -348,32 +325,11 @@ class K1K2Model(_RunsModel):
     def smoothing_constants(self) -> tuple:
         return k1k2_ci_star_parts(self)
 
-    def closed_form_bound(self, spec: PanjerPSD) -> RunsBoundReport:
+    def closed_form_bound(self, spec: PanjerPSD) -> BoundReport:
         return k1k2_bound(self, spec)
 
 
 register_model("k1k2-runs", lambda obj: K1K2Model(*model_args(obj, "k1", "k2", "n")))
-
-
-class K1K2WindowSequence(DependentSequence):
-    """The raw window occurrences ``Y_1..Y_{nm}`` of a (k1,k2) model.
-
-    This is the m-dependent sequence before blocking; grouping it into
-    blocks of ``m`` recovers the 1-dependent block variables of
-    :class:`K1K2Model` outcome by outcome.
-    """
-
-    def __init__(self, k1: int, k2: int, n: int, p: Sequence[float]):
-        self._model = K1K2Model(k1, k2, n, p)
-        m = self._model.m
-        super().__init__(p, n=n * m, dependence_radius=m, kind="k1k2-windows",
-                         params={"k1": k1, "k2": k2, "n": n})
-
-    def x_columns(self, bits: np.ndarray) -> np.ndarray:
-        return self._model._y_columns(bits)
-
-    def x_scalar(self, bits: tuple) -> tuple:
-        return tuple(self._model.window(bits, j) for j in range(1, self.n + 1))
 
 
 def window_probability(model: K1K2Model, j: int) -> float:
@@ -460,9 +416,7 @@ def _conditional_zero_table(model: K1K2Model) -> dict:
 
 
 def _k1k2_check_conditions(model: K1K2Model):
-    """Refuse instances outside the stated validity; a pass is cached."""
-    if model._cache.get("conditions_ok"):
-        return
+    """Refuse instances outside the stated validity."""
     if model.n < 3 * model.m:
         raise PreconditionError(
             f"stated validity requires n >= 3m = {3 * model.m} (got n={model.n})"
@@ -473,7 +427,6 @@ def _k1k2_check_conditions(model: K1K2Model):
             f"stated validity requires every occurrence probability <= 1/3 "
             f"(max is {worst:.6f})"
         )
-    model._cache["conditions_ok"] = True
 
 
 def k1k2_ci_star_parts(model: K1K2Model) -> tuple:
@@ -515,7 +468,7 @@ def k1k2_ci_star_parts(model: K1K2Model) -> tuple:
 def k1k2_bound(
     model: K1K2Model,
     spec: PanjerPSD,
-) -> RunsBoundReport:
+) -> BoundReport:
     """Model-specialized bound ``|Dg| { sum_i c*_i(n) [(|1-b|/2)(a* a1* + a2*)
     + a3*] + |tau(1-b)| }``; requires ``n >= 3m``, occurrence probabilities
     <= 1/3, matched first moments, and a finite ``c*_i`` at every index with

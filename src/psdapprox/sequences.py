@@ -15,9 +15,8 @@ which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
 moments stream over the indices, one float64 column and dot product at a
 time, with the window sums of :func:`sliding_windows` (which the exact
 conditional terms also slide, in integers); their ``mean_w`` and ``var_w``
-are :func:`mean_var`, two dot products over the cached ``W``.  Blocking
-reduces an m-dependent sequence to a 1-dependent one without changing the
-total sum.  :func:`group_rows` groups outcomes by equal values, for the
+are :func:`mean_var`, two dot products over the cached ``W``.
+:func:`group_rows` groups outcomes by equal values, for the
 dependence certificate here and for the exact conditional oracles where
 their packed keys would not fit the outcome count.
 """
@@ -378,47 +377,6 @@ register_model(
     "custom-bernoulli-product",
     lambda obj: BernoulliProductSequence(*model_args(obj)),
 )
-
-
-class BlockedSequence(DependentSequence):
-    """Consecutive blocks of an m-dependent sequence, yielding radius 1.
-
-    Block ``j`` sums source indices ``(j-1)m+1 .. min(jm, n)``; there are
-    ``ceil(n/m)`` blocks and the blocked total equals the source total
-    outcome by outcome.
-    """
-
-    def __init__(self, source: DependentSequence, m: Optional[int] = None):
-        m = source.dependence_radius if m is None else m
-        if m <= 0:
-            m = 1  # independent sources block as singletons
-        blocks = []
-        lo = 1
-        while lo <= source.n:
-            hi = min(lo + m - 1, source.n)
-            blocks.append((lo, hi))
-            lo = hi + 1
-        self.source = source
-        self.block_size = m
-        self.blocks = tuple(blocks)
-        radius = 0 if source.dependence_radius == 0 else 1
-        super().__init__(source.trial_probs, n=len(blocks), dependence_radius=radius,
-                         kind=f"blocked:{source.kind}", params=dict(source.params))
-
-    def x_columns(self, bits: np.ndarray) -> np.ndarray:
-        xs = self.source.x_columns(bits)
-        return np.stack([xs[:, lo - 1 : hi].sum(axis=1) for lo, hi in self.blocks]).T
-
-    def x_scalar(self, bits: tuple) -> tuple:
-        xs = self.source.x_scalar(bits)
-        return tuple(sum(xs[lo - 1 : hi]) for lo, hi in self.blocks)
-
-
-def block_m_dependent(seq: DependentSequence, m: Optional[int] = None) -> BlockedSequence:
-    """Group an m-dependent sequence into ``ceil(n/m)`` 1-dependent blocks."""
-    if m is not None and m <= 0:
-        raise ValueError("block size must be positive")
-    return BlockedSequence(seq, m)
 
 
 # -- moments ----------------------------------------------------------------------

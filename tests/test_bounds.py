@@ -34,7 +34,6 @@ from psdapprox.oracle import (
 )
 from psdapprox.runs import (
     K1K2Model,
-    RunsBoundReport,
     TwoRunsModel,
     k1k2_bound,
     k1k2_ci_star_parts,
@@ -300,6 +299,7 @@ def test_reports_serialize():
     ]:
         blob = report.to_json()
         assert blob["total"] == pytest.approx(report.total)
+        assert "moment_terms" not in blob and "c_constant" not in blob  # closed forms only
         row = report.csv_row(n=8, params="p=0.3")
         assert row.startswith(report.variant)
 
@@ -384,8 +384,8 @@ def _ref_closed_form(moments, cs, spec, term_weights, c_constant):
     half = abs(d1.one_minus_b) / 2
     terms = tuple((w * half * q, w * ln)
                   for w, (q, ln) in zip(term_weights, _ref_weights(moments)))
-    return RunsBoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None},
-                           moment_terms=terms, c_constant=c_constant)
+    return BoundReport(**{**vars(d1), "variant": "closed-form", "smoothing": None,
+                          "moment_terms": terms, "c_constant": c_constant})
 
 
 def _assert_same_report(report, ref):

@@ -549,6 +549,43 @@ def test_oracle_tv_against_target(two_runs_model_file, poisson_target_file, caps
     assert 0 < payload["tv"]["value"] < 1
 
 
+def test_oracle_tv_against_a_series_target_with_zero_coefficients(tmp_path, capsys):
+    # A coefficient list is the whole series: its table is exact, with tail 0,
+    # and not cut at the two zero coefficients.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.3] * 10}))
+    target = tmp_path / "series.json"
+    target.write_text(json.dumps({"family": "series", "theta": 0.5, "coeffs": [1, 0, 0, 5]}))
+    assert main(["oracle", "--model", str(model), "--target", str(target)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    law = payload["distribution"]["masses"]
+    series = [1 / 1.625, 0.0, 0.0, 0.625 / 1.625] + [0.0] * (len(law) - 4)
+    assert payload["tv"]["slack"] == 0.0
+    assert payload["tv"]["value"] == pytest.approx(
+        sum(abs(a - b) for a, b in zip(law, series)) / 2, abs=1e-15)
+    assert payload["tv"]["value"] == pytest.approx(0.4534095717, abs=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["d1", "min"])
+def test_two_runs_smoothing_refuses_a_trial_above_one_half(tmp_path, capsys, variant):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.3] * 9 + [0.6]}))
+    assert main(["bound", "--model", str(model), "--fit", "poisson", "--variant", variant]) == 1
+    assert capsys.readouterr().err == "error: trial probabilities must satisfy p_i <= 1/2\n"
+
+
+def test_verify_skips_the_smoothing_variants_on_a_trial_above_one_half(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.6] * 10}))
+    assert main(["verify", "--model", str(model)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line for line in lines if line.startswith("SKIP ")]
+    assert skipped == [f"SKIP domination-{t}-{v} trial probabilities must satisfy p_i <= 1/2"
+                       for t in ("poisson", "nb") for v in ("d1", "min", "closed-form")]
+    assert "PASS domination-poisson-theorem31" in "\n".join(lines)
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_verify_two_runs_passes(two_runs_model_file, capsys):
     assert main(["verify", "--model", two_runs_model_file]) == 0
     out = capsys.readouterr().out

@@ -26,7 +26,6 @@ from psdapprox.families import (
     delta_g_uniform_bound,
     dgm_to_psd,
     family_from_json,
-    family_to_json,
     g_norm_bound,
     geometric_family,
     indicator,
@@ -635,15 +634,42 @@ def test_dgm_divergent_rejected():
 
 def test_json_round_trip_panjer():
     spec = binomial_family(11, 0.3, convention="standard")
-    clone = family_from_json(family_to_json(spec))
+    clone = family_from_json(spec.to_json())
     assert clone == spec
 
 
 def test_json_round_trip_series():
     spec = PSDSpec(theta=0.6, coeff=lambda k: 1.0 if k < 20 else 0.0)
-    obj = family_to_json(spec)
+    obj = spec.to_json()
     clone = family_from_json(obj)
     assert np.allclose(clone.pmf(10).as_array(), spec.pmf(10).as_array(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, masses", [
+    ([1, 0, 0, 5], (1 / 6, 0.0, 0.0, 5 / 6)),
+    ([1, 1e-10, 1e-20, 1], tuple(c / (2 + 1e-10 + 1e-20) for c in (1, 1e-10, 1e-20, 1))),
+    ([0, 2], (0.0, 1.0)),
+])
+def test_a_coefficient_list_is_the_whole_series(coeffs, masses):
+    spec = family_from_json({"family": "series", "theta": 1.0, "coeffs": coeffs})
+    assert spec.max_support == len(coeffs) - 1
+    table = spec.pmf()
+    assert table.masses == masses
+    assert table.tail_mass_bound == 0.0
+    assert spec.to_json()["coeffs"] == [float(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 0], [], [0.0] * 200])
+def test_a_list_of_zero_coefficients_is_refused(coeffs):
+    with pytest.raises(InvalidFamilyError, match="no positive coefficient found"):
+        family_from_json({"family": "series", "theta": 1.0, "coeffs": coeffs})
+
+
+def test_a_support_bound_reads_no_coefficient_past_it():
+    read = []
+    spec = PSDSpec(theta=2.0, coeff=lambda k: read.append(k) or 1.0, max_support=5)
+    assert read == list(range(6))
+    assert spec.pmf().masses == tuple(2.0**k / 63 for k in range(6))
 
 
 def test_stein_solution_off_support_and_origin():

@@ -25,11 +25,10 @@ from psdapprox.oracle import (
     exact_conditional_D,
     shift_regularity,
 )
-from psdapprox.runs import K1K2Model, K1K2WindowSequence, TwoRunsModel
+from psdapprox.runs import K1K2Model, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
     DependentSequence,
-    block_m_dependent,
     dependence_certificate,
     group_rows,
 )
@@ -52,12 +51,24 @@ class ScaledRuns(DependentSequence):
         return tuple(5 * bits[i] * bits[i + 1] for i in range(self.n))
 
 
+class BlockedWindows(DependentSequence):
+    """``X_b``: occurrences of a failure then a success, the (1,1)-runs
+    windows, starting in trials ``3b-2..3b`` of 7.  Blocks of three windows
+    are 1-dependent and take the value 2."""
+
+    def __init__(self, probs):
+        super().__init__(probs, n=2, dependence_radius=1, kind="blocked:k1k2-windows")
+
+    def x_columns(self, bits):
+        windows = (1 - bits[:, :-1]) * bits[:, 1:]
+        return windows.reshape(len(bits), 2, 3).sum(axis=2)
+
+
 def _uniform(seed: int, size: int) -> list:
     return np.random.default_rng(seed).uniform(0.1, 0.6, size).tolist()
 
 
 def _models():
-    windows = K1K2WindowSequence(1, 1, 6, _uniform(4, 7))
     return [
         ScaledRuns(_uniform(6, 8)),
         TwoRunsModel([0.3, 0.0, 0.5, 1.0, 0.2, 0.45, 0.25, 0.4]),  # trials at 0 and 1
@@ -67,7 +78,7 @@ def _models():
         K1K2Model(1, 2, 4, _uniform(1, 10)),
         K1K2Model(2, 2, 3, _uniform(2, 12)),
         BernoulliProductSequence([0.3, 0.6, 0.0, 0.8, 1.0, 0.45]),
-        block_m_dependent(windows, m=3),  # blocks of three windows: values up to 2
+        BlockedWindows(_uniform(4, 7)),  # values up to 2
     ]
 
 

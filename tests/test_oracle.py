@@ -24,7 +24,6 @@ from psdapprox.runs import K1K2Model, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
     DependentSequence,
-    block_m_dependent,
     compute_moments,
 )
 
@@ -209,7 +208,8 @@ _EXACT_MODELS = {
     "(1,1)-runs": K1K2Model(1, 1, 6, [0.3, 0.0, 0.6, 1.0, 0.45, 0.2, 0.7]),
     "(1,2)-runs": K1K2Model(1, 2, 4, [0.3, 0.5, 0.25, 1 / 3, 0.6, 0.45, 1.0, 0.2, 0.7, 0.1]),
     "(2,2)-runs": K1K2Model(2, 2, 3, [0.4, 0.35, 0.6, 0.2, 0.5, 0.45, 0.3, 0.55, 0.25, 0.65, 0.15, 0.7]),
-    "blocked (1,2)-runs": block_m_dependent(K1K2Model(1, 2, 5, [0.3, 0.6, 0.0, 0.5, 0.45, 1 / 3, 0.2, 0.8, 0.1, 0.55, 0.4, 0.35])),
+    # A (1,2)-runs model is its windows blocked by m = 2.
+    "blocked (1,2)-runs": K1K2Model(1, 2, 5, [0.3, 0.6, 0.0, 0.5, 0.45, 1 / 3, 0.2, 0.8, 0.1, 0.55, 0.4, 0.35]),
     "bernoulli product": BernoulliProductSequence([0.2, 1.0, 0.0, 1 / 3, 0.7, 0.999999]),
 }
 

@@ -32,7 +32,6 @@ from psdapprox.oracle import (
 )
 from psdapprox.runs import (
     K1K2Model,
-    K1K2WindowSequence,
     TABLE1_PRINTED,
     TwoRunsModel,
     _block_moments,
@@ -466,6 +465,20 @@ def test_two_runs_report_recomputable_and_serializable():
     assert report.recompute_total() == pytest.approx(report.total, abs=1e-12)
     blob = report.to_json()
     assert blob["variant"] == "closed-form"
+    assert blob["c_constant"] == two_runs_cbar(n)
+    assert blob["moment_terms"] == list(report.moment_terms) and len(blob["moment_terms"]) == n
+    model = K1K2Model(1, 2, 9, [0.2] * 20)
+    report = k1k2_bound(model, poisson_family(k1k2_moment_set(model).mean_w))
+    assert report.to_json()["c_constant"] == list(report.c_constant)
+
+
+def test_two_runs_smoothing_constants_refuse_a_trial_above_one_half():
+    model = TwoRunsModel([0.3] * 9 + [0.5000001])
+    assert not model.assumption_ok
+    for call in (model.smoothing_constants, lambda: build_smoothing(model)):
+        with pytest.raises(PreconditionError, match=r"p_i <= 1/2"):
+            call()
+    assert TwoRunsModel([0.3] * 9 + [0.5]).smoothing_constants()[0] == (two_runs_cbar(9),) * 9
 
 
 # -- (k1,k2)-runs closed forms --------------------------------------------------------
@@ -528,12 +541,14 @@ def test_window_indicator_agrees_across_trial_representations():
     for k1, k2, n in [(1, 1, 4), (1, 2, 3), (2, 3, 2)]:
         m = k1 + k2 - 1
         p = rng.uniform(0.05, 0.95, (n + 1) * m).tolist()
-        windows = K1K2WindowSequence(k1, k2, n, p)
         model = K1K2Model(k1, k2, n, p)
-        xs = windows.x_values()
-        for row, bits in zip(xs, windows.enumerate_bits()):
-            assert windows.x_scalar(tuple(int(b) for b in bits)) == tuple(int(v) for v in row)
-        assert np.array_equal(xs.reshape(-1, n, m).sum(axis=2), model.x_values())
+        bits = model.enumerate_bits()
+        windows = np.stack([model.window(bits.T, j) for j in range(1, n * m + 1)]).T
+        for row, x, outcome in zip(windows, model.x_values(), bits):
+            trials = tuple(int(b) for b in outcome)
+            assert tuple(model.window(trials, j) for j in range(1, n * m + 1)) == tuple(row)
+            assert model.x_scalar(trials) == tuple(x)
+        assert np.array_equal(windows.reshape(-1, n, m).sum(axis=2), model.x_values())
         for j in range(1, n * m + 1):
             loop = 1.0
             for off in range(k1):

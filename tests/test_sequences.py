@@ -8,16 +8,38 @@ import pytest
 from psdapprox.errors import EnumerationLimitError, UnavailableError
 from psdapprox.sequences import (
     BernoulliProductSequence,
+    DependentSequence,
     MomentSet,
     _row_sums,
-    block_m_dependent,
     compute_moments,
     dependence_certificate,
     mean_var,
     sequence_from_json,
 )
 from psdapprox.oracle import brute_force_distribution
-from psdapprox.runs import K1K2Model, K1K2WindowSequence, TwoRunsModel
+from psdapprox.runs import K1K2Model, TwoRunsModel
+
+
+class _WindowGroups(DependentSequence):
+    """Occurrences of one failure then ``k2`` successes at windows
+    ``1..T-k2`` of the trials (the (1,k2)-runs windows), summed over
+    consecutive groups of ``size`` windows, the last one possibly shorter.
+    Single windows are ``k2``-dependent; groups of ``k2`` or more are
+    1-dependent, and groups of three reach 2."""
+
+    def __init__(self, probs, k2: int, size: int):
+        n = -(-(len(probs) - k2) // size)
+        super().__init__(probs, n=n, dependence_radius=k2 if size == 1 else 1,
+                         kind="window-groups")
+        self.k2, self.size = k2, size
+
+    def x_columns(self, bits):
+        rows, trials = bits.shape
+        y = np.zeros((rows, self.n * self.size), dtype=np.uint8)
+        y[:, : trials - self.k2] = 1 - bits[:, : trials - self.k2]
+        for s in range(1, self.k2 + 1):
+            y[:, : trials - self.k2] *= bits[:, s : trials - self.k2 + s]
+        return y.reshape(rows, self.n, self.size).sum(axis=2, dtype=np.uint8)
 
 
 def test_neighborhood_boundary_truncation():
@@ -53,41 +75,21 @@ def test_outcome_probabilities_sum_to_one():
     assert math.fsum(seq.outcome_probs()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_blocking_identity_for_independent():
-    seq = BernoulliProductSequence([0.3, 0.4, 0.5, 0.6])
-    blocked = block_m_dependent(seq)  # radius 0 treated as singleton blocks
-    assert blocked.n == 4
-    assert blocked.blocks == ((1, 1), (2, 2), (3, 3), (4, 4))
-
-
-def test_blocking_sizes_and_sum_preservation():
-    seq = BernoulliProductSequence([0.3, 0.4, 0.5, 0.6, 0.7])
-    blocked = block_m_dependent(seq, m=2)
-    assert [hi - lo + 1 for lo, hi in blocked.blocks] == [2, 2, 1]
-    xs = seq.x_values().sum(axis=1)
-    bs = blocked.x_values().sum(axis=1)
-    assert np.array_equal(xs, bs)
-
-
 def test_blocking_k1k2_windows_matches_block_model():
-    # m-dependent window sequence, blocked by m, reproduces the 1-dependent
-    # block model exactly and passes the factorization certificate.
-    k1, k2, n = 1, 2, 3
-    m = k1 + k2 - 1
-    p = [0.35] * ((n + 1) * m)
-    windows = K1K2WindowSequence(k1, k2, n, p)
-    assert windows.dependence_radius == m
-    blocked = block_m_dependent(windows)
-    assert blocked.n == n  # ceil(nm / m)
-    assert blocked.dependence_radius == 1
-    model = K1K2Model(k1, k2, n, p)
-    assert np.array_equal(blocked.x_values(), model.x_values())
-    assert dependence_certificate(blocked, gap=2)
-
-
-def test_block_m_dependent_rejects_bad_m():
-    with pytest.raises(ValueError):
-        block_m_dependent(BernoulliProductSequence([0.5, 0.5]), m=0)
+    # The m-dependent windows, blocked by m with a reshape, are the
+    # 1-dependent block model outcome by outcome, and the blocks pass the
+    # factorization certificate.
+    for k1, k2, n in [(1, 2, 3), (2, 2, 3), (3, 1, 2)]:
+        m = k1 + k2 - 1
+        model = K1K2Model(k1, k2, n, [0.35] * ((n + 1) * m))
+        cols = model.enumerate_bits().T
+        windows = np.stack([model.window(cols, j) for j in range(1, n * m + 1)]).T
+        assert np.array_equal(windows.reshape(-1, n, m).sum(axis=2), model.x_values())
+        assert dependence_certificate(model, gap=2)
+    # The (1,2)-runs windows themselves are m-dependent and no less.
+    windows = _WindowGroups([0.35] * 8, k2=2, size=1)
+    assert dependence_certificate(windows, gap=3)
+    assert not dependence_certificate(windows, gap=2)
 
 
 def test_one_dependence_certificates():
@@ -162,7 +164,7 @@ def test_product_closed_form_matches_enumeration(n):
 
 
 def test_no_moments_without_enumeration_or_closed_form():
-    seq = block_m_dependent(TwoRunsModel([0.3] * 26))  # 2^26 outcomes, no closed form
+    seq = _WindowGroups([0.3] * 26, k2=1, size=2)  # 2^26 outcomes, no closed form
     assert not seq.enumerable
     with pytest.raises(UnavailableError):
         compute_moments(seq)
@@ -252,9 +254,7 @@ def _bit_identity_cases():
         "bernoulli product": BernoulliProductSequence(
             rng.uniform(0.0, 1.0, 10).tolist() + [0.0, 1.0]
         ),
-        "blocked windows": block_m_dependent(
-            K1K2WindowSequence(1, 2, 4, rng.uniform(0.1, 0.6, 10).tolist())
-        ),
+        "blocked windows": _WindowGroups(rng.uniform(0.1, 0.6, 10).tolist(), k2=2, size=2),
     }
 
 
@@ -295,8 +295,8 @@ def _mean_var_cases():
     cases["(2,2)-runs n=4"] = K1K2Model(2, 2, 4, rng.uniform(0.1, 0.5, 15).tolist())
     cases["bernoulli product"] = BernoulliProductSequence(
         rng.uniform(0.0, 1.0, 12).tolist() + [0.0, 1.0])
-    cases["blocked (1,2)-runs"] = block_m_dependent(
-        K1K2Model(1, 2, 5, rng.uniform(0.1, 0.5, 12).tolist()), m=2)
+    # Pairs of (1,2)-runs blocks: groups of four windows, values up to 2.
+    cases["blocked (1,2)-runs"] = _WindowGroups(rng.uniform(0.1, 0.5, 12).tolist(), k2=2, size=4)
     return cases
 
 
@@ -315,7 +315,7 @@ def test_mean_var_beyond_enumeration_is_the_closed_form():
     closed = seq.closed_form_moments()
     assert mean_var(seq) == (m.mean_w, m.var_w) == (closed.mean_w, closed.var_w)
     with pytest.raises(UnavailableError):
-        mean_var(block_m_dependent(seq, m=2))
+        mean_var(_WindowGroups([0.3] * 30, k2=1, size=2))
 
 
 def _reference_bits(trials: int) -> np.ndarray:
@@ -344,18 +344,18 @@ _STREAM_KINDS = ("two-runs", "(k1,k2)-runs", "(k1,k2) windows", "bernoulli produ
 
 def _stream_case(kind: str, trials: int):
     """A fresh model of ``kind`` over ``trials`` trials: (1,2)-runs where the
-    count allows it, else (1,1)-runs; a blocked runs model needs two trials."""
+    count allows it, else (1,1)-runs; blocked windows need two trials, and
+    one trial is its own block."""
     p = [0.05 + 0.9 * ((7 * t) % 11) / 11 for t in range(trials)]
     k2 = 2 if trials % 2 == 0 and trials >= 4 else 1
     n = trials // k2 - 1
     return {
         "two-runs": lambda: TwoRunsModel(p),
         "(k1,k2)-runs": lambda: K1K2Model(1, k2, n, p),
-        "(k1,k2) windows": lambda: K1K2WindowSequence(1, k2, n, p),
+        "(k1,k2) windows": lambda: _WindowGroups(p, k2, size=1),
         "bernoulli product": lambda: BernoulliProductSequence(p),
-        "blocked": lambda: block_m_dependent(
-            K1K2WindowSequence(1, k2, n, p) if trials >= 2 else BernoulliProductSequence(p),
-            m=3),
+        "blocked": lambda: (_WindowGroups(p, k2, size=3) if trials >= 2
+                            else BernoulliProductSequence(p)),
     }[kind]()
 
 
