@@ -29,7 +29,7 @@ import numpy as np
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
 from .oracle import conditional_table, exact_conditional_D, shift_regularity
-from .sequences import DependentSequence, MomentSet, sliding_windows
+from .sequences import DependentSequence, MomentSet, _bracket, sliding_windows
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -281,20 +281,30 @@ class ExactConditionalTerms:
             return self._sums
         seq = self.seq
         w = seq.outcome_probs()
+        # Three reused buffers: x, an integrand and the integrand times each
+        # outcome's conditional D.  The integrands are small integers, formed
+        # exactly, until that final product.
+        x, col, col_d = (np.empty(seq.outcome_count) for _ in range(3))
+
+        def weighted(table, ids) -> float:
+            np.take(table.d, ids, out=col_d)
+            return float(w @ np.multiply(col_d, col, out=col_d))
+
         sum_q1 = 0.0
         sum_q2 = 0.0
         sum_lin = 0.0
-        for i, (x, v1, v2) in enumerate(sliding_windows(seq, np.int64), start=1):
-            xi = x.astype(float)
-            bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
+        for i, (xi, v1, v2) in enumerate(sliding_windows(seq), start=1):
             t12, ids12 = conditional_table(seq, i, "n1n2", (v1, v2))
             t2, ids2 = conditional_table(seq, i, "n2", (v2,))
-            d12_w, d2_w = t12.d[ids12], t2.d[ids2]
-
-            e_x = float(w @ xi)
-            sum_q1 += e_x * float(w @ (bracket * d12_w))
-            sum_q2 += float(w @ (xi * bracket * d12_w))
-            sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
+            np.copyto(x, xi)
+            _bracket(col, v1, v2)
+            sum_q1 += float(w @ x) * weighted(t12, ids12)
+            col *= x
+            sum_q2 += weighted(t12, ids12)
+            np.copyto(col, v2)
+            col -= 1
+            col *= x
+            sum_lin += weighted(t2, ids2)
         self._sums = (sum_q1, sum_q2, sum_lin)
         return self._sums
 

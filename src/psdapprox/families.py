@@ -478,6 +478,11 @@ def dgm_to_psd(V: Callable[[int], float], w: float) -> PSDSpec:
 
 
 def _finite(name: str, value) -> float:
+    """``value`` as a float: a JSON number, and finite.  Nothing is coerced,
+    so a string or a boolean is refused, as :func:`~psdapprox.sequences.model_args`
+    refuses it."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} = {json.dumps(value)} is not a number")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} = {value} is not finite")
@@ -492,8 +497,9 @@ def _support_bound(obj: dict) -> Optional[int]:
 
 
 def family_from_json(obj: dict):
-    """The family an object describes; a non-finite ``a``, ``b``, ``g_scale``,
-    ``theta`` or coefficient, and a ``max_support`` other than an integer
+    """The family an object describes; an ``a``, ``b``, ``g_scale``,
+    ``theta`` or coefficient that is not a finite JSON number, ``coeffs``
+    that are not a list, and a ``max_support`` other than an integer
     ``>= 0``, are refused with ``ValueError``."""
     kind = obj.get("family")
     if kind == "panjer":
@@ -504,7 +510,10 @@ def family_from_json(obj: dict):
             g_scale=_finite("g_scale", obj.get("g_scale", 1.0)),
         )
     if kind == "series":
-        coeffs = [_finite(f"coeffs[{k}]", c) for k, c in enumerate(obj["coeffs"])]
+        coeffs = obj["coeffs"]
+        if type(coeffs) is not list:
+            raise ValueError(f"coeffs = {json.dumps(coeffs)} is not a list of numbers")
+        coeffs = [_finite(f"coeffs[{k}]", c) for k, c in enumerate(coeffs)]
 
         def coeff(k: int) -> float:
             return coeffs[k] if k < len(coeffs) else 0.0

@@ -12,7 +12,9 @@ exact-rational law of ``W`` sums integer outcome numerators over the same
 into a sequence is the memo of :func:`conditional_table`: its cache keeps one
 :class:`ConditionalTable` per (index, conditioning), per-group arrays only, so
 the exact conditional terms, :func:`exact_conditional_D` and the smoothing
-fallback built on it share each table.
+fallback built on it share each table.  A window table asked for alone reads
+the two window sums of its index from one streamed pass, with no summand
+matrix.
 """
 
 from __future__ import annotations
@@ -298,15 +300,12 @@ def _conditional_laws(seq: DependentSequence, cols) -> tuple:
     return ids, ConditionalTable(d, has_mass, lows, radices, grouped)
 
 
-def _conditioning_columns(seq: DependentSequence, i: int, conditioning: str) -> list:
+def _parity_columns(seq: DependentSequence, conditioning: str) -> list:
+    """The summand columns the ``even`` or ``odd`` conditioning reads."""
+    if conditioning not in ("even", "odd"):
+        raise ValueError(f"unknown conditioning {conditioning!r}")
     xs = seq.x_values()
-    if conditioning == "n2":
-        return [seq._window_values(xs, i, 2)]
-    if conditioning == "n1n2":
-        return [seq._window_values(xs, i, 1), seq._window_values(xs, i, 2)]
-    if conditioning in ("even", "odd"):
-        return [xs[:, j] for j in range(1 if conditioning == "even" else 0, seq.n, 2)]
-    raise ValueError(f"unknown conditioning {conditioning!r}")
+    return [xs[:, j] for j in range(1 if conditioning == "even" else 0, seq.n, 2)]
 
 
 def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=None) -> tuple:
@@ -317,17 +316,27 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=No
 
     Each table is built once per sequence and kept in its cache under
     ``"conditional"`` (one even and one odd table, whatever ``i``); only
-    per-group arrays are kept.
+    per-group arrays are kept.  Without ``cols``, the ``n2`` and ``n1n2``
+    tables of index ``i`` are built together, from one pass of
+    :meth:`~DependentSequence._window_sums`.
     """
     memo = seq._cache.setdefault("conditional", {})
-    key = (i if conditioning in ("n2", "n1n2") else None, conditioning)  # even/odd ignore i
+    windowed = conditioning in ("n2", "n1n2")
+    key = (i if windowed else None, conditioning)  # even/odd ignore i
     table = memo.get(key)
-    if table is None:
-        ids, table = _conditional_laws(
-            seq, _conditioning_columns(seq, i, conditioning) if cols is None else cols)
-        memo[key] = table
-        return table, None if cols is None else ids
-    return table, None if cols is None else table.ids(cols)
+    if table is not None:
+        return table, None if cols is None else table.ids(cols)
+    if cols is not None:
+        ids, memo[key] = _conditional_laws(seq, cols)
+        return memo[key], ids
+    if windowed:
+        v1, v2 = seq._window_sums(i)
+        for name, window_cols in (("n2", [v2]), ("n1n2", [v1, v2])):
+            if (i, name) not in memo:
+                memo[i, name] = _conditional_laws(seq, window_cols)[1]
+    else:
+        memo[key] = _conditional_laws(seq, _parity_columns(seq, conditioning))[1]
+    return memo[key], None
 
 
 def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> dict:

@@ -12,10 +12,11 @@ them.  Its moments are exact: vectorized
 enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
 exact rational enumeration for small instances, or a model's closed form,
 which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
-moments stream over the indices, one float64 column and dot product at a
-time, with the window sums of :func:`sliding_windows` (which the exact
-conditional terms also slide, in integers); their ``mean_w`` and ``var_w``
-are :func:`mean_var`, two dot products over the cached ``W``.
+moments stream over the indices, one dot product per moment, with the
+small-integer window sums of :func:`sliding_windows` (which the exact
+conditional terms also slide) and each integrand formed in one of three
+reused float64 buffers; their ``mean_w`` and ``var_w`` are :func:`mean_var`,
+two dot products over one float64 buffer of ``W``.
 :func:`group_rows` groups outcomes by equal values, for the
 dependence certificate here and for the exact conditional oracles where
 their packed keys would not fit the outcome count.
@@ -220,11 +221,13 @@ class DependentSequence:
         T = self.trial_count
         low = min(T, BLOCK_TRIALS)
         size = 1 << low
-        trial = np.arange(T)[:, None]
         block = np.empty((T, size), dtype=np.uint8)
-        block[:low] = (np.arange(size) >> trial[:low]) & 1
+        row = np.arange(size, dtype=np.uint32)
+        for t in range(low):  # row by row: no (low, size) temporary
+            block[t] = (row >> t) & 1
+        high = np.arange(T - low)[:, None]
         for h in range(1 << (T - low)):
-            block[low:] = ((h >> trial[: T - low]) & 1).astype(np.uint8)
+            block[low:] = ((h >> high) & 1).astype(np.uint8)
             yield slice(h * size, (h + 1) * size), block.T
 
     def _x_blocks(self) -> Iterator[tuple]:
@@ -286,11 +289,46 @@ class DependentSequence:
         total = self._cache.get("w")
         if total is None:
             self._require_enumerable()
-            total = np.empty(self.outcome_count, dtype=np.int32)
-            for rows, x in self._x_blocks():
-                total[rows] = _row_sums(x)
-            self._cache["w"] = total
+            total = self._cache["w"] = self._stream_w(
+                np.empty(self.outcome_count, dtype=np.int32))
         return total
+
+    def _stream_w(self, out: np.ndarray) -> np.ndarray:
+        """``out``, an outcome-length array, with ``W`` of every outcome
+        written into it block by block."""
+        for rows, x in self._x_blocks():
+            out[rows] = _row_sums(x)
+        return out
+
+    def _window_sums(self, i: int) -> tuple:
+        """``(v1, v2)``: the radius-1 and radius-2 window sums around index
+        ``i`` of every outcome, in :meth:`enumerate_bits` row order.
+
+        They are read from the cached summand values when there are any;
+        else one streamed pass sums both, and records :meth:`w_values` if it
+        is not cached.  Each is ``uint8`` while every block's sums fit a
+        byte (:func:`_row_sums`), and ``int32`` once a block's do not.
+        """
+        spans = [self.neighborhood_indices(i, ell) for ell in (1, 2)]
+        xs = self._cache.get("x")
+        if xs is None:
+            self._require_enumerable()
+            blocks = self._x_blocks()
+        else:
+            blocks = [(slice(None), xs)]
+        total = None if "w" in self._cache else np.empty(self.outcome_count, dtype=np.int32)
+        sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in spans]
+        for rows, x in blocks:
+            for k, span in enumerate(spans):
+                block = _row_sums(x[:, span.start - 1 : span.stop - 1])
+                if block.itemsize > sums[k].itemsize:
+                    sums[k] = sums[k].astype(block.dtype)
+                sums[k][rows] = block
+            if total is not None:
+                total[rows] = _row_sums(x)
+        if total is not None:
+            self._cache["w"] = total
+        return tuple(sums)
 
     def exact_trial_probs(self) -> list:
         """Trial probabilities as rationals, ``limit_denominator(10**9)`` of each float."""
@@ -338,10 +376,6 @@ class DependentSequence:
         if ell not in (1, 2):
             raise ValueError("ell must be 1 or 2")
         return range(max(1, i - ell), min(self.n, i + ell) + 1)
-
-    def _window_values(self, xs: np.ndarray, i: int, ell: int) -> np.ndarray:
-        idx = self.neighborhood_indices(i, ell)
-        return xs[:, idx.start - 1 : idx.stop - 1].sum(axis=1)
 
     # -- serialization ----------------------------------------------------------
 
@@ -402,72 +436,96 @@ def compute_moments(seq: DependentSequence, method: str = "auto") -> MomentSet:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _moment_columns(x: np.ndarray, xn1: np.ndarray, xn2: np.ndarray) -> Iterator:
-    """The six per-outcome integrands of :class:`MomentSet`, one at a time."""
-    yield x
-    yield xn1
-    yield x * xn1
-    bracket = xn1 * (2 * xn2 - xn1 - 1)
-    yield bracket
-    yield x * bracket
-    yield x * (xn2 - 1)
+def _bracket(out: np.ndarray, xn1: np.ndarray, xn2: np.ndarray) -> np.ndarray:
+    """``out``, a float64 buffer, set in place to the bracket
+    ``xn1 (2 xn2 - xn1 - 1)`` of the window sums ``xn1`` and ``xn2``."""
+    np.copyto(out, xn2)
+    out *= 2
+    out -= xn1
+    out -= 1
+    out *= xn1
+    return out
+
+
+def _moment_columns(x: np.ndarray, xn1: np.ndarray, xn2: np.ndarray, bufs) -> Iterator:
+    """The six per-outcome integrands of :class:`MomentSet`, one at a time,
+    each formed in place in the three float64 buffers ``bufs``: a caller
+    reads each before the next."""
+    a, b, c = bufs
+    np.copyto(a, x)
+    yield a
+    np.copyto(b, xn1)
+    yield b
+    yield np.multiply(a, b, out=c)
+    yield _bracket(c, b, xn2)
+    c *= a
+    yield c
+    np.copyto(c, xn2)
+    c -= 1
+    c *= a
+    yield c
 
 
 def mean_var(seq: DependentSequence) -> tuple:
     """``(mean_w, var_w)`` exactly as ``compute_moments(seq)`` reports them.
 
-    An enumerable model gives ``w @ W`` and ``w @ W**2 - mean**2`` over the
-    cached :meth:`~DependentSequence.w_values` in float64, and no per-index
-    moment; any other model gives its closed form's values, or is refused.
+    An enumerable model gives ``w @ W`` and ``w @ W**2 - mean**2`` in
+    float64, over one outcome-length buffer: the cached
+    :meth:`~DependentSequence.w_values` cast, else ``W`` streamed block by
+    block and not cached, then squared in place.  It computes no per-index
+    moment.  Any other model gives its closed form's values, or is refused.
     """
     if not seq.enumerable:
         moments = compute_moments(seq, "closed-form")
         return moments.mean_w, moments.var_w
     w = seq.outcome_probs()
-    total = seq.w_values().astype(float)
+    cached = seq._cache.get("w")
+    total = seq._stream_w(np.empty(seq.outcome_count)) if cached is None else cached.astype(float)
     mean = float(w @ total)
-    return mean, float(w @ total**2) - mean**2
+    np.square(total, out=total)
+    return mean, float(w @ total) - mean**2
 
 
-def sliding_windows(seq: DependentSequence, dtype) -> Iterator[tuple]:
+def sliding_windows(seq: DependentSequence) -> Iterator[tuple]:
     """Yield ``(x, xn1, xn2)`` for ``i = 1..n``: the column of ``X_i`` and
-    the radius-1 and radius-2 window sums around it over every outcome, in
-    ``dtype``.  The windows slide along the indices, one add of a difference
-    of two columns each per step, and are updated in place: a caller reads
-    them before the next step.  The cached summand values are column-major,
-    so their transpose is a free view whose rows are contiguous columns."""
+    the radius-1 and radius-2 window sums around it over every outcome.
+
+    ``x`` is a row of the transpose of the cached column-major summand
+    values, a free view.  The windows slide along the indices in place,
+    each step subtracting the column that leaves before adding the one that
+    enters, so a caller reads them before the next step.  No partial sum
+    exceeds a full window, so they are ``int8`` where five times the largest
+    summand value fits it, else ``int32``.
+    """
     xt = seq.x_values().T
     n = seq.n
-    pad = np.zeros(seq.outcome_count, dtype=dtype)
-    cols: dict = {}
-
-    def col(j: int) -> np.ndarray:
-        if 0 <= j < n and j not in cols:
-            cols[j] = xt[j].astype(dtype)
-        return cols.get(j, pad)
-
-    xn1, xn2 = pad.copy(), pad.copy()
+    dtype = np.int8 if 5 * int(xt.max(initial=0)) <= np.iinfo(np.int8).max else np.int32
+    xn1 = np.zeros(seq.outcome_count, dtype=dtype)
+    xn2 = np.zeros_like(xn1)
     for i in range(-2, n):  # 0-based; the first two steps fill the windows
-        xn1 += col(i + 1) - col(i - 2)
-        xn2 += col(i + 2) - col(i - 3)
-        cols.pop(i - 3, None)
+        for window, leaves, enters in ((xn1, i - 2, i + 1), (xn2, i - 3, i + 2)):
+            if leaves >= 0:
+                window -= xt[leaves]
+            if 0 <= enters < n:
+                window += xt[enters]
         if i >= 0:
-            yield cols[i], xn1, xn2
+            yield xt[i], xn1, xn2
 
 
 def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     """Exact moments, streamed over indices with one ``w @ column`` each.
 
-    The columns and window sums of :func:`sliding_windows` are float64.
-    Every column holds small integers, so it equals the integer column of a
-    full ``(outcomes, n)`` matrix evaluation, and each moment is the same
-    dot product bit for bit.  ``mean_w`` and ``var_w`` come from
+    Every column holds small integers, formed exactly in float64 from the
+    integer windows of :func:`sliding_windows`, so it equals the integer
+    column of a full ``(outcomes, n)`` matrix evaluation, and each moment is
+    the same dot product bit for bit.  ``mean_w`` and ``var_w`` come from
     :func:`mean_var`.
     """
     w = seq.outcome_probs()
+    bufs = [np.empty(seq.outcome_count) for _ in range(3)]
     fields = tuple([] for _ in range(6))
-    for x, xn1, xn2 in sliding_windows(seq, float):
-        for out, v in zip(fields, _moment_columns(x, xn1, xn2)):
+    for x, xn1, xn2 in sliding_windows(seq):
+        for out, v in zip(fields, _moment_columns(x, xn1, xn2, bufs)):
             out.append(float(w @ v))
     return MomentSet(*(tuple(f) for f in fields), *mean_var(seq))
 

@@ -4,13 +4,20 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import psdapprox
 from psdapprox.bounds import exact_tv
 from psdapprox.cli import BOUND_VARIANTS, main
 from psdapprox.families import family_from_json
@@ -260,7 +267,7 @@ def test_bound_malformed_model_is_one_line_usage_error(tmp_path, capsys, text, r
 @pytest.mark.parametrize("text, reason", [
     ('{"family": "zeta", "a": 0.9}', "unknown family kind 'zeta'"),
     ('{"family": "panjer", "a": 0.9}', "missing key 'b'"),
-    ('{"family": "panjer", "a": "many", "b": 0}', "could not convert"),
+    ('{"family": "panjer", "a": "many", "b": 0}', 'a = "many" is not a number'),
 ])
 def test_bound_malformed_target_is_one_line_usage_error(
         tmp_path, two_runs_model_file, capsys, text, reason):
@@ -296,6 +303,25 @@ def test_bound_reads_the_target_before_the_moments(
 ])
 def test_non_finite_target_parameters_are_usage_errors(
         tmp_path, two_runs_model_file, capsys, text, reason):
+    path = tmp_path / "target.json"
+    path.write_text(text)
+    assert main(["oracle", "--model", two_runs_model_file, "--target", str(path)]) == 2
+    _assert_input_error(path, reason, capsys)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"family": "panjer", "a": "0.9", "b": 0}', 'a = "0.9" is not a number'),
+    ('{"family": "panjer", "a": 0.9, "b": false}', "b = false is not a number"),
+    ('{"family": "panjer", "a": 1, "b": 0, "g_scale": "2"}', 'g_scale = "2" is not a number'),
+    ('{"family": "series", "theta": true, "coeffs": [1, 1]}', "theta = true is not a number"),
+    ('{"family": "series", "theta": 0.5, "coeffs": [1, "5"]}', 'coeffs[1] = "5" is not a number'),
+    ('{"family": "series", "theta": 0.5, "coeffs": "15"}', 'coeffs = "15" is not a list'),
+    ('{"family": "series", "theta": 0.5, "coeffs": {"3": 1}}', 'coeffs = {"3": 1} is not a list'),
+])
+def test_target_parameters_that_are_not_json_numbers_are_usage_errors(
+        tmp_path, two_runs_model_file, capsys, text, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        family_from_json(json.loads(text))
     path = tmp_path / "target.json"
     path.write_text(text)
     assert main(["oracle", "--model", two_runs_model_file, "--target", str(path)]) == 2
@@ -539,6 +565,48 @@ def test_oracle_conditional_keys_are_python_ints_equal_to_the_maps(two_runs_mode
     assert all(type(a) is int and type(b) is int for a, b in n1n2)
     assert maps["n1n2"] == {f"({a}, {b})": d for (a, b), d in n1n2.items()}
     assert "(0, 0)" in maps["n1n2"]
+
+
+def test_console_script_sets_one_blas_thread_unless_told(tmp_path):
+    """The launcher sets ``OPENBLAS_NUM_THREADS`` before numpy loads, so the
+    2-runs n=20 fit prints the one-thread digits, and keeps a caller's value."""
+    model = tmp_path / "two_runs_20.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.05] * 21}))
+    src = str(Path(psdapprox.__file__).resolve().parents[1])
+    code = ("import os, sys, psdapprox_launch; assert 'numpy' not in sys.modules; "
+            "sys.argv[0] = 'psdapprox'; rc = psdapprox_launch.main(); "
+            "sys.stderr.write(os.environ['OPENBLAS_NUM_THREADS']); sys.exit(rc)")
+    argv = ["bound", "--variant", "closed-form", "--fit", "nb", "--model", str(model)]
+
+    def run(threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout, done.stderr
+
+    default, one = run(None), run("1")
+    assert default == one and default[1] == "1"
+    assert run("2")[1] == "2"
+
+
+def test_oracle_conditional_streams_its_windows(tmp_path, capsys):
+    """On 19 trials the probabilities take 4 MB; the whole summand matrix,
+    which the two window sums need not build, would take 19 MB more."""
+    path = tmp_path / "two_runs_18.json"
+    path.write_text(json.dumps({"model": "two-runs", "p": [(t % 5 + 2) / 16 for t in range(19)]}))
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "--model", str(path), "--conditional", "9"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    maps = json.loads(capsys.readouterr().out)["conditional_D"]
+    assert all(0 <= d <= 2 for m in maps.values() for d in m.values())
 
 
 def test_oracle_tv_against_target(two_runs_model_file, poisson_target_file, capsys):

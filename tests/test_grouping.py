@@ -85,15 +85,22 @@ def _models():
 # -- references: the per-outcome implementations the grouping replaced -----------
 
 
+def _window_values(seq, xs, i, ell):
+    """The radius-``ell`` window sum around index ``i``: a row sum of a slice
+    of the whole summand matrix."""
+    idx = seq.neighborhood_indices(i, ell)
+    return xs[:, idx.start - 1 : idx.stop - 1].sum(axis=1)
+
+
 def _reference_conditional_D(seq, i, conditioning):
     xs = seq.x_values()
     w = seq.outcome_probs()
     total = xs.sum(axis=1).astype(np.int64)
     if conditioning == "n2":
-        keys = [seq._window_values(xs, i, 2).astype(np.int64)]
+        keys = [_window_values(seq, xs, i, 2).astype(np.int64)]
     elif conditioning == "n1n2":
-        keys = [seq._window_values(xs, i, 1).astype(np.int64),
-                seq._window_values(xs, i, 2).astype(np.int64)]
+        keys = [_window_values(seq, xs, i, 1).astype(np.int64),
+                _window_values(seq, xs, i, 2).astype(np.int64)]
     else:
         start = 1 if conditioning == "even" else 0
         keys = [xs[:, j].astype(np.int64) for j in range(start, seq.n, 2)]
@@ -149,8 +156,8 @@ def _reference_weighted_sums(seq):
     sum_q1 = sum_q2 = sum_lin = 0.0
     for i in range(1, seq.n + 1):
         xi = xs[:, i - 1].astype(float)
-        v1 = seq._window_values(xs, i, 1).astype(np.int64)
-        v2 = seq._window_values(xs, i, 2).astype(np.int64)
+        v1 = _window_values(seq, xs, i, 1).astype(np.int64)
+        v2 = _window_values(seq, xs, i, 2).astype(np.int64)
         bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
         d12 = _reference_conditional_D(seq, i, "n1n2")
         d2m = _reference_conditional_D(seq, i, "n2")
@@ -187,7 +194,7 @@ def test_counting_fold_equals_sorting_fold():
     for seq in _models():
         xs = seq.x_values()
         cases.append(list(xs.T))
-        cases.append([seq._window_values(xs, i, ell) for i in (1, seq.n) for ell in (1, 2)])
+        cases.append([_window_values(seq, xs, i, ell) for i in (1, seq.n) for ell in (1, 2)])
     rng = np.random.default_rng(5)
     cases.append(list(rng.integers(-7, 3, size=(4, 500))))  # negative values
     cases.append(list(rng.integers(0, 10, size=(40, 300))))  # 40 columns
@@ -233,6 +240,18 @@ def test_exact_conditional_D_matches_radix_packed_reference(seq):
         want = _reference_conditional_D(seq, i, conditioning)
         assert list(got.items()) == list(want.items())
         assert list(exact_conditional_D(seq, i, conditioning).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("k", range(len(_models())),
+                         ids=[f"{s.kind}-n{s.n}" for s in _models()])
+def test_window_tables_are_the_same_streamed_or_from_the_summand_matrix(k):
+    streamed, cached = _models()[k], _models()[k]
+    cached.x_values()
+    for i, conditioning in itertools.product(range(1, streamed.n + 1), ("n2", "n1n2")):
+        got = exact_conditional_D(streamed, i, conditioning)
+        assert list(got.items()) == list(exact_conditional_D(cached, i, conditioning).items())
+    assert "x" not in streamed._cache  # every window was streamed
+    assert np.array_equal(streamed.w_values(), cached.w_values())
 
 
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")

@@ -1,6 +1,7 @@
 """Tests for the dependent-sequence carrier: enumeration, moments, blocking."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from psdapprox.sequences import (
     BernoulliProductSequence,
     DependentSequence,
     MomentSet,
+    _moments_by_enumeration,
     _row_sums,
     compute_moments,
     dependence_certificate,
     mean_var,
     sequence_from_json,
+    sliding_windows,
 )
-from psdapprox.oracle import brute_force_distribution
+from psdapprox.bounds import ExactConditionalTerms
+from psdapprox.oracle import brute_force_distribution, conditional_table
 from psdapprox.runs import K1K2Model, TwoRunsModel
 
 
@@ -306,6 +310,124 @@ def test_mean_var_equals_the_enumerated_moment_set(name):
     m = compute_moments(seq)
     assert mean_var(seq) == (m.mean_w, m.var_w)
     assert mean_var(seq) == _reference_mean_var(seq)
+
+
+def _window(seq, xs, i, ell) -> np.ndarray:
+    idx = seq.neighborhood_indices(i, ell)
+    return xs[:, idx.start - 1 : idx.stop - 1].sum(axis=1)
+
+
+def _reference_moment_fields(seq) -> tuple:
+    """The six per-index moment tuples, formed the way the buffered kernel
+    replaced: float64 windows summed from slices of the summand matrix, and
+    a fresh array for every integrand."""
+    xs = seq.x_values()
+    w = seq.outcome_probs()
+    fields = tuple([] for _ in range(6))
+    for i in range(1, seq.n + 1):
+        x = xs[:, i - 1].astype(float)
+        xn1, xn2 = (_window(seq, xs, i, ell).astype(float) for ell in (1, 2))
+        bracket = xn1 * (2 * xn2 - xn1 - 1)
+        for out, v in zip(fields, (x, xn1, x * xn1, bracket, x * bracket, x * (xn2 - 1))):
+            out.append(float(w @ v))
+    return tuple(tuple(f) for f in fields)
+
+
+def _reference_weighted_sums(seq) -> tuple:
+    """Theorem 3.1's weighted sums with int64 windows summed from slices of
+    the summand matrix and a fresh array for every integrand and weight."""
+    xs = seq.x_values()
+    w = seq.outcome_probs()
+    sum_q1 = sum_q2 = sum_lin = 0.0
+    for i in range(1, seq.n + 1):
+        xi = xs[:, i - 1].astype(float)
+        v1, v2 = (_window(seq, xs, i, ell).astype(np.int64) for ell in (1, 2))
+        bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
+        t12, ids12 = conditional_table(seq, i, "n1n2", (v1, v2))
+        t2, ids2 = conditional_table(seq, i, "n2", (v2,))
+        d12_w, d2_w = t12.d[ids12], t2.d[ids2]
+        sum_q1 += float(w @ xi) * float(w @ (bracket * d12_w))
+        sum_q2 += float(w @ (xi * bracket * d12_w))
+        sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
+    return sum_q1, sum_q2, sum_lin
+
+
+@pytest.mark.parametrize("name", sorted(_mean_var_cases()))
+def test_buffered_kernels_equal_the_fresh_array_references(name):
+    seq = _mean_var_cases()[name]
+    m = _moments_by_enumeration(seq)
+    got = (m.e_x, m.e_xn1, m.e_x_xn1, m.e_n1_bracket, m.e_x_n1_bracket, m.e_x_n2m1)
+    assert got == _reference_moment_fields(_mean_var_cases()[name])
+    sums = ExactConditionalTerms(seq).weighted_sums()
+    assert sums == _reference_weighted_sums(_mean_var_cases()[name])
+
+
+def test_the_kernel_cases_reach_summand_value_two():
+    assert _mean_var_cases()["blocked (1,2)-runs"].x_values().max() == 2
+
+
+class _ScaledTwoRuns(DependentSequence):
+    """2-runs indicators times ``scale``."""
+
+    def __init__(self, probs, scale: int):
+        super().__init__(probs, n=len(probs) - 1, dependence_radius=1, kind="scaled-two-runs")
+        self.scale = scale
+
+    def x_columns(self, bits):
+        return self.scale * (bits[:, :-1] * bits[:, 1:]).astype(np.int16)
+
+
+@pytest.mark.parametrize("scale, dtype", [(1, np.int8), (25, np.int8), (26, np.int32)])
+def test_sliding_windows_are_int8_while_a_full_window_fits(scale, dtype):
+    model = _ScaledTwoRuns([0.5] * 8, scale)
+    xs = model.x_values()
+    for i, (x, xn1, xn2) in enumerate(sliding_windows(model), start=1):
+        assert xn1.dtype == xn2.dtype == dtype
+        assert np.array_equal(x, xs[:, i - 1])
+        assert np.array_equal(xn1, _window(model, xs, i, 1))
+        assert np.array_equal(xn2, _window(model, xs, i, 2))
+    m = _moments_by_enumeration(model)
+    got = (m.e_x, m.e_xn1, m.e_x_xn1, m.e_n1_bracket, m.e_x_n1_bracket, m.e_x_n2m1)
+    assert got == _reference_moment_fields(_ScaledTwoRuns([0.5] * 8, scale))
+
+
+class _LastTrialCopies(DependentSequence):
+    """``X_1 = ... = X_5 = scale * trial_17`` as ``uint8``: 0 in the first row
+    block of the enumeration, ``scale`` in the second."""
+
+    def __init__(self, scale: int):
+        super().__init__([0.5] * 17, n=5, dependence_radius=5, kind="last-trial-copies")
+        self.scale = scale
+
+    def x_columns(self, bits):
+        return np.repeat(bits[:, -1:] * np.uint8(self.scale), 5, axis=1)
+
+
+@pytest.mark.parametrize("scale, dtype", [(51, np.uint8), (52, np.int32)])
+def test_streamed_window_sums_widen_past_a_byte(scale, dtype):
+    streamed = _LastTrialCopies(scale)
+    xs = _LastTrialCopies(scale).x_values()
+    v1, v2 = streamed._window_sums(3)
+    assert "x" not in streamed._cache  # streamed, not read from the matrix
+    assert v1.dtype == np.uint8 and v2.dtype == dtype  # 3 * 52 fits a byte, 5 * 52 not
+    assert np.array_equal(v1, xs[:, 1:4].sum(axis=1))
+    assert np.array_equal(v2, xs.sum(axis=1))
+    assert np.array_equal(streamed.w_values(), xs.sum(axis=1))  # recorded by the pass
+
+
+def test_mean_var_holds_two_outcome_vectors():
+    """The probabilities and one float64 buffer of ``W`` take 16 MB each at
+    21 trials.  An int32 ``W`` with a float copy and a squared copy besides
+    would take 56 MB in all."""
+    seq = TwoRunsModel([0.05] * 21)
+    tracemalloc.start()
+    try:
+        mean_var(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20
+    assert "w" not in seq._cache  # W was streamed, not cached
 
 
 def test_mean_var_beyond_enumeration_is_the_closed_form():
