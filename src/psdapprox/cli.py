@@ -9,6 +9,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -328,7 +329,11 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each ``parse_args``
+    call returns a fresh namespace, so calls share no options.  It binds no
+    command function; :func:`main` looks ``cmd_<command>`` up per call."""
     parser = argparse.ArgumentParser(
         prog="psdapprox",
         description="Total-variation bounds for dependent count sums, "
@@ -341,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the embedded printed values")
     t.add_argument("--format", choices=("text", "csv", "json"), default="text")
     t.add_argument("--precision", type=_precision, default=6)
-    t.set_defaults(func=cmd_table1)
 
     b = sub.add_parser("bound", help="evaluate a bound variant on a model")
     b.add_argument("--model", required=True, help="model description JSON file")
@@ -353,28 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--precision", type=_precision, default=12)
     b.add_argument("--allow-small-n", action="store_true",
                    help="evaluate below the stated minimum n (experimentation)")
-    b.set_defaults(func=cmd_bound)
 
     v = sub.add_parser("verify", help="run the oracle cross-check suite")
     v.add_argument("--model", required=True)
     v.add_argument("--max-outcomes", type=_max_outcomes, default=2**20)
-    v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("oracle", help="print exact distributions and distances")
     o.add_argument("--model", required=True)
     o.add_argument("--conditional", type=int, default=None,
                    help="index for conditional shift-regularity maps")
     o.add_argument("--target", help="family JSON for an exact TV distance")
-    o.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except PsdApproxError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -102,6 +102,9 @@ class TwoRunsModel(_RunsModel):
     def x_scalar(self, bits: tuple) -> tuple:
         return tuple(bits[i] * bits[i + 1] for i in range(self.n))
 
+    def trial_span(self, i: int) -> range:
+        return range(i - 1, i + 1)
+
     # closed forms, registered for the moment-provider interface
     def closed_form_moments(self) -> MomentSet:
         return two_runs_moment_set(self)
@@ -318,6 +321,10 @@ class K1K2Model(_RunsModel):
             sum(self.window(bits, j) for j in range((i - 1) * self.m + 1, i * self.m + 1))
             for i in range(1, self.n + 1)
         )
+
+    def trial_span(self, i: int) -> range:
+        """Windows ``(i-1)m+1..im`` read trials ``(i-1)m..(i+1)m-1``, 0-based."""
+        return range((i - 1) * self.m, (i + 1) * self.m)
 
     def closed_form_moments(self) -> MomentSet:
         return k1k2_moment_set(self)

@@ -4,11 +4,15 @@ A :class:`DependentSequence` owns a vector of independent trial probabilities
 and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  Its
 enumeration streams the outcome space in row blocks of ``2^BLOCK_TRIALS``
 outcomes: each block's bits are built column-major from one fixed pattern of
-the low trials and mapped to summand values at once.  The sequence caches the
-outcome probabilities, the total ``W`` of every outcome, summed block by block
-(at byte width where no row sum can overflow) without keeping the bits or the
-summand values, and the column-major summand values once a caller asks for
-them.  Its moments are exact: vectorized
+the low trials and mapped to summand values at once.  Each model declares
+the trials summand ``i`` reads as :meth:`DependentSequence.trial_span`, so
+the total ``W`` of every outcome costs ``O(2^T)``, not ``O(n 2^T)``: the
+summands whose span ends inside the first row block are summed over that
+block once, the rest over the trials from their lowest first trial on, and
+the two tables are added by broadcast (row sums at byte width where none can
+overflow), without keeping the bits or the summand values.  The sequence
+caches the outcome probabilities, ``W`` and the column-major summand values
+once a caller asks for them.  Its moments are exact: vectorized
 enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
 exact rational enumeration for small instances, or a model's closed form,
 which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
@@ -153,7 +157,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     summed at byte width, in its own dtype, which no row sum can then
     overflow; any other block, ``bool`` included, is summed in ``int32``.
     """
-    if x.dtype == np.uint8 and int(x.max()) * x.shape[1] <= 255:
+    if x.dtype == np.uint8 and int(x.max(initial=0)) * x.shape[1] <= 255:
         return x.sum(axis=1, dtype=np.uint8)
     return x.sum(axis=1, dtype=np.int32)
 
@@ -167,6 +171,13 @@ class DependentSequence:
     bit block to its ``(rows, n)`` summand values; blocks arrive
     column-major, and a mapping that stacks its columns along axis 0 and
     transposes keeps them so.  ``kind``/``params`` drive serialization.
+
+    A subclass may also declare :meth:`trial_span`, the 0-based range of
+    trials that ``X_i`` reads (every trial by default).  :meth:`w_values`
+    maps the first row block once for the summands whose span ends inside
+    it, and the rest only over the trials from their lowest first trial on,
+    so ``W`` costs ``O(2^T)`` where the spans are short; a span that leaves
+    out a trial the summand reads gives a wrong ``W``.
     """
 
     def __init__(self, trial_probs: Sequence[float], n: int, dependence_radius: int,
@@ -191,6 +202,11 @@ class DependentSequence:
     def x_scalar(self, bits: tuple) -> tuple:
         raise NotImplementedError
 
+    def trial_span(self, i: int) -> range:
+        """The trials ``X_i`` reads, 0-based, for ``i`` in ``1..n``: all of
+        them unless a model declares fewer.  :meth:`_stream_w` reads it."""
+        return range(self.trial_count)
+
     # -- enumeration ---------------------------------------------------------
 
     @property
@@ -211,28 +227,30 @@ class DependentSequence:
                 f"2^{self.trial_count} outcomes exceed the enumeration cutoff"
             )
 
-    def _bit_blocks(self) -> Iterator[tuple]:
+    def _bit_blocks(self, first: int = 0) -> Iterator[tuple]:
         """Yield ``(rows, bits)`` for consecutive slices of ``2^BLOCK_TRIALS``
-        rows (fewer when there are fewer trials), in :meth:`enumerate_bits`
-        row order.  ``bits`` is the block's ``(rows, T)`` bit matrix, stored
-        column-major: the low trials repeat one fixed pattern, built once,
-        and the high trials are constant within a block.  Every block is
-        the same buffer, so a caller reads it before the next one."""
+        rows (fewer when there are fewer trials) of the outcomes of trials
+        ``first..T-1``, in :meth:`enumerate_bits` row order of those trials;
+        the trials below ``first`` are 0.  ``bits`` is the block's
+        ``(rows, T)`` bit matrix, stored column-major: the low trials from
+        ``first`` on repeat one fixed pattern, built once, and the high
+        trials are constant within a block.  Every block is the same buffer,
+        so a caller reads it before the next one."""
         T = self.trial_count
-        low = min(T, BLOCK_TRIALS)
+        low = min(T - first, BLOCK_TRIALS)
         size = 1 << low
-        block = np.empty((T, size), dtype=np.uint8)
+        block = np.zeros((T, size), dtype=np.uint8)
         row = np.arange(size, dtype=np.uint32)
         for t in range(low):  # row by row: no (low, size) temporary
-            block[t] = (row >> t) & 1
-        high = np.arange(T - low)[:, None]
-        for h in range(1 << (T - low)):
-            block[low:] = ((h >> high) & 1).astype(np.uint8)
+            block[first + t] = (row >> t) & 1
+        high = np.arange(T - first - low)[:, None]
+        for h in range(1 << (T - first - low)):
+            block[first + low:] = ((h >> high) & 1).astype(np.uint8)
             yield slice(h * size, (h + 1) * size), block.T
 
-    def _x_blocks(self) -> Iterator[tuple]:
-        """Yield ``(rows, x)``: :meth:`x_columns` of each :meth:`_bit_blocks` block."""
-        for rows, bits in self._bit_blocks():
+    def _x_blocks(self, first: int = 0) -> Iterator[tuple]:
+        """Yield ``(rows, x)``: :meth:`x_columns` of each ``_bit_blocks(first)`` block."""
+        for rows, bits in self._bit_blocks(first):
             x = self.x_columns(bits)
             if x.shape != (rows.stop - rows.start, self.n):
                 raise ValueError("x_columns returned a misshaped matrix")
@@ -268,24 +286,20 @@ class DependentSequence:
 
     def x_values(self) -> np.ndarray:
         """The summand values of every outcome, as a column-major
-        ``(outcomes, n)`` int16 matrix in :meth:`enumerate_bits` row order.
-        The same pass records :meth:`w_values`."""
+        ``(outcomes, n)`` int16 matrix in :meth:`enumerate_bits` row order."""
         xs = self._cache.get("x")
         if xs is None:
             self._require_enumerable()
             xs = np.empty((self.n, self.outcome_count), dtype=np.int16).T
-            total = np.empty(self.outcome_count, dtype=np.int32)
             for rows, x in self._x_blocks():
                 xs[rows] = x
-                total[rows] = _row_sums(x)
             self._cache["x"] = xs
-            self._cache["w"] = total
         return xs
 
     def w_values(self) -> np.ndarray:
         """``W = X_1 + ... + X_n`` of every outcome in :meth:`enumerate_bits`
-        row order, as int32, summed block by block without keeping the
-        summand values."""
+        row order, as int32, from :meth:`_stream_w` without the summand
+        values."""
         total = self._cache.get("w")
         if total is None:
             self._require_enumerable()
@@ -294,10 +308,37 @@ class DependentSequence:
         return total
 
     def _stream_w(self, out: np.ndarray) -> np.ndarray:
-        """``out``, an outcome-length array, with ``W`` of every outcome
-        written into it block by block."""
-        for rows, x in self._x_blocks():
-            out[rows] = _row_sums(x)
+        """``out``, an outcome-length array, with ``W[r] = A[r mod 2^L] +
+        C[r >> a]`` written into it, at ``O(2^T)`` cost.
+
+        ``L = min(T, BLOCK_TRIALS)``.  ``A`` is the row sums, over the first
+        row block of ``2^L`` outcomes, of the summands whose
+        :meth:`trial_span` ends by trial ``L``; the other summands read
+        trials ``a..T-1`` only, ``a`` the lowest first trial among them, and
+        ``C`` is their row sums over those trials, streamed in row blocks.
+        A model with the default spans and more than ``L`` trials has
+        ``a = 0`` and ``A = 0``: every block is mapped.  Each block of ``C``
+        is added to ``A`` into its rows of ``out`` by one broadcast, in
+        ``out``'s dtype, so the byte-wide sums do not overflow.
+        """
+        T = self.trial_count
+        L = min(T, BLOCK_TRIALS)
+        spans = [self.trial_span(i) for i in range(1, self.n + 1)]
+        low = [k for k, span in enumerate(spans) if span.stop <= L]
+        high = [k for k, span in enumerate(spans) if span.stop > L]
+        a = min((spans[k].start for k in high), default=T)
+        low_sums = np.zeros(1 << L, dtype=np.uint8)
+        if low:
+            low_sums = _row_sums(next(self._x_blocks())[1][:, low])
+        # Outcome r = ((q 2^(L-g) + u) 2^(a-g) + v) 2^g + s, g = min(a, L):
+        # r mod 2^L is (u, s) and r >> a is (q, u).
+        g = min(a, L)
+        low_sums = low_sums.reshape(1 << (L - g), 1, 1 << g)
+        # With no summand past the block, a = T: one row, and C = 0.
+        for rows, x in self._x_blocks(a):
+            sums = _row_sums(x[:, high]).reshape(-1, 1 << (L - g), 1, 1)
+            np.add(low_sums, sums, dtype=out.dtype, out=out[rows.start << a : rows.stop << a]
+                   .reshape(-1, 1 << (L - g), 1 << (a - g), 1 << g))
         return out
 
     def _window_sums(self, i: int) -> tuple:
@@ -305,9 +346,9 @@ class DependentSequence:
         ``i`` of every outcome, in :meth:`enumerate_bits` row order.
 
         They are read from the cached summand values when there are any;
-        else one streamed pass sums both, and records :meth:`w_values` if it
-        is not cached.  Each is ``uint8`` while every block's sums fit a
-        byte (:func:`_row_sums`), and ``int32`` once a block's do not.
+        else one streamed pass sums both.  Each is ``uint8`` while every
+        block's sums fit a byte (:func:`_row_sums`), and ``int32`` once a
+        block's do not.
         """
         spans = [self.neighborhood_indices(i, ell) for ell in (1, 2)]
         xs = self._cache.get("x")
@@ -316,7 +357,6 @@ class DependentSequence:
             blocks = self._x_blocks()
         else:
             blocks = [(slice(None), xs)]
-        total = None if "w" in self._cache else np.empty(self.outcome_count, dtype=np.int32)
         sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in spans]
         for rows, x in blocks:
             for k, span in enumerate(spans):
@@ -324,10 +364,6 @@ class DependentSequence:
                 if block.itemsize > sums[k].itemsize:
                     sums[k] = sums[k].astype(block.dtype)
                 sums[k][rows] = block
-            if total is not None:
-                total[rows] = _row_sums(x)
-        if total is not None:
-            self._cache["w"] = total
         return tuple(sums)
 
     def exact_trial_probs(self) -> list:
@@ -397,6 +433,9 @@ class BernoulliProductSequence(DependentSequence):
 
     def x_scalar(self, bits: tuple) -> tuple:
         return bits
+
+    def trial_span(self, i: int) -> range:
+        return range(i - 1, i)
 
     def closed_form_moments(self) -> MomentSet:
         """Exact moments: independent summands, so every moment is a product of ``p``s."""
@@ -471,8 +510,8 @@ def mean_var(seq: DependentSequence) -> tuple:
 
     An enumerable model gives ``w @ W`` and ``w @ W**2 - mean**2`` in
     float64, over one outcome-length buffer: the cached
-    :meth:`~DependentSequence.w_values` cast, else ``W`` streamed block by
-    block and not cached, then squared in place.  It computes no per-index
+    :meth:`~DependentSequence.w_values` cast, else ``W`` written into it from
+    the trial spans and not cached, then squared in place.  It computes no per-index
     moment.  Any other model gives its closed form's values, or is refused.
     """
     if not seq.enumerable:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import psdapprox
 from psdapprox.bounds import exact_tv
-from psdapprox.cli import BOUND_VARIANTS, main
+from psdapprox.cli import BOUND_VARIANTS, build_parser, main
 from psdapprox.families import family_from_json
 from psdapprox.oracle import brute_force_distribution, dp_distribution, two_runs_automaton
 from psdapprox.runs import TABLE1_PRINTED, TwoRunsModel, nb_fit_from_moments, two_runs_bound
@@ -92,6 +92,25 @@ def test_table1_deterministic(capsys):
     main(["table1", "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_back_to_back_calls_share_no_options(two_runs_model_file, capsys, monkeypatch):
+    """The parser is built once per process; no call's options reach the
+    next, and each call runs the command function the module holds then."""
+    assert build_parser() is build_parser()
+    argv = ["bound", "--model", two_runs_model_file, "--fit", "poisson"]
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("variant,n,params,total,slack\n")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "min"
+    assert main(["table1", "--precision", "3"]) == 0
+    assert " 0.345 " in capsys.readouterr().out
+    assert main(["table1"]) == 0
+    assert " 0.344694 " in capsys.readouterr().out
+    import psdapprox.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "cmd_table1", lambda args: 7)
+    assert main(["table1"]) == 7
 
 
 def test_bound_closed_form_matches_table(two_runs_model_file, tmp_path, capsys):

@@ -412,7 +412,7 @@ def test_streamed_window_sums_widen_past_a_byte(scale, dtype):
     assert v1.dtype == np.uint8 and v2.dtype == dtype  # 3 * 52 fits a byte, 5 * 52 not
     assert np.array_equal(v1, xs[:, 1:4].sum(axis=1))
     assert np.array_equal(v2, xs.sum(axis=1))
-    assert np.array_equal(streamed.w_values(), xs.sum(axis=1))  # recorded by the pass
+    assert np.array_equal(streamed.w_values(), xs.sum(axis=1))
 
 
 def test_mean_var_holds_two_outcome_vectors():
@@ -494,10 +494,78 @@ def test_streamed_values_equal_the_full_bit_matrix_map(kind, trials):
     xs = seq.x_values()
     assert xs.dtype == np.int16 and xs.flags.f_contiguous
     assert np.array_equal(xs, want)
-    assert np.array_equal(seq.w_values(), want.sum(axis=1))  # recorded by x_values
-    total = _stream_case(kind, trials).w_values()  # streamed without x_values
+    assert np.array_equal(seq.w_values(), want.sum(axis=1))  # after x_values
+    total = _stream_case(kind, trials).w_values()  # without x_values
     assert total.dtype == np.int32
     assert np.array_equal(total, want.sum(axis=1))
+
+
+class _FarEnds(DependentSequence):
+    """``X_1 = trial_1`` and ``X_2 = 3 trial_19``: the second summand's span
+    starts past the first row block of ``2^16`` outcomes (``a = 18``)."""
+
+    def __init__(self):
+        super().__init__([(t % 5 + 1) / 8 for t in range(19)], n=2, dependence_radius=0,
+                         kind="far-ends")
+
+    def x_columns(self, bits):
+        return np.stack([bits[:, 0], 3 * bits[:, -1]]).T
+
+    def trial_span(self, i):
+        return range(0, 1) if i == 1 else range(18, 19)
+
+
+# Trial counts below, at and past one block, spans that cross its edge
+# ((1,2)-runs n=9) or start past it (the far ends), and models that keep
+# the default span of every trial.
+_SPAN_CASES = {
+    **{f"{kind} T={trials}": (lambda kind=kind, trials=trials: _stream_case(kind, trials))
+       for trials in (3, 15, 16, 17, 21)
+       for kind in ("bernoulli product", "two-runs", "(k1,k2)-runs")},
+    "(1,2)-runs n=9": lambda: K1K2Model(1, 2, 9, [(t % 5 + 2) / 16 for t in range(20)]),
+    "far ends": _FarEnds,
+    "last-trial copies 51": lambda: _LastTrialCopies(51),
+    "last-trial copies 52": lambda: _LastTrialCopies(52),
+    "scaled two-runs T=8": lambda: _ScaledTwoRuns([0.3] * 8, 5),
+    "scaled two-runs T=17": lambda: _ScaledTwoRuns([0.3] * 17, 5),
+}
+
+
+@pytest.mark.parametrize("name", _SPAN_CASES)
+def test_w_values_and_mean_var_equal_the_row_sums_of_the_full_map(name):
+    make = _SPAN_CASES[name]
+    seq = make()
+    want = seq.x_columns(seq.enumerate_bits()).sum(axis=1, dtype=np.int32)
+    total = seq.w_values()
+    assert total.dtype == np.int32
+    assert np.array_equal(total, want)
+    w = seq.outcome_probs()
+    mean = float(w @ want.astype(float))
+    expected = (mean, float(w @ want.astype(float) ** 2) - mean**2)
+    assert mean_var(make()) == mean_var(seq) == expected  # streamed, then cached
+
+
+_SPAN_MODELS = [
+    BernoulliProductSequence([0.5] * 7),
+    TwoRunsModel([0.5] * 9),
+    K1K2Model(1, 1, 6, [0.5] * 7),
+    K1K2Model(1, 2, 4, [0.5] * 10),
+    K1K2Model(2, 2, 3, [0.5] * 12),
+    K1K2Model(3, 1, 2, [0.5] * 9),
+]
+
+
+@pytest.mark.parametrize("seq", _SPAN_MODELS, ids=lambda s: f"{s.kind}-T{s.trial_count}")
+def test_flipping_a_trial_outside_the_span_keeps_the_summand(seq):
+    x = seq.x_columns(seq.enumerate_bits())
+    rows = np.arange(seq.outcome_count)
+    for t in range(seq.trial_count):
+        flipped = x[rows ^ (1 << t)]
+        for i in range(1, seq.n + 1):
+            span = seq.trial_span(i)
+            assert 0 <= span.start < span.stop <= seq.trial_count
+            if t not in span:
+                assert np.array_equal(flipped[:, i - 1], x[:, i - 1]), (i, t)
 
 
 def _block_of(dtype, n: int, top: int) -> np.ndarray:
