@@ -10,7 +10,9 @@ the total ``W`` of every outcome costs ``O(2^T)``, not ``O(n 2^T)``: the
 summands whose span ends inside the first row block are summed over that
 block once, the rest over the trials from their lowest first trial on, and
 the two tables are added by broadcast (row sums at byte width where none can
-overflow), without keeping the bits or the summand values.  The sequence
+overflow), without keeping the bits or the summand values.  The window sums
+of one index, which the conditional oracle reads, map only the outcomes of
+the trials their spans read and broadcast each sum.  The sequence
 caches the outcome probabilities, ``W`` and the column-major summand values
 once a caller asks for them.  Its moments are exact: vectorized
 enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
@@ -176,8 +178,9 @@ class DependentSequence:
     trials that ``X_i`` reads (every trial by default).  :meth:`w_values`
     maps the first row block once for the summands whose span ends inside
     it, and the rest only over the trials from their lowest first trial on,
-    so ``W`` costs ``O(2^T)`` where the spans are short; a span that leaves
-    out a trial the summand reads gives a wrong ``W``.
+    so ``W`` costs ``O(2^T)`` where the spans are short, and
+    :meth:`_window_sums` maps only the trials a window's spans read; a span
+    that leaves out a trial the summand reads gives a wrong ``W``.
     """
 
     def __init__(self, trial_probs: Sequence[float], n: int, dependence_radius: int,
@@ -204,7 +207,8 @@ class DependentSequence:
 
     def trial_span(self, i: int) -> range:
         """The trials ``X_i`` reads, 0-based, for ``i`` in ``1..n``: all of
-        them unless a model declares fewer.  :meth:`_stream_w` reads it."""
+        them unless a model declares fewer.  :meth:`_stream_w` and
+        :meth:`_window_sums` read it."""
         return range(self.trial_count)
 
     # -- enumeration ---------------------------------------------------------
@@ -227,30 +231,32 @@ class DependentSequence:
                 f"2^{self.trial_count} outcomes exceed the enumeration cutoff"
             )
 
-    def _bit_blocks(self, first: int = 0) -> Iterator[tuple]:
+    def _bit_blocks(self, first: int = 0, stop: Optional[int] = None) -> Iterator[tuple]:
         """Yield ``(rows, bits)`` for consecutive slices of ``2^BLOCK_TRIALS``
         rows (fewer when there are fewer trials) of the outcomes of trials
-        ``first..T-1``, in :meth:`enumerate_bits` row order of those trials;
-        the trials below ``first`` are 0.  ``bits`` is the block's
-        ``(rows, T)`` bit matrix, stored column-major: the low trials from
-        ``first`` on repeat one fixed pattern, built once, and the high
-        trials are constant within a block.  Every block is the same buffer,
-        so a caller reads it before the next one."""
+        ``first..stop-1`` (``stop`` is ``T`` by default), in
+        :meth:`enumerate_bits` row order of those trials; the other trials
+        are 0.  ``bits`` is the block's ``(rows, T)`` bit matrix, stored
+        column-major: the low trials from ``first`` on repeat one fixed
+        pattern, built once, and the high trials are constant within a
+        block.  Every block is the same buffer, so a caller reads it before
+        the next one."""
         T = self.trial_count
-        low = min(T - first, BLOCK_TRIALS)
+        stop = T if stop is None else stop
+        low = min(stop - first, BLOCK_TRIALS)
         size = 1 << low
         block = np.zeros((T, size), dtype=np.uint8)
         row = np.arange(size, dtype=np.uint32)
         for t in range(low):  # row by row: no (low, size) temporary
             block[first + t] = (row >> t) & 1
-        high = np.arange(T - first - low)[:, None]
-        for h in range(1 << (T - first - low)):
-            block[first + low:] = ((h >> high) & 1).astype(np.uint8)
+        high = np.arange(stop - first - low)[:, None]
+        for h in range(1 << (stop - first - low)):
+            block[first + low : stop] = ((h >> high) & 1).astype(np.uint8)
             yield slice(h * size, (h + 1) * size), block.T
 
-    def _x_blocks(self, first: int = 0) -> Iterator[tuple]:
-        """Yield ``(rows, x)``: :meth:`x_columns` of each ``_bit_blocks(first)`` block."""
-        for rows, bits in self._bit_blocks(first):
+    def _x_blocks(self, first: int = 0, stop: Optional[int] = None) -> Iterator[tuple]:
+        """Yield ``(rows, x)``: :meth:`x_columns` of each ``_bit_blocks(first, stop)`` block."""
+        for rows, bits in self._bit_blocks(first, stop):
             x = self.x_columns(bits)
             if x.shape != (rows.stop - rows.start, self.n):
                 raise ValueError("x_columns returned a misshaped matrix")
@@ -345,25 +351,34 @@ class DependentSequence:
         """``(v1, v2)``: the radius-1 and radius-2 window sums around index
         ``i`` of every outcome, in :meth:`enumerate_bits` row order.
 
-        They are read from the cached summand values when there are any;
-        else one streamed pass sums both.  Each is ``uint8`` while every
-        block's sums fit a byte (:func:`_row_sums`), and ``int32`` once a
-        block's do not.
+        They are read from the cached summand values when there are any.
+        Else the summands of the radius-2 window read only trials
+        ``first..stop-1``, the union of their :meth:`trial_span`: the
+        outcomes of those trials are mapped, in row blocks, and each sum is
+        broadcast to every outcome that shares them.  Each is ``uint8``
+        while every block's sums fit a byte (:func:`_row_sums`), and
+        ``int32`` once a block's do not.
         """
-        spans = [self.neighborhood_indices(i, ell) for ell in (1, 2)]
+        windows = [self.neighborhood_indices(i, ell) for ell in (1, 2)]
         xs = self._cache.get("x")
         if xs is None:
             self._require_enumerable()
-            blocks = self._x_blocks()
+            spans = [self.trial_span(j) for j in windows[1]]
+            first = min(span.start for span in spans)
+            stop = max(span.stop for span in spans)
+            blocks = self._x_blocks(first, stop)
         else:
+            first, stop = 0, self.trial_count
             blocks = [(slice(None), xs)]
-        sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in spans]
+        # Outcome r = (q 2^(stop-first) + u) 2^first + s has the sums of u.
+        shape = (self.outcome_count >> stop, 1 << (stop - first), 1 << first)
+        sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in windows]
         for rows, x in blocks:
-            for k, span in enumerate(spans):
-                block = _row_sums(x[:, span.start - 1 : span.stop - 1])
+            for k, window in enumerate(windows):
+                block = _row_sums(x[:, window.start - 1 : window.stop - 1])
                 if block.itemsize > sums[k].itemsize:
                     sums[k] = sums[k].astype(block.dtype)
-                sums[k][rows] = block
+                sums[k].reshape(shape)[:, rows] = block[:, None]
         return tuple(sums)
 
     def exact_trial_probs(self) -> list:

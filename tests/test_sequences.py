@@ -545,6 +545,20 @@ def test_w_values_and_mean_var_equal_the_row_sums_of_the_full_map(name):
     assert mean_var(make()) == mean_var(seq) == expected  # streamed, then cached
 
 
+@pytest.mark.parametrize("name", [name for name in _SPAN_CASES if "T=21" not in name])
+def test_window_sums_from_the_spans_equal_the_full_map_windows(name):
+    seq = _SPAN_CASES[name]()
+    x = seq.x_columns(seq.enumerate_bits())
+    for i in range(1, seq.n + 1):
+        windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
+        for got, window in zip(seq._window_sums(i), windows):
+            block = x[:, window.start - 1 : window.stop - 1]
+            byte = x.dtype == np.uint8 and int(block.max()) * len(window) <= 255
+            assert got.dtype == (np.uint8 if byte else np.int32)
+            assert np.array_equal(got, block.sum(axis=1, dtype=np.int32)), (i, window)
+    assert "x" not in seq._cache
+
+
 _SPAN_MODELS = [
     BernoulliProductSequence([0.5] * 7),
     TwoRunsModel([0.5] * 9),
