@@ -123,14 +123,35 @@ def _fit_target(kind: str, mean: float, var: float):
     raise PsdApproxError(f"unknown fit target {kind!r}")
 
 
+def _bound_report(variant: str, seq, moments, spec, conditionals=None,
+                  allow_small_n: bool = False):
+    """The report of one of :data:`BOUND_VARIANTS` on ``seq`` against ``spec``.
+
+    ``theorem`` reads ``conditionals`` when given, else
+    :func:`build_conditional_terms`; ``d1`` and ``min`` build the smoothing
+    estimate before their ``n`` check; ``closed-form`` is the model's hook,
+    which builds its own moments and ignores ``moments``.
+    """
+    if variant == "closed-form":
+        return seq.closed_form_bound(spec)
+    if variant == "theorem":
+        return theorem31_bound(moments, conditionals or build_conditional_terms(seq), spec,
+                               allow_small_n=allow_small_n)
+    if variant == "d2":
+        return bound_d2(moments, spec)
+    if variant == "crude":
+        return bound_crude(moments, spec)
+    bound = bound_d1 if variant == "d1" else bound_min
+    return bound(moments, build_smoothing(seq), spec, allow_small_n=allow_small_n)
+
+
 def cmd_bound(args) -> int:
     seq = _read_input(args.model, sequence_from_json)
     if not (args.fit or args.target):
         sys.stderr.write("one of --target or --fit is required\n")
         return 2
     variant = args.variant
-    closed_form = getattr(seq, "closed_form_bound", None)
-    if variant == "closed-form" and closed_form is None:
+    if variant == "closed-form" and not hasattr(seq, "closed_form_bound"):
         sys.stderr.write("closed-form variant needs a runs model\n")
         return 2
     # --fit wins over --target; a target file is read, and refused if no
@@ -138,32 +159,12 @@ def cmd_bound(args) -> int:
     spec = None if args.fit else _read_input(args.target, family_from_json)
     if spec is not None:
         target_mean(spec)
-    if variant == "closed-form":
-        # The closed form builds its own moments: a fit reads only W's mean and variance.
-        if spec is None:
-            spec = _fit_target(args.fit, *mean_var(seq))
-        report = closed_form(spec)
-    else:
-        moments = compute_moments(seq)
-        if spec is None:
-            spec = _fit_target(args.fit, moments.mean_w, moments.var_w)
-        if variant == "theorem":
-            report = theorem31_bound(
-                moments, build_conditional_terms(seq), spec,
-                allow_small_n=args.allow_small_n,
-            )
-        elif variant == "d1":
-            report = bound_d1(moments, build_smoothing(seq), spec,
-                              allow_small_n=args.allow_small_n)
-        elif variant == "d2":
-            report = bound_d2(moments, spec)
-        elif variant == "min":
-            report = bound_min(moments, build_smoothing(seq), spec,
-                               allow_small_n=args.allow_small_n)
-        elif variant == "crude":
-            report = bound_crude(moments, spec)
-        else:  # pragma: no cover - argparse restricts choices
-            return 2
+    # The closed form builds its own moments: a fit reads only W's mean and variance.
+    moments = None if variant == "closed-form" else compute_moments(seq)
+    if spec is None:
+        mean, var = mean_var(seq) if moments is None else (moments.mean_w, moments.var_w)
+        spec = _fit_target(args.fit, mean, var)
+    report = _bound_report(variant, seq, moments, spec, allow_small_n=args.allow_small_n)
 
     prec = args.precision
     if args.format == "json":
@@ -233,9 +234,6 @@ def cmd_verify(args) -> int:
         results.append((name, ok))
         _print(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + note) if note else ''}")
 
-    def skip(name: str, reason):
-        _print(f"SKIP {name} {reason}")
-
     # DP law vs direct enumeration of the trial space.
     law = _model_law(seq)
     brute = brute_force_distribution(seq)
@@ -283,42 +281,36 @@ def cmd_verify(args) -> int:
             abs(got - want) <= (1e-12 * abs(want) if want else 1e-15)
             for got, want in zip(engine().weighted_sums(), conditionals.weighted_sums())))
 
-    # Bound domination against the exact law.
+    # Bound domination against the exact law, for every variant the model has.
+    labels = {variant: "theorem31" if variant == "theorem" else variant
+              for variant in BOUND_VARIANTS
+              if variant != "closed-form" or hasattr(seq, "closed_form_bound")}
     targets = [("poisson", poisson_family(oracle_moments.mean_w))]
     if oracle_moments.var_w > oracle_moments.mean_w > 0:
         targets.append(
             ("nb", nb_fit_from_moments(oracle_moments.mean_w, oracle_moments.var_w))
         )
-    closed_form = getattr(seq, "closed_form_bound", None)
     for name, spec in targets:
         if spec.a <= 0:
-            vnames = ["theorem31", "d1", "min", "d2", "crude"]
-            if closed_form is not None:
-                vnames.append("closed-form")
-            for vname in sorted(vnames):
-                skip(f"domination-{name}-{vname}", f"the {name} fit is a point mass (a = {spec.a})")
+            for label in sorted(labels.values()):
+                _print(f"SKIP domination-{name}-{label} "
+                       f"the {name} fit is a point mass (a = {spec.a})")
             continue
         tv = exact_tv(law, spec.pmf())
-        variants = {}
-        try:
-            variants["theorem31"] = theorem31_bound(oracle_moments, conditionals, spec).total
-            smoothing = build_smoothing(seq)
-            variants["d1"] = bound_d1(oracle_moments, smoothing, spec).total
-            variants["min"] = bound_min(oracle_moments, smoothing, spec).total
-        except PsdApproxError as exc:  # n below stated validity: d2/crude still apply
-            for vname in ("theorem31", "d1", "min"):
-                if vname not in variants:
-                    skip(f"domination-{name}-{vname}", exc)
-        variants["d2"] = bound_d2(oracle_moments, spec).total
-        variants["crude"] = bound_crude(oracle_moments, spec).total
-        if closed_form is not None:
+        totals = {}
+        refusal = None  # a package variant's refusal is the reason of every later one
+        for variant, label in labels.items():
             try:
-                variants["closed-form"] = closed_form(spec).total
-            except PsdApproxError as exc:  # outside the model's stated validity
-                skip(f"domination-{name}-closed-form", exc)
-        for vname, total in sorted(variants.items()):
+                totals[label] = _bound_report(variant, seq, oracle_moments, spec,
+                                              conditionals).total
+            except PsdApproxError as exc:
+                reason = exc
+                if variant != "closed-form":  # the model's closed form states its own
+                    refusal = reason = refusal or exc
+                _print(f"SKIP domination-{name}-{label} {reason}")
+        for label, total in sorted(totals.items()):
             check(
-                f"domination-{name}-{vname}",
+                f"domination-{name}-{label}",
                 tv.upper <= total + 1e-12,
                 note=f"tv={tv.value:.6f} bound={total:.6f}",
             )

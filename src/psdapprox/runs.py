@@ -91,7 +91,7 @@ class TwoRunsModel(_RunsModel):
     def __init__(self, p: Sequence[float]):
         if len(p) < 2:
             raise ValueError("need at least two trials")
-        super().__init__(p, n=len(p) - 1, dependence_radius=1, kind="two-runs")
+        super().__init__(p, n=len(p) - 1, kind="two-runs")
         self.assumption_ok = bool(np.all(np.asarray(self.trial_probs) <= 0.5))
         self.automaton = two_runs_automaton()
         self.m = 1
@@ -282,8 +282,7 @@ class K1K2Model(_RunsModel):
             raise ValueError(
                 f"need (n+1)(k1+k2-1) = {(n + 1) * m} trial probabilities, got {len(p)}"
             )
-        super().__init__(p, n=n, dependence_radius=1, kind="k1k2-runs",
-                         params={"k1": k1, "k2": k2, "n": n})
+        super().__init__(p, n=n, kind="k1k2-runs", params={"k1": k1, "k2": k2, "n": n})
         self.k1 = k1
         self.k2 = k2
         self.m = m

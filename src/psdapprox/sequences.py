@@ -169,10 +169,10 @@ class DependentSequence:
 
     Subclasses implement :meth:`x_columns` (vectorized) and
     :meth:`x_scalar` (tuple in, tuple out, exact-arithmetic friendly) and give
-    ``n`` and ``dependence_radius``.  :meth:`x_columns` maps a ``(rows, T)``
-    bit block to its ``(rows, n)`` summand values; blocks arrive
-    column-major, and a mapping that stacks its columns along axis 0 and
-    transposes keeps them so.  ``kind``/``params`` drive serialization.
+    ``n``.  :meth:`x_columns` maps a ``(rows, T)`` bit block to its
+    ``(rows, n)`` summand values; blocks arrive column-major, and a mapping
+    that stacks its columns along axis 0 and transposes keeps them so.
+    ``kind``/``params`` drive serialization.
 
     A subclass may also declare :meth:`trial_span`, the 0-based range of
     trials that ``X_i`` reads (every trial by default).  :meth:`w_values`
@@ -183,8 +183,8 @@ class DependentSequence:
     that leaves out a trial the summand reads gives a wrong ``W``.
     """
 
-    def __init__(self, trial_probs: Sequence[float], n: int, dependence_radius: int,
-                 kind: str, params: Optional[dict] = None):
+    def __init__(self, trial_probs: Sequence[float], n: int, kind: str,
+                 params: Optional[dict] = None):
         self.trial_probs = tuple(map(float, trial_probs))
         probs = np.asarray(self.trial_probs)
         if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
@@ -192,7 +192,6 @@ class DependentSequence:
         self.n = int(n)
         if self.n < 1:
             raise ValueError("need at least one summand")
-        self.dependence_radius = int(dependence_radius)
         self.kind = kind
         self.params = dict(params or {})
         self._cache: dict = {}
@@ -207,9 +206,21 @@ class DependentSequence:
 
     def trial_span(self, i: int) -> range:
         """The trials ``X_i`` reads, 0-based, for ``i`` in ``1..n``: all of
-        them unless a model declares fewer.  :meth:`_stream_w` and
-        :meth:`_window_sums` read it."""
+        them unless a model declares fewer.  :meth:`_stream_w`,
+        :meth:`_window_sums` and :attr:`dependence_radius` read it."""
         return range(self.trial_count)
+
+    @property
+    def dependence_radius(self) -> int:
+        """The largest ``j - i`` whose summands ``X_i`` and ``X_j`` read a
+        common trial, from the declared :meth:`trial_span`: summands farther
+        apart read disjoint trials, and so are independent."""
+        first = {}  # trial -> the lowest index that reads it
+        radius = 0
+        for i in range(1, self.n + 1):
+            for t in self.trial_span(i):
+                radius = max(radius, i - first.setdefault(t, i))
+        return radius
 
     # -- enumeration ---------------------------------------------------------
 
@@ -440,8 +451,7 @@ class BernoulliProductSequence(DependentSequence):
     """Independent summands ``X_i = trial_i`` (dependence radius 0)."""
 
     def __init__(self, probs: Sequence[float]):
-        super().__init__(probs, n=len(probs), dependence_radius=0,
-                         kind="custom-bernoulli-product")
+        super().__init__(probs, n=len(probs), kind="custom-bernoulli-product")
 
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
         return bits

@@ -724,6 +724,33 @@ def test_verify_reports_skipped_domination_checks(tmp_path, capsys):
     assert all("n >= 8" in reason for name, reason in skipped if name.endswith("closed-form"))
 
 
+# Dyadic models of the benchmark's sizes, where verify runs every variant.
+_EVERY_VARIANT_MODELS = {
+    "two-runs n=14": {"model": "two-runs", "p": [(t % 5 + 2) / 16 for t in range(15)]},
+    "(1,2)-runs n=7": {"model": "k1k2-runs", "k1": 1, "k2": 2, "n": 7,
+                       "p": [(t % 7 + 1) / 16 for t in range(16)]},
+    "product T=16": {"model": "custom-bernoulli-product",
+                     "p": [(t % 7 + 1) / 16 for t in range(16)]},
+}
+
+
+@pytest.mark.parametrize("model", _EVERY_VARIANT_MODELS.values(), ids=_EVERY_VARIANT_MODELS)
+def test_bound_and_verify_report_the_same_totals(tmp_path, capsys, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["verify", "--model", str(path)]) == 0
+    verified = dict(re.findall(r"^PASS domination-poisson-(\S+) tv=\S+ bound=(\S+)$",
+                               capsys.readouterr().out, re.M))
+    variants = [v for v in BOUND_VARIANTS
+                if v != "closed-form" or model["model"] != "custom-bernoulli-product"]
+    assert len(verified) == len(variants)
+    for variant in variants:
+        assert main(["bound", "--model", str(path), "--fit", "poisson",
+                     "--variant", variant]) == 0
+        total = json.loads(capsys.readouterr().out)["total"]
+        assert f"{total:.6f}" == verified[{"theorem": "theorem31"}.get(variant, variant)]
+
+
 @pytest.mark.parametrize("p", [[0.5, 0.0, 0.5] * 3 + [0.5], [0.0] * 12])
 def test_verify_passes_with_trials_at_probability_zero(tmp_path, capsys, p):
     # Outcomes of probability 0 reach a larger W than any outcome with mass;

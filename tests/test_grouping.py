@@ -42,7 +42,7 @@ class ScaledRuns(DependentSequence):
     indices and of ``odd`` span more values than the 256 outcomes."""
 
     def __init__(self, probs):
-        super().__init__(probs, n=len(probs) - 1, dependence_radius=1, kind="scaled-two-runs")
+        super().__init__(probs, n=len(probs) - 1, kind="scaled-two-runs")
 
     def x_columns(self, bits):
         return 5 * (bits[:, :-1] * bits[:, 1:]).astype(np.int16)
@@ -57,7 +57,7 @@ class BlockedWindows(DependentSequence):
     are 1-dependent and take the value 2."""
 
     def __init__(self, probs):
-        super().__init__(probs, n=2, dependence_radius=1, kind="blocked:k1k2-windows")
+        super().__init__(probs, n=2, kind="blocked:k1k2-windows")
 
     def x_columns(self, bits):
         windows = (1 - bits[:, :-1]) * bits[:, 1:]

@@ -33,8 +33,7 @@ class _WindowGroups(DependentSequence):
 
     def __init__(self, probs, k2: int, size: int):
         n = -(-(len(probs) - k2) // size)
-        super().__init__(probs, n=n, dependence_radius=k2 if size == 1 else 1,
-                         kind="window-groups")
+        super().__init__(probs, n=n, kind="window-groups")
         self.k2, self.size = k2, size
 
     def x_columns(self, bits):
@@ -102,6 +101,20 @@ def test_one_dependence_certificates():
     assert dependence_certificate(K1K2Model(1, 1, 4, [0.4] * 5), gap=2)
     # 2-runs is NOT 0-dependent: adjacent split must fail to factorize.
     assert not dependence_certificate(TwoRunsModel([0.5] * 4), gap=1)
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: BernoulliProductSequence([0.3, 0.6, 0.2, 0.5]), 0),
+    (lambda: TwoRunsModel([0.3, 0.5, 0.2, 0.4, 0.6]), 1),
+    (lambda: K1K2Model(1, 2, 4, [0.3, 0.4] * 5), 1),
+    (lambda: _FarEnds(), 0),  # disjoint spans, though far apart in the trials
+    (lambda: _ScaledTwoRuns([0.5] * 6, 2), 4),  # the default span: every trial
+], ids=["product", "two-runs", "(1,2)-runs", "far ends", "default span"])
+def test_dependence_radius_is_read_from_the_trial_spans(make, radius):
+    seq = make()
+    assert seq.dependence_radius == radius
+    if seq.trial_count <= 10:  # summands farther apart than the radius factorize
+        assert dependence_certificate(seq, gap=radius + 1)
 
 
 def test_moments_singleton():
@@ -370,7 +383,7 @@ class _ScaledTwoRuns(DependentSequence):
     """2-runs indicators times ``scale``."""
 
     def __init__(self, probs, scale: int):
-        super().__init__(probs, n=len(probs) - 1, dependence_radius=1, kind="scaled-two-runs")
+        super().__init__(probs, n=len(probs) - 1, kind="scaled-two-runs")
         self.scale = scale
 
     def x_columns(self, bits):
@@ -396,7 +409,7 @@ class _LastTrialCopies(DependentSequence):
     block of the enumeration, ``scale`` in the second."""
 
     def __init__(self, scale: int):
-        super().__init__([0.5] * 17, n=5, dependence_radius=5, kind="last-trial-copies")
+        super().__init__([0.5] * 17, n=5, kind="last-trial-copies")
         self.scale = scale
 
     def x_columns(self, bits):
@@ -505,8 +518,7 @@ class _FarEnds(DependentSequence):
     starts past the first row block of ``2^16`` outcomes (``a = 18``)."""
 
     def __init__(self):
-        super().__init__([(t % 5 + 1) / 8 for t in range(19)], n=2, dependence_radius=0,
-                         kind="far-ends")
+        super().__init__([(t % 5 + 1) / 8 for t in range(19)], n=2, kind="far-ends")
 
     def x_columns(self, bits):
         return np.stack([bits[:, 0], 3 * bits[:, -1]]).T
