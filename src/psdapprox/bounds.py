@@ -286,25 +286,25 @@ class ExactConditionalTerms:
         # exactly, until that final product.
         x, col, col_d = (np.empty(seq.outcome_count) for _ in range(3))
 
-        def weighted(table, ids) -> float:
-            np.take(table.d, ids, out=col_d)
-            return float(w @ np.multiply(col_d, col, out=col_d))
+        def weighted(d) -> float:
+            return float(w @ np.multiply(d, col, out=col_d))
 
         sum_q1 = 0.0
         sum_q2 = 0.0
         sum_lin = 0.0
         for i, (xi, v1, v2) in enumerate(sliding_windows(seq), start=1):
-            t12, ids12 = conditional_table(seq, i, "n1n2", (v1, v2))
-            t2, ids2 = conditional_table(seq, i, "n2", (v2,))
+            d = conditional_table(seq, i, "n1n2", (v1, v2))[1]
             np.copyto(x, xi)
             _bracket(col, v1, v2)
-            sum_q1 += float(w @ x) * weighted(t12, ids12)
+            sum_q1 += float(w @ x) * weighted(d)
             col *= x
-            sum_q2 += weighted(t12, ids12)
+            sum_q2 += weighted(d)
+            del d  # freed before the n2 table is built
+            d = conditional_table(seq, i, "n2", (v2,))[1]
             np.copyto(col, v2)
             col -= 1
             col *= x
-            sum_lin += weighted(t2, ids2)
+            sum_lin += weighted(d)
         self._sums = (sum_q1, sum_q2, sum_lin)
         return self._sums
 

@@ -5,7 +5,8 @@ formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program (:func:`forward_layers`, whose
 float layers the imbedding engine also reads), cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
-laws come from one ``bincount`` of outcome groups against ``W``.  The
+laws come from one ``bincount`` of outcome groups against ``W``: one int64
+cell key ``group * radix + W`` per outcome, built in place.  The
 exact-rational law of ``W`` sums integer outcome numerators over the same
 ``W``.  ``W`` is the sequence's own cached
 :meth:`~psdapprox.sequences.DependentSequence.w_values`.  The one thing written
@@ -169,7 +170,8 @@ def brute_force_distribution(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
         return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
-    return _law([float(m) for m in _joint(seq, 0, 1)[0]])
+    joint = _joint(seq, np.zeros(seq.outcome_count, dtype=np.int64), 1)
+    return _law([float(m) for m in joint[0]])
 
 
 def _numerators(probs) -> np.ndarray:
@@ -232,11 +234,12 @@ class ConditionalTable:
     radices: Optional[tuple]
     grouped: Optional[np.ndarray] = None
 
-    def ids(self, cols) -> np.ndarray:
-        """The group of every outcome, from the columns the table was built on."""
+    def ids(self, cols, count: int) -> np.ndarray:
+        """The group of each of the ``count`` outcomes, from the columns the
+        table was built on."""
         if self.radices is None:
-            return group_rows(cols, len(cols[0]))[0]
-        return _pack(cols, self.lows, self.radices)
+            return group_rows(cols, count)[0]
+        return _pack(cols, self.lows, self.radices, count)
 
     def values(self, groups: np.ndarray) -> np.ndarray:
         """The column values of ``groups``, one row per group."""
@@ -248,11 +251,13 @@ class ConditionalTable:
         return out + np.asarray(self.lows, dtype=np.int64)
 
 
-def _pack(cols, lows: tuple, radices: tuple):
-    """The packed key of every outcome; 0 for all of them with no columns."""
+def _pack(cols, lows: tuple, radices: tuple, count: int) -> np.ndarray:
+    """The packed key of each of the ``count`` outcomes, one new int64
+    array built in place (``key *= radix; key += col``); all 0 with no
+    columns."""
     if not len(cols):
-        return 0
-    key = np.asarray(cols[0], dtype=np.int64) - lows[0]
+        return np.zeros(count, dtype=np.int64)
+    key = np.subtract(cols[0], lows[0], dtype=np.int64)
     for col, lo, radix in zip(cols[1:], lows[1:], radices[1:]):
         key *= radix
         key += col
@@ -260,19 +265,24 @@ def _pack(cols, lows: tuple, radices: tuple):
     return key
 
 
-def _joint(seq: DependentSequence, ids, size: int) -> np.ndarray:
+def _joint(seq: DependentSequence, key: np.ndarray, size: int) -> np.ndarray:
     """``joint[g, k]``, the mass of group ``g`` at ``W = k``: one ``bincount``
     over the sequence's cached ``W``, which adds each cell's outcomes in
-    enumeration order however the groups are numbered."""
+    enumeration order however the groups are numbered.  ``key``, the int64
+    group of every outcome, becomes in place the cell key ``g radix + W``
+    that the ``bincount`` reads, ``radix`` being ``joint.shape[1]``."""
     total = seq.w_values()
     radix = int(total.max()) + 1
-    return np.bincount(ids * radix + total, weights=seq.outcome_probs(),
+    key *= radix
+    key += total
+    return np.bincount(key, weights=seq.outcome_probs(),
                        minlength=size * radix).reshape(size, radix)
 
 
 def _conditional_laws(seq: DependentSequence, cols) -> tuple:
-    """``(ids, table)``: the :class:`ConditionalTable` of ``W`` given the
-    integer columns ``cols``, and the group of every outcome.
+    """``(table, cells, radix)``: the :class:`ConditionalTable` of ``W``
+    given the integer columns ``cols``, and the cell key ``g radix + W`` of
+    every outcome (see :func:`_joint`).
 
     Groups are packed keys where their space is at most the outcome count,
     else :func:`group_rows` ids.  This enumeration is the independent oracle
@@ -285,19 +295,29 @@ def _conditional_laws(seq: DependentSequence, cols) -> tuple:
     size = math.prod(radices)
     grouped = None
     if size <= count:
-        ids = _pack(cols, lows, radices)
+        cells = _pack(cols, lows, radices, count)
     else:
-        ids, size = group_rows(cols, count)
+        cells, size = group_rows(cols, count)
         radices = None
         grouped = np.empty((size, len(cols)), dtype=np.int64)
         for j, col in enumerate(cols):
-            grouped[ids, j] = col
-    joint = _joint(seq, ids, size)
+            grouped[cells, j] = col
+    joint = _joint(seq, cells, size)
     mass = joint.sum(axis=1)
     has_mass = mass > 0
     d = np.zeros(size)
     d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
-    return ids, ConditionalTable(d, has_mass, lows, radices, grouped)
+    return ConditionalTable(d, has_mass, lows, radices, grouped), cells, joint.shape[1]
+
+
+def _outcome_d(d: np.ndarray, cells: np.ndarray, radix: int) -> np.ndarray:
+    """Each outcome's conditional ``D`` from its cell key ``g radix + W``:
+    one take from ``np.repeat(d, radix)``, or, where that table would pass
+    the outcome count, from ``d`` after the groups are restored in place."""
+    if len(d) * radix <= len(cells):
+        return np.repeat(d, radix)[cells]
+    cells //= radix
+    return d[cells]
 
 
 def _parity_columns(seq: DependentSequence, conditioning: str) -> list:
@@ -309,33 +329,37 @@ def _parity_columns(seq: DependentSequence, conditioning: str) -> list:
 
 
 def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=None) -> tuple:
-    """``(table, ids)``: the :class:`ConditionalTable` of ``W`` given
-    ``conditioning`` at index ``i`` (see :func:`exact_conditional_D`), and
-    the group of every outcome when the caller passes the conditioning's
-    columns ``cols``, else None.
+    """``(table, d)``: the :class:`ConditionalTable` of ``W`` given
+    ``conditioning`` at index ``i`` (see :func:`exact_conditional_D`), and,
+    when the caller passes the conditioning's columns ``cols``, the
+    conditional ``D`` of every outcome as a new float64 array, else None.
 
     Each table is built once per sequence and kept in its cache under
     ``"conditional"`` (one even and one odd table, whatever ``i``); only
-    per-group arrays are kept.  Without ``cols``, the ``n2`` and ``n1n2``
-    tables of index ``i`` are built together, from one pass of
-    :meth:`~DependentSequence._window_sums`.
+    per-group arrays are kept.  A table built from ``cols`` gives each
+    outcome's ``D`` from the cell keys its ``bincount`` read, a table read
+    back from the cache from the packed keys of ``cols``.  Without ``cols``,
+    the ``n2`` and ``n1n2`` tables of index ``i`` are built together, from
+    one pass of :meth:`~DependentSequence._window_sums`.
     """
     memo = seq._cache.setdefault("conditional", {})
     windowed = conditioning in ("n2", "n1n2")
     key = (i if windowed else None, conditioning)  # even/odd ignore i
     table = memo.get(key)
     if table is not None:
-        return table, None if cols is None else table.ids(cols)
+        if cols is None:
+            return table, None
+        return table, table.d[table.ids(cols, seq.outcome_count)]
     if cols is not None:
-        ids, memo[key] = _conditional_laws(seq, cols)
-        return memo[key], ids
+        memo[key], cells, radix = _conditional_laws(seq, cols)
+        return memo[key], _outcome_d(memo[key].d, cells, radix)
     if windowed:
         v1, v2 = seq._window_sums(i)
         for name, window_cols in (("n2", [v2]), ("n1n2", [v1, v2])):
             if (i, name) not in memo:
-                memo[i, name] = _conditional_laws(seq, window_cols)[1]
+                memo[i, name] = _conditional_laws(seq, window_cols)[0]
     else:
-        memo[key] = _conditional_laws(seq, _parity_columns(seq, conditioning))[1]
+        memo[key] = _conditional_laws(seq, _parity_columns(seq, conditioning))[0]
     return memo[key], None
 
 

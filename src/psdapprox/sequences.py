@@ -23,9 +23,17 @@ small-integer window sums of :func:`sliding_windows` (which the exact
 conditional terms also slide) and each integrand formed in one of three
 reused float64 buffers; their ``mean_w`` and ``var_w`` are :func:`mean_var`,
 two dot products over one float64 buffer of ``W``.
-:func:`group_rows` groups outcomes by equal values, for the
-dependence certificate here and for the exact conditional oracles where
-their packed keys would not fit the outcome count.
+The 1-dependence check :func:`dependence_certificate` reads the cached
+summand values through mixed-radix keys, the lowest index least
+significant: a prefix key that gains one column in place per split, a
+suffix key packed once that drops its leading column in place, and per
+split one weighted ``bincount`` of their pair key, whose row and column
+sums are the marginals.  It holds three int64 outcome-length keys and one
+table of at most one entry per outcome, ``O(2^T)`` whatever ``n`` is, and is
+refused with :class:`UnavailableError` where the packed space of all the
+summand columns would pass the largest int64.  :func:`group_rows` groups
+outcomes by equal values, for the exact conditional oracles where their
+packed keys would not fit the outcome count.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -654,25 +661,97 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
 
     For all i < j with ``j - i >= gap`` (gap 2 means 1-dependence), the joint
     distribution of ``(X_1..X_i)`` and ``(X_j..X_n)`` must be the product of
-    its marginals, to within 1e-12, on every attainable value pair.
+    its marginals, to within 1e-12, on every attainable value pair.  A gap
+    below 1 is a ``ValueError``.
+
+    Column ``X_k`` is the digit ``X_k - lo_k`` of radix ``r_k``, its range
+    over the outcomes, and a key packs a run of columns in mixed radix with
+    the lowest index least significant.  The prefix key of ``X_1..X_i``
+    gains its new column in place at each split, ``pre += (X_i - lo_i)
+    n_pre``, where ``n_pre = r_1 ... r_{i-1}``.  The suffix key of
+    ``X_j..X_n`` is packed once and drops its leading column in place at each
+    later split, ``suf //= r_j``.  Each split is one weighted ``bincount`` of
+    the pair key ``suf n_pre + pre``; the marginals are the row and column
+    sums of that joint table.  Where the table would pass the outcome count,
+    the attained pair keys are ranked by :func:`_rank` and the marginals
+    summed over them.  Packing the lowest index least significant keeps the
+    pair key close to the outcome order on models whose summands read the
+    trials in order, so the ``bincount`` writes its table almost in order.
+
+    Besides the cached summand values and outcome probabilities, the check
+    holds three int64 outcome-length keys and, per split, one float64 joint
+    table of at most one entry per outcome (the product of the marginals is
+    written over the pair keys once the ``bincount`` has read them; a model
+    with outcomes of probability 0 also counts the attained pairs in a
+    second table): ``O(2^T)`` whatever ``n`` is.
+    Where the packed space of all the columns, the product of the ``r_k``,
+    passes the largest int64, a key could overflow, and the check is refused
+    with :class:`UnavailableError`.
     """
-    xs = seq.x_values()
+    if gap < 1:
+        raise ValueError(f"gap must be at least 1 (got {gap})")
+    xt = seq.x_values().T
     w = seq.outcome_probs()
-    n = seq.n
-    # prefixes[i] and suffixes[k] group the outcomes by their first i or last
-    # k summands (ids below a size, not all of them attained).
-    start = group_rows((), len(w))
-    suffixes = list(accumulate(xs.T[gap:][::-1], _fold, initial=start))
-    prefixes = accumulate(xs.T[: max(n - gap, 0)], _fold, initial=start)
-    for i, (pre, n_pre) in enumerate(islice(prefixes, 1, None), start=1):
-        suf, n_suf = suffixes[n - i - gap + 1]
-        # The attained pairs, ranked by their key; each key names its two groups.
-        pair, keys = _rank(pre * n_suf + suf, n_pre * n_suf)
-        joint, pm, sm = (np.bincount(ids, weights=w) for ids in (pair, pre, suf))
-        pre_of, suf_of = np.divmod(keys, n_suf)
-        if np.any(np.abs(joint - pm[pre_of] * sm[suf_of]) > 1e-12):
+    n, count = seq.n, seq.outcome_count
+    lows = [int(col.min()) for col in xt]
+    radices = [int(col.max()) - lo + 1 for col, lo in zip(xt, lows)]
+    if math.prod(radices) > np.iinfo(np.int64).max:
+        raise UnavailableError(
+            f"the packed key space of the {n} summand columns passes 2^63 - 1")
+    # Where some outcome has probability 0, a pair it alone attains has no
+    # mass in the joint table, so the attained pairs are counted as well.
+    massless = not w.all()
+    pre, suf, key = (np.zeros(count, dtype=np.int64) for _ in range(3))
+    for k in reversed(range(gap, n)):  # Horner: X_{gap+1} ends least significant
+        suf *= radices[k]
+        suf += xt[k]
+        suf -= lows[k]
+    n_pre = 1
+    for i in range(1, n - gap + 1):  # X_1..X_i against X_j..X_n, j = i + gap
+        k, j = i - 1, i + gap - 1  # 0-based columns of X_i and X_j
+        np.subtract(xt[k], lows[k], out=key, dtype=np.int64)
+        key *= n_pre
+        pre += key
+        n_pre *= radices[k]
+        if i > 1:
+            suf //= radices[j - 1]
+        np.multiply(suf, n_pre, out=key)
+        key += pre
+        if not _factorizes(key, w, math.prod(radices[j:]), n_pre, massless):
             return False
     return True
+
+
+def _factorizes(key: np.ndarray, w: np.ndarray, n_suf: int, n_pre: int, massless: bool) -> bool:
+    """Whether the joint law of the pair keys ``key = suf n_pre + pre`` is
+    the product of its marginals, to within 1e-12, on every attained pair
+    (``massless``: some outcome has probability 0, so a pair may be
+    attained without mass).  ``key`` is overwritten."""
+    space = n_suf * n_pre
+    if space <= len(key):
+        joint = np.bincount(key, weights=w, minlength=space).reshape(n_suf, n_pre)
+        counts = np.bincount(key, minlength=space).reshape(joint.shape) if massless else joint
+        # The keys are read: their buffer holds the product of the marginals.
+        product = np.multiply.outer(joint.sum(axis=1), joint.sum(axis=0),
+                                    out=key.view(np.float64)[:space].reshape(joint.shape))
+        product -= joint
+        bad = np.abs(product, out=product) > 1e-12
+        bad &= counts > 0
+        return not bad.any()
+    # The attained pairs, ranked by their key; each key names its two groups.
+    ids, keys = _rank(key, space)
+    joint = np.bincount(ids, weights=w)
+    del ids
+    suf_sums, pre_sums = (_group_sums(of, size, joint)
+                          for of, size in zip(np.divmod(keys, n_pre), (n_suf, n_pre)))
+    return not np.any(np.abs(joint - suf_sums * pre_sums) > 1e-12)
+
+
+def _group_sums(key: np.ndarray, space: int, weights: np.ndarray) -> np.ndarray:
+    """The sum of ``weights`` over each value of ``key`` (below ``space``),
+    at every entry: the margin of each attained pair's group."""
+    ids, _ = _rank(key, space)
+    return np.bincount(ids, weights=weights)[ids]
 
 
 def sequence_from_json(obj: dict) -> DependentSequence:

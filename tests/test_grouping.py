@@ -1,24 +1,33 @@
-"""The outcome groupings behind the exact oracles, against references.
+"""The outcome groupings and keys behind the exact oracles, against references.
 
 ``exact_conditional_D`` and ``ExactConditionalTerms.weighted_sums`` read one
 memoized table per (index, conditioning): the law of ``W`` given each packed
 key of the conditioning's columns, or, where the packed key space exceeds the
-outcome count, given each ``sequences.group_rows`` group.
-``dependence_certificate`` folds prefix and suffix groups and reads each
-attained pair's two groups from the pair's key; the float
+outcome count, given each ``sequences.group_rows`` group.  Each table is one
+``bincount`` of one int64 cell key per outcome, built in place.
+``dependence_certificate`` packs a prefix key and a suffix key in mixed
+radix, one weighted ``bincount`` of their pair key per split, and reads the
+marginals as the row and column sums of that joint table; where the table
+would pass the outcome count it ranks the attained pair keys instead
+(``ScaledRuns`` below reaches that branch).  The float
 ``brute_force_distribution`` is one ``bincount`` of ``W``.  The earlier
 per-outcome implementations are inlined below as references: radix-packed
 keys decoded back, dicts of prefix and suffix tuples, and one dict lookup per
 outcome.  Every result must be ``==`` to its reference, dict key order
-included, whether a table is built or read back from the memo.
+included, whether a table is built or read back from the memo.  A
+tracemalloc test bounds the outcome-length arrays that the certificate and
+one conditional table hold, by a number that does not grow with ``n``.
 """
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from psdapprox.bounds import ExactConditionalTerms
+from psdapprox.errors import UnavailableError
 from psdapprox.oracle import (
     brute_force_distribution,
     conditional_table,
@@ -296,3 +305,103 @@ def test_dependence_certificate_matches_dict_reference():
 
 def test_blocked_windows_take_values_above_one():
     assert _models()[-1].x_values().max() > 1
+
+
+@pytest.mark.parametrize("gap", [0, -1])
+def test_dependence_certificate_refuses_a_gap_below_one(gap):
+    with pytest.raises(ValueError, match="gap"):
+        dependence_certificate(TwoRunsModel([0.3, 0.5, 0.2, 0.4]), gap=gap)
+
+
+def _dyadic(trials: int) -> list:
+    return [(t % 7 + 1) / 16 for t in range(trials)]
+
+
+@pytest.mark.parametrize("seq, gap, verdict", [
+    (TwoRunsModel(_dyadic(17)), 2, True),
+    (TwoRunsModel(_dyadic(17)), 1, False),
+    (BernoulliProductSequence(_dyadic(17)), 1, True),
+], ids=["two-runs-gap-2", "two-runs-gap-1", "product-gap-1"])
+def test_dependence_certificate_past_one_row_block(seq, gap, verdict):
+    assert seq.outcome_count == 2 * 2**16
+    assert dependence_certificate(seq, gap=gap) is verdict
+
+
+class _ManyPairSums(DependentSequence):
+    """``X_i = trial_(i mod 10) + trial_(i+1 mod 10)`` for 40 summands over
+    10 trials: each takes 0, 1 and 2, so the packed key space of all the
+    summands is ``3^40``, past ``2^63``."""
+
+    def __init__(self):
+        super().__init__([0.5] * 10, n=40, kind="many-pair-sums")
+
+    def x_columns(self, bits):
+        i = np.arange(self.n)
+        return (bits[:, i % 10] + bits[:, (i + 1) % 10]).astype(np.int16)
+
+
+def test_dependence_certificate_refuses_a_key_space_past_2_63():
+    seq = _ManyPairSums()
+    assert 3**40 > 2**63 and int(seq.x_values().max()) == 2
+    with pytest.raises(UnavailableError, match="2\\^63"):
+        dependence_certificate(seq, gap=2)
+
+
+def test_certificate_and_one_conditional_table_hold_a_fixed_number_of_keys():
+    """On an 18-trial product an int64 outcome array takes 2 MB.  Above the
+    cached summand values and probabilities, the certificate holds three
+    int64 keys and a float64 table of at most one entry per outcome, and
+    one ``n1n2`` table (with ``W`` cached) one int64 key and two byte-wide
+    window sums.  One suffix key per summand would take 18 arrays, and a
+    table key that formed ``ids * radix + W`` out of place two."""
+    seq = BernoulliProductSequence(_dyadic(18))
+    seq.outcome_probs()
+    seq.w_values()
+    array = 8 * seq.outcome_count
+    tracemalloc.start()
+    try:
+        conditional_table(seq, 9, "n1n2")
+        table_peak = tracemalloc.get_traced_memory()[1]
+        seq.x_values()
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert dependence_certificate(seq, gap=1)
+        certificate_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert table_peak < 2 * array
+    assert certificate_peak < 6 * array
+
+
+class _NineCells(DependentSequence):
+    """``(X_1, X_2) = (r mod 3, r div 3)`` on outcome ``r < 9`` of 4 trials,
+    and ``(1, 1)`` on the others; with ``attained`` false, outcome 0 also
+    takes ``(1, 1)``, so no outcome attains ``(0, 0)``."""
+
+    def __init__(self, attained: bool):
+        super().__init__([0.5] * 4, n=2, kind="nine-cells")
+        self.attained = attained
+
+    def x_columns(self, bits):
+        r = bits @ (1 << np.arange(4))
+        r[(r >= 9) | ((r == 0) & (not self.attained))] = 4
+        return np.stack([r % 3, r // 3], axis=1).astype(np.int16)
+
+
+@pytest.mark.parametrize("attained", [True, False])
+def test_dependence_certificate_checks_a_pair_attained_without_mass(attained):
+    """The law is set directly: ``P(X_1 = 0) = P(X_2 = 0) = sqrt(1.5e-12)``,
+    and every cell with mass is within 0.75e-12 of the product of its
+    marginals, but ``(0, 0)`` has no mass.  Where an outcome of probability
+    0 attains it, the cell is checked and fails, as in the dict reference;
+    where none does, it is not checked."""
+    d = 1.5e-12
+    p = np.full(3, (1 - math.sqrt(d)) / 2)
+    p[0] = math.sqrt(d)
+    joint = np.outer(p, p) + d * np.array([[-1, 0.5, 0.5], [0.5, -0.25, -0.25],
+                                           [0.5, -0.25, -0.25]])
+    joint[0, 0] = 0.0
+    seq = _NineCells(attained)
+    seq._cache["probs"] = np.concatenate([joint.ravel(), np.zeros(7)])
+    assert dependence_certificate(seq, gap=1) is (not attained)
+    assert _reference_certificate(seq, gap=1) is (not attained)

@@ -356,9 +356,8 @@ def _reference_weighted_sums(seq) -> tuple:
         xi = xs[:, i - 1].astype(float)
         v1, v2 = (_window(seq, xs, i, ell).astype(np.int64) for ell in (1, 2))
         bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
-        t12, ids12 = conditional_table(seq, i, "n1n2", (v1, v2))
-        t2, ids2 = conditional_table(seq, i, "n2", (v2,))
-        d12_w, d2_w = t12.d[ids12], t2.d[ids2]
+        d12_w = conditional_table(seq, i, "n1n2", (v1, v2))[1]
+        d2_w = conditional_table(seq, i, "n2", (v2,))[1]
         sum_q1 += float(w @ xi) * float(w @ (bracket * d12_w))
         sum_q2 += float(w @ (xi * bracket * d12_w))
         sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
