@@ -6,9 +6,10 @@ automaton driven by a forward dynamic program (:func:`forward_layers`, whose
 float layers the imbedding engine also reads), cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
 laws come from one ``bincount`` of outcome groups against ``W``: one int64
-cell key ``group * radix + W`` per outcome, built in place.  The
-exact-rational law of ``W`` sums integer outcome numerators over the same
-``W``.  ``W`` is the sequence's own cached
+cell key ``group * radix + W`` per outcome, built in place, a group being
+the key of :func:`~psdapprox.sequences.pack_columns`, ranked where the key
+space passes the outcome count.  The exact-rational law of ``W`` sums
+integer outcome numerators over the same ``W``, the sequence's own cached
 :meth:`~psdapprox.sequences.DependentSequence.w_values`.  The one thing written
 into a sequence is the memo of :func:`conditional_table`: its cache keeps one
 :class:`ConditionalTable` per (index, conditioning), per-group arrays only, so
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import PMFTable
-from .sequences import BLOCK_TRIALS, DependentSequence, group_rows
+from .sequences import BLOCK_TRIALS, DependentSequence, _rank, pack_columns
 
 
 def failure_function(pattern: Sequence[int]) -> list:
@@ -218,11 +219,10 @@ class ConditionalTable:
     """The conditional laws of ``W`` given a statistic of integer columns,
     summarized per group of outcomes with equal column values.
 
-    A group is the packed key ``sum_j (col_j - lows[j]) * stride_j`` of the
-    mixed radix ``radices`` (so groups follow the lexicographic order of the
-    value tuples, and some keys may name no outcome), or, where that key
-    space exceeds the outcome count, a dense id of :func:`group_rows`
-    (``radices`` is None and ``grouped[g]`` holds group ``g``'s values).
+    A group is the :func:`pack_columns` key of ``lows`` and ``radices`` (so
+    groups follow the lexicographic order of the value tuples, and some
+    keys may name no outcome), or, where that key space exceeds the outcome
+    count, the rank of its key in ``keys``, the sorted attained keys.
     ``d[g]`` is the shift regularity of ``W`` given group ``g``, 0.0 where
     the group has no mass, and ``has_mass[g]`` says whether it has any.
     Every array is per group; none is per outcome.
@@ -231,38 +231,23 @@ class ConditionalTable:
     d: np.ndarray
     has_mass: np.ndarray
     lows: tuple
-    radices: Optional[tuple]
-    grouped: Optional[np.ndarray] = None
+    radices: tuple
+    keys: Optional[np.ndarray] = None
 
     def ids(self, cols, count: int) -> np.ndarray:
         """The group of each of the ``count`` outcomes, from the columns the
         table was built on."""
-        if self.radices is None:
-            return group_rows(cols, count)[0]
-        return _pack(cols, self.lows, self.radices, count)
+        key = pack_columns(cols, count)[0]
+        return key if self.keys is None else np.searchsorted(self.keys, key)
 
     def values(self, groups: np.ndarray) -> np.ndarray:
         """The column values of ``groups``, one row per group."""
-        if self.radices is None:
-            return self.grouped[groups]
+        if self.keys is not None:
+            groups = self.keys[groups]
         out = np.empty((len(groups), len(self.radices)), dtype=np.int64)
         for j in reversed(range(len(self.radices))):
             groups, out[:, j] = np.divmod(groups, self.radices[j])
         return out + np.asarray(self.lows, dtype=np.int64)
-
-
-def _pack(cols, lows: tuple, radices: tuple, count: int) -> np.ndarray:
-    """The packed key of each of the ``count`` outcomes, one new int64
-    array built in place (``key *= radix; key += col``); all 0 with no
-    columns."""
-    if not len(cols):
-        return np.zeros(count, dtype=np.int64)
-    key = np.subtract(cols[0], lows[0], dtype=np.int64)
-    for col, lo, radix in zip(cols[1:], lows[1:], radices[1:]):
-        key *= radix
-        key += col
-        key -= lo
-    return key
 
 
 def _joint(seq: DependentSequence, key: np.ndarray, size: int) -> np.ndarray:
@@ -285,29 +270,23 @@ def _conditional_laws(seq: DependentSequence, cols) -> tuple:
     every outcome (see :func:`_joint`).
 
     Groups are packed keys where their space is at most the outcome count,
-    else :func:`group_rows` ids.  This enumeration is the independent oracle
-    of the conditional laws: the imbedding engine that gives the runs
-    models' theorem 3.1 terms at any ``n`` (``psdapprox.imbedding``) shares
-    none of it, and ``verify`` checks the two against each other."""
-    count = seq.outcome_count
-    lows = tuple(int(col.min()) for col in cols)
-    radices = tuple(int(col.max()) - lo + 1 for col, lo in zip(cols, lows))
+    else the ranks of the attained keys (:func:`_rank`).  This enumeration
+    is the independent oracle of the conditional laws: the imbedding engine
+    that gives the runs models' theorem 3.1 terms at any ``n``
+    (``psdapprox.imbedding``) shares none of it, and ``verify`` checks the
+    two against each other."""
+    cells, lows, radices = pack_columns(cols, seq.outcome_count)
     size = math.prod(radices)
-    grouped = None
-    if size <= count:
-        cells = _pack(cols, lows, radices, count)
-    else:
-        cells, size = group_rows(cols, count)
-        radices = None
-        grouped = np.empty((size, len(cols)), dtype=np.int64)
-        for j, col in enumerate(cols):
-            grouped[cells, j] = col
+    keys = None
+    if size > len(cells):
+        cells, keys = _rank(cells, size)
+        size = len(keys)
     joint = _joint(seq, cells, size)
     mass = joint.sum(axis=1)
     has_mass = mass > 0
     d = np.zeros(size)
     d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
-    return ConditionalTable(d, has_mass, lows, radices, grouped), cells, joint.shape[1]
+    return ConditionalTable(d, has_mass, lows, radices, keys), cells, joint.shape[1]
 
 
 def _outcome_d(d: np.ndarray, cells: np.ndarray, radix: int) -> np.ndarray:
@@ -338,9 +317,9 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=No
     ``"conditional"`` (one even and one odd table, whatever ``i``); only
     per-group arrays are kept.  A table built from ``cols`` gives each
     outcome's ``D`` from the cell keys its ``bincount`` read, a table read
-    back from the cache from the packed keys of ``cols``.  Without ``cols``,
-    the ``n2`` and ``n1n2`` tables of index ``i`` are built together, from
-    one pass of :meth:`~DependentSequence._window_sums`.
+    back from the cache from :meth:`ConditionalTable.ids` of ``cols``.
+    Without ``cols``, the ``n2`` and ``n1n2`` tables of index ``i`` are
+    built together, from one pass of :meth:`~DependentSequence._window_sums`.
     """
     memo = seq._cache.setdefault("conditional", {})
     windowed = conditioning in ("n2", "n1n2")

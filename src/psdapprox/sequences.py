@@ -29,11 +29,10 @@ significant: a prefix key that gains one column in place per split, a
 suffix key packed once that drops its leading column in place, and per
 split one weighted ``bincount`` of their pair key, whose row and column
 sums are the marginals.  It holds three int64 outcome-length keys and one
-table of at most one entry per outcome, ``O(2^T)`` whatever ``n`` is, and is
-refused with :class:`UnavailableError` where the packed space of all the
-summand columns would pass the largest int64.  :func:`group_rows` groups
-outcomes by equal values, for the exact conditional oracles where their
-packed keys would not fit the outcome count.
+table of at most one entry per outcome, ``O(2^T)`` whatever ``n`` is.
+:func:`pack_columns` is the one mixed-radix packer, of the certificate and
+of the exact conditional oracles alike, and refuses with
+:class:`UnavailableError` a key space that would pass the largest int64.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -174,11 +172,13 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 class DependentSequence:
     """Base carrier: trial probabilities plus the trials -> X mapping.
 
-    Subclasses implement :meth:`x_columns` (vectorized) and
-    :meth:`x_scalar` (tuple in, tuple out, exact-arithmetic friendly) and give
-    ``n``.  :meth:`x_columns` maps a ``(rows, T)`` bit block to its
-    ``(rows, n)`` summand values; blocks arrive column-major, and a mapping
-    that stacks its columns along axis 0 and transposes keeps them so.
+    Subclasses implement :meth:`x_columns` (vectorized) and give ``n``.
+    :meth:`x_columns` maps a ``(rows, T)`` bit block to its ``(rows, n)``
+    summand values; blocks arrive column-major, and a mapping that stacks
+    its columns along axis 0 and transposes keeps them so.  Only
+    :meth:`iter_exact`, the outcome-at-a-time reference, also needs
+    :meth:`x_scalar` (tuple in, tuple out, exact-arithmetic friendly); a
+    model that is never walked that way may leave it out.
     ``kind``/``params`` drive serialization.
 
     A subclass may also declare :meth:`trial_span`, the 0-based range of
@@ -369,29 +369,22 @@ class DependentSequence:
         """``(v1, v2)``: the radius-1 and radius-2 window sums around index
         ``i`` of every outcome, in :meth:`enumerate_bits` row order.
 
-        They are read from the cached summand values when there are any.
-        Else the summands of the radius-2 window read only trials
+        The summands of the radius-2 window read only trials
         ``first..stop-1``, the union of their :meth:`trial_span`: the
-        outcomes of those trials are mapped, in row blocks, and each sum is
-        broadcast to every outcome that shares them.  Each is ``uint8``
-        while every block's sums fit a byte (:func:`_row_sums`), and
-        ``int32`` once a block's do not.
+        outcomes of those trials are mapped in row blocks, never read from
+        cached summand values, and each sum is broadcast to every outcome
+        that shares them.  Each is ``uint8`` while every block's sums fit a
+        byte (:func:`_row_sums`), and ``int32`` once a block's do not.
         """
         windows = [self.neighborhood_indices(i, ell) for ell in (1, 2)]
-        xs = self._cache.get("x")
-        if xs is None:
-            self._require_enumerable()
-            spans = [self.trial_span(j) for j in windows[1]]
-            first = min(span.start for span in spans)
-            stop = max(span.stop for span in spans)
-            blocks = self._x_blocks(first, stop)
-        else:
-            first, stop = 0, self.trial_count
-            blocks = [(slice(None), xs)]
+        self._require_enumerable()
+        spans = [self.trial_span(j) for j in windows[1]]
+        first = min(span.start for span in spans)
+        stop = max(span.stop for span in spans)
         # Outcome r = (q 2^(stop-first) + u) 2^first + s has the sums of u.
         shape = (self.outcome_count >> stop, 1 << (stop - first), 1 << first)
         sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in windows]
-        for rows, x in blocks:
+        for rows, x in self._x_blocks(first, stop):
             for k, window in enumerate(windows):
                 block = _row_sums(x[:, window.start - 1 : window.stop - 1])
                 if block.itemsize > sums[k].itemsize:
@@ -604,6 +597,29 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
 # -- certificates -------------------------------------------------------------------
 
 
+def pack_columns(cols, count: int) -> tuple:
+    """``(key, lows, radices)``: the key of each of the ``count`` outcomes
+    packing the integer columns ``cols`` in mixed radix, the first column
+    most significant, so keys follow the lexicographic order of the value
+    tuples; column ``j`` is the digit ``col_j - lows[j]`` of radix
+    ``radices[j]``, its range.  The key is one new int64 array built in
+    place from the first column; all 0 with no columns.  A key space past
+    the largest int64 is refused with :class:`UnavailableError`."""
+    lows = tuple(int(col.min()) for col in cols)
+    radices = tuple(int(col.max()) - lo + 1 for col, lo in zip(cols, lows))
+    if math.prod(radices) > np.iinfo(np.int64).max:
+        raise UnavailableError(
+            f"the packed key space of the {len(radices)} columns passes 2^63 - 1")
+    if not radices:
+        return np.zeros(count, dtype=np.int64), lows, radices
+    key = np.subtract(cols[0], lows[0], dtype=np.int64)
+    for col, lo, radix in zip(cols[1:], lows[1:], radices[1:]):
+        key *= radix
+        key += col
+        key -= lo
+    return key, lows, radices
+
+
 def _rank(key: np.ndarray, space: int) -> tuple:
     """``(ids, values)``: the dense rank of each non-negative integer key
     below ``space``, in increasing order of value, and the distinct keys in
@@ -615,45 +631,6 @@ def _rank(key: np.ndarray, space: int) -> tuple:
         return ids, values
     present = np.bincount(key, minlength=space) > 0
     return (np.cumsum(present) - 1)[key], np.flatnonzero(present)
-
-
-def _dense(groups: tuple) -> tuple:
-    """The groups ``(ids, size)`` renumbered densely by :func:`_rank`."""
-    ids, values = _rank(*groups)
-    return ids, len(values)
-
-
-def _fold(groups: tuple, col) -> tuple:
-    """Refine the groups ``(ids, size)`` by one more integer column.
-
-    Every id lies below ``size``, but not every id below ``size`` need be
-    attained.  The packed key ``id * radix + value`` is kept as the new id
-    while its space, ``size * radix``, fits the outcome count; past that the
-    ids are made dense first, and a key space that still does not fit is
-    ranked by sorting.  So sizes never pass the outcome count and packed
-    keys never overflow.
-    """
-    ids, size = groups
-    col = np.asarray(col, dtype=np.int64)
-    col = col - col.min()
-    radix = int(col.max()) + 1
-    count = len(ids)
-    if size * radix > count:
-        ids, size = _dense((ids, size))
-    ids, size = ids * radix + col, size * radix
-    return _dense((ids, size)) if size > count else (ids, size)
-
-
-def group_rows(cols, count: int) -> tuple:
-    """``(ids, size)`` grouping ``count`` outcomes by their values in ``cols``.
-
-    Equal value tuples share a dense id below ``size``, the number of
-    groups, and ids follow the lexicographic order of the tuples.  Columns
-    fold in one at a time (:func:`_fold`), and the folded key is ranked once
-    at the end: by counting where its space is at most ``count``, by
-    sorting otherwise.  With no columns all outcomes form group 0.
-    """
-    return _dense(reduce(_fold, cols, (np.zeros(count, dtype=np.int64), 1)))
 
 
 def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
@@ -669,8 +646,9 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     the lowest index least significant.  The prefix key of ``X_1..X_i``
     gains its new column in place at each split, ``pre += (X_i - lo_i)
     n_pre``, where ``n_pre = r_1 ... r_{i-1}``.  The suffix key of
-    ``X_j..X_n`` is packed once and drops its leading column in place at each
-    later split, ``suf //= r_j``.  Each split is one weighted ``bincount`` of
+    ``X_j..X_n`` is the key of all the columns (:func:`pack_columns`, given
+    ``X_n`` first) with its lowest ``gap`` digits divided off, and drops its
+    leading column in place at each later split, ``suf //= r_j``.  Each split is one weighted ``bincount`` of
     the pair key ``suf n_pre + pre``; the marginals are the row and column
     sums of that joint table.  Where the table would pass the outcome count,
     the attained pair keys are ranked by :func:`_rank` and the marginals
@@ -685,27 +663,22 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     with outcomes of probability 0 also counts the attained pairs in a
     second table): ``O(2^T)`` whatever ``n`` is.
     Where the packed space of all the columns, the product of the ``r_k``,
-    passes the largest int64, a key could overflow, and the check is refused
-    with :class:`UnavailableError`.
+    passes the largest int64, :func:`pack_columns` refuses the check with
+    :class:`UnavailableError`.
     """
     if gap < 1:
         raise ValueError(f"gap must be at least 1 (got {gap})")
     xt = seq.x_values().T
     w = seq.outcome_probs()
     n, count = seq.n, seq.outcome_count
-    lows = [int(col.min()) for col in xt]
-    radices = [int(col.max()) - lo + 1 for col, lo in zip(xt, lows)]
-    if math.prod(radices) > np.iinfo(np.int64).max:
-        raise UnavailableError(
-            f"the packed key space of the {n} summand columns passes 2^63 - 1")
+    # X_n most significant; the first suffix key drops X_1..X_gap.
+    suf, lows, radices = pack_columns(xt[::-1], count)
+    lows, radices = lows[::-1], radices[::-1]
+    suf //= math.prod(radices[:gap])
     # Where some outcome has probability 0, a pair it alone attains has no
     # mass in the joint table, so the attained pairs are counted as well.
     massless = not w.all()
-    pre, suf, key = (np.zeros(count, dtype=np.int64) for _ in range(3))
-    for k in reversed(range(gap, n)):  # Horner: X_{gap+1} ends least significant
-        suf *= radices[k]
-        suf += xt[k]
-        suf -= lows[k]
+    pre, key = np.zeros(count, dtype=np.int64), np.empty(count, dtype=np.int64)
     n_pre = 1
     for i in range(1, n - gap + 1):  # X_1..X_i against X_j..X_n, j = i + gap
         k, j = i - 1, i + gap - 1  # 0-based columns of X_i and X_j

@@ -2,8 +2,8 @@
 
 ``exact_conditional_D`` and ``ExactConditionalTerms.weighted_sums`` read one
 memoized table per (index, conditioning): the law of ``W`` given each packed
-key of the conditioning's columns, or, where the packed key space exceeds the
-outcome count, given each ``sequences.group_rows`` group.  Each table is one
+key of the conditioning's columns (``sequences.pack_columns``), ranked where
+the packed key space exceeds the outcome count.  Each table is one
 ``bincount`` of one int64 cell key per outcome, built in place.
 ``dependence_certificate`` packs a prefix key and a suffix key in mixed
 radix, one weighted ``bincount`` of their pair key per split, and reads the
@@ -38,8 +38,9 @@ from psdapprox.runs import K1K2Model, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
     DependentSequence,
+    _rank,
     dependence_certificate,
-    group_rows,
+    pack_columns,
 )
 
 CONDITIONINGS = ("n2", "n1n2", "even", "odd")
@@ -180,7 +181,9 @@ def _reference_weighted_sums(seq):
 
 
 def _unique_fold(groups, col):
-    """The sorting fold that ``sequences._fold`` replaced where keys fit the outcome count."""
+    """One more column folded into the groups by sorting: ``(ids, first)``,
+    the dense rank of each outcome's value tuple so far and one outcome of
+    each group."""
     col = np.asarray(col, dtype=np.int64)
     col = col - col.min()
     _, first, ids = np.unique(groups[0] * (int(col.max()) + 1) + col,
@@ -195,10 +198,17 @@ def _unique_group_rows(cols, count):
     return groups
 
 
+def _packed_ranks(cols, count):
+    """``(ids, keys)``: the dense lexicographic rank of each outcome's
+    value tuple, from its packed key, and the attained keys."""
+    key, _, radices = pack_columns(cols, count)
+    return _rank(key, math.prod(radices))
+
+
 # -- tests ---------------------------------------------------------------------------
 
 
-def test_counting_fold_equals_sorting_fold():
+def test_packed_ranks_equal_sorting_fold():
     cases = []
     for seq in _models():
         xs = seq.x_values()
@@ -206,39 +216,45 @@ def test_counting_fold_equals_sorting_fold():
         cases.append([_window_values(seq, xs, i, ell) for i in (1, seq.n) for ell in (1, 2)])
     rng = np.random.default_rng(5)
     cases.append(list(rng.integers(-7, 3, size=(4, 500))))  # negative values
-    cases.append(list(rng.integers(0, 10, size=(40, 300))))  # 40 columns
-    # 50 distinct values in 60 rows: the second fold's key space 50 * 2 exceeds 60.
+    cases.append(list(rng.integers(0, 10, size=(18, 300))))  # key space 10^18
+    # 50 distinct values in 60 rows: the key space 50 * 2 exceeds 60.
     cases.append([np.arange(60) % 50, np.arange(60) % 2])
     for cols in cases:
         count = len(cols[0])
-        got, want = group_rows(cols, count), _unique_group_rows(cols, count)
-        assert got[0].tolist() == want[0].tolist()
-        assert got[1] == len(want[1])  # the number of groups
+        (ids, keys), want = _packed_ranks(cols, count), _unique_group_rows(cols, count)
+        assert ids.tolist() == want[0].tolist()
+        assert len(keys) == len(want[1])  # the number of groups
 
 
-def test_group_rows_dense_lexicographic_ids_and_group_count():
-    ids, size = group_rows(([2, 0, 2, 1, 0], [1, 5, 1, 0, 5]), 5)
+def test_pack_columns_and_rank_give_dense_lexicographic_ids():
+    cols = (np.array([2, 0, 2, 1, 0]), np.array([1, 5, 1, 0, 5]))
+    key, lows, radices = pack_columns(cols, 5)
+    assert (key.tolist(), lows, radices) == ([13, 5, 13, 6, 5], (0, 0), (3, 6))
+    ids, keys = _rank(key, math.prod(radices))  # 18 keys, 5 outcomes: sorted
     # (0,5) < (1,0) < (2,1)
     assert ids.tolist() == [2, 0, 2, 1, 0]
-    assert size == 3
-    ids, size = group_rows(([-1, 2, -1, 2], [2, -3, 0, 4]), 4)  # any integers
-    assert ids.tolist() == [1, 2, 0, 3]
-    assert size == 4
-    ids, size = group_rows((), 4)
-    assert ids.tolist() == [0, 0, 0, 0]
-    assert size == 1
+    assert keys.tolist() == [5, 6, 13]
+    cols = (np.array([-1, 2, -1, 2]), np.array([2, -3, 0, 4]))  # any integers
+    key, lows, radices = pack_columns(cols, 4)
+    assert (lows, radices) == ((-1, -3), (4, 8))
+    assert _rank(key, math.prod(radices))[0].tolist() == [1, 2, 0, 3]
+    # Space 4 of 4 outcomes, ranked by counting; no outcome takes (0, 0).
+    key, lows, radices = pack_columns((np.array([1, 1, 0, 1]), np.array([0, 1, 1, 1])), 4)
+    assert key.tolist() == [2, 3, 1, 3] and radices == (2, 2)
+    ids, keys = _rank(key, math.prod(radices))
+    assert ids.tolist() == [1, 2, 0, 2] and keys.tolist() == [1, 2, 3]
+    key, lows, radices = pack_columns((), 4)
+    assert (key.tolist(), lows, radices) == ([0, 0, 0, 0], (), ())
+    assert _rank(key, 1)[0].tolist() == [0, 0, 0, 0]
 
 
-def test_group_rows_many_columns_do_not_overflow():
-    # 40 columns of range 10 would need a packed key of 10^40 in one radix.
-    rows = np.random.default_rng(3).integers(0, 10, size=(300, 40))
-    rows[7] = rows[250]
-    ids, size = group_rows(rows.T, len(rows))
-    tuples = [tuple(r) for r in rows.tolist()]
-    rank = {t: g for g, t in enumerate(sorted(set(tuples)))}
-    assert ids.tolist() == [rank[t] for t in tuples]
-    assert size == len(rank) == len(rows) - 1
-    assert ids[7] == ids[250]
+def test_parity_columns_past_2_63_are_refused():
+    seq = _ManyPairSums(80)  # 40 odd columns of values 0..2
+    assert 3**40 > 2**63 and np.ptp(seq.x_values()[:, ::2], axis=0).tolist() == [2] * 40
+    with pytest.raises(UnavailableError, match="2\\^63"):
+        exact_conditional_D(seq, 1, "odd")
+    assert (None, "odd") not in seq._cache["conditional"]
+    assert exact_conditional_D(seq, 3, "n2") == _reference_conditional_D(seq, 3, "n2")
 
 
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
@@ -272,12 +288,22 @@ def test_weighted_sums_match_per_outcome_lookup_reference(seq):
     assert not any(np.isnan(built))
 
 
+@pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
+def test_weighted_sums_read_back_tables_built_without_columns(seq):
+    seq._cache.pop("conditional", None)
+    for i, conditioning in itertools.product(range(1, seq.n + 1), ("n2", "n1n2")):
+        exact_conditional_D(seq, i, conditioning)
+    built = dict(seq._cache["conditional"])
+    assert ExactConditionalTerms(seq).weighted_sums() == _reference_weighted_sums(seq)
+    assert all(seq._cache["conditional"][key] is table for key, table in built.items())
+
+
 def test_scaled_model_groups_past_the_packed_key_space():
     seq = ScaledRuns(_uniform(6, 8))
     assert seq.outcome_count == 256
     # v1 takes 16 values and v2 26 at index 4: 416 packed keys.
-    assert conditional_table(seq, 4, "n1n2")[0].radices is None
-    assert conditional_table(seq, 4, "odd")[0].radices is None
+    assert conditional_table(seq, 4, "n1n2")[0].keys is not None
+    assert conditional_table(seq, 4, "odd")[0].keys is not None
     assert conditional_table(seq, 4, "n2")[0].radices == (26,)
     assert conditional_table(seq, 1, "n1n2")[0].radices == (11, 16)
     assert len(exact_conditional_D(seq, 4, "n1n2")) > 1
@@ -328,12 +354,12 @@ def test_dependence_certificate_past_one_row_block(seq, gap, verdict):
 
 
 class _ManyPairSums(DependentSequence):
-    """``X_i = trial_(i mod 10) + trial_(i+1 mod 10)`` for 40 summands over
-    10 trials: each takes 0, 1 and 2, so the packed key space of all the
-    summands is ``3^40``, past ``2^63``."""
+    """``X_i = trial_(i mod 10) + trial_(i+1 mod 10)`` for ``n`` summands
+    over 10 trials: each takes 0, 1 and 2, so the packed key space of 40 of
+    them is ``3^40``, past ``2^63``."""
 
-    def __init__(self):
-        super().__init__([0.5] * 10, n=40, kind="many-pair-sums")
+    def __init__(self, n=40):
+        super().__init__([0.5] * 10, n=n, kind="many-pair-sums")
 
     def x_columns(self, bits):
         i = np.arange(self.n)

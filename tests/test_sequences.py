@@ -427,6 +427,16 @@ def test_streamed_window_sums_widen_past_a_byte(scale, dtype):
     assert np.array_equal(streamed.w_values(), xs.sum(axis=1))
 
 
+def test_window_sums_stay_byte_wide_after_the_summand_matrix_is_cached():
+    seq = TwoRunsModel([0.3] * 12)
+    xs = seq.x_values()
+    for i in range(1, seq.n + 1):
+        for got, ell in zip(seq._window_sums(i), (1, 2)):
+            window = seq.neighborhood_indices(i, ell)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, xs[:, window.start - 1 : window.stop - 1].sum(axis=1))
+
+
 def test_mean_var_holds_two_outcome_vectors():
     """The probabilities and one float64 buffer of ``W`` take 16 MB each at
     21 trials.  An int32 ``W`` with a float copy and a squared copy besides
