@@ -29,7 +29,7 @@ import numpy as np
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
 from .oracle import conditional_table, exact_conditional_D, shift_regularity
-from .sequences import DependentSequence, MomentSet, _bracket, sliding_windows
+from .sequences import DependentSequence, MomentSet, _bracket
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -262,9 +262,9 @@ class ExactConditionalTerms:
     Computes, by full enumeration, the three per-index expectations in which
     the conditional ``D`` enters as a weight: the two bracketed third-moment
     sums conditioned on the (radius-1, radius-2) pair, and the linear term
-    conditioned on the radius-2 window, computed once.  The window sums
-    slide along the indices in integers, and each index reads the oracle's
-    two conditional tables, which the sequence keeps for
+    conditioned on the radius-2 window, computed once.  Each index streams
+    ``X_i`` and its window sums in integers from the trial spans and reads
+    the oracle's two conditional tables, which the sequence keeps for
     :func:`exact_conditional_D` (and so :func:`build_smoothing`) to read.
     This is the enumeration oracle; :func:`build_conditional_terms` prefers a
     model's own engine.
@@ -292,7 +292,9 @@ class ExactConditionalTerms:
         sum_q1 = 0.0
         sum_q2 = 0.0
         sum_lin = 0.0
-        for i, (xi, v1, v2) in enumerate(sliding_windows(seq), start=1):
+        for i in range(1, seq.n + 1):
+            windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
+            xi, v1, v2 = seq._window_sums(range(i, i + 1), *windows)
             d = conditional_table(seq, i, "n1n2", (v1, v2))[1]
             np.copyto(x, xi)
             _bracket(col, v1, v2)

@@ -14,9 +14,9 @@ integer outcome numerators over the same ``W``, the sequence's own cached
 into a sequence is the memo of :func:`conditional_table`: its cache keeps one
 :class:`ConditionalTable` per (index, conditioning), per-group arrays only, so
 the exact conditional terms, :func:`exact_conditional_D` and the smoothing
-fallback built on it share each table.  A window table asked for alone reads
-the two window sums of its index from one streamed pass, with no summand
-matrix.
+fallback built on it share each table.  A table asked for alone streams its
+columns, window sums or parity summands, from the trial spans, with no
+summand matrix.
 """
 
 from __future__ import annotations
@@ -299,12 +299,12 @@ def _outcome_d(d: np.ndarray, cells: np.ndarray, radix: int) -> np.ndarray:
     return d[cells]
 
 
-def _parity_columns(seq: DependentSequence, conditioning: str) -> list:
-    """The summand columns the ``even`` or ``odd`` conditioning reads."""
+def _parity_columns(seq: DependentSequence, conditioning: str):
+    """The summand columns the ``even`` or ``odd`` conditioning reads, streamed."""
     if conditioning not in ("even", "odd"):
         raise ValueError(f"unknown conditioning {conditioning!r}")
-    xs = seq.x_values()
-    return [xs[:, j] for j in range(1 if conditioning == "even" else 0, seq.n, 2)]
+    return (seq._window_sums(range(j, j + 1))[0]
+            for j in range(2 if conditioning == "even" else 1, seq.n + 1, 2))
 
 
 def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=None) -> tuple:
@@ -333,7 +333,7 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=No
         memo[key], cells, radix = _conditional_laws(seq, cols)
         return memo[key], _outcome_d(memo[key].d, cells, radix)
     if windowed:
-        v1, v2 = seq._window_sums(i)
+        v1, v2 = seq._window_sums(*(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
         for name, window_cols in (("n2", [v2]), ("n1n2", [v1, v2])):
             if (i, name) not in memo:
                 memo[i, name] = _conditional_laws(seq, window_cols)[0]

@@ -308,12 +308,11 @@ class K1K2Model(_RunsModel):
         return val
 
     def x_columns(self, bits: np.ndarray) -> np.ndarray:
-        cols = bits.T
-        y = np.stack([self.window(cols, j) for j in range(1, self.n * self.m + 1)]).T
-        return np.stack(
-            [y[:, (i - 1) * self.m : i * self.m].sum(axis=1, dtype=np.uint8)
-             for i in range(1, self.n + 1)]
-        ).T
+        # As in the constructor, window 1 of the view is every window at once,
+        # a (rows, nm) matrix of bits; block i adds its m windows.
+        view = np.lib.stride_tricks.sliding_window_view(bits.T, self.n * self.m, axis=0)
+        y = self.window(view, 1)
+        return sum(y[:, q :: self.m] for q in range(self.m))
 
     def x_scalar(self, bits: tuple) -> tuple:
         return tuple(

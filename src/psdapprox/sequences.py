@@ -10,25 +10,24 @@ the total ``W`` of every outcome costs ``O(2^T)``, not ``O(n 2^T)``: the
 summands whose span ends inside the first row block are summed over that
 block once, the rest over the trials from their lowest first trial on, and
 the two tables are added by broadcast (row sums at byte width where none can
-overflow), without keeping the bits or the summand values.  The window sums
-of one index, which the conditional oracle reads, map only the outcomes of
-the trials their spans read and broadcast each sum.  The sequence
-caches the outcome probabilities, ``W`` and the column-major summand values
-once a caller asks for them.  Its moments are exact: vectorized
+overflow), without keeping the bits or the summand values.  Every
+per-index column, ``X_i`` or a window sum around ``i``, is streamed by
+:meth:`DependentSequence._window_sums` from the outcomes of the trials the
+window's spans read; no package path builds the ``(2^T, n)`` summand
+matrix.  The sequence caches the outcome probabilities and ``W`` once a
+caller asks for them.  Its moments are exact: vectorized
 enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
 exact rational enumeration for small instances, or a model's closed form,
 which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
-moments stream over the indices, one dot product per moment, with the
-small-integer window sums of :func:`sliding_windows` (which the exact
-conditional terms also slide) and each integrand formed in one of three
-reused float64 buffers; their ``mean_w`` and ``var_w`` are :func:`mean_var`,
-two dot products over one float64 buffer of ``W``.
-The 1-dependence check :func:`dependence_certificate` reads the cached
-summand values through mixed-radix keys, the lowest index least
-significant: a prefix key that gains one column in place per split, a
-suffix key packed once that drops its leading column in place, and per
-split one weighted ``bincount`` of their pair key, whose row and column
-sums are the marginals.  It holds three int64 outcome-length keys and one
+moments stream over the indices, one dot product per moment, each integrand
+formed in one of three reused float64 buffers; their ``mean_w`` and
+``var_w`` are :func:`mean_var`, two dot products over one float64 buffer of
+``W``.  The 1-dependence check :func:`dependence_certificate` packs the
+streamed columns into mixed-radix keys, the lowest index least significant:
+a prefix key that gains one column in place per split, a suffix key packed
+once that drops its leading column in place, and per split one weighted
+``bincount`` of their pair key, whose row and column sums are the
+marginals.  It holds three int64 outcome-length keys and one
 table of at most one entry per outcome, ``O(2^T)`` whatever ``n`` is.
 :func:`pack_columns` is the one mixed-radix packer, of the certificate and
 of the exact conditional oracles alike, and refuses with
@@ -187,7 +186,9 @@ class DependentSequence:
     it, and the rest only over the trials from their lowest first trial on,
     so ``W`` costs ``O(2^T)`` where the spans are short, and
     :meth:`_window_sums` maps only the trials a window's spans read; a span
-    that leaves out a trial the summand reads gives a wrong ``W``.
+    that leaves out a trial the summand reads gives a wrong ``W``.  With the
+    default spans every per-index column maps all ``2^T`` outcomes, so each
+    index costs ``O(n 2^T)``.
     """
 
     def __init__(self, trial_probs: Sequence[float], n: int, kind: str,
@@ -282,7 +283,8 @@ class DependentSequence:
 
     def enumerate_bits(self) -> np.ndarray:
         """All trial outcomes as a C-contiguous (2^T, T) uint8 matrix: row
-        ``r`` holds the low bits of ``r``, least significant first."""
+        ``r`` holds the low bits of ``r``, least significant first.  A
+        reference for tests, which no package path calls."""
         bits = self._cache.get("bits")
         if bits is None:
             self._require_enumerable()
@@ -310,7 +312,8 @@ class DependentSequence:
 
     def x_values(self) -> np.ndarray:
         """The summand values of every outcome, as a column-major
-        ``(outcomes, n)`` int16 matrix in :meth:`enumerate_bits` row order."""
+        ``(outcomes, n)`` int16 matrix in :meth:`enumerate_bits` row order:
+        a reference for tests, which no package path calls."""
         xs = self._cache.get("x")
         if xs is None:
             self._require_enumerable()
@@ -365,31 +368,35 @@ class DependentSequence:
                    .reshape(-1, 1 << (L - g), 1 << (a - g), 1 << g))
         return out
 
-    def _window_sums(self, i: int) -> tuple:
-        """``(v1, v2)``: the radius-1 and radius-2 window sums around index
-        ``i`` of every outcome, in :meth:`enumerate_bits` row order.
+    def _window_sums(self, *windows: range) -> tuple:
+        """The sum over each of ``windows``, ranges of indices in ``1..n``,
+        of every outcome, in :meth:`enumerate_bits` row order: the window
+        ``range(i, i + 1)`` gives the column of ``X_i``.
 
-        The summands of the radius-2 window read only trials
-        ``first..stop-1``, the union of their :meth:`trial_span`: the
-        outcomes of those trials are mapped in row blocks, never read from
-        cached summand values, and each sum is broadcast to every outcome
-        that shares them.  Each is ``uint8`` while every block's sums fit a
-        byte (:func:`_row_sums`), and ``int32`` once a block's do not.
+        The summands of the windows read only trials ``first..stop-1``, the
+        union of their :meth:`trial_span`: the outcomes of those trials are
+        mapped in row blocks, each sum is written to the outcomes below
+        ``2^stop`` that share them, and those are copied over the rest by
+        doubling.  Each is ``uint8`` while every block's sums fit a byte
+        (:func:`_row_sums`), and ``int32`` once a block's do not.
         """
-        windows = [self.neighborhood_indices(i, ell) for ell in (1, 2)]
         self._require_enumerable()
-        spans = [self.trial_span(j) for j in windows[1]]
+        spans = [self.trial_span(j) for window in windows for j in window]
         first = min(span.start for span in spans)
         stop = max(span.stop for span in spans)
-        # Outcome r = (q 2^(stop-first) + u) 2^first + s has the sums of u.
-        shape = (self.outcome_count >> stop, 1 << (stop - first), 1 << first)
         sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in windows]
         for rows, x in self._x_blocks(first, stop):
             for k, window in enumerate(windows):
                 block = _row_sums(x[:, window.start - 1 : window.stop - 1])
                 if block.itemsize > sums[k].itemsize:
                     sums[k] = sums[k].astype(block.dtype)
-                sums[k].reshape(shape)[:, rows] = block[:, None]
+                # Outcome r = (q 2^(stop-first) + u) 2^first + s has the sums of u.
+                sums[k][: 1 << stop].reshape(-1, 1 << first)[rows] = block[:, None]
+        for total in sums:  # the outcomes of q = 0, copied to every q
+            size = 1 << stop
+            while size < len(total):
+                total[size : 2 * size] = total[:size]
+                size *= 2
         return tuple(sums)
 
     def exact_trial_probs(self) -> list:
@@ -550,47 +557,25 @@ def mean_var(seq: DependentSequence) -> tuple:
     return mean, float(w @ total) - mean**2
 
 
-def sliding_windows(seq: DependentSequence) -> Iterator[tuple]:
-    """Yield ``(x, xn1, xn2)`` for ``i = 1..n``: the column of ``X_i`` and
-    the radius-1 and radius-2 window sums around it over every outcome.
-
-    ``x`` is a row of the transpose of the cached column-major summand
-    values, a free view.  The windows slide along the indices in place,
-    each step subtracting the column that leaves before adding the one that
-    enters, so a caller reads them before the next step.  No partial sum
-    exceeds a full window, so they are ``int8`` where five times the largest
-    summand value fits it, else ``int32``.
-    """
-    xt = seq.x_values().T
-    n = seq.n
-    dtype = np.int8 if 5 * int(xt.max(initial=0)) <= np.iinfo(np.int8).max else np.int32
-    xn1 = np.zeros(seq.outcome_count, dtype=dtype)
-    xn2 = np.zeros_like(xn1)
-    for i in range(-2, n):  # 0-based; the first two steps fill the windows
-        for window, leaves, enters in ((xn1, i - 2, i + 1), (xn2, i - 3, i + 2)):
-            if leaves >= 0:
-                window -= xt[leaves]
-            if 0 <= enters < n:
-                window += xt[enters]
-        if i >= 0:
-            yield xt[i], xn1, xn2
-
-
 def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     """Exact moments, streamed over indices with one ``w @ column`` each.
 
     Every column holds small integers, formed exactly in float64 from the
-    integer windows of :func:`sliding_windows`, so it equals the integer
-    column of a full ``(outcomes, n)`` matrix evaluation, and each moment is
-    the same dot product bit for bit.  ``mean_w`` and ``var_w`` come from
+    integer column of ``X_i`` and its window sums, streamed per index by
+    :meth:`~DependentSequence._window_sums`, so it equals the integer column
+    of a full ``(outcomes, n)`` matrix evaluation, and each moment is the
+    same dot product bit for bit.  ``mean_w`` and ``var_w`` come from
     :func:`mean_var`.
     """
     w = seq.outcome_probs()
     bufs = [np.empty(seq.outcome_count) for _ in range(3)]
     fields = tuple([] for _ in range(6))
-    for x, xn1, xn2 in sliding_windows(seq):
+    for i in range(1, seq.n + 1):
+        windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
+        x, xn1, xn2 = seq._window_sums(range(i, i + 1), *windows)
         for out, v in zip(fields, _moment_columns(x, xn1, xn2, bufs)):
             out.append(float(w @ v))
+    del bufs, v  # freed before the buffer of W in mean_var
     return MomentSet(*(tuple(f) for f in fields), *mean_var(seq))
 
 
@@ -599,25 +584,29 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
 
 def pack_columns(cols, count: int) -> tuple:
     """``(key, lows, radices)``: the key of each of the ``count`` outcomes
-    packing the integer columns ``cols`` in mixed radix, the first column
-    most significant, so keys follow the lexicographic order of the value
-    tuples; column ``j`` is the digit ``col_j - lows[j]`` of radix
-    ``radices[j]``, its range.  The key is one new int64 array built in
-    place from the first column; all 0 with no columns.  A key space past
-    the largest int64 is refused with :class:`UnavailableError`."""
-    lows = tuple(int(col.min()) for col in cols)
-    radices = tuple(int(col.max()) - lo + 1 for col, lo in zip(cols, lows))
-    if math.prod(radices) > np.iinfo(np.int64).max:
-        raise UnavailableError(
-            f"the packed key space of the {len(radices)} columns passes 2^63 - 1")
-    if not radices:
-        return np.zeros(count, dtype=np.int64), lows, radices
-    key = np.subtract(cols[0], lows[0], dtype=np.int64)
-    for col, lo, radix in zip(cols[1:], lows[1:], radices[1:]):
-        key *= radix
-        key += col
-        key -= lo
-    return key, lows, radices
+    packing the integer columns ``cols``, any iterable, in mixed radix, the
+    first column most significant, so keys follow the lexicographic order
+    of the value tuples; column ``j`` is the digit ``col_j - lows[j]`` of
+    radix ``radices[j]``, its range.  One pass reads each column as it
+    arrives, and the key is one new int64 array built in place from the
+    first column; all 0 with no columns.  A key space past the largest
+    int64 is refused with :class:`UnavailableError` at the column that
+    passes it."""
+    key, lows, radices, space = None, [], [], 1
+    for col in cols:
+        lows.append(int(col.min()))
+        radices.append(int(col.max()) - lows[-1] + 1)
+        space *= radices[-1]
+        if space > np.iinfo(np.int64).max:
+            raise UnavailableError(
+                f"the packed key space of the first {len(radices)} columns passes 2^63 - 1")
+        if key is None:
+            key = np.subtract(col, lows[-1], dtype=np.int64)
+        else:
+            key *= radices[-1]
+            key += col
+            key -= lows[-1]
+    return np.zeros(count, dtype=np.int64) if key is None else key, tuple(lows), tuple(radices)
 
 
 def _rank(key: np.ndarray, space: int) -> tuple:
@@ -648,31 +637,37 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     n_pre``, where ``n_pre = r_1 ... r_{i-1}``.  The suffix key of
     ``X_j..X_n`` is the key of all the columns (:func:`pack_columns`, given
     ``X_n`` first) with its lowest ``gap`` digits divided off, and drops its
-    leading column in place at each later split, ``suf //= r_j``.  Each split is one weighted ``bincount`` of
-    the pair key ``suf n_pre + pre``; the marginals are the row and column
-    sums of that joint table.  Where the table would pass the outcome count,
-    the attained pair keys are ranked by :func:`_rank` and the marginals
-    summed over them.  Packing the lowest index least significant keeps the
-    pair key close to the outcome order on models whose summands read the
-    trials in order, so the ``bincount`` writes its table almost in order.
+    leading column in place at each later split, ``suf //= r_j``.  Each
+    split is one weighted ``bincount`` of the pair key ``suf n_pre + pre``;
+    the marginals are the row and column sums of that joint table.  Where
+    the table would pass the outcome count, the attained pair keys are
+    ranked by :func:`_rank` and the marginals summed over them.  Packing the
+    lowest index least significant keeps the pair key close to the outcome
+    order on models whose summands read the trials in order, so the
+    ``bincount`` writes its table almost in order.
 
-    Besides the cached summand values and outcome probabilities, the check
-    holds three int64 outcome-length keys and, per split, one float64 joint
-    table of at most one entry per outcome (the product of the marginals is
-    written over the pair keys once the ``bincount`` has read them; a model
-    with outcomes of probability 0 also counts the attained pairs in a
-    second table): ``O(2^T)`` whatever ``n`` is.
+    Each column is streamed by :meth:`~DependentSequence._window_sums` as
+    it is packed, ``X_n..X_1`` into the suffix key and ``X_i`` into the
+    prefix key at split ``i``.  Besides the outcome probabilities and one
+    column, the check holds three int64 outcome-length keys and, per split,
+    one float64 joint table of at most one entry per outcome (the product of
+    the marginals is written over the pair keys once the ``bincount`` has
+    read them; a model with outcomes of probability 0 also counts the
+    attained pairs in a second table): ``O(2^T)`` whatever ``n`` is.
     Where the packed space of all the columns, the product of the ``r_k``,
     passes the largest int64, :func:`pack_columns` refuses the check with
     :class:`UnavailableError`.
     """
     if gap < 1:
         raise ValueError(f"gap must be at least 1 (got {gap})")
-    xt = seq.x_values().T
     w = seq.outcome_probs()
     n, count = seq.n, seq.outcome_count
+
+    def column(i):  # X_i of every outcome
+        return seq._window_sums(range(i, i + 1))[0]
+
     # X_n most significant; the first suffix key drops X_1..X_gap.
-    suf, lows, radices = pack_columns(xt[::-1], count)
+    suf, lows, radices = pack_columns(map(column, range(n, 0, -1)), count)
     lows, radices = lows[::-1], radices[::-1]
     suf //= math.prod(radices[:gap])
     # Where some outcome has probability 0, a pair it alone attains has no
@@ -682,7 +677,7 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     n_pre = 1
     for i in range(1, n - gap + 1):  # X_1..X_i against X_j..X_n, j = i + gap
         k, j = i - 1, i + gap - 1  # 0-based columns of X_i and X_j
-        np.subtract(xt[k], lows[k], out=key, dtype=np.int64)
+        np.subtract(column(i), lows[k], out=key, dtype=np.int64)
         key *= n_pre
         pre += key
         n_pre *= radices[k]

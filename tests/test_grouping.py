@@ -226,24 +226,33 @@ def test_packed_ranks_equal_sorting_fold():
         assert len(keys) == len(want[1])  # the number of groups
 
 
+def _pack_both(cols, count):
+    """:func:`pack_columns` of ``cols`` as a list, checked equal to its
+    packing of the same columns from a generator, which it reads once."""
+    got = pack_columns(list(cols), count)
+    key, lows, radices = pack_columns((col for col in cols), count)
+    assert (key.dtype, key.tolist(), lows, radices) == (got[0].dtype, got[0].tolist(), *got[1:])
+    return got
+
+
 def test_pack_columns_and_rank_give_dense_lexicographic_ids():
     cols = (np.array([2, 0, 2, 1, 0]), np.array([1, 5, 1, 0, 5]))
-    key, lows, radices = pack_columns(cols, 5)
+    key, lows, radices = _pack_both(cols, 5)
     assert (key.tolist(), lows, radices) == ([13, 5, 13, 6, 5], (0, 0), (3, 6))
     ids, keys = _rank(key, math.prod(radices))  # 18 keys, 5 outcomes: sorted
     # (0,5) < (1,0) < (2,1)
     assert ids.tolist() == [2, 0, 2, 1, 0]
     assert keys.tolist() == [5, 6, 13]
     cols = (np.array([-1, 2, -1, 2]), np.array([2, -3, 0, 4]))  # any integers
-    key, lows, radices = pack_columns(cols, 4)
+    key, lows, radices = _pack_both(cols, 4)
     assert (lows, radices) == ((-1, -3), (4, 8))
     assert _rank(key, math.prod(radices))[0].tolist() == [1, 2, 0, 3]
     # Space 4 of 4 outcomes, ranked by counting; no outcome takes (0, 0).
-    key, lows, radices = pack_columns((np.array([1, 1, 0, 1]), np.array([0, 1, 1, 1])), 4)
+    key, lows, radices = _pack_both((np.array([1, 1, 0, 1]), np.array([0, 1, 1, 1])), 4)
     assert key.tolist() == [2, 3, 1, 3] and radices == (2, 2)
     ids, keys = _rank(key, math.prod(radices))
     assert ids.tolist() == [1, 2, 0, 2] and keys.tolist() == [1, 2, 3]
-    key, lows, radices = pack_columns((), 4)
+    key, lows, radices = _pack_both((), 4)
     assert (key.tolist(), lows, radices) == ([0, 0, 0, 0], (), ())
     assert _rank(key, 1)[0].tolist() == [0, 0, 0, 0]
 
@@ -375,8 +384,8 @@ def test_dependence_certificate_refuses_a_key_space_past_2_63():
 
 def test_certificate_and_one_conditional_table_hold_a_fixed_number_of_keys():
     """On an 18-trial product an int64 outcome array takes 2 MB.  Above the
-    cached summand values and probabilities, the certificate holds three
-    int64 keys and a float64 table of at most one entry per outcome, and
+    probabilities, the certificate holds three int64 keys, a float64 table
+    of at most one entry per outcome and one byte-wide streamed column, and
     one ``n1n2`` table (with ``W`` cached) one int64 key and two byte-wide
     window sums.  One suffix key per summand would take 18 arrays, and a
     table key that formed ``ids * radix + W`` out of place two."""
@@ -388,7 +397,6 @@ def test_certificate_and_one_conditional_table_hold_a_fixed_number_of_keys():
     try:
         conditional_table(seq, 9, "n1n2")
         table_peak = tracemalloc.get_traced_memory()[1]
-        seq.x_values()
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         assert dependence_certificate(seq, gap=1)

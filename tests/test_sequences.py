@@ -17,10 +17,9 @@ from psdapprox.sequences import (
     dependence_certificate,
     mean_var,
     sequence_from_json,
-    sliding_windows,
 )
 from psdapprox.bounds import ExactConditionalTerms
-from psdapprox.oracle import brute_force_distribution, conditional_table
+from psdapprox.oracle import brute_force_distribution, conditional_table, exact_conditional_D
 from psdapprox.runs import K1K2Model, TwoRunsModel
 
 
@@ -300,6 +299,17 @@ def _reference_mean_var(seq) -> tuple:
     return mean, float(w @ total**2) - mean**2
 
 
+class _ScaledTwoRuns(DependentSequence):
+    """2-runs indicators times ``scale``."""
+
+    def __init__(self, probs, scale: int):
+        super().__init__(probs, n=len(probs) - 1, kind="scaled-two-runs")
+        self.scale = scale
+
+    def x_columns(self, bits):
+        return self.scale * (bits[:, :-1] * bits[:, 1:]).astype(np.int16)
+
+
 def _mean_var_cases():
     rng = np.random.default_rng(9)
     cases = {}
@@ -314,6 +324,8 @@ def _mean_var_cases():
         rng.uniform(0.0, 1.0, 12).tolist() + [0.0, 1.0])
     # Pairs of (1,2)-runs blocks: groups of four windows, values up to 2.
     cases["blocked (1,2)-runs"] = _WindowGroups(rng.uniform(0.1, 0.5, 12).tolist(), k2=2, size=4)
+    # 5 * 52 > 255: radius-2 windows past a byte, summed in int32.
+    cases["scaled two-runs 52"] = _ScaledTwoRuns([0.5] * 8, 52)
     return cases
 
 
@@ -378,31 +390,6 @@ def test_the_kernel_cases_reach_summand_value_two():
     assert _mean_var_cases()["blocked (1,2)-runs"].x_values().max() == 2
 
 
-class _ScaledTwoRuns(DependentSequence):
-    """2-runs indicators times ``scale``."""
-
-    def __init__(self, probs, scale: int):
-        super().__init__(probs, n=len(probs) - 1, kind="scaled-two-runs")
-        self.scale = scale
-
-    def x_columns(self, bits):
-        return self.scale * (bits[:, :-1] * bits[:, 1:]).astype(np.int16)
-
-
-@pytest.mark.parametrize("scale, dtype", [(1, np.int8), (25, np.int8), (26, np.int32)])
-def test_sliding_windows_are_int8_while_a_full_window_fits(scale, dtype):
-    model = _ScaledTwoRuns([0.5] * 8, scale)
-    xs = model.x_values()
-    for i, (x, xn1, xn2) in enumerate(sliding_windows(model), start=1):
-        assert xn1.dtype == xn2.dtype == dtype
-        assert np.array_equal(x, xs[:, i - 1])
-        assert np.array_equal(xn1, _window(model, xs, i, 1))
-        assert np.array_equal(xn2, _window(model, xs, i, 2))
-    m = _moments_by_enumeration(model)
-    got = (m.e_x, m.e_xn1, m.e_x_xn1, m.e_n1_bracket, m.e_x_n1_bracket, m.e_x_n2m1)
-    assert got == _reference_moment_fields(_ScaledTwoRuns([0.5] * 8, scale))
-
-
 class _LastTrialCopies(DependentSequence):
     """``X_1 = ... = X_5 = scale * trial_17`` as ``uint8``: 0 in the first row
     block of the enumeration, ``scale`` in the second."""
@@ -419,7 +406,7 @@ class _LastTrialCopies(DependentSequence):
 def test_streamed_window_sums_widen_past_a_byte(scale, dtype):
     streamed = _LastTrialCopies(scale)
     xs = _LastTrialCopies(scale).x_values()
-    v1, v2 = streamed._window_sums(3)
+    v1, v2 = streamed._window_sums(*(streamed.neighborhood_indices(3, ell) for ell in (1, 2)))
     assert "x" not in streamed._cache  # streamed, not read from the matrix
     assert v1.dtype == np.uint8 and v2.dtype == dtype  # 3 * 52 fits a byte, 5 * 52 not
     assert np.array_equal(v1, xs[:, 1:4].sum(axis=1))
@@ -431,8 +418,8 @@ def test_window_sums_stay_byte_wide_after_the_summand_matrix_is_cached():
     seq = TwoRunsModel([0.3] * 12)
     xs = seq.x_values()
     for i in range(1, seq.n + 1):
-        for got, ell in zip(seq._window_sums(i), (1, 2)):
-            window = seq.neighborhood_indices(i, ell)
+        windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
+        for got, window in zip(seq._window_sums(*windows), windows):
             assert got.dtype == np.uint8
             assert np.array_equal(got, xs[:, window.start - 1 : window.stop - 1].sum(axis=1))
 
@@ -450,6 +437,40 @@ def test_mean_var_holds_two_outcome_vectors():
         tracemalloc.stop()
     assert peak < 45 * 2**20
     assert "w" not in seq._cache  # W was streamed, not cached
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TwoRunsModel([0.3, 0.5, 0.2, 0.4, 0.6, 0.35, 0.45]),
+    lambda: K1K2Model(1, 2, 4, [0.3, 0.4] * 5),
+    lambda: BernoulliProductSequence([0.3, 0.6, 0.2, 0.5, 0.45]),
+], ids=["two-runs", "(1,2)-runs", "product"])
+def test_per_index_columns_are_streamed_without_the_summand_matrix(make):
+    seq = make()
+    compute_moments(seq, "enumerate")
+    ExactConditionalTerms(seq).weighted_sums()
+    dependence_certificate(seq)
+    exact_conditional_D(seq, 1, "even")
+    assert "x" not in seq._cache and "bits" not in seq._cache
+
+
+@pytest.mark.parametrize("reader, ceiling_mib", [
+    (lambda seq: compute_moments(seq, "enumerate"), 100),
+    (dependence_certificate, 80),
+], ids=["moments", "certificate"])
+def test_moments_and_certificate_peak_below_the_summand_matrix(reader, ceiling_mib):
+    """At 21 trials an outcome vector of float64 or int64 takes 16 MB, and
+    the ``(2^21, 20)`` int16 summand matrix 84 MB.  The moments hold the
+    probabilities, one ``W`` buffer and three integrand buffers; the
+    certificate the probabilities and three keys, besides a few byte-wide
+    columns.  Holding the matrix as well passes either ceiling."""
+    seq = TwoRunsModel([0.05] * 21)
+    tracemalloc.start()
+    try:
+        reader(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling_mib * 2**20
 
 
 def test_mean_var_beyond_enumeration_is_the_closed_form():
@@ -570,9 +591,9 @@ def test_w_values_and_mean_var_equal_the_row_sums_of_the_full_map(name):
 def test_window_sums_from_the_spans_equal_the_full_map_windows(name):
     seq = _SPAN_CASES[name]()
     x = seq.x_columns(seq.enumerate_bits())
-    for i in range(1, seq.n + 1):
-        windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
-        for got, window in zip(seq._window_sums(i), windows):
+    for i in range(1, seq.n + 1):  # X_i and its radius-1 and radius-2 windows
+        windows = [range(i, i + 1)] + [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
+        for got, window in zip(seq._window_sums(*windows), windows):
             block = x[:, window.start - 1 : window.stop - 1]
             byte = x.dtype == np.uint8 and int(block.max()) * len(window) <= 255
             assert got.dtype == (np.uint8 if byte else np.int32)
