@@ -107,7 +107,7 @@ class TwoRunsModel(_RunsModel):
 
     # closed forms, registered for the moment-provider interface
     def closed_form_moments(self) -> MomentSet:
-        return two_runs_moment_set(self)
+        return self._cached("moments", lambda: two_runs_moment_set(self))
 
     def smoothing_constants(self) -> tuple:
         if not self.assumption_ok:
@@ -183,7 +183,7 @@ def two_runs_bound(model: TwoRunsModel, spec: PanjerPSD) -> BoundReport:
     matched first moments.  ``moment_terms`` holds the per-index summands
     before the factor ``cbar``."""
     cs, labels = model.smoothing_constants()  # enforces trials <= 1/2 and n >= 8
-    return _closed_form_bound(two_runs_moment_set(model), cs, labels, spec,
+    return _closed_form_bound(model.closed_form_moments(), cs, labels, spec,
                               term_weights=[1.0] * model.n, c_constant=cs[0])
 
 
@@ -325,7 +325,7 @@ class K1K2Model(_RunsModel):
         return range((i - 1) * self.m, (i + 1) * self.m)
 
     def closed_form_moments(self) -> MomentSet:
-        return k1k2_moment_set(self)
+        return self._cached("moments", lambda: k1k2_moment_set(self))
 
     def smoothing_constants(self) -> tuple:
         return k1k2_ci_star_parts(self)
@@ -398,10 +398,7 @@ def conditional_zero_max(model: K1K2Model, ell: int) -> float:
     """
     if not 1 <= ell <= model.n:
         raise ValueError(f"index {ell} outside 1..{model.n}")
-    cache = model._cache.get("cond_zero")
-    if cache is None:
-        cache = model._cache["cond_zero"] = _conditional_zero_table(model)
-    return cache[ell]
+    return model._cached("cond_zero", lambda: _conditional_zero_table(model))[ell]
 
 
 def _conditional_zero_table(model: K1K2Model) -> dict:
@@ -479,7 +476,7 @@ def k1k2_bound(
     <= 1/3, matched first moments, and a finite ``c*_i`` at every index with
     nonzero weight (every (1,1) model with an occurrence fails the last)."""
     _k1k2_check_conditions(model)
-    moments = k1k2_moment_set(model)
+    moments = model.closed_form_moments()
     quad, lin = moments.smoothing_weights()
     weighted = ((quad != 0.0) | (lin != 0.0)).tolist()
     values, labels = k1k2_ci_star_parts(model)

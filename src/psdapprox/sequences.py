@@ -1,37 +1,33 @@
 """Finite sequences of Z+-valued 1-dependent variables over Bernoulli trials.
 
-A :class:`DependentSequence` owns a vector of independent trial probabilities
-and a rule mapping trial outcomes to the summand values ``X_1..X_n``.  Its
-enumeration streams the outcome space in row blocks of ``2^BLOCK_TRIALS``
-outcomes: each block's bits are built column-major from one fixed pattern of
-the low trials and mapped to summand values at once.  Each model declares
-the trials summand ``i`` reads as :meth:`DependentSequence.trial_span`, so
-the total ``W`` of every outcome costs ``O(2^T)``, not ``O(n 2^T)``: the
-summands whose span ends inside the first row block are summed over that
-block once, the rest over the trials from their lowest first trial on, and
-the two tables are added by broadcast (row sums at byte width where none can
-overflow), without keeping the bits or the summand values.  Every
-per-index column, ``X_i`` or a window sum around ``i``, is streamed by
-:meth:`DependentSequence._window_sums` from the outcomes of the trials the
-window's spans read; no package path builds the ``(2^T, n)`` summand
-matrix.  The sequence caches the outcome probabilities and ``W`` once a
-caller asks for them.  Its moments are exact: vectorized
-enumeration of the full outcome space (refused above ``MAX_ENUM_OUTCOMES``),
-exact rational enumeration for small instances, or a model's closed form,
-which for 0/1 summands is :func:`neighborhood_moment_set`.  Enumerated
-moments stream over the indices, one dot product per moment, each integrand
-formed in one of three reused float64 buffers; their ``mean_w`` and
-``var_w`` are :func:`mean_var`, two dot products over one float64 buffer of
-``W``.  The 1-dependence check :func:`dependence_certificate` packs the
-streamed columns into mixed-radix keys, the lowest index least significant:
-a prefix key that gains one column in place per split, a suffix key packed
-once that drops its leading column in place, and per split one weighted
-``bincount`` of their pair key, whose row and column sums are the
-marginals.  It holds three int64 outcome-length keys and one
-table of at most one entry per outcome, ``O(2^T)`` whatever ``n`` is.
-:func:`pack_columns` is the one mixed-radix packer, of the certificate and
-of the exact conditional oracles alike, and refuses with
-:class:`UnavailableError` a key space that would pass the largest int64.
+A :class:`DependentSequence` owns a vector of independent trial
+probabilities and a rule mapping trial outcomes to the summand values
+``X_1..X_n``.  Its enumeration streams the outcome space in row blocks of
+``2^BLOCK_TRIALS`` outcomes: each block's bits are built column-major from
+one fixed pattern of the low trials and mapped to summand values at once.
+Each model declares the trials summand ``i`` reads as
+:meth:`DependentSequence.trial_span`, and one routine,
+:meth:`DependentSequence._window_sums`, streams every per-outcome sum of
+summands from the trials their spans read: the column of ``X_i``, each
+window around ``i``, and ``W`` in ``O(2^T)``, not ``O(n 2^T)``.  No
+package path builds the ``(2^T, n)`` summand matrix.  The sequence caches
+the outcome probabilities and ``W`` once a caller asks for them.  Its
+moments are exact: vectorized enumeration of the full outcome space (refused
+above ``MAX_ENUM_OUTCOMES``), exact rational enumeration for small
+instances, or a model's closed form, which for 0/1 summands is
+:func:`neighborhood_moment_set`.  Enumerated moments stream over the
+indices, one dot product per moment, each integrand formed in one of three
+reused float64 buffers; their ``mean_w`` and ``var_w`` are :func:`mean_var`,
+two dot products over one float64 buffer of ``W``.  The 1-dependence check
+:func:`dependence_certificate` packs the streamed columns into mixed-radix
+keys, the lowest index least significant: a prefix key that gains one column
+in place per split, a suffix key packed once that drops its leading column
+in place, and per split one weighted ``bincount`` of their pair key, whose
+row and column sums are the marginals.  It holds three int64 outcome-length
+keys and one table of at most one entry per outcome, ``O(2^T)`` whatever
+``n`` is.  :func:`pack_columns` is the one mixed-radix packer, of the
+certificate and of the exact conditional oracles alike, and refuses with
+:class:`UnavailableError` a key space past the largest int64.
 """
 
 from __future__ import annotations
@@ -156,14 +152,16 @@ def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
                      var_w=math.fsum(e_x_xn1 - e_x * e_xn1))
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """The row sums ``W`` of a ``(rows, n)`` block of summand values, exactly.
+def _row_sums(x: np.ndarray, width: Optional[int] = None) -> np.ndarray:
+    """The row sums of a ``(rows, k)`` block of summand values, exactly.
 
-    A ``uint8`` block whose largest value times ``n`` is at most 255 is
-    summed at byte width, in its own dtype, which no row sum can then
-    overflow; any other block, ``bool`` included, is summed in ``int32``.
+    A ``uint8`` block whose largest value times ``width`` (``k`` by default)
+    is at most 255 is summed at byte width, in its own dtype, which no sum
+    of ``width`` such values can then overflow; any other block, ``bool``
+    included, is summed in ``int32``.
     """
-    if x.dtype == np.uint8 and int(x.max(initial=0)) * x.shape[1] <= 255:
+    width = x.shape[1] if width is None else width
+    if x.dtype == np.uint8 and int(x.max(initial=0)) * width <= 255:
         return x.sum(axis=1, dtype=np.uint8)
     return x.sum(axis=1, dtype=np.int32)
 
@@ -181,14 +179,12 @@ class DependentSequence:
     ``kind``/``params`` drive serialization.
 
     A subclass may also declare :meth:`trial_span`, the 0-based range of
-    trials that ``X_i`` reads (every trial by default).  :meth:`w_values`
-    maps the first row block once for the summands whose span ends inside
-    it, and the rest only over the trials from their lowest first trial on,
-    so ``W`` costs ``O(2^T)`` where the spans are short, and
-    :meth:`_window_sums` maps only the trials a window's spans read; a span
-    that leaves out a trial the summand reads gives a wrong ``W``.  With the
-    default spans every per-index column maps all ``2^T`` outcomes, so each
-    index costs ``O(n 2^T)``.
+    trials that ``X_i`` reads (every trial by default).  :meth:`_window_sums`
+    maps only the trials a window's spans read, the first row block of them
+    once, so ``W`` (:meth:`w_values`) costs ``O(2^T)`` where the spans are
+    short; a span that leaves out a trial the summand reads gives a wrong
+    ``W``.  With the default spans every window maps all ``2^T`` outcomes,
+    so each index costs ``O(n 2^T)``.
     """
 
     def __init__(self, trial_probs: Sequence[float], n: int, kind: str,
@@ -214,8 +210,8 @@ class DependentSequence:
 
     def trial_span(self, i: int) -> range:
         """The trials ``X_i`` reads, 0-based, for ``i`` in ``1..n``: all of
-        them unless a model declares fewer.  :meth:`_stream_w`,
-        :meth:`_window_sums` and :attr:`dependence_radius` read it."""
+        them unless a model declares fewer.  :meth:`_window_sums` and
+        :attr:`dependence_radius` read it."""
         return range(self.trial_count)
 
     @property
@@ -229,6 +225,13 @@ class DependentSequence:
             for t in self.trial_span(i):
                 radius = max(radius, i - first.setdefault(t, i))
         return radius
+
+    def _cached(self, key: str, build: Callable[[], object]):
+        """``self._cache[key]``, set to ``build()`` on first use."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     # -- enumeration ---------------------------------------------------------
 
@@ -257,17 +260,21 @@ class DependentSequence:
         :meth:`enumerate_bits` row order of those trials; the other trials
         are 0.  ``bits`` is the block's ``(rows, T)`` bit matrix, stored
         column-major: the low trials from ``first`` on repeat one fixed
-        pattern, built once, and the high trials are constant within a
-        block.  Every block is the same buffer, so a caller reads it before
-        the next one."""
+        pattern, built once for the most trials yet, and the high trials are
+        constant within a block.  Every block is the same buffer, so a
+        caller reads it before the next one."""
         T = self.trial_count
         stop = T if stop is None else stop
         low = min(stop - first, BLOCK_TRIALS)
         size = 1 << low
         block = np.zeros((T, size), dtype=np.uint8)
-        row = np.arange(size, dtype=np.uint32)
-        for t in range(low):  # row by row: no (low, size) temporary
-            block[first + t] = (row >> t) & 1
+        bits = self._cache.get("low bits")  # column r holds the bits of r
+        if bits is None or len(bits) < low:  # the widest yet; a narrower one is its corner
+            row = np.arange(size, dtype=np.uint32)
+            bits = self._cache["low bits"] = np.empty((low, size), dtype=np.uint8)
+            for t in range(low):  # row by row: no (low, size) temporary
+                bits[t] = (row >> t) & 1
+        block[first : first + low] = bits[:low, :size]
         high = np.arange(stop - first - low)[:, None]
         for h in range(1 << (stop - first - low)):
             block[first + low : stop] = ((h >> high) & 1).astype(np.uint8)
@@ -325,78 +332,69 @@ class DependentSequence:
 
     def w_values(self) -> np.ndarray:
         """``W = X_1 + ... + X_n`` of every outcome in :meth:`enumerate_bits`
-        row order, as int32, from :meth:`_stream_w` without the summand
-        values."""
-        total = self._cache.get("w")
-        if total is None:
-            self._require_enumerable()
-            total = self._cache["w"] = self._stream_w(
-                np.empty(self.outcome_count, dtype=np.int32))
-        return total
+        row order, as int32: the window of every index, from
+        :meth:`_window_sums` without the summand values."""
+        return self._cached(
+            "w", lambda: self._window_sums(range(1, self.n + 1), dtype=np.int32)[0])
 
-    def _stream_w(self, out: np.ndarray) -> np.ndarray:
-        """``out``, an outcome-length array, with ``W[r] = A[r mod 2^L] +
-        C[r >> a]`` written into it, at ``O(2^T)`` cost.
-
-        ``L = min(T, BLOCK_TRIALS)``.  ``A`` is the row sums, over the first
-        row block of ``2^L`` outcomes, of the summands whose
-        :meth:`trial_span` ends by trial ``L``; the other summands read
-        trials ``a..T-1`` only, ``a`` the lowest first trial among them, and
-        ``C`` is their row sums over those trials, streamed in row blocks.
-        A model with the default spans and more than ``L`` trials has
-        ``a = 0`` and ``A = 0``: every block is mapped.  Each block of ``C``
-        is added to ``A`` into its rows of ``out`` by one broadcast, in
-        ``out``'s dtype, so the byte-wide sums do not overflow.
-        """
-        T = self.trial_count
-        L = min(T, BLOCK_TRIALS)
-        spans = [self.trial_span(i) for i in range(1, self.n + 1)]
-        low = [k for k, span in enumerate(spans) if span.stop <= L]
-        high = [k for k, span in enumerate(spans) if span.stop > L]
-        a = min((spans[k].start for k in high), default=T)
-        low_sums = np.zeros(1 << L, dtype=np.uint8)
-        if low:
-            low_sums = _row_sums(next(self._x_blocks())[1][:, low])
-        # Outcome r = ((q 2^(L-g) + u) 2^(a-g) + v) 2^g + s, g = min(a, L):
-        # r mod 2^L is (u, s) and r >> a is (q, u).
-        g = min(a, L)
-        low_sums = low_sums.reshape(1 << (L - g), 1, 1 << g)
-        # With no summand past the block, a = T: one row, and C = 0.
-        for rows, x in self._x_blocks(a):
-            sums = _row_sums(x[:, high]).reshape(-1, 1 << (L - g), 1, 1)
-            np.add(low_sums, sums, dtype=out.dtype, out=out[rows.start << a : rows.stop << a]
-                   .reshape(-1, 1 << (L - g), 1 << (a - g), 1 << g))
-        return out
-
-    def _window_sums(self, *windows: range) -> tuple:
+    def _window_sums(self, *windows: range, dtype=None) -> tuple:
         """The sum over each of ``windows``, ranges of indices in ``1..n``,
-        of every outcome, in :meth:`enumerate_bits` row order: the window
-        ``range(i, i + 1)`` gives the column of ``X_i``.
+        of every outcome, in :meth:`enumerate_bits` row order: ``range(i, i
+        + 1)`` gives the column of ``X_i``, ``range(1, n + 1)`` gives ``W``.
 
-        The summands of the windows read only trials ``first..stop-1``, the
-        union of their :meth:`trial_span`: the outcomes of those trials are
-        mapped in row blocks, each sum is written to the outcomes below
-        ``2^stop`` that share them, and those are copied over the rest by
-        doubling.  Each is ``uint8`` while every block's sums fit a byte
-        (:func:`_row_sums`), and ``int32`` once a block's do not.
+        The windows' summands read trials ``first..stop-1``, the union of
+        their :meth:`trial_span`; ``L = min(stop - first, BLOCK_TRIALS)``.
+        A window's sum is ``A[u] + C[r >> a]``, ``u`` the outcome of trials
+        ``first..first+L-1``: ``A`` sums its leading summands whose spans
+        end inside those trials over their one row block, and ``C`` the
+        rest, which read trials ``a..stop-1`` only, in row blocks.  One
+        broadcast per block adds the two into the outcomes below ``2^stop``,
+        those of the trials below ``first`` too, and doubling copies them
+        over the rest.  With the default spans past ``BLOCK_TRIALS`` trials,
+        ``a = 0`` and every block is mapped.
+
+        Each sum is in ``dtype`` where given, else ``uint8`` while the
+        window's largest summand value times its width is at most 255, and
+        ``int32`` otherwise: :func:`_row_sums` sums each part at the
+        window's width.
         """
         self._require_enumerable()
-        spans = [self.trial_span(j) for window in windows for j in window]
-        first = min(span.start for span in spans)
-        stop = max(span.stop for span in spans)
-        sums = [np.empty(self.outcome_count, dtype=np.uint8) for _ in windows]
-        for rows, x in self._x_blocks(first, stop):
-            for k, window in enumerate(windows):
-                block = _row_sums(x[:, window.start - 1 : window.stop - 1])
-                if block.itemsize > sums[k].itemsize:
-                    sums[k] = sums[k].astype(block.dtype)
-                # Outcome r = (q 2^(stop-first) + u) 2^first + s has the sums of u.
-                sums[k][: 1 << stop].reshape(-1, 1 << first)[rows] = block[:, None]
-        for total in sums:  # the outcomes of q = 0, copied to every q
-            size = 1 << stop
-            while size < len(total):
-                total[size : 2 * size] = total[:size]
-                size *= 2
+        spans = {j: self.trial_span(j) for window in windows for j in window}
+        first = min(span.start for span in spans.values())
+        stop = max(span.stop for span in spans.values())
+        L = min(stop - first, BLOCK_TRIALS)
+        # Each window splits into its leading summands, whose spans end inside
+        # the first block, and the rest, which read trials a..stop-1 only.
+        low = [range(window.start, next((j for j in window if spans[j].stop > first + L),
+                                        window.stop)) for window in windows]
+        high = [range(cols.stop, window.stop) for cols, window in zip(low, windows)]
+        a = min((spans[j].start for part in high for j in part), default=stop)
+        # Below 2^stop, outcome r = (((q 2^(L-g) + u) 2^(a-first-g) + v) 2^g
+        # + s) 2^first + s', g = min(a - first, L): the first block's row is
+        # (u, s) and r >> a is (q, u).  A part with no summand is 0.
+        g = min(a - first, L)
+        shape = (1 << (L - g), 1 << (a - first - g), 1 << g)
+        x = next(self._x_blocks(first, stop))[1] if any(low) else None
+        low_sums = [_row_sums(x[:, cols.start - 1 : cols.stop - 1], len(window))
+                    .reshape(shape[0], 1, shape[2]) if cols else np.uint8(0)
+                    for cols, window in zip(low, windows)]
+        del x  # freed before the blocks past the first are mapped
+        sums = [np.empty(self.outcome_count, part.dtype if dtype is None else dtype)
+                for part in low_sums]
+        # With no summand past the first block, a = stop: one row of C = 0.
+        for rows, x in self._x_blocks(a, stop) if a < stop else [(slice(0, 1), None)]:
+            for k, (cols, window) in enumerate(zip(high, windows)):
+                part = (_row_sums(x[:, cols.start - 1 : cols.stop - 1], len(window))
+                        .reshape(-1, shape[0], 1, 1) if cols else np.uint8(0))
+                if part.itemsize > sums[k].itemsize:
+                    sums[k] = sums[k].astype(part.dtype)
+                out = sums[k][rows.start << a : rows.stop << a].reshape(-1, *shape, 1 << first)
+                np.add(low_sums[k], part, dtype=sums[k].dtype, out=out[..., 0])
+                if first:  # s' = 0 copied to every s', from a copy: numpy's overlap check is slow
+                    out[..., 1:] = out[..., :1].copy()
+        for total in sums:  # the outcomes below 2^stop, copied to every higher one
+            for t in range(stop, self.trial_count):
+                total[1 << t : 2 << t] = total[: 1 << t]
         return tuple(sums)
 
     def exact_trial_probs(self) -> list:
@@ -551,7 +549,8 @@ def mean_var(seq: DependentSequence) -> tuple:
         return moments.mean_w, moments.var_w
     w = seq.outcome_probs()
     cached = seq._cache.get("w")
-    total = seq._stream_w(np.empty(seq.outcome_count)) if cached is None else cached.astype(float)
+    total = (seq._window_sums(range(1, seq.n + 1), dtype=float)[0] if cached is None
+             else cached.astype(float))
     mean = float(w @ total)
     np.square(total, out=total)
     return mean, float(w @ total) - mean**2

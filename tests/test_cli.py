@@ -173,6 +173,28 @@ def test_closed_form_with_a_target_computes_no_moments(
         "family": "panjer", "a": 0.9, "b": 0.0}
 
 
+@pytest.mark.parametrize("model, fit", [
+    ({"model": "two-runs", "p": [0.3] * 31}, "nb"),
+    ({"model": "k1k2-runs", "k1": 2, "k2": 2, "n": 10, "p": [0.3] * 33}, "poisson"),
+], ids=["two-runs", "(2,2)-runs"])
+def test_closed_form_fit_and_bound_share_one_moment_set(model, fit, tmp_path, capsys,
+                                                          monkeypatch):
+    """Past the enumeration cap the fit reads the closed-form moments, and the
+    bound reads the same set, built once per model."""
+    import psdapprox.runs as runs_mod
+
+    built = []
+    for name in ("two_runs_moment_set", "k1k2_moment_set"):
+        original = getattr(runs_mod, name)
+        monkeypatch.setattr(runs_mod, name,
+                            lambda seq, original=original: built.append(seq) or original(seq))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["bound", "--model", str(path), "--fit", fit, "--variant", "closed-form"]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "closed-form"
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("source", ["--fit", "--target"])
 def test_closed_form_refuses_a_model_without_one_first(
         source, tmp_path, poisson_target_file, capsys, monkeypatch):

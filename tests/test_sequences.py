@@ -544,28 +544,35 @@ def test_streamed_values_equal_the_full_bit_matrix_map(kind, trials):
 
 
 class _FarEnds(DependentSequence):
-    """``X_1 = trial_1`` and ``X_2 = 3 trial_19``: the second summand's span
-    starts past the first row block of ``2^16`` outcomes (``a = 18``)."""
+    """``X_1 = low trial_1`` and ``X_2 = high trial_19``, as ``uint8``: the
+    second summand's span starts past the first row block of ``2^16``
+    outcomes (``a = 18``), and the first ends inside it."""
 
-    def __init__(self):
+    def __init__(self, low: int = 1, high: int = 3):
         super().__init__([(t % 5 + 1) / 8 for t in range(19)], n=2, kind="far-ends")
+        self.low, self.high = np.uint8(low), np.uint8(high)
 
     def x_columns(self, bits):
-        return np.stack([bits[:, 0], 3 * bits[:, -1]]).T
+        return np.stack([self.low * bits[:, 0], self.high * bits[:, -1]]).T
 
     def trial_span(self, i):
         return range(0, 1) if i == 1 else range(18, 19)
 
 
 # Trial counts below, at and past one block, spans that cross its edge
-# ((1,2)-runs n=9) or start past it (the far ends), and models that keep
-# the default span of every trial.
+# ((1,2)-runs n=9) or start past it (the far ends), windows wider than one
+# block that start past trial 0 (index 4 of (2,2)-runs n=6 reads trials
+# 3..20), a window whose two parts each fit a byte while their sum does not
+# (the far ends at 200), and models that keep the default span of every
+# trial.
 _SPAN_CASES = {
     **{f"{kind} T={trials}": (lambda kind=kind, trials=trials: _stream_case(kind, trials))
        for trials in (3, 15, 16, 17, 21)
        for kind in ("bernoulli product", "two-runs", "(k1,k2)-runs")},
     "(1,2)-runs n=9": lambda: K1K2Model(1, 2, 9, [(t % 5 + 2) / 16 for t in range(20)]),
+    "(2,2)-runs n=6": lambda: K1K2Model(2, 2, 6, [(t % 5 + 2) / 16 for t in range(21)]),
     "far ends": _FarEnds,
+    "far ends at 200": lambda: _FarEnds(200, 200),
     "last-trial copies 51": lambda: _LastTrialCopies(51),
     "last-trial copies 52": lambda: _LastTrialCopies(52),
     "scaled two-runs T=8": lambda: _ScaledTwoRuns([0.3] * 8, 5),
