@@ -5,18 +5,24 @@ formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program (:func:`forward_layers`, whose
 float layers the imbedding engine also reads), cross-checked against direct
 enumeration of the trial space, and the float law of ``W`` and its conditional
-laws come from one ``bincount`` of outcome groups against ``W``: one int64
-cell key ``group * radix + W`` per outcome, built in place, a group being
-the key of :func:`~psdapprox.sequences.pack_columns`, ranked where the key
-space passes the outcome count.  The exact-rational law of ``W`` sums
-integer outcome numerators over the same ``W``, the sequence's own cached
-:meth:`~psdapprox.sequences.DependentSequence.w_values`.  The one thing written
-into a sequence is the memo of :func:`conditional_table`: its cache keeps one
-:class:`ConditionalTable` per (index, conditioning), per-group arrays only, so
-the exact conditional terms, :func:`exact_conditional_D` and the smoothing
-fallback built on it share each table.  A table asked for alone streams its
-columns, window sums or parity summands, from the trial spans, with no
-summand matrix.
+laws are counted by row blocks of ``2^16`` outcomes (:func:`_joint`): each
+block packs its outcomes' groups and ``W`` into an int64 cell key
+``group * radix + W`` and adds their probabilities to the cells with
+``np.add.at``, in enumeration order, so every cell is the sum one
+``bincount`` of all the outcomes gives.  A group is the mixed-radix key of
+the conditioning's columns, packed as
+:func:`~psdapprox.sequences.pack_columns` packs them and ranked where the
+key space passes the outcome count.  The outcome probabilities come per
+row block from :meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
+The exact-rational law of ``W`` sums integer outcome numerators over the
+sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`.
+The one thing written into a sequence is the memo of
+:func:`conditional_table`: its cache keeps one :class:`ConditionalTable` per
+(index, conditioning), per-group arrays only, so the exact conditional terms,
+:func:`exact_conditional_D` and the smoothing fallback built on it share each
+table.  A table asked for alone streams its columns, window sums or parity
+summands, from the trial spans, with no summand matrix; its window tables
+hold a byte per outcome for each window sum and for ``W`` where they fit.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import PMFTable
-from .sequences import BLOCK_TRIALS, DependentSequence, _rank, pack_columns
+from .sequences import BLOCK_TRIALS, DependentSequence, pack_columns
+
+# Trials per block of the exact-rational law: its numerator table of Python
+# ints holds 2^12 outcomes.
+EXACT_LOW_TRIALS = 12
 
 
 def failure_function(pattern: Sequence[int]) -> list:
@@ -159,8 +169,9 @@ def brute_force_distribution(
     :meth:`~DependentSequence.exact_trial_probs`; a list of another length
     than the trial count is a ``ValueError``), so every outcome has an
     integer numerator over ``D = prod d_t``; the numerators are summed per
-    value of ``W`` in Python integers, one block of ``2^16`` outcomes at a time,
-    and each mass is one ``Fraction(sum, D)``.
+    value of ``W`` in Python integers, one block of ``2^12`` outcomes at a time,
+    and each mass is one ``Fraction(sum, D)``.  The float law is one row-block
+    count (:func:`_joint`) of every outcome against ``W``.
     """
     seq._require_enumerable()
     if exact:
@@ -171,7 +182,7 @@ def brute_force_distribution(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
         return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
-    joint = _joint(seq, np.zeros(seq.outcome_count, dtype=np.int64), 1)
+    joint = _joint(seq, _packer((), (), (), seq.outcome_count), 1, seq.w_values())
     return _law([float(m) for m in joint[0]])
 
 
@@ -188,14 +199,15 @@ def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
     """Exact law of ``W`` from its per-outcome values in enumeration row order.
 
     Row ``h`` of the reshaped ``total`` holds the outcomes whose trials past
-    the first ``BLOCK_TRIALS`` spell ``h``; their numerators are the
+    the first ``EXACT_LOW_TRIALS`` spell ``h``; their numerators are the
     low-trial numerators times the one high-trial numerator of ``h``, so each
     block sums the low numerators per value (one stable sort and one
-    ``reduceat``) and scales the sums.
+    ``reduceat``) and scales the sums.  The low numerators are Python ints
+    of 40 bytes or more each, so their table is kept to ``2^12`` outcomes.
     """
-    low = _numerators(probs[:BLOCK_TRIALS])
+    low = _numerators(probs[:EXACT_LOW_TRIALS])
     sums = [0] * (int(total.max()) + 1)
-    for scale, w in zip(_numerators(probs[BLOCK_TRIALS:]), total.reshape(-1, len(low))):
+    for scale, w in zip(_numerators(probs[EXACT_LOW_TRIALS:]), total.reshape(-1, len(low))):
         order = np.argsort(w, kind="stable")
         values, starts = np.unique(w[order], return_index=True)
         for v, s in zip(values.tolist(), np.add.reduceat(low[order], starts)):
@@ -234,10 +246,8 @@ class ConditionalTable:
     radices: tuple
     keys: Optional[np.ndarray] = None
 
-    def ids(self, cols, count: int) -> np.ndarray:
-        """The group of each of the ``count`` outcomes, from the columns the
-        table was built on."""
-        key = pack_columns(cols, count)[0]
+    def ids(self, key: np.ndarray) -> np.ndarray:
+        """The group of each packed key."""
         return key if self.keys is None else np.searchsorted(self.keys, key)
 
     def values(self, groups: np.ndarray) -> np.ndarray:
@@ -250,61 +260,124 @@ class ConditionalTable:
         return out + np.asarray(self.lows, dtype=np.int64)
 
 
-def _joint(seq: DependentSequence, key: np.ndarray, size: int) -> np.ndarray:
-    """``joint[g, k]``, the mass of group ``g`` at ``W = k``: one ``bincount``
-    over the sequence's cached ``W``, which adds each cell's outcomes in
-    enumeration order however the groups are numbered.  ``key``, the int64
-    group of every outcome, becomes in place the cell key ``g radix + W``
-    that the ``bincount`` reads, ``radix`` being ``joint.shape[1]``."""
-    total = seq.w_values()
+def _row_blocks(count: int):
+    """Consecutive slices of ``2^BLOCK_TRIALS`` of ``count`` rows, the row
+    blocks of :meth:`~DependentSequence._prob_blocks`."""
+    size = min(count, 1 << BLOCK_TRIALS)
+    return (slice(start, start + size) for start in range(0, count, size))
+
+
+def _joint(seq: DependentSequence, group, size: int, total: np.ndarray) -> np.ndarray:
+    """``joint[g, k]``, the mass of group ``g`` at ``W = k``, ``total``
+    being ``W`` of every outcome, counted by the row blocks of
+    :meth:`~DependentSequence._prob_blocks`.  ``group(rows)``, the int64
+    groups of a block's outcomes, becomes in place their cell key ``g radix
+    + W``, ``radix`` being ``max W + 1`` over all outcomes
+    (``joint.shape[1]``), and ``np.add.at`` adds each outcome's
+    probability to its cell, one at a time in enumeration order, as one
+    ``bincount`` of every outcome would: each cell is the same sum, bit for
+    bit."""
     radix = int(total.max()) + 1
-    key *= radix
-    key += total
-    return np.bincount(key, weights=seq.outcome_probs(),
-                       minlength=size * radix).reshape(size, radix)
+    joint = np.zeros(size * radix)
+    for rows, probs in seq._prob_blocks():
+        key = group(rows)
+        key *= radix
+        key += total[rows]
+        np.add.at(joint, key, probs)
+    return joint.reshape(size, radix)
 
 
-def _conditional_laws(seq: DependentSequence, cols) -> tuple:
-    """``(table, cells, radix)``: the :class:`ConditionalTable` of ``W``
-    given the integer columns ``cols``, and the cell key ``g radix + W`` of
-    every outcome (see :func:`_joint`).
+def _packer(cols, lows: tuple, radices: tuple, count: int):
+    """``pack(rows)``: the int64 key of the ``rows`` of the columns
+    ``cols``, of ``count`` rows each, packed as :func:`pack_columns` packs
+    them with the digits ``lows`` and ``radices`` of the whole columns; 0
+    with no columns.  Blocks of at most ``2^BLOCK_TRIALS`` rows are packed
+    into one buffer, so a caller reads each key before the next."""
+    buffer = np.empty(min(count, 1 << BLOCK_TRIALS), dtype=np.int64)
+
+    def pack(rows):
+        key = buffer[: rows.stop - rows.start]
+        key.fill(0)
+        for col, low, radix in zip(cols, lows, radices):
+            key *= radix
+            key += col[rows]
+            key -= low
+        return key
+    return pack
+
+
+def _conditional_laws(seq: DependentSequence, pack, lows: tuple, radices: tuple,
+                      total: np.ndarray) -> ConditionalTable:
+    """The :class:`ConditionalTable` of ``W`` (``total``, every outcome's)
+    given integer columns of digits ``lows`` and ``radices``, ``pack(rows)``
+    being the int64 key of a row block's outcomes.
 
     Groups are packed keys where their space is at most the outcome count,
-    else the ranks of the attained keys (:func:`_rank`).  This enumeration
-    is the independent oracle of the conditional laws: the imbedding engine
-    that gives the runs models' theorem 3.1 terms at any ``n``
-    (``psdapprox.imbedding``) shares none of it, and ``verify`` checks the
-    two against each other."""
-    cells, lows, radices = pack_columns(cols, seq.outcome_count)
-    size = math.prod(radices)
-    keys = None
-    if size > len(cells):
-        cells, keys = _rank(cells, size)
+    else the ranks of the attained keys, the sorted union of each block's.
+    This enumeration is the independent oracle of the conditional laws: the
+    imbedding engine that gives the runs models' theorem 3.1 terms at any
+    ``n`` (``psdapprox.imbedding``) shares none of it, and ``verify`` checks
+    the two against each other."""
+    keys, group, size = None, pack, math.prod(radices)
+    if size > seq.outcome_count:
+        keys = np.unique(np.concatenate(
+            [np.unique(pack(rows)) for rows in _row_blocks(seq.outcome_count)]))
         size = len(keys)
-    joint = _joint(seq, cells, size)
+
+        def group(rows):
+            return np.searchsorted(keys, pack(rows))
+    joint = _joint(seq, group, size, total)
     mass = joint.sum(axis=1)
     has_mass = mass > 0
     d = np.zeros(size)
     d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
-    return ConditionalTable(d, has_mass, lows, radices, keys), cells, joint.shape[1]
+    return ConditionalTable(d, has_mass, lows, radices, keys)
 
 
-def _outcome_d(d: np.ndarray, cells: np.ndarray, radix: int) -> np.ndarray:
-    """Each outcome's conditional ``D`` from its cell key ``g radix + W``:
-    one take from ``np.repeat(d, radix)``, or, where that table would pass
-    the outcome count, from ``d`` after the groups are restored in place."""
-    if len(d) * radix <= len(cells):
-        return np.repeat(d, radix)[cells]
-    cells //= radix
-    return d[cells]
+def _window_table(seq: DependentSequence, cols: list, total: np.ndarray) -> ConditionalTable:
+    """The :class:`ConditionalTable` of ``W`` (``total``) given the window
+    sums ``cols``, a list of one or two, packed by row blocks."""
+    lows = tuple(int(col.min()) for col in cols)
+    radices = tuple(int(col.max()) - low + 1 for col, low in zip(cols, lows))
+    return _conditional_laws(seq, _packer(cols, lows, radices, seq.outcome_count),
+                             lows, radices, total)
 
 
-def _parity_columns(seq: DependentSequence, conditioning: str):
-    """The summand columns the ``even`` or ``odd`` conditioning reads, streamed."""
+def _parity_table(seq: DependentSequence, conditioning: str) -> ConditionalTable:
+    """The :class:`ConditionalTable` of ``W`` given the ``even`` or ``odd``
+    summands, each column streamed into one int64 :func:`pack_columns` key
+    of every outcome, which refuses a key space past the largest int64."""
     if conditioning not in ("even", "odd"):
         raise ValueError(f"unknown conditioning {conditioning!r}")
-    return (seq._window_sums(range(j, j + 1))[0]
+    cols = (seq._window_sums(range(j, j + 1))[0]
             for j in range(2 if conditioning == "even" else 1, seq.n + 1, 2))
+    key, lows, radices = pack_columns(cols, seq.outcome_count)
+    pack = _packer([key], (0,), (math.prod(radices),), seq.outcome_count)
+    return _conditional_laws(seq, pack, lows, radices, _with_total(seq)[0])
+
+
+def _with_total(seq: DependentSequence, *windows: range) -> tuple:
+    """The sums over ``windows``, then ``W``: the sequence's cached ``W``
+    where it has one, else ``W`` streamed with the windows by
+    :meth:`~DependentSequence._window_sums`, byte-wide where it fits, and
+    not cached."""
+    cached = seq._cache.get("w")
+    if cached is None:
+        return seq._window_sums(*windows, range(1, seq.n + 1))
+    return (*(seq._window_sums(*windows) if windows else ()), cached)
+
+
+def _outcome_d(seq: DependentSequence, table: ConditionalTable, cols: list) -> np.ndarray:
+    """Each outcome's conditional ``D`` from ``table``, built on the
+    columns ``cols``, as a new float64 array, by row blocks: each block's
+    key packed with the table's digits and read through
+    :meth:`ConditionalTable.ids`."""
+    pack = _packer(cols, table.lows, table.radices, seq.outcome_count)
+    d = np.empty(seq.outcome_count)
+    for rows in _row_blocks(seq.outcome_count):
+        # Every id is in range; "clip" spares the copy of out that "raise" makes.
+        np.take(table.d, table.ids(pack(rows)), out=d[rows], mode="clip")
+    return d
 
 
 def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=None) -> tuple:
@@ -315,30 +388,33 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=No
 
     Each table is built once per sequence and kept in its cache under
     ``"conditional"`` (one even and one odd table, whatever ``i``); only
-    per-group arrays are kept.  A table built from ``cols`` gives each
-    outcome's ``D`` from the cell keys its ``bincount`` read, a table read
-    back from the cache from :meth:`ConditionalTable.ids` of ``cols``.
-    Without ``cols``, the ``n2`` and ``n1n2`` tables of index ``i`` are
-    built together, from one pass of :meth:`~DependentSequence._window_sums`.
+    per-group arrays are kept.  Every table is counted by row blocks
+    (:func:`_joint`).  A table built from ``cols`` reads the sequence's
+    cached :meth:`~DependentSequence.w_values`, and each outcome's ``D``
+    is taken block by block.  Without ``cols``, the ``n2`` and ``n1n2``
+    tables of index ``i`` are built together from one pass of
+    :meth:`~DependentSequence._window_sums`, which streams ``W`` too unless
+    it is cached: with the outcome probabilities formed per row block, the
+    two tables hold per outcome only the two window sums and ``W``, a byte
+    each where they fit.
     """
     memo = seq._cache.setdefault("conditional", {})
     windowed = conditioning in ("n2", "n1n2")
     key = (i if windowed else None, conditioning)  # even/odd ignore i
-    table = memo.get(key)
-    if table is not None:
-        if cols is None:
-            return table, None
-        return table, table.d[table.ids(cols, seq.outcome_count)]
     if cols is not None:
-        memo[key], cells, radix = _conditional_laws(seq, cols)
-        return memo[key], _outcome_d(memo[key].d, cells, radix)
-    if windowed:
-        v1, v2 = seq._window_sums(*(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
-        for name, window_cols in (("n2", [v2]), ("n1n2", [v1, v2])):
-            if (i, name) not in memo:
-                memo[i, name] = _conditional_laws(seq, window_cols)[0]
-    else:
-        memo[key] = _conditional_laws(seq, _parity_columns(seq, conditioning))[0]
+        cols = list(cols)
+        if key not in memo:
+            memo[key] = _window_table(seq, cols, seq.w_values())
+        return memo[key], _outcome_d(seq, memo[key], cols)
+    if key not in memo:
+        if windowed:
+            v1, v2, total = _with_total(
+                seq, *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
+            for name, window_cols in (("n2", [v2]), ("n1n2", [v1, v2])):
+                if (i, name) not in memo:
+                    memo[i, name] = _window_table(seq, window_cols, total)
+        else:
+            memo[key] = _parity_table(seq, conditioning)
     return memo[key], None
 
 

@@ -11,7 +11,9 @@ Each model declares the trials summand ``i`` reads as
 summands from the trials their spans read: the column of ``X_i``, each
 window around ``i``, and ``W`` in ``O(2^T)``, not ``O(n 2^T)``.  No
 package path builds the ``(2^T, n)`` summand matrix.  The sequence caches
-the outcome probabilities and ``W`` once a caller asks for them.  Its
+the outcome probabilities and ``W`` once a caller asks for them;
+:meth:`DependentSequence._prob_blocks` forms the probabilities one row
+block at a time without caching them.  Its
 moments are exact: vectorized enumeration of the full outcome space (refused
 above ``MAX_ENUM_OUTCOMES``), exact rational enumeration for small
 instances, or a model's closed form, which for 0/1 summands is
@@ -166,6 +168,20 @@ def _row_sums(x: np.ndarray, width: Optional[int] = None) -> np.ndarray:
     return x.sum(axis=1, dtype=np.int32)
 
 
+def _doubled(trial_probs) -> np.ndarray:
+    """The probabilities of the ``2^T`` outcomes of the trials of
+    ``trial_probs``, in :meth:`DependentSequence.enumerate_bits` row order,
+    built by doubling the table in place once per trial: factors multiply in
+    trial order."""
+    probs = np.empty(1 << len(trial_probs))
+    probs[0] = 1.0
+    for t, p in enumerate(trial_probs):
+        half = probs[: 1 << t]
+        np.multiply(half, p, out=probs[1 << t : 2 << t])
+        half *= 1.0 - p
+    return probs
+
+
 class DependentSequence:
     """Base carrier: trial probabilities plus the trials -> X mapping.
 
@@ -303,19 +319,37 @@ class DependentSequence:
 
     def outcome_probs(self) -> np.ndarray:
         """Outcome probabilities in :meth:`enumerate_bits` row order, built
-        by doubling the table in place once per trial: factors multiply in
-        trial order."""
+        by :func:`_doubled`: factors multiply in trial order."""
         probs = self._cache.get("probs")
         if probs is None:
             self._require_enumerable()
-            probs = np.empty(self.outcome_count)
-            probs[0] = 1.0
-            for t, p in enumerate(self.trial_probs):
-                half = probs[: 1 << t]
-                np.multiply(half, p, out=probs[1 << t : 2 << t])
-                half *= 1.0 - p
-            self._cache["probs"] = probs
+            probs = self._cache["probs"] = _doubled(self.trial_probs)
         return probs
+
+    def _prob_blocks(self) -> Iterator[tuple]:
+        """Yield ``(rows, probs)`` for consecutive slices of ``2^BLOCK_TRIALS``
+        rows (all of them when there are fewer trials) of
+        :meth:`outcome_probs`, without caching it.  Where it is cached, each
+        ``probs`` is a slice of it; else each is formed in one reused buffer,
+        so a caller reads it before the next: the :func:`_doubled` table of
+        the low trials times each high trial's factor of the block, in trial
+        order, which are the products :meth:`outcome_probs` forms, bit for
+        bit."""
+        cached = self._cache.get("probs")
+        low = min(self.trial_count, BLOCK_TRIALS)
+        size = 1 << low
+        if cached is not None:
+            for start in range(0, self.outcome_count, size):
+                yield slice(start, start + size), cached[start : start + size]
+            return
+        self._require_enumerable()
+        table, block = _doubled(self.trial_probs[:low]), np.empty(size)
+        high = self.trial_probs[low:]
+        for h in range(1 << len(high)):
+            np.copyto(block, table)
+            for t, p in enumerate(high):
+                block *= p if h >> t & 1 else 1.0 - p
+            yield slice(h * size, (h + 1) * size), block
 
     def x_values(self) -> np.ndarray:
         """The summand values of every outcome, as a column-major

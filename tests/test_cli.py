@@ -805,7 +805,7 @@ def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, mon
     tables = []
     original = oracle_mod._conditional_laws
     monkeypatch.setattr(oracle_mod, "_conditional_laws",
-                        lambda seq, cols: tables.append(cols) or original(seq, cols))
+                        lambda seq, *args: tables.append(args) or original(seq, *args))
     assert main(["verify", "--model", two_runs_model_file]) == 0
     out = capsys.readouterr().out
     assert "PASS domination-poisson-theorem31" in out
@@ -819,7 +819,7 @@ def test_verify_shares_the_conditional_tables_with_the_smoothing(tmp_path, capsy
     tables = []
     original = oracle_mod._conditional_laws
     monkeypatch.setattr(oracle_mod, "_conditional_laws",
-                        lambda seq, cols: tables.append(cols) or original(seq, cols))
+                        lambda seq, *args: tables.append(args) or original(seq, *args))
     product = tmp_path / "product.json"
     product.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.3] * 8}))
     assert main(["verify", "--model", str(product)]) == 0

@@ -3,20 +3,25 @@
 ``exact_conditional_D`` and ``ExactConditionalTerms.weighted_sums`` read one
 memoized table per (index, conditioning): the law of ``W`` given each packed
 key of the conditioning's columns (``sequences.pack_columns``), ranked where
-the packed key space exceeds the outcome count.  Each table is one
-``bincount`` of one int64 cell key per outcome, built in place.
+the packed key space exceeds the outcome count.  Each table, and the float
+``brute_force_distribution``, is counted by row blocks of ``2^16``
+outcomes, adding each block's probabilities to the cells ``group * radix +
+W`` in enumeration order; ``_reference_conditional_D`` is one ``bincount``
+of all the outcomes, and the block counts must equal it bit for bit on
+models of 8 and 16 row blocks, on ranked key spaces, and where the largest
+``W`` is reached only by outcomes without mass.
 ``dependence_certificate`` packs a prefix key and a suffix key in mixed
 radix, one weighted ``bincount`` of their pair key per split, and reads the
 marginals as the row and column sums of that joint table; where the table
 would pass the outcome count it ranks the attained pair keys instead
-(``ScaledRuns`` below reaches that branch).  The float
-``brute_force_distribution`` is one ``bincount`` of ``W``.  The earlier
+(``ScaledRuns`` below reaches that branch).  The earlier
 per-outcome implementations are inlined below as references: radix-packed
 keys decoded back, dicts of prefix and suffix tuples, and one dict lookup per
 outcome.  Every result must be ``==`` to its reference, dict key order
-included, whether a table is built or read back from the memo.  A
-tracemalloc test bounds the outcome-length arrays that the certificate and
-one conditional table hold, by a number that does not grow with ``n``.
+included, whether a table is built or read back from the memo.  Tracemalloc
+tests bound the outcome-length arrays that the certificate and the tables
+hold: by a number that does not grow with ``n``, and, for a table built
+without its columns, by less than one float64 array of the outcomes.
 """
 
 import itertools
@@ -422,20 +427,109 @@ class _NineCells(DependentSequence):
         return np.stack([r % 3, r // 3], axis=1).astype(np.int16)
 
 
-@pytest.mark.parametrize("attained", [True, False])
-def test_dependence_certificate_checks_a_pair_attained_without_mass(attained):
-    """The law is set directly: ``P(X_1 = 0) = P(X_2 = 0) = sqrt(1.5e-12)``,
-    and every cell with mass is within 0.75e-12 of the product of its
-    marginals, but ``(0, 0)`` has no mass.  Where an outcome of probability
-    0 attains it, the cell is checked and fails, as in the dict reference;
-    where none does, it is not checked."""
+def _nine_cell_law() -> np.ndarray:
+    """Outcome probabilities of :class:`_NineCells`, set directly:
+    ``P(X_1 = 0) = P(X_2 = 0) = sqrt(1.5e-12)``, every cell with mass within
+    0.75e-12 of the product of its marginals, and no mass at ``(0, 0)``."""
     d = 1.5e-12
     p = np.full(3, (1 - math.sqrt(d)) / 2)
     p[0] = math.sqrt(d)
     joint = np.outer(p, p) + d * np.array([[-1, 0.5, 0.5], [0.5, -0.25, -0.25],
                                            [0.5, -0.25, -0.25]])
     joint[0, 0] = 0.0
+    return np.concatenate([joint.ravel(), np.zeros(7)])
+
+
+@pytest.mark.parametrize("attained", [True, False])
+def test_dependence_certificate_checks_a_pair_attained_without_mass(attained):
+    """On :func:`_nine_cell_law`, where an outcome of probability 0 attains
+    ``(0, 0)``, the cell is checked and fails, as in the dict reference;
+    where none does, it is not checked."""
     seq = _NineCells(attained)
-    seq._cache["probs"] = np.concatenate([joint.ravel(), np.zeros(7)])
+    seq._cache["probs"] = _nine_cell_law()
     assert dependence_certificate(seq, gap=1) is (not attained)
     assert _reference_certificate(seq, gap=1) is (not attained)
+
+
+def _blocked_cases():
+    """Models spanning at least 8 row blocks of ``2^16`` outcomes: dyadic
+    2-runs with 19 trials, and a 20-trial product whose non-dyadic outcome
+    probabilities round, so a cell summed in another order than the
+    enumeration's would differ in its last bits."""
+    return {"two-runs-19": TwoRunsModel([(t % 5 + 2) / 16 for t in range(19)]),
+            "product-20": BernoulliProductSequence(_uniform(8, 20))}
+
+
+@pytest.mark.parametrize("name", sorted(_blocked_cases()))
+def test_block_counted_tables_equal_one_bincount_across_row_blocks(name):
+    seq = _blocked_cases()[name]
+    assert seq.outcome_count >= 8 * 2**16
+    cases = [(i, c) for i in (1, seq.n // 2, seq.n) for c in ("n2", "n1n2")]
+    cases += [(1, "even"), (1, "odd")]
+    # Every table is built before the reference caches the probabilities,
+    # so their row blocks are formed, not sliced from the cache.
+    got = [exact_conditional_D(seq, i, c) for i, c in cases]
+    assert "probs" not in seq._cache and "w" not in seq._cache
+    for (i, conditioning), table in zip(cases, got):
+        want = _reference_conditional_D(seq, i, conditioning)
+        assert list(table.items()) == list(want.items()), (i, conditioning)
+
+
+@pytest.mark.parametrize("seq, ranked", [(ScaledRuns(_uniform(6, 8)), True),
+                                         (_NineCells(True), True), (_NineCells(False), False)],
+                         ids=["scaled-runs", "nine-cells-attained", "nine-cells-unattained"])
+def test_ranked_tables_equal_one_bincount(seq, ranked):
+    """Ranked key spaces: ``n1n2`` and ``odd`` of the scaled runs, and the
+    ``n1n2`` key space of the nine cells, 25 against 16 outcomes where one
+    takes ``(0, 0)``, and exactly 16 where none does; on their own law and,
+    for the nine cells, on :func:`_nine_cell_law`, which has outcomes
+    without mass."""
+    laws = [None, _nine_cell_law()] if isinstance(seq, _NineCells) else [None]
+    for probs in laws:
+        seq._cache.clear()
+        if probs is not None:
+            seq._cache["probs"] = probs
+        for i, conditioning in itertools.product(range(1, seq.n + 1), CONDITIONINGS):
+            got = exact_conditional_D(seq, i, conditioning)
+            assert list(got.items()) == list(
+                _reference_conditional_D(seq, i, conditioning).items())
+        tables = seq._cache["conditional"].values()
+        assert any(table.keys is not None for table in tables) is ranked
+
+
+def test_the_radix_counts_W_of_outcomes_without_mass():
+    """Trials of probability 0 leave the largest ``W`` to outcomes without
+    mass.  ``shift_regularity`` sums each row pairwise, so the row length,
+    ``max W + 1`` over every outcome, changes the last bits of ``D``: here
+    rows cut at the largest ``W`` with mass give other values."""
+    p = _uniform(7, 14)
+    for t in (1, 3, 5, 10, 12, 13):
+        p[t] = 0.0
+    seq = BernoulliProductSequence(p)
+    total = seq.x_values().sum(axis=1)
+    assert total[seq.outcome_probs() > 0].max() < total.max()
+    for i, conditioning in itertools.product((4, 8, 11), CONDITIONINGS):
+        got = exact_conditional_D(seq, i, conditioning)
+        assert list(got.items()) == list(_reference_conditional_D(seq, i, conditioning).items())
+    assert brute_force_distribution(seq).masses == tuple(
+        float(m) for m in np.trim_zeros(np.bincount(total, weights=seq.outcome_probs()), "b"))
+
+
+def test_a_table_built_without_columns_holds_three_bytes_per_outcome():
+    """On a fresh 20-trial product a float64 outcome array takes 8 MiB.
+    Built without its columns, the ``n2`` and ``n1n2`` tables of one index
+    hold per outcome the two window sums and ``W``, a byte each, and the
+    outcome probabilities only one row block at a time; with the
+    probabilities (8), an int32 ``W`` (4) and an int64 cell key (8) per
+    outcome they would take 2.75 arrays."""
+    seq = BernoulliProductSequence(_dyadic(20))
+    array = 8 * seq.outcome_count
+    tracemalloc.start()
+    try:
+        exact_conditional_D(seq, 10, "n1n2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * array
+    assert "probs" not in seq._cache and "w" not in seq._cache
+    assert set(seq._cache["conditional"]) == {(10, "n2"), (10, "n1n2")}

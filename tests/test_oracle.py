@@ -218,7 +218,7 @@ _EXACT_MODELS = {
 @pytest.mark.parametrize("name", sorted(_EXACT_MODELS))
 def test_exact_law_equals_fraction_reference(name, block_trials, monkeypatch):
     # A block of 3 trials splits every model into several blocks of outcomes.
-    monkeypatch.setattr(oracle, "BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(oracle, "EXACT_LOW_TRIALS", block_trials)
     seq = _EXACT_MODELS[name]
     got = brute_force_distribution(seq, exact=True)  # the limit_denominator default
     assert got == PMFTable(0, _fraction_law(seq), 0.0)
@@ -229,7 +229,7 @@ def test_exact_law_equals_fraction_reference(name, block_trials, monkeypatch):
 
 
 def test_exact_law_equals_exact_dp_across_blocks():
-    probs = [Fraction(t % 5 + 1, 11) for t in range(18)]  # four blocks of 2^16 outcomes
+    probs = [Fraction(t % 5 + 1, 11) for t in range(18)]  # 64 blocks of 2^12 outcomes
     model = TwoRunsModel([float(p) for p in probs])
     dp = dp_distribution(two_runs_automaton(), probs, exact=True)
     assert brute_force_distribution(model, exact=True, exact_probs=probs) == dp

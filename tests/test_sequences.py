@@ -274,6 +274,23 @@ def _bit_identity_cases():
     }
 
 
+def test_probability_blocks_are_the_outcome_probabilities_bit_for_bit():
+    """Formed per row block, with the trials past the first block and a
+    trial at 0 and one at 1, the probabilities are those of the doubled
+    table, and nothing is cached; once the table is cached, each block is
+    a slice of it."""
+    probs = np.random.default_rng(3).uniform(0.05, 0.6, 20).tolist()
+    probs[4], probs[19] = 0.0, 1.0
+    seq = BernoulliProductSequence(probs)
+    blocks = [(rows, block.copy()) for rows, block in seq._prob_blocks()]
+    assert "probs" not in seq._cache
+    assert [rows.start for rows, _ in blocks] == [k * 2**16 for k in range(16)]
+    want = seq.outcome_probs()
+    assert np.array_equal(np.concatenate([block for _, block in blocks]), want)
+    assert np.array_equal(want, _reference_outcome_probs(seq))
+    assert all(np.shares_memory(block, want) for _, block in seq._prob_blocks())
+
+
 @pytest.mark.parametrize("name", sorted(_bit_identity_cases()))
 def test_streamed_moments_bit_identical_to_full_matrix(name):
     seq = _bit_identity_cases()[name]
