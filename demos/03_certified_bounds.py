@@ -9,6 +9,7 @@ computed by the dynamic-programming oracle.
 """
 
 import json
+import sys
 
 from psdapprox import (
     TwoRunsModel,
@@ -42,6 +43,7 @@ targets = {
     ),
 }
 
+violated = False
 for name, spec in targets.items():
     tv = exact_tv(law, spec.pmf())
     print()
@@ -58,6 +60,7 @@ for name, spec in targets.items():
     }
     for label, report in reports.items():
         dominated = "ok" if tv.upper <= report.total else "VIOLATED"
+        violated |= dominated == "VIOLATED"
         print(f"{label:12s} total = {report.total:10.6f}   exact <= bound: {dominated}")
 
 print()
@@ -65,3 +68,4 @@ print("--- itemized report (min variant, NB target), serialized ---")
 spec = targets["negative binomial (two-moment fit)"]
 report = bound_min(moments, build_smoothing(model), spec)
 print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+sys.exit(1 if violated else 0)

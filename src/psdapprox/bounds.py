@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
-from .oracle import conditional_table, exact_conditional_D, shift_regularity
+from .oracle import _outcome_d, conditional_table, exact_conditional_D, shift_regularity
 from .sequences import DependentSequence, MomentSet, _bracket
 
 MEAN_MATCH_TOL = 1e-9
@@ -158,7 +158,8 @@ class BoundReport:
     use ``delta_g * (quadratic + linear + tau)``; ``crude`` uses
     ``(2|1-b| g_norm + delta_g) * linear``; ``min`` carries both operands.
     The runs closed forms also carry their per-index ``moment_terms`` and the
-    smoothing constants used, ``c_constant``.
+    smoothing constants used, ``c_constant``.  Its JSON and CSV forms keep
+    a ``slack`` of 0: no bound carries one.
     """
 
     variant: str
@@ -167,7 +168,6 @@ class BoundReport:
     term_linear: float
     term_tau: float
     total: float
-    slack: float = 0.0
     smoothing: Optional[SmoothingEstimate] = None
     g_norm_factor: Optional[float] = None
     one_minus_b: float = 1.0
@@ -194,7 +194,7 @@ class BoundReport:
             "term_linear": self.term_linear,
             "term_tau": self.term_tau,
             "total": self.total,
-            "slack": self.slack,
+            "slack": 0.0,
         }
         if self.g_norm_factor is not None:
             out["g_norm"] = self.g_norm_factor
@@ -212,7 +212,7 @@ class BoundReport:
     def csv_row(self, n: Optional[int] = None, params: str = "") -> str:
         """One CSV row, a cell quoted only where it holds a comma or a quote."""
         cells = [self.variant, "" if n is None else str(n), params,
-                 f"{self.total:.12g}", f"{self.slack:.3g}"]
+                 f"{self.total:.12g}", "0"]
         out = io.StringIO()
         csv.writer(out, lineterminator="").writerow(cells)
         return out.getvalue()
@@ -295,14 +295,14 @@ class ExactConditionalTerms:
         for i in range(1, seq.n + 1):
             windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
             xi, v1, v2 = seq._window_sums(range(i, i + 1), *windows)
-            d = conditional_table(seq, i, "n1n2", (v1, v2))[1]
+            d = _outcome_d(seq, conditional_table(seq, i, "n1n2", (v1, v2)), (v1, v2))
             np.copyto(x, xi)
             _bracket(col, v1, v2)
             sum_q1 += float(w @ x) * weighted(d)
             col *= x
             sum_q2 += weighted(d)
-            del d  # freed before the n2 table is built
-            d = conditional_table(seq, i, "n2", (v2,))[1]
+            del d  # freed before the n2 D is read
+            d = _outcome_d(seq, conditional_table(seq, i, "n2", (v1, v2)), (v2,))
             np.copyto(col, v2)
             col -= 1
             col *= x

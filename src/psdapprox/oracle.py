@@ -11,8 +11,9 @@ block packs its outcomes' groups and ``W`` into an int64 cell key
 ``np.add.at``, in enumeration order, so every cell is the sum one
 ``bincount`` of all the outcomes gives.  A group is the mixed-radix key of
 the conditioning's columns, packed as
-:func:`~psdapprox.sequences.pack_columns` packs them and ranked where the
-key space passes the outcome count.  The outcome probabilities come per
+:func:`~psdapprox.sequences.pack_columns` packs them and ranked among the
+attained keys where the key space passes the outcome count; both window
+tables of an index take one pass.  The outcome probabilities come per
 row block from :meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
 The exact-rational law of ``W`` sums integer outcome numerators over the
 sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`.
@@ -182,7 +183,7 @@ def brute_force_distribution(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
         return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
-    joint = _joint(seq, _packer((), (), (), seq.outcome_count), 1, seq.w_values())
+    joint, = _joint(seq, _packer((), (), (), seq.outcome_count), [1], [None], seq.w_values())
     return _law([float(m) for m in joint[0]])
 
 
@@ -267,24 +268,35 @@ def _row_blocks(count: int):
     return (slice(start, start + size) for start in range(0, count, size))
 
 
-def _joint(seq: DependentSequence, group, size: int, total: np.ndarray) -> np.ndarray:
-    """``joint[g, k]``, the mass of group ``g`` at ``W = k``, ``total``
-    being ``W`` of every outcome, counted by the row blocks of
-    :meth:`~DependentSequence._prob_blocks`.  ``group(rows)``, the int64
-    groups of a block's outcomes, becomes in place their cell key ``g radix
-    + W``, ``radix`` being ``max W + 1`` over all outcomes
-    (``joint.shape[1]``), and ``np.add.at`` adds each outcome's
-    probability to its cell, one at a time in enumeration order, as one
+def _joint(seq: DependentSequence, pack, spaces: list, ranks: list,
+           total: np.ndarray) -> list:
+    """``joint[g, k]`` of each table, the mass of its group ``g`` at ``W =
+    k``, ``total`` being ``W`` of every outcome, counted in one pass over
+    the row blocks of :meth:`~DependentSequence._prob_blocks`.  ``pack(rows)``,
+    the int64 key of a block's outcomes, becomes in place the cell key
+    ``key radix + W``, ``radix`` being ``max W + 1`` over all outcomes.
+    Table ``t`` groups by the key modulo ``spaces[t]``, which divides the
+    space before it, so its cell key is the one before modulo ``spaces[t]
+    radix``, taken in place; or, with ``ranks[t]``, by the rank of that key
+    among these sorted attained keys.  One ``np.add.at`` per table adds each
+    outcome's probability to its cell, in enumeration order, as one
     ``bincount`` of every outcome would: each cell is the same sum, bit for
     bit."""
     radix = int(total.max()) + 1
-    joint = np.zeros(size * radix)
+    sizes = [space if keys is None else len(keys) for space, keys in zip(spaces, ranks)]
+    joints = [np.zeros(size * radix) for size in sizes]
     for rows, probs in seq._prob_blocks():
-        key = group(rows)
-        key *= radix
-        key += total[rows]
-        np.add.at(joint, key, probs)
-    return joint.reshape(size, radix)
+        cell = pack(rows)
+        cell *= radix
+        cell += total[rows]
+        for t, (joint, space, keys) in enumerate(zip(joints, spaces, ranks)):
+            if t:
+                cell %= space * radix
+            at = cell
+            if keys is not None:  # the rank of each key in place of the key
+                at = np.searchsorted(keys, cell // radix) * radix + cell % radix
+            np.add.at(joint, at, probs)
+    return [joint.reshape(size, radix) for joint, size in zip(joints, sizes)]
 
 
 def _packer(cols, lows: tuple, radices: tuple, count: int):
@@ -306,41 +318,36 @@ def _packer(cols, lows: tuple, radices: tuple, count: int):
     return pack
 
 
-def _conditional_laws(seq: DependentSequence, pack, lows: tuple, radices: tuple,
-                      total: np.ndarray) -> ConditionalTable:
+def _conditional_laws(seq: DependentSequence, pack, digits: list,
+                      total: np.ndarray) -> list:
     """The :class:`ConditionalTable` of ``W`` (``total``, every outcome's)
-    given integer columns of digits ``lows`` and ``radices``, ``pack(rows)``
-    being the int64 key of a row block's outcomes.
-
-    Groups are packed keys where their space is at most the outcome count,
-    else the ranks of the attained keys, the sorted union of each block's.
-    This enumeration is the independent oracle of the conditional laws: the
+    given each of a list of column sets, ``digits`` holding each one's
+    ``(lows, radices)``, all counted in one :func:`_joint` pass of the int64
+    keys ``pack(rows)`` of a row block's outcomes.  Each set is the trailing
+    columns of the set before it, so its key is the packed key modulo its
+    space, the product of its radices; past the outcome count a key is
+    ranked among the attained keys, the sorted union of each block's.  This
+    enumeration is the independent oracle of the conditional laws: the
     imbedding engine that gives the runs models' theorem 3.1 terms at any
     ``n`` (``psdapprox.imbedding``) shares none of it, and ``verify`` checks
     the two against each other."""
-    keys, group, size = None, pack, math.prod(radices)
-    if size > seq.outcome_count:
-        keys = np.unique(np.concatenate(
-            [np.unique(pack(rows)) for rows in _row_blocks(seq.outcome_count)]))
-        size = len(keys)
-
-        def group(rows):
-            return np.searchsorted(keys, pack(rows))
-    joint = _joint(seq, group, size, total)
-    mass = joint.sum(axis=1)
-    has_mass = mass > 0
-    d = np.zeros(size)
-    d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
-    return ConditionalTable(d, has_mass, lows, radices, keys)
-
-
-def _window_table(seq: DependentSequence, cols: list, total: np.ndarray) -> ConditionalTable:
-    """The :class:`ConditionalTable` of ``W`` (``total``) given the window
-    sums ``cols``, a list of one or two, packed by row blocks."""
-    lows = tuple(int(col.min()) for col in cols)
-    radices = tuple(int(col.max()) - low + 1 for col, low in zip(cols, lows))
-    return _conditional_laws(seq, _packer(cols, lows, radices, seq.outcome_count),
-                             lows, radices, total)
+    spaces = [math.prod(radices) for _, radices in digits]
+    attained = {t: [] for t, space in enumerate(spaces) if space > seq.outcome_count}
+    for rows in _row_blocks(seq.outcome_count) if attained else ():
+        key = pack(rows)
+        for t, found in attained.items():
+            found.append(np.unique(key % spaces[t]))
+    ranks = [np.unique(np.concatenate(attained[t])) if t in attained else None
+             for t in range(len(digits))]
+    tables = []
+    for joint, (lows, radices), keys in zip(_joint(seq, pack, spaces, ranks, total),
+                                            digits, ranks):
+        mass = joint.sum(axis=1)
+        has_mass = mass > 0
+        d = np.zeros(len(joint))
+        d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
+        tables.append(ConditionalTable(d, has_mass, lows, radices, keys))
+    return tables
 
 
 def _parity_table(seq: DependentSequence, conditioning: str) -> ConditionalTable:
@@ -353,7 +360,7 @@ def _parity_table(seq: DependentSequence, conditioning: str) -> ConditionalTable
             for j in range(2 if conditioning == "even" else 1, seq.n + 1, 2))
     key, lows, radices = pack_columns(cols, seq.outcome_count)
     pack = _packer([key], (0,), (math.prod(radices),), seq.outcome_count)
-    return _conditional_laws(seq, pack, lows, radices, _with_total(seq)[0])
+    return _conditional_laws(seq, pack, [(lows, radices)], _with_total(seq)[0])[0]
 
 
 def _with_total(seq: DependentSequence, *windows: range) -> tuple:
@@ -367,7 +374,7 @@ def _with_total(seq: DependentSequence, *windows: range) -> tuple:
     return (*(seq._window_sums(*windows) if windows else ()), cached)
 
 
-def _outcome_d(seq: DependentSequence, table: ConditionalTable, cols: list) -> np.ndarray:
+def _outcome_d(seq: DependentSequence, table: ConditionalTable, cols) -> np.ndarray:
     """Each outcome's conditional ``D`` from ``table``, built on the
     columns ``cols``, as a new float64 array, by row blocks: each block's
     key packed with the table's digits and read through
@@ -380,42 +387,41 @@ def _outcome_d(seq: DependentSequence, table: ConditionalTable, cols: list) -> n
     return d
 
 
-def conditional_table(seq: DependentSequence, i: int, conditioning: str, cols=None) -> tuple:
-    """``(table, d)``: the :class:`ConditionalTable` of ``W`` given
-    ``conditioning`` at index ``i`` (see :func:`exact_conditional_D`), and,
-    when the caller passes the conditioning's columns ``cols``, the
-    conditional ``D`` of every outcome as a new float64 array, else None.
+def conditional_table(seq: DependentSequence, i: int, conditioning: str,
+                      windows=None) -> ConditionalTable:
+    """The :class:`ConditionalTable` of ``W`` given ``conditioning`` at
+    index ``i`` (see :func:`exact_conditional_D`).
 
     Each table is built once per sequence and kept in its cache under
     ``"conditional"`` (one even and one odd table, whatever ``i``); only
-    per-group arrays are kept.  Every table is counted by row blocks
-    (:func:`_joint`).  A table built from ``cols`` reads the sequence's
-    cached :meth:`~DependentSequence.w_values`, and each outcome's ``D``
-    is taken block by block.  Without ``cols``, the ``n2`` and ``n1n2``
-    tables of index ``i`` are built together from one pass of
-    :meth:`~DependentSequence._window_sums`, which streams ``W`` too unless
-    it is cached: with the outcome probabilities formed per row block, the
-    two tables hold per outcome only the two window sums and ``W``, a byte
-    each where they fit.
+    per-group arrays are kept.  A miss on ``n2`` or ``n1n2`` counts both
+    tables of index ``i`` in one pass over the row blocks (:func:`_joint`)
+    from one packed key.  ``windows``, the radius-1 and radius-2 window
+    sums of every outcome where the caller has them, are read with the
+    sequence's cached :meth:`~DependentSequence.w_values`; without them,
+    the windows and ``W`` are streamed by :func:`_with_total`, so with the
+    outcome probabilities formed per row block the two tables hold per
+    outcome only the two window sums and ``W``, a byte each where they
+    fit.
     """
     memo = seq._cache.setdefault("conditional", {})
     windowed = conditioning in ("n2", "n1n2")
     key = (i if windowed else None, conditioning)  # even/odd ignore i
-    if cols is not None:
-        cols = list(cols)
-        if key not in memo:
-            memo[key] = _window_table(seq, cols, seq.w_values())
-        return memo[key], _outcome_d(seq, memo[key], cols)
-    if key not in memo:
-        if windowed:
-            v1, v2, total = _with_total(
-                seq, *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
-            for name, window_cols in (("n2", [v2]), ("n1n2", [v1, v2])):
-                if (i, name) not in memo:
-                    memo[i, name] = _window_table(seq, window_cols, total)
-        else:
-            memo[key] = _parity_table(seq, conditioning)
-    return memo[key], None
+    if key in memo:
+        return memo[key]
+    if not windowed:
+        memo[key] = _parity_table(seq, conditioning)
+        return memo[key]
+    if windows is None:
+        *windows, total = _with_total(seq, *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
+    else:
+        windows, total = list(windows), seq.w_values()
+    lows = tuple(int(col.min()) for col in windows)
+    radices = tuple(int(col.max()) - low + 1 for col, low in zip(windows, lows))
+    pack = _packer(windows, lows, radices, seq.outcome_count)
+    memo[i, "n1n2"], memo[i, "n2"] = _conditional_laws(
+        seq, pack, [(lows, radices), (lows[1:], radices[1:])], total)
+    return memo[key]
 
 
 def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> dict:
@@ -427,7 +433,7 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
     radius-2) pair, ``"even"``/``"odd"`` on the tuple of even- or odd-indexed
     summands.  Keys come in increasing (lexicographic) order, as Python ints.
     """
-    table, _ = conditional_table(seq, i, conditioning)
+    table = conditional_table(seq, i, conditioning)
     groups = np.flatnonzero(table.has_mass)
     out = {}
     for value, d in zip(table.values(groups).tolist(), table.d[groups].tolist()):

@@ -642,19 +642,6 @@ def pack_columns(cols, count: int) -> tuple:
     return np.zeros(count, dtype=np.int64) if key is None else key, tuple(lows), tuple(radices)
 
 
-def _rank(key: np.ndarray, space: int) -> tuple:
-    """``(ids, values)``: the dense rank of each non-negative integer key
-    below ``space``, in increasing order of value, and the distinct keys in
-    that order.  Keys are ranked by a presence ``bincount`` and its
-    ``cumsum`` where ``space`` is at most the number of keys, and by
-    ``np.unique`` (a sort) otherwise; both give the same ranks."""
-    if space > len(key):
-        values, ids = np.unique(key, return_inverse=True)
-        return ids, values
-    present = np.bincount(key, minlength=space) > 0
-    return (np.cumsum(present) - 1)[key], np.flatnonzero(present)
-
-
 def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     """Check the joint law factorizes across every split with the stated gap.
 
@@ -674,7 +661,7 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     split is one weighted ``bincount`` of the pair key ``suf n_pre + pre``;
     the marginals are the row and column sums of that joint table.  Where
     the table would pass the outcome count, the attained pair keys are
-    ranked by :func:`_rank` and the marginals summed over them.  Packing the
+    ranked by ``np.unique`` and the marginals summed over them.  Packing the
     lowest index least significant keeps the pair key close to the outcome
     order on models whose summands read the trials in order, so the
     ``bincount`` writes its table almost in order.
@@ -740,18 +727,17 @@ def _factorizes(key: np.ndarray, w: np.ndarray, n_suf: int, n_pre: int, massless
         bad &= counts > 0
         return not bad.any()
     # The attained pairs, ranked by their key; each key names its two groups.
-    ids, keys = _rank(key, space)
+    keys, ids = np.unique(key, return_inverse=True)
     joint = np.bincount(ids, weights=w)
     del ids
-    suf_sums, pre_sums = (_group_sums(of, size, joint)
-                          for of, size in zip(np.divmod(keys, n_pre), (n_suf, n_pre)))
+    suf_sums, pre_sums = (_group_sums(of, joint) for of in np.divmod(keys, n_pre))
     return not np.any(np.abs(joint - suf_sums * pre_sums) > 1e-12)
 
 
-def _group_sums(key: np.ndarray, space: int, weights: np.ndarray) -> np.ndarray:
-    """The sum of ``weights`` over each value of ``key`` (below ``space``),
-    at every entry: the margin of each attained pair's group."""
-    ids, _ = _rank(key, space)
+def _group_sums(key: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The sum of ``weights`` over each value of ``key``, at every entry:
+    the margin of each attained pair's group."""
+    _, ids = np.unique(key, return_inverse=True)
     return np.bincount(ids, weights=weights)[ids]
 
 

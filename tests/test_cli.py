@@ -787,6 +787,38 @@ def test_verify_passes_with_trials_at_probability_zero(tmp_path, capsys, p):
     assert "FAIL" not in out
 
 
+def test_verify_compares_laws_of_different_lengths_zero_padded(tmp_path, capsys):
+    # The DP law keeps a subnormal mass at 1 that enumeration underflows to 0
+    # and trims; within atol the two laws agree.
+    p = [0.5, 5e-324, 5e-324, 1.0]
+    model = tmp_path / "subnormal.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": p}))
+    assert dp_distribution(two_runs_automaton(), p).masses == (1.0, 5e-324)
+    assert brute_force_distribution(TwoRunsModel(p)).masses == (1.0,)
+    assert main(["verify", "--model", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS dp-vs-enumeration\n" in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("engine", ["_model_law", "brute_force_distribution"])
+def test_verify_fails_a_trailing_mass_past_atol(tmp_path, capsys, monkeypatch, engine):
+    import psdapprox.cli as cli_mod
+
+    original = getattr(cli_mod, engine)
+
+    def longer(seq, **exact):  # the float law with one more mass, of 2e-14, at its end
+        law = original(seq, **exact)
+        if exact:
+            return law
+        return law.__class__(law.support_min, law.masses + (2e-14,), law.tail_mass_bound)
+    monkeypatch.setattr(cli_mod, engine, longer)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": [0.25, 0.5, 0.375, 0.5]}))
+    assert main(["verify", "--model", str(model)]) == 1
+    assert "FAIL dp-vs-enumeration\n" in capsys.readouterr().out
+
+
 def test_verify_reports_skipped_point_mass_fit(tmp_path, capsys):
     model = tmp_path / "zeros.json"
     model.write_text(json.dumps({"model": "two-runs", "p": [0.0] * 12}))
@@ -805,7 +837,8 @@ def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, mon
     tables = []
     original = oracle_mod._conditional_laws
     monkeypatch.setattr(oracle_mod, "_conditional_laws",
-                        lambda seq, *args: tables.append(args) or original(seq, *args))
+                        lambda seq, pack, digits, total:
+                        tables.extend(digits) or original(seq, pack, digits, total))
     assert main(["verify", "--model", two_runs_model_file]) == 0
     out = capsys.readouterr().out
     assert "PASS domination-poisson-theorem31" in out
@@ -819,7 +852,8 @@ def test_verify_shares_the_conditional_tables_with_the_smoothing(tmp_path, capsy
     tables = []
     original = oracle_mod._conditional_laws
     monkeypatch.setattr(oracle_mod, "_conditional_laws",
-                        lambda seq, *args: tables.append(args) or original(seq, *args))
+                        lambda seq, pack, digits, total:
+                        tables.extend(digits) or original(seq, pack, digits, total))
     product = tmp_path / "product.json"
     product.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.3] * 8}))
     assert main(["verify", "--model", str(product)]) == 0

@@ -43,7 +43,6 @@ from psdapprox.runs import K1K2Model, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
     DependentSequence,
-    _rank,
     dependence_certificate,
     pack_columns,
 )
@@ -205,9 +204,10 @@ def _unique_group_rows(cols, count):
 
 def _packed_ranks(cols, count):
     """``(ids, keys)``: the dense lexicographic rank of each outcome's
-    value tuple, from its packed key, and the attained keys."""
-    key, _, radices = pack_columns(cols, count)
-    return _rank(key, math.prod(radices))
+    value tuple, from its packed key ranked by ``np.unique``, and the
+    attained keys."""
+    keys, ids = np.unique(pack_columns(cols, count)[0], return_inverse=True)
+    return ids, keys
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -240,26 +240,19 @@ def _pack_both(cols, count):
     return got
 
 
-def test_pack_columns_and_rank_give_dense_lexicographic_ids():
+def test_pack_columns_gives_lexicographic_keys():
     cols = (np.array([2, 0, 2, 1, 0]), np.array([1, 5, 1, 0, 5]))
     key, lows, radices = _pack_both(cols, 5)
-    assert (key.tolist(), lows, radices) == ([13, 5, 13, 6, 5], (0, 0), (3, 6))
-    ids, keys = _rank(key, math.prod(radices))  # 18 keys, 5 outcomes: sorted
     # (0,5) < (1,0) < (2,1)
-    assert ids.tolist() == [2, 0, 2, 1, 0]
-    assert keys.tolist() == [5, 6, 13]
+    assert (key.tolist(), lows, radices) == ([13, 5, 13, 6, 5], (0, 0), (3, 6))
     cols = (np.array([-1, 2, -1, 2]), np.array([2, -3, 0, 4]))  # any integers
     key, lows, radices = _pack_both(cols, 4)
-    assert (lows, radices) == ((-1, -3), (4, 8))
-    assert _rank(key, math.prod(radices))[0].tolist() == [1, 2, 0, 3]
-    # Space 4 of 4 outcomes, ranked by counting; no outcome takes (0, 0).
+    assert (key.tolist(), lows, radices) == ([5, 24, 3, 31], (-1, -3), (4, 8))
+    # No outcome takes (0, 0).
     key, lows, radices = _pack_both((np.array([1, 1, 0, 1]), np.array([0, 1, 1, 1])), 4)
     assert key.tolist() == [2, 3, 1, 3] and radices == (2, 2)
-    ids, keys = _rank(key, math.prod(radices))
-    assert ids.tolist() == [1, 2, 0, 2] and keys.tolist() == [1, 2, 3]
     key, lows, radices = _pack_both((), 4)
-    assert (key.tolist(), lows, radices) == ([0, 0, 0, 0], (), ())
-    assert _rank(key, 1)[0].tolist() == [0, 0, 0, 0]
+    assert (key.dtype, key.tolist(), lows, radices) == (np.int64, [0, 0, 0, 0], (), ())
 
 
 def test_parity_columns_past_2_63_are_refused():
@@ -316,10 +309,10 @@ def test_scaled_model_groups_past_the_packed_key_space():
     seq = ScaledRuns(_uniform(6, 8))
     assert seq.outcome_count == 256
     # v1 takes 16 values and v2 26 at index 4: 416 packed keys.
-    assert conditional_table(seq, 4, "n1n2")[0].keys is not None
-    assert conditional_table(seq, 4, "odd")[0].keys is not None
-    assert conditional_table(seq, 4, "n2")[0].radices == (26,)
-    assert conditional_table(seq, 1, "n1n2")[0].radices == (11, 16)
+    assert conditional_table(seq, 4, "n1n2").keys is not None
+    assert conditional_table(seq, 4, "odd").keys is not None
+    assert conditional_table(seq, 4, "n2").radices == (26,)
+    assert conditional_table(seq, 1, "n1n2").radices == (11, 16)
     assert len(exact_conditional_D(seq, 4, "n1n2")) > 1
 
 
@@ -473,6 +466,49 @@ def test_block_counted_tables_equal_one_bincount_across_row_blocks(name):
     for (i, conditioning), table in zip(cases, got):
         want = _reference_conditional_D(seq, i, conditioning)
         assert list(table.items()) == list(want.items()), (i, conditioning)
+
+
+def _counting_row_blocks(seq) -> list:
+    """The start row of every probability block ``seq`` forms from now on,
+    in order, recorded by a wrapper of its ``_prob_blocks``."""
+    starts, original = [], seq._prob_blocks
+
+    def counted():
+        for rows, probs in original():
+            starts.append(rows.start)
+            yield rows, probs
+    seq._prob_blocks = counted
+    return starts
+
+
+def test_one_pass_counts_both_window_tables_of_an_index():
+    seq = _blocked_cases()["two-runs-19"]
+    starts = _counting_row_blocks(seq)
+    for i in (1, 5, seq.n):
+        starts.clear()
+        n2 = exact_conditional_D(seq, i, "n2")
+        assert starts == list(range(0, seq.outcome_count, 2**16))  # each block once
+        assert {(i, "n2"), (i, "n1n2")} <= set(seq._cache["conditional"])
+        n1n2 = exact_conditional_D(seq, i, "n1n2")  # read back from the memo
+        assert len(starts) == 8
+        for conditioning, got in (("n2", n2), ("n1n2", n1n2)):
+            want = _reference_conditional_D(_blocked_cases()["two-runs-19"], i, conditioning)
+            assert list(got.items()) == list(want.items())
+    assert "probs" not in seq._cache  # the blocks were formed, not sliced
+
+
+@pytest.mark.parametrize("seq", _models()[1:4], ids=lambda s: f"{s.kind}-n{s.n}")
+def test_weighted_sums_count_the_tables_of_an_index_in_one_pass(seq, monkeypatch):
+    import psdapprox.oracle as oracle_mod
+
+    passes = []
+    original = oracle_mod._joint
+    monkeypatch.setattr(oracle_mod, "_joint",
+                        lambda seq, *args: passes.append(args) or original(seq, *args))
+    seq._cache.pop("conditional", None)
+    assert ExactConditionalTerms(seq).weighted_sums() == _reference_weighted_sums(seq)
+    assert len(passes) == seq.n
+    assert len(seq._cache["conditional"]) == 2 * seq.n
 
 
 @pytest.mark.parametrize("seq, ranked", [(ScaledRuns(_uniform(6, 8)), True),
