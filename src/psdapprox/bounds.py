@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
-from .oracle import _outcome_d, conditional_table, exact_conditional_D, shift_regularity
+from .oracle import exact_conditional_D, outcome_d, shift_regularity
 from .sequences import DependentSequence, MomentSet, _bracket
 
 MEAN_MATCH_TOL = 1e-9
@@ -295,14 +295,14 @@ class ExactConditionalTerms:
         for i in range(1, seq.n + 1):
             windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
             xi, v1, v2 = seq._window_sums(range(i, i + 1), *windows)
-            d = _outcome_d(seq, conditional_table(seq, i, "n1n2", (v1, v2)), (v1, v2))
+            d = outcome_d(seq, i, "n1n2", (v1, v2))
             np.copyto(x, xi)
             _bracket(col, v1, v2)
             sum_q1 += float(w @ x) * weighted(d)
             col *= x
             sum_q2 += weighted(d)
             del d  # freed before the n2 D is read
-            d = _outcome_d(seq, conditional_table(seq, i, "n2", (v1, v2)), (v2,))
+            d = outcome_d(seq, i, "n2", (v1, v2))
             np.copyto(col, v2)
             col -= 1
             col *= x

@@ -272,30 +272,35 @@ def _joint(seq: DependentSequence, pack, spaces: list, ranks: list,
            total: np.ndarray) -> list:
     """``joint[g, k]`` of each table, the mass of its group ``g`` at ``W =
     k``, ``total`` being ``W`` of every outcome, counted in one pass over
-    the row blocks of :meth:`~DependentSequence._prob_blocks`.  ``pack(rows)``,
-    the int64 key of a block's outcomes, becomes in place the cell key
-    ``key radix + W``, ``radix`` being ``max W + 1`` over all outcomes.
-    Table ``t`` groups by the key modulo ``spaces[t]``, which divides the
-    space before it, so its cell key is the one before modulo ``spaces[t]
-    radix``, taken in place; or, with ``ranks[t]``, by the rank of that key
-    among these sorted attained keys.  One ``np.add.at`` per table adds each
-    outcome's probability to its cell, in enumeration order, as one
-    ``bincount`` of every outcome would: each cell is the same sum, bit for
-    bit."""
+    the row blocks of :meth:`~DependentSequence._prob_blocks`.
+    ``pack(rows)`` is the int64 key of a block's outcomes.  Table ``t``
+    groups by that key modulo ``spaces[t]``, which divides the space before,
+    or, with ``ranks[t]``, by its rank among these sorted attained keys;
+    ranked tables come first, their spaces passing the outcome count.  An
+    outcome's cell is ``group radix + W``, ``radix`` being ``max W + 1``
+    over all outcomes, which fits int64 as a group, unlike a key, is below
+    the outcome count.  The first unranked table forms its cells in place
+    of the keys, a later one takes them modulo ``spaces[t] radix``.  One
+    ``np.add.at`` per table adds each outcome's probability to its cell in
+    enumeration order, as one ``bincount`` of every outcome would: each
+    cell is the same sum, bit for bit."""
     radix = int(total.max()) + 1
     sizes = [space if keys is None else len(keys) for space, keys in zip(spaces, ranks)]
     joints = [np.zeros(size * radix) for size in sizes]
     for rows, probs in seq._prob_blocks():
-        cell = pack(rows)
-        cell *= radix
-        cell += total[rows]
+        key, cell = pack(rows), None
         for t, (joint, space, keys) in enumerate(zip(joints, spaces, ranks)):
-            if t:
+            if cell is not None:  # the unranked table before left its cells
                 cell %= space * radix
-            at = cell
-            if keys is not None:  # the rank of each key in place of the key
-                at = np.searchsorted(keys, cell // radix) * radix + cell % radix
-            np.add.at(joint, at, probs)
+            else:
+                if t:
+                    key %= space
+                cell = key if keys is None else np.searchsorted(keys, key)
+                cell *= radix
+                cell += total[rows]
+            np.add.at(joint, cell, probs)
+            if keys is not None:
+                cell = None
     return [joint.reshape(size, radix) for joint, size in zip(joints, sizes)]
 
 
@@ -320,17 +325,14 @@ def _packer(cols, lows: tuple, radices: tuple, count: int):
 
 def _conditional_laws(seq: DependentSequence, pack, digits: list,
                       total: np.ndarray) -> list:
-    """The :class:`ConditionalTable` of ``W`` (``total``, every outcome's)
-    given each of a list of column sets, ``digits`` holding each one's
-    ``(lows, radices)``, all counted in one :func:`_joint` pass of the int64
-    keys ``pack(rows)`` of a row block's outcomes.  Each set is the trailing
-    columns of the set before it, so its key is the packed key modulo its
-    space, the product of its radices; past the outcome count a key is
-    ranked among the attained keys, the sorted union of each block's.  This
-    enumeration is the independent oracle of the conditional laws: the
-    imbedding engine that gives the runs models' theorem 3.1 terms at any
-    ``n`` (``psdapprox.imbedding``) shares none of it, and ``verify`` checks
-    the two against each other."""
+    """The :class:`ConditionalTable` of ``W`` (``total``) given each of a
+    list of column sets, each the trailing columns of the one before, of
+    digits ``(lows, radices)`` in ``digits``, counted in one :func:`_joint`
+    pass of the keys ``pack(rows)``; a key space past the outcome count is
+    ranked by the sorted union of each block's attained keys.  This is the
+    independent oracle of the conditional laws: the imbedding engine
+    (``psdapprox.imbedding``) shares none of it, and ``verify`` checks the
+    two against each other."""
     spaces = [math.prod(radices) for _, radices in digits]
     attained = {t: [] for t, space in enumerate(spaces) if space > seq.outcome_count}
     for rows in _row_blocks(seq.outcome_count) if attained else ():
@@ -374,19 +376,6 @@ def _with_total(seq: DependentSequence, *windows: range) -> tuple:
     return (*(seq._window_sums(*windows) if windows else ()), cached)
 
 
-def _outcome_d(seq: DependentSequence, table: ConditionalTable, cols) -> np.ndarray:
-    """Each outcome's conditional ``D`` from ``table``, built on the
-    columns ``cols``, as a new float64 array, by row blocks: each block's
-    key packed with the table's digits and read through
-    :meth:`ConditionalTable.ids`."""
-    pack = _packer(cols, table.lows, table.radices, seq.outcome_count)
-    d = np.empty(seq.outcome_count)
-    for rows in _row_blocks(seq.outcome_count):
-        # Every id is in range; "clip" spares the copy of out that "raise" makes.
-        np.take(table.d, table.ids(pack(rows)), out=d[rows], mode="clip")
-    return d
-
-
 def conditional_table(seq: DependentSequence, i: int, conditioning: str,
                       windows=None) -> ConditionalTable:
     """The :class:`ConditionalTable` of ``W`` given ``conditioning`` at
@@ -396,16 +385,17 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     ``"conditional"`` (one even and one odd table, whatever ``i``); only
     per-group arrays are kept.  A miss on ``n2`` or ``n1n2`` counts both
     tables of index ``i`` in one pass over the row blocks (:func:`_joint`)
-    from one packed key.  ``windows``, the radius-1 and radius-2 window
-    sums of every outcome where the caller has them, are read with the
-    sequence's cached :meth:`~DependentSequence.w_values`; without them,
-    the windows and ``W`` are streamed by :func:`_with_total`, so with the
-    outcome probabilities formed per row block the two tables hold per
-    outcome only the two window sums and ``W``, a byte each where they
-    fit.
+    from one packed key.  ``windows``, the window sums ``(v1, v2)`` of
+    every outcome where the caller has them, are read with the cached
+    :meth:`~DependentSequence.w_values`; else the windows and ``W`` are
+    streamed by :func:`_with_total`, so with the outcome probabilities
+    formed per row block the two tables hold per outcome the two window
+    sums and ``W`` alone, a byte each where they fit.
     """
     memo = seq._cache.setdefault("conditional", {})
     windowed = conditioning in ("n2", "n1n2")
+    if windows is not None and (not windowed or len(windows) != 2):
+        raise ValueError("windows are the (radius-1, radius-2) sums of an n2 or n1n2 table")
     key = (i if windowed else None, conditioning)  # even/odd ignore i
     if key in memo:
         return memo[key]
@@ -422,6 +412,21 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     memo[i, "n1n2"], memo[i, "n2"] = _conditional_laws(
         seq, pack, [(lows, radices), (lows[1:], radices[1:])], total)
     return memo[key]
+
+
+def outcome_d(seq: DependentSequence, i: int, conditioning: str, windows) -> np.ndarray:
+    """Each outcome's ``D`` in the ``n2`` or ``n1n2`` table of ``windows``
+    ``(v1, v2)`` (:func:`conditional_table`), as a new float64 array, by
+    row blocks: each block's key of the table's columns read through
+    :meth:`ConditionalTable.ids`."""
+    table = conditional_table(seq, i, conditioning, windows)
+    cols = windows[len(windows) - len(table.radices):]
+    pack = _packer(cols, table.lows, table.radices, seq.outcome_count)
+    d = np.empty(seq.outcome_count)
+    for rows in _row_blocks(seq.outcome_count):
+        # Every id is in range; "clip" spares the copy of out that "raise" makes.
+        np.take(table.d, table.ids(pack(rows)), out=d[rows], mode="clip")
+    return d
 
 
 def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> dict:

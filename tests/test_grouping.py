@@ -124,16 +124,17 @@ def _reference_conditional_D(seq, i, conditioning):
         r = int(col.max()) + 1
         radices.append(r)
         packed = packed * r + col
+    attained, ids = np.unique(packed, return_inverse=True)
     w_radix = int(total.max()) + 1
-    joint = np.bincount(packed * w_radix + total, weights=w,
-                        minlength=int(packed.max() + 1) * w_radix)
+    joint = np.bincount(ids.ravel() * w_radix + total, weights=w,
+                        minlength=len(attained) * w_radix)
     joint = joint.reshape(-1, w_radix)
     out = {}
     group_mass = joint.sum(axis=1)
     for g in np.nonzero(group_mass > 0)[0]:
         cond = joint[g] / group_mass[g]
         value = []
-        rem = int(g)
+        rem = int(attained[g])
         for r in reversed(radices):
             value.append(rem % r)
             rem //= r
@@ -264,6 +265,18 @@ def test_parity_columns_past_2_63_are_refused():
     assert exact_conditional_D(seq, 3, "n2") == _reference_conditional_D(seq, 3, "n2")
 
 
+def test_a_ranked_key_times_the_W_radix_may_pass_2_63():
+    """39 odd columns of values 0..2 pack into keys below ``3^39 < 2^63``,
+    ranked among the 1024 outcomes; the largest key times the ``W`` radix,
+    157, passes ``2^63``, so a cell is formed from the rank of a key, not
+    from the key."""
+    seq = _ManyPairSums(78)
+    assert 3**39 < 2**63 < (3**39 - 1) * (int(seq.w_values().max()) + 1)
+    got = exact_conditional_D(seq, 1, "odd")
+    assert conditional_table(seq, 1, "odd").keys is not None
+    assert list(got.items()) == list(_reference_conditional_D(seq, 1, "odd").items())
+
+
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
 def test_exact_conditional_D_matches_radix_packed_reference(seq):
     seq._cache.pop("conditional", None)
@@ -303,6 +316,15 @@ def test_weighted_sums_read_back_tables_built_without_columns(seq):
     built = dict(seq._cache["conditional"])
     assert ExactConditionalTerms(seq).weighted_sums() == _reference_weighted_sums(seq)
     assert all(seq._cache["conditional"][key] is table for key, table in built.items())
+
+
+@pytest.mark.parametrize("conditioning, arity", [("n2", 1), ("n1n2", 3), ("odd", 2)])
+def test_a_table_refuses_windows_other_than_v1_and_v2(conditioning, arity):
+    seq = TwoRunsModel([0.5] * 5)
+    windows = seq._window_sums(*(seq.neighborhood_indices(2, ell) for ell in (1, 2, 2)))
+    with pytest.raises(ValueError, match="radius-1, radius-2"):
+        conditional_table(seq, 2, conditioning, windows[:arity])
+    assert not seq._cache["conditional"]
 
 
 def test_scaled_model_groups_past_the_packed_key_space():

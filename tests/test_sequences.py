@@ -20,10 +20,9 @@ from psdapprox.sequences import (
 )
 from psdapprox.bounds import ExactConditionalTerms
 from psdapprox.oracle import (
-    _outcome_d,
     brute_force_distribution,
-    conditional_table,
     exact_conditional_D,
+    outcome_d,
 )
 from psdapprox.runs import K1K2Model, TwoRunsModel
 
@@ -390,8 +389,8 @@ def _reference_weighted_sums(seq) -> tuple:
         xi = xs[:, i - 1].astype(float)
         v1, v2 = (_window(seq, xs, i, ell).astype(np.int64) for ell in (1, 2))
         bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
-        d12_w = _outcome_d(seq, conditional_table(seq, i, "n1n2", (v1, v2)), (v1, v2))
-        d2_w = _outcome_d(seq, conditional_table(seq, i, "n2", (v1, v2)), (v2,))
+        d12_w = outcome_d(seq, i, "n1n2", (v1, v2))
+        d2_w = outcome_d(seq, i, "n2", (v1, v2))
         sum_q1 += float(w @ xi) * float(w @ (bracket * d12_w))
         sum_q2 += float(w @ (xi * bracket * d12_w))
         sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
