@@ -220,8 +220,10 @@ class BoundReport:
 
 def target_mean(spec) -> float:
     """The mean of a target every variant takes: a Panjer family, whose ``a``
-    and ``b`` the bounds use, with moments.  It reads nothing of the sum, so
-    a target is refused before any moment of the sum is computed."""
+    and ``b`` the bounds use, with moments (``b < 1``, and no ``max_support``
+    that cuts the recursion; see :meth:`PanjerPSD.mean_var`).  It reads
+    nothing of the sum, so a target is refused before any moment of the sum
+    is computed."""
     if not isinstance(spec, PanjerPSD):
         raise PreconditionError("the bounds need a Panjer target (a, b); a series target has none")
     return spec.mean

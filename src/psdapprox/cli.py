@@ -284,12 +284,10 @@ def cmd_verify(args) -> int:
     labels = {variant: "theorem31" if variant == "theorem" else variant
               for variant in BOUND_VARIANTS
               if variant != "closed-form" or hasattr(seq, "closed_form_bound")}
-    targets = [("poisson", poisson_family(oracle_moments.mean_w))]
-    if oracle_moments.var_w > oracle_moments.mean_w > 0:
-        targets.append(
-            ("nb", nb_fit_from_moments(oracle_moments.mean_w, oracle_moments.var_w))
-        )
-    for name, spec in targets:
+    mean, var = oracle_moments.mean_w, oracle_moments.var_w
+    fits = ("poisson", "nb") if var > mean > 0 else ("poisson",)
+    for name in fits:
+        spec = _fit_target(name, mean, var)
         if spec.a <= 0:
             for label in sorted(labels.values()):
                 _print(f"SKIP domination-{name}-{label} "

@@ -14,7 +14,8 @@ class NonNormalizableError(PsdApproxError):
 
 
 class UndefinedMomentsError(PsdApproxError):
-    """Requested moments do not exist for these parameters (b >= 1)."""
+    """The Panjer moments ``a/(1-b)`` and ``a/(1-b)^2`` do not hold: ``b >= 1``,
+    or a ``max_support`` cuts the recursion."""
 
 
 class LemmaConditionError(PsdApproxError):

@@ -212,11 +212,15 @@ class PanjerPSD:
         reach = 10 * _TABLE_TAIL * growth * (1 - self.b) / min(self.a, self.b)
         return (_MAX_TABLE - mode) * math.log(self.b) >= math.log(reach)
 
+    def _snap(self, k: int) -> float:
+        """The rounding band of ``a + b k``: a value within it is 0."""
+        return _ZERO_SNAP * (abs(self.a) + abs(self.b) * k + 1)
+
     def _step(self, value: float, k: int) -> float:
         """One recursion step ``u_{k+1}`` from ``u_k``, snapping dust to 0."""
         c = self.op_coeff(k)
         if c < 0:
-            if abs(c) <= _ZERO_SNAP * (abs(self.a) + abs(self.b) * k + 1):
+            if abs(c) <= self._snap(k):
                 return 0.0
             raise InvalidFamilyError(
                 f"a + b k = {c} < 0 inside claimed support at k={k}"
@@ -300,9 +304,19 @@ class PanjerPSD:
         return PMFTable(0, masses, 0.0)
 
     def mean_var(self):
-        """Mean ``a/(1-b)`` and variance ``a/(1-b)^2``; requires ``b < 1``."""
+        """Mean ``a/(1-b)`` and variance ``a/(1-b)^2``; requires ``b < 1``,
+        and refuses a ``max_support`` ``K`` that cuts the recursion: one the
+        table reaches with ``p_K > 0`` and ``a + b K`` above :meth:`_snap`.
+        The cut family is outside the Panjer class, and these are not its
+        moments."""
         if self.b >= 1:
             raise UndefinedMomentsError(f"moments undefined for b={self.b} >= 1")
+        K = self.max_support
+        if (K is not None and K < len(self._masses) and self._masses[K] > 0
+                and self.op_coeff(K) > self._snap(K)):
+            raise UndefinedMomentsError(
+                f"max_support = {K} cuts the recursion where (a + b K) p_K > 0; "
+                "a/(1-b) is not the mean of the cut family")
         return self.a / (1 - self.b), self.a / (1 - self.b) ** 2
 
     @property
@@ -601,7 +615,6 @@ class SteinSolution:
         self.ef_slack = table.tail_mass_bound * (self._f_bound + abs(self.ef))
         self._h = fv - self.ef
         terms = p * self._h
-        self._terms = terms
         # S[k] = sum_{j<k} p_j h_j ; R[k] = sum_{j>=k} p_j h_j (reverse order
         # accumulates the smallest contributions first).
         self._S = np.concatenate(([0.0], np.cumsum(terms)))
@@ -647,32 +660,6 @@ class SteinSolution:
             cached = -total / k
             self._memo[k] = cached
         return cached
-
-    # -- displayed forms, for consistency diagnostics ------------------------
-
-    def forward_form(self, k: int) -> float:
-        """Forward partial-sum form, compensated exactly (fsum)."""
-        if k <= 0:
-            return 0.0
-        if k > self._k_table or self._p[k] == 0.0:
-            return self(k)
-        s = math.fsum(self._terms[:k])
-        return s / (k * self._p[k]) / self.spec.g_scale
-
-    def tail_form(self, k: int) -> float:
-        """Negated tail-sum form (reverse accumulation)."""
-        if k <= 0:
-            return 0.0
-        if k > self._k_table or self._p[k] == 0.0:
-            return self(k)
-        return -self._R[k] / (k * self._p[k]) / self.spec.g_scale
-
-    def delta(self, k: int) -> float:
-        return self(k + 1) - self(k)
-
-    def sup_abs_delta(self, k_hi: Optional[int] = None) -> float:
-        hi = self._k_table if k_hi is None else k_hi
-        return max(abs(self.delta(k)) for k in range(hi + 1))
 
 
 def stein_solve(spec, f: Callable[[int], float], f_bound: Optional[float] = None) -> SteinSolution:

@@ -9,21 +9,21 @@ laws are counted by row blocks of ``2^16`` outcomes (:func:`_joint`): each
 block packs its outcomes' groups and ``W`` into an int64 cell key
 ``group * radix + W`` and adds their probabilities to the cells with
 ``np.add.at``, in enumeration order, so every cell is the sum one
-``bincount`` of all the outcomes gives.  A group is the mixed-radix key of
-the conditioning's columns, packed as
-:func:`~psdapprox.sequences.pack_columns` packs them and ranked among the
-attained keys where the key space passes the outcome count; both window
-tables of an index take one pass.  The outcome probabilities come per
-row block from :meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
+``bincount`` of all the outcomes gives.  Each table is one of index ``i``'s
+two window tables, ``n2`` and ``n1n2``, counted in one pass.  A group is
+the mixed-radix key of the window sums, packed by the rule of
+:func:`~psdapprox.sequences.pack_columns` and ranked among the attained
+keys where the key space passes the outcome count.  The outcome
+probabilities come per row block from
+:meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
 The exact-rational law of ``W`` sums integer outcome numerators over the
 sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`.
 The one thing written into a sequence is the memo of
 :func:`conditional_table`: its cache keeps one :class:`ConditionalTable` per
 (index, conditioning), per-group arrays only, so the exact conditional terms,
 :func:`exact_conditional_D` and the smoothing fallback built on it share each
-table.  A table asked for alone streams its columns, window sums or parity
-summands, from the trial spans, with no summand matrix; its window tables
-hold a byte per outcome for each window sum and for ``W`` where they fit.
+table.  A table asked for alone streams its window sums and ``W`` from the
+trial spans, with no summand matrix, a byte per outcome each where they fit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import PMFTable
-from .sequences import BLOCK_TRIALS, DependentSequence, pack_columns
+from .sequences import BLOCK_TRIALS, DependentSequence
 
 # Trials per block of the exact-rational law: its numerator table of Python
 # ints holds 2^12 outcomes.
@@ -232,10 +232,11 @@ class ConditionalTable:
     """The conditional laws of ``W`` given a statistic of integer columns,
     summarized per group of outcomes with equal column values.
 
-    A group is the :func:`pack_columns` key of ``lows`` and ``radices`` (so
-    groups follow the lexicographic order of the value tuples, and some
-    keys may name no outcome), or, where that key space exceeds the outcome
-    count, the rank of its key in ``keys``, the sorted attained keys.
+    A group is the :func:`~psdapprox.sequences.pack_columns` key of
+    ``lows`` and ``radices`` (so groups follow the lexicographic order of
+    the value tuples, and some keys may name no outcome), or, where that
+    key space exceeds the outcome count, the rank of its key in ``keys``,
+    the sorted attained keys.
     ``d[g]`` is the shift regularity of ``W`` given group ``g``, 0.0 where
     the group has no mass, and ``has_mass[g]`` says whether it has any.
     Every array is per group; none is per outcome.
@@ -306,10 +307,11 @@ def _joint(seq: DependentSequence, pack, spaces: list, ranks: list,
 
 def _packer(cols, lows: tuple, radices: tuple, count: int):
     """``pack(rows)``: the int64 key of the ``rows`` of the columns
-    ``cols``, of ``count`` rows each, packed as :func:`pack_columns` packs
-    them with the digits ``lows`` and ``radices`` of the whole columns; 0
-    with no columns.  Blocks of at most ``2^BLOCK_TRIALS`` rows are packed
-    into one buffer, so a caller reads each key before the next."""
+    ``cols``, of ``count`` rows each, packed as
+    :func:`~psdapprox.sequences.pack_columns` packs them with the digits
+    ``lows`` and ``radices`` of the whole columns; 0 with no columns.
+    Blocks of at most ``2^BLOCK_TRIALS`` rows are packed into one buffer,
+    so a caller reads each key before the next."""
     buffer = np.empty(min(count, 1 << BLOCK_TRIALS), dtype=np.int64)
 
     def pack(rows):
@@ -352,19 +354,6 @@ def _conditional_laws(seq: DependentSequence, pack, digits: list,
     return tables
 
 
-def _parity_table(seq: DependentSequence, conditioning: str) -> ConditionalTable:
-    """The :class:`ConditionalTable` of ``W`` given the ``even`` or ``odd``
-    summands, each column streamed into one int64 :func:`pack_columns` key
-    of every outcome, which refuses a key space past the largest int64."""
-    if conditioning not in ("even", "odd"):
-        raise ValueError(f"unknown conditioning {conditioning!r}")
-    cols = (seq._window_sums(range(j, j + 1))[0]
-            for j in range(2 if conditioning == "even" else 1, seq.n + 1, 2))
-    key, lows, radices = pack_columns(cols, seq.outcome_count)
-    pack = _packer([key], (0,), (math.prod(radices),), seq.outcome_count)
-    return _conditional_laws(seq, pack, [(lows, radices)], _with_total(seq)[0])[0]
-
-
 def _with_total(seq: DependentSequence, *windows: range) -> tuple:
     """The sums over ``windows``, then ``W``: the sequence's cached ``W``
     where it has one, else ``W`` streamed with the windows by
@@ -373,7 +362,7 @@ def _with_total(seq: DependentSequence, *windows: range) -> tuple:
     cached = seq._cache.get("w")
     if cached is None:
         return seq._window_sums(*windows, range(1, seq.n + 1))
-    return (*(seq._window_sums(*windows) if windows else ()), cached)
+    return (*seq._window_sums(*windows), cached)
 
 
 def conditional_table(seq: DependentSequence, i: int, conditioning: str,
@@ -382,26 +371,23 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     index ``i`` (see :func:`exact_conditional_D`).
 
     Each table is built once per sequence and kept in its cache under
-    ``"conditional"`` (one even and one odd table, whatever ``i``); only
-    per-group arrays are kept.  A miss on ``n2`` or ``n1n2`` counts both
-    tables of index ``i`` in one pass over the row blocks (:func:`_joint`)
-    from one packed key.  ``windows``, the window sums ``(v1, v2)`` of
-    every outcome where the caller has them, are read with the cached
-    :meth:`~DependentSequence.w_values`; else the windows and ``W`` are
-    streamed by :func:`_with_total`, so with the outcome probabilities
-    formed per row block the two tables hold per outcome the two window
-    sums and ``W`` alone, a byte each where they fit.
+    ``"conditional"``, keyed ``(i, conditioning)``; only per-group arrays
+    are kept.  A conditioning other than ``n2`` and ``n1n2`` is a
+    ``ValueError``.  A miss counts both tables of index ``i`` in one pass
+    over the row blocks (:func:`_joint`) from one packed key.  ``windows``,
+    the window sums ``(v1, v2)`` of every outcome where the caller has
+    them, are read with the cached :meth:`~DependentSequence.w_values`;
+    else the windows and ``W`` are streamed by :func:`_with_total`, so with
+    the outcome probabilities formed per row block the two tables hold per
+    outcome the two window sums and ``W`` alone, a byte each where they fit.
     """
     memo = seq._cache.setdefault("conditional", {})
-    windowed = conditioning in ("n2", "n1n2")
-    if windows is not None and (not windowed or len(windows) != 2):
+    if conditioning not in ("n2", "n1n2"):
+        raise ValueError(f"unknown conditioning {conditioning!r}")
+    if windows is not None and len(windows) != 2:
         raise ValueError("windows are the (radius-1, radius-2) sums of an n2 or n1n2 table")
-    key = (i if windowed else None, conditioning)  # even/odd ignore i
-    if key in memo:
-        return memo[key]
-    if not windowed:
-        memo[key] = _parity_table(seq, conditioning)
-        return memo[key]
+    if (i, conditioning) in memo:
+        return memo[i, conditioning]
     if windows is None:
         *windows, total = _with_total(seq, *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
     else:
@@ -411,7 +397,7 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     pack = _packer(windows, lows, radices, seq.outcome_count)
     memo[i, "n1n2"], memo[i, "n2"] = _conditional_laws(
         seq, pack, [(lows, radices), (lows[1:], radices[1:])], total)
-    return memo[key]
+    return memo[i, conditioning]
 
 
 def outcome_d(seq: DependentSequence, i: int, conditioning: str, windows) -> np.ndarray:
@@ -435,8 +421,8 @@ def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> di
     For every attainable value of the conditioning statistic, returns
     ``D = 2 d_TV(L(W | value), L(W | value) + 1)``.  Conditioning choices:
     ``"n2"`` on the radius-2 window sum, ``"n1n2"`` on the (radius-1,
-    radius-2) pair, ``"even"``/``"odd"`` on the tuple of even- or odd-indexed
-    summands.  Keys come in increasing (lexicographic) order, as Python ints.
+    radius-2) pair.  Keys come in increasing (lexicographic) order, as
+    Python ints.
     """
     table = conditional_table(seq, i, conditioning)
     groups = np.flatnonzero(table.has_mass)

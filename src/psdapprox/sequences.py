@@ -27,9 +27,10 @@ in place per split, a suffix key packed once that drops its leading column
 in place, and per split one weighted ``bincount`` of their pair key, whose
 row and column sums are the marginals.  It holds three int64 outcome-length
 keys and one table of at most one entry per outcome, ``O(2^T)`` whatever
-``n`` is.  :func:`pack_columns` is the one mixed-radix packer, of the
-certificate and of the exact conditional oracles alike, and refuses with
-:class:`UnavailableError` a key space past the largest int64.
+``n`` is.  :func:`pack_columns` is the certificate's mixed-radix packer,
+and refuses with :class:`UnavailableError` a key space past the largest
+int64; the exact conditional oracle packs its window sums by the same rule,
+one row block at a time.
 """
 
 from __future__ import annotations

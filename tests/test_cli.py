@@ -23,7 +23,7 @@ from psdapprox.cli import BOUND_VARIANTS, build_parser, main
 from psdapprox.families import family_from_json
 from psdapprox.oracle import brute_force_distribution, dp_distribution, two_runs_automaton
 from psdapprox.runs import TABLE1_PRINTED, TwoRunsModel, nb_fit_from_moments, two_runs_bound
-from psdapprox.sequences import compute_moments
+from psdapprox.sequences import compute_moments, mean_var
 
 
 @pytest.fixture
@@ -450,6 +450,9 @@ def test_series_target_is_refused_by_every_variant(
      "the bounds need a Panjer target (a, b); a series target has none"),
     ({"family": "panjer", "a": 0.5, "b": 1.0, "max_support": 10},
      "moments undefined for b=1.0 >= 1"),
+    ({"family": "panjer", "a": 0.9, "b": 0.0, "max_support": 1},
+     "max_support = 1 cuts the recursion where (a + b K) p_K > 0; "
+     "a/(1-b) is not the mean of the cut family"),
 ])
 def test_a_target_no_variant_takes_is_refused_before_the_moments(
         tmp_path, two_runs_model_file, capsys, monkeypatch, target, message):
@@ -470,6 +473,27 @@ def test_a_target_no_variant_takes_is_refused_before_the_moments(
     for argv in argvs:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n, p, K", [(500, 0.05, 1), (2000, 0.02, 2), (3000, 0.005, 1)])
+def test_each_variant_refuses_or_dominates_a_target_its_max_support_cuts(
+        tmp_path, capsys, n, p, K):
+    """Against ``{"a": E W, "b": 0, "max_support": K}`` on 2-runs, each
+    variant exits 1 or its total dominates the exact TV.  Read as a
+    Poisson(``E W``) target, the cut family gave totals below the exact
+    TV: ``d1`` 0.1478 against 0.3515 on the first row."""
+    probs = [p] * (n + 1)
+    model, target = tmp_path / "model.json", tmp_path / "target.json"
+    model.write_text(json.dumps({"model": "two-runs", "p": probs}))
+    spec = {"family": "panjer", "a": mean_var(TwoRunsModel(probs))[0], "b": 0.0,
+            "max_support": K}
+    target.write_text(json.dumps(spec))
+    tv = exact_tv(dp_distribution(two_runs_automaton(), probs), family_from_json(spec).pmf())
+    for variant in BOUND_VARIANTS:
+        code = main(["bound", "--model", str(model), "--target", str(target),
+                     "--variant", variant])
+        out = capsys.readouterr().out
+        assert code == 1 or (code == 0 and tv.upper <= json.loads(out)["total"]), variant
 
 
 @pytest.mark.parametrize("index", ["0", "11", "-3"])

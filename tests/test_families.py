@@ -402,14 +402,20 @@ def test_solution_residual_poisson():
 
 def test_solution_dual_forms_agree():
     # Float64 forms agree up to the roundoff envelope eps/(k p_k): the two
-    # displayed sums share the tiny nonzero float total of p*h.
+    # displayed sums share the tiny nonzero float total of p*h.  Both are
+    # formed on the table the solution reads, the forward sum compensated
+    # (fsum) and the tail sum accumulated in reverse.
     spec = negative_binomial_family(2, 0.4)
     f = indicator(range(4))
     g = stein_solve(spec, f)
-    p = spec.pmf(60).as_array()
+    p = spec.pmf(tail_target=1e-22).as_array()
+    terms = p * (np.array([f(k) for k in range(len(p))]) - g.ef)
+    tail_sums = np.cumsum(terms[::-1])[::-1]
     for k in range(1, 51):
+        forward = math.fsum(terms[:k]) / (k * p[k])
+        tail = -tail_sums[k] / (k * p[k])
         slack = 1e-12 + 1e-16 / (k * p[k])
-        assert abs(g.forward_form(k) - g.tail_form(k)) < slack, f"k={k}"
+        assert abs(forward - tail) < slack, f"k={k}"
 
 
 def test_solution_dual_forms_agree_highprec_oracle():
@@ -510,7 +516,7 @@ def test_solution_delta_sup_within_uniform_bound():
         for _ in range(10):
             A = {int(k) for k in rng.choice(31, size=rng.integers(1, 16), replace=False)}
             g = stein_solve(spec, indicator(A), f_bound=1.0)
-            assert g.sup_abs_delta(60) <= ub + 1e-12
+            assert max(abs(g(k + 1) - g(k)) for k in range(61)) <= ub + 1e-12
 
 
 def test_g_norm_bound_dominates_observed_sup():

@@ -2,14 +2,16 @@
 
 ``exact_conditional_D`` and ``ExactConditionalTerms.weighted_sums`` read one
 memoized table per (index, conditioning): the law of ``W`` given each packed
-key of the conditioning's columns (``sequences.pack_columns``), ranked where
-the packed key space exceeds the outcome count.  Each table, and the float
-``brute_force_distribution``, is counted by row blocks of ``2^16``
-outcomes, adding each block's probabilities to the cells ``group * radix +
-W`` in enumeration order; ``_reference_conditional_D`` is one ``bincount``
-of all the outcomes, and the block counts must equal it bit for bit on
-models of 8 and 16 row blocks, on ranked key spaces, and where the largest
-``W`` is reached only by outcomes without mass.
+key of index ``i``'s window sums, the radius-2 sum (``n2``) or the radius-1
+and radius-2 pair (``n1n2``), packed by the rule of
+``sequences.pack_columns`` and ranked where the packed key space exceeds
+the outcome count.  Each table, and the float ``brute_force_distribution``,
+is counted by row blocks of ``2^16`` outcomes, adding each block's
+probabilities to the cells ``group * radix + W`` in enumeration order;
+``_reference_conditional_D`` is one ``bincount`` of all the outcomes, and
+the block counts must equal it bit for bit on models of 8 and 16 row
+blocks, on ranked key spaces, and where the largest ``W`` is reached only
+by outcomes without mass.
 ``dependence_certificate`` packs a prefix key and a suffix key in mixed
 radix, one weighted ``bincount`` of their pair key per split, and reads the
 marginals as the row and column sums of that joint table; where the table
@@ -47,13 +49,13 @@ from psdapprox.sequences import (
     pack_columns,
 )
 
-CONDITIONINGS = ("n2", "n1n2", "even", "odd")
+CONDITIONINGS = ("n2", "n1n2")
 
 
 class ScaledRuns(DependentSequence):
     """``X_i = 5 * trial_i * trial_{i+1}``: 2-runs indicators scaled so far
     apart that, on 8 trials, the packed keys of ``n1n2`` at the middle
-    indices and of ``odd`` span more values than the 256 outcomes."""
+    indices span more values than the 256 outcomes."""
 
     def __init__(self, probs):
         super().__init__(probs, n=len(probs) - 1, kind="scaled-two-runs")
@@ -86,7 +88,7 @@ def _models():
     return [
         ScaledRuns(_uniform(6, 8)),
         TwoRunsModel([0.3, 0.0, 0.5, 1.0, 0.2, 0.45, 0.25, 0.4]),  # trials at 0 and 1
-        TwoRunsModel([0.35, 0.6]),  # n = 1: "even" conditions on nothing
+        TwoRunsModel([0.35, 0.6]),  # n = 1: both windows are X_1
         TwoRunsModel([0.5] * 5),
         K1K2Model(1, 1, 5, _uniform(0, 6)),
         K1K2Model(1, 2, 4, _uniform(1, 10)),
@@ -112,12 +114,9 @@ def _reference_conditional_D(seq, i, conditioning):
     total = xs.sum(axis=1).astype(np.int64)
     if conditioning == "n2":
         keys = [_window_values(seq, xs, i, 2).astype(np.int64)]
-    elif conditioning == "n1n2":
+    else:
         keys = [_window_values(seq, xs, i, 1).astype(np.int64),
                 _window_values(seq, xs, i, 2).astype(np.int64)]
-    else:
-        start = 1 if conditioning == "even" else 0
-        keys = [xs[:, j].astype(np.int64) for j in range(start, seq.n, 2)]
     packed = np.zeros_like(total)
     radices = []
     for col in keys:
@@ -256,27 +255,6 @@ def test_pack_columns_gives_lexicographic_keys():
     assert (key.dtype, key.tolist(), lows, radices) == (np.int64, [0, 0, 0, 0], (), ())
 
 
-def test_parity_columns_past_2_63_are_refused():
-    seq = _ManyPairSums(80)  # 40 odd columns of values 0..2
-    assert 3**40 > 2**63 and np.ptp(seq.x_values()[:, ::2], axis=0).tolist() == [2] * 40
-    with pytest.raises(UnavailableError, match="2\\^63"):
-        exact_conditional_D(seq, 1, "odd")
-    assert (None, "odd") not in seq._cache["conditional"]
-    assert exact_conditional_D(seq, 3, "n2") == _reference_conditional_D(seq, 3, "n2")
-
-
-def test_a_ranked_key_times_the_W_radix_may_pass_2_63():
-    """39 odd columns of values 0..2 pack into keys below ``3^39 < 2^63``,
-    ranked among the 1024 outcomes; the largest key times the ``W`` radix,
-    157, passes ``2^63``, so a cell is formed from the rank of a key, not
-    from the key."""
-    seq = _ManyPairSums(78)
-    assert 3**39 < 2**63 < (3**39 - 1) * (int(seq.w_values().max()) + 1)
-    got = exact_conditional_D(seq, 1, "odd")
-    assert conditional_table(seq, 1, "odd").keys is not None
-    assert list(got.items()) == list(_reference_conditional_D(seq, 1, "odd").items())
-
-
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
 def test_exact_conditional_D_matches_radix_packed_reference(seq):
     seq._cache.pop("conditional", None)
@@ -292,7 +270,7 @@ def test_exact_conditional_D_matches_radix_packed_reference(seq):
 def test_window_tables_are_the_same_streamed_or_from_the_summand_matrix(k):
     streamed, cached = _models()[k], _models()[k]
     cached.x_values()
-    for i, conditioning in itertools.product(range(1, streamed.n + 1), ("n2", "n1n2")):
+    for i, conditioning in itertools.product(range(1, streamed.n + 1), CONDITIONINGS):
         got = exact_conditional_D(streamed, i, conditioning)
         assert list(got.items()) == list(exact_conditional_D(cached, i, conditioning).items())
     assert "x" not in streamed._cache  # every window was streamed
@@ -311,14 +289,14 @@ def test_weighted_sums_match_per_outcome_lookup_reference(seq):
 @pytest.mark.parametrize("seq", _models(), ids=lambda s: f"{s.kind}-n{s.n}")
 def test_weighted_sums_read_back_tables_built_without_columns(seq):
     seq._cache.pop("conditional", None)
-    for i, conditioning in itertools.product(range(1, seq.n + 1), ("n2", "n1n2")):
+    for i, conditioning in itertools.product(range(1, seq.n + 1), CONDITIONINGS):
         exact_conditional_D(seq, i, conditioning)
     built = dict(seq._cache["conditional"])
     assert ExactConditionalTerms(seq).weighted_sums() == _reference_weighted_sums(seq)
     assert all(seq._cache["conditional"][key] is table for key, table in built.items())
 
 
-@pytest.mark.parametrize("conditioning, arity", [("n2", 1), ("n1n2", 3), ("odd", 2)])
+@pytest.mark.parametrize("conditioning, arity", [("n2", 1), ("n1n2", 3)])
 def test_a_table_refuses_windows_other_than_v1_and_v2(conditioning, arity):
     seq = TwoRunsModel([0.5] * 5)
     windows = seq._window_sums(*(seq.neighborhood_indices(2, ell) for ell in (1, 2, 2)))
@@ -327,12 +305,22 @@ def test_a_table_refuses_windows_other_than_v1_and_v2(conditioning, arity):
     assert not seq._cache["conditional"]
 
 
+@pytest.mark.parametrize("i, conditioning", [
+    (1, "even"), (0, "even"), (1, "odd"), (0, "n2"), (6, "n2"), (0, "n1n2"), (-1, "n1n2"),
+])
+def test_exact_conditional_D_refuses_other_conditionings_and_indices_outside_1_to_n(
+        i, conditioning):
+    seq = TwoRunsModel([0.5] * 6)  # n = 5
+    with pytest.raises(ValueError, match="unknown conditioning|outside 1..5"):
+        exact_conditional_D(seq, i, conditioning)
+    assert not seq._cache.get("conditional")
+
+
 def test_scaled_model_groups_past_the_packed_key_space():
     seq = ScaledRuns(_uniform(6, 8))
     assert seq.outcome_count == 256
     # v1 takes 16 values and v2 26 at index 4: 416 packed keys.
     assert conditional_table(seq, 4, "n1n2").keys is not None
-    assert conditional_table(seq, 4, "odd").keys is not None
     assert conditional_table(seq, 4, "n2").radices == (26,)
     assert conditional_table(seq, 1, "n1n2").radices == (11, 16)
     assert len(exact_conditional_D(seq, 4, "n1n2")) > 1
@@ -383,12 +371,12 @@ def test_dependence_certificate_past_one_row_block(seq, gap, verdict):
 
 
 class _ManyPairSums(DependentSequence):
-    """``X_i = trial_(i mod 10) + trial_(i+1 mod 10)`` for ``n`` summands
-    over 10 trials: each takes 0, 1 and 2, so the packed key space of 40 of
-    them is ``3^40``, past ``2^63``."""
+    """``X_i = trial_(i mod 10) + trial_(i+1 mod 10)`` for 40 summands over
+    10 trials: each takes 0, 1 and 2, so their packed key space is
+    ``3^40``, past ``2^63``."""
 
-    def __init__(self, n=40):
-        super().__init__([0.5] * 10, n=n, kind="many-pair-sums")
+    def __init__(self):
+        super().__init__([0.5] * 10, n=40, kind="many-pair-sums")
 
     def x_columns(self, bits):
         i = np.arange(self.n)
@@ -480,7 +468,6 @@ def test_block_counted_tables_equal_one_bincount_across_row_blocks(name):
     seq = _blocked_cases()[name]
     assert seq.outcome_count >= 8 * 2**16
     cases = [(i, c) for i in (1, seq.n // 2, seq.n) for c in ("n2", "n1n2")]
-    cases += [(1, "even"), (1, "odd")]
     # Every table is built before the reference caches the probabilities,
     # so their row blocks are formed, not sliced from the cache.
     got = [exact_conditional_D(seq, i, c) for i, c in cases]
@@ -537,7 +524,7 @@ def test_weighted_sums_count_the_tables_of_an_index_in_one_pass(seq, monkeypatch
                                          (_NineCells(True), True), (_NineCells(False), False)],
                          ids=["scaled-runs", "nine-cells-attained", "nine-cells-unattained"])
 def test_ranked_tables_equal_one_bincount(seq, ranked):
-    """Ranked key spaces: ``n1n2`` and ``odd`` of the scaled runs, and the
+    """Ranked key spaces: ``n1n2`` of the scaled runs, and the
     ``n1n2`` key space of the nine cells, 25 against 16 outcomes where one
     takes ``(0, 0)``, and exactly 16 where none does; on their own law and,
     for the nine cells, on :func:`_nine_cell_law`, which has outcomes

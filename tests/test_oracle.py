@@ -282,7 +282,7 @@ def test_conditional_D_degenerate_is_two():
 
 def test_conditional_D_bounded_by_two():
     seq = TwoRunsModel([0.4] * 9)  # n = 8
-    for conditioning in ("n2", "n1n2", "even", "odd"):
+    for conditioning in ("n2", "n1n2"):
         dmap = exact_conditional_D(seq, 4, conditioning)
         assert dmap
         assert all(0 <= v <= 2 + 1e-12 for v in dmap.values())

@@ -470,7 +470,7 @@ def test_per_index_columns_are_streamed_without_the_summand_matrix(make):
     compute_moments(seq, "enumerate")
     ExactConditionalTerms(seq).weighted_sums()
     dependence_certificate(seq)
-    exact_conditional_D(seq, 1, "even")
+    exact_conditional_D(seq, 1, "n2")
     assert "x" not in seq._cache and "bits" not in seq._cache
 
 
