@@ -29,7 +29,8 @@ from .bounds import (
 )
 from .errors import PsdApproxError
 from .families import family_from_json, poisson_family
-from .oracle import brute_force_distribution, dp_distribution, exact_conditional_D
+from .oracle import brute_force_distribution, dp_distribution, dp_roundings, exact_conditional_D
+from .rounding import gamma
 from .runs import TABLE1_PRINTED, nb_fit_from_moments, table1, table1_mismatches
 from .sequences import compute_moments, dependence_certificate, mean_var, sequence_from_json
 
@@ -235,13 +236,19 @@ def cmd_verify(args) -> int:
         _print(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + note) if note else ''}")
 
     # DP law vs direct enumeration of the trial space, zero-padded to one
-    # length: a mass that underflows in one engine only is a trailing zero.
+    # length: a mass that underflows in one engine only is a trailing zero,
+    # within atol.  Each engine's masses are within gamma(k) of the exact law
+    # of the float trials, relatively (Higham 2002, ch. 3): k is the DP's
+    # roundings, or T products per outcome and a sum of at most 2^T outcomes.
+    automaton = getattr(seq, "automaton", None)
     law = _model_law(seq)
     brute = brute_force_distribution(seq)
     size = max(len(law.masses), len(brute.masses))
     laws = [np.pad(t.as_array(), (0, size - len(t.masses))) for t in (law, brute)]
-    check("dp-vs-enumeration", bool(np.allclose(*laws, atol=1e-14)))
-    automaton = getattr(seq, "automaton", None)
+    enumerated = gamma(seq.trial_count + seq.outcome_count)
+    computed = enumerated if automaton is None else gamma(dp_roundings(automaton, seq.trial_count))
+    rtol = (computed + enumerated) / (1 - enumerated)  # relative to the enumerated mass
+    check("dp-vs-enumeration", bool(np.allclose(*laws, rtol=rtol, atol=1e-14)))
     if automaton is not None:  # both engines on the same rationals of the trials
         rational = seq.exact_trial_probs()
         exact_dp = dp_distribution(automaton, rational, exact=True)

@@ -16,7 +16,12 @@ the radius-2 window ``N_{i,2}``, so three pieces cover the trials
   which also runs the (k1,k2) smoothing DP of ``runs.conditional_zero_max``
   over the radius-1 windows;
 - the backward law ``B[s, c]`` of the count over the trials past
-  ``(hi+1) m`` from state ``s``.
+  ``(hi+1) m`` from state ``s``, by :func:`_backward_cuts`.
+
+One step, ``oracle.step_layers``, serves both passes, each with its own
+plan of which cells add into which: it carries the band of counts that can
+hold mass and yields views of two layers it swaps, so the backward pass
+copies each cut it keeps.
 
 Every occurrence in the window belongs to ``N_{i,2}``, so given the block
 values ``W`` is their sum ``V2`` plus a count whose law is a mixture of the
@@ -34,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .oracle import RunAutomaton, forward_layers, shift_regularity
+from .oracle import RunAutomaton, forward_layers, shift_regularity, step_layers
 
 # Cells of one window-DP layer per batch of indices: 8 MB of float64.
 _WINDOW_CELLS = 1 << 20
@@ -82,20 +87,18 @@ def _trim(layer: np.ndarray) -> np.ndarray:
 def _backward_cuts(automaton: RunAutomaton, probs: np.ndarray, cuts: set) -> dict:
     """``{t: B}`` for ``t`` in ``cuts``: ``B[s, c]`` is the probability of ``c``
     occurrences ending at trials ``t+1..T`` from state ``s`` after trial ``t``,
-    trimmed by :func:`_trim`."""
-    S = automaton.n_states
-    layer = np.ones((S, 1))
-    out, first = {}, min(cuts)
-    for t in range(len(probs), first - 1, -1):
-        if t in cuts:
-            out[t] = _trim(layer)
-        if t > first:  # prepend trial t
-            p, width = probs[t - 1], layer.shape[1]
-            nxt = np.zeros((S, width + 1))
-            for s, ((s0, i0), (s1, i1)) in enumerate(automaton.transitions):
-                nxt[s, i0 : i0 + width] += layer[s0] * (1.0 - p)
-                nxt[s, i1 : i1 + width] += layer[s1] * p
-            layer = nxt
+    trimmed by :func:`_trim` and copied.
+
+    Step ``k`` of :func:`~psdapprox.oracle.step_layers` prepends trial
+    ``T - k``: state ``s`` gathers its two transitions, so each cell sums
+    two contributions, whose order does not matter."""
+    plan = [[(s0, 0, i0), (s1, 1, i1)] for (s0, i0), (s1, i1) in automaton.transitions]
+    T, first = len(probs), min(cuts)
+    out = {}
+    for k, layer in enumerate(step_layers(plan, probs[first:][::-1],
+                                          np.ones((automaton.n_states, 1)))):
+        if T - k in cuts:
+            out[T - k] = _trim(layer).copy()
     return out
 
 

@@ -4,8 +4,13 @@ Nothing here shares code with the closed-form moment functions or bound
 formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program (:func:`forward_layers`, whose
 float layers the imbedding engine also reads), cross-checked against direct
-enumeration of the trial space, and the float law of ``W`` and its conditional
-laws are counted by row blocks of ``2^16`` outcomes (:func:`_joint`): each
+enumeration of the trial space.  Its step, :func:`step_layers`, which the
+imbedding engine's backward pass also runs, swaps two layers allocated once
+and yields views of them, each valid until the next yield; in float64 it
+carries only the band of counts that can hold mass, with the masses of a
+per-trial loop over every count, bit for bit.  The float law of ``W`` and
+its conditional laws are counted by row blocks of ``2^16`` outcomes
+(:func:`_joint`): each
 block packs its outcomes' groups and ``W`` into an int64 cell key
 ``group * radix + W`` and adds their probabilities to the cells with
 ``np.add.at``, in enumeration order, so every cell is the sum one
@@ -29,6 +34,7 @@ trial spans, with no summand matrix, a byte per outcome each where they fit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,6 +47,9 @@ from .sequences import BLOCK_TRIALS, DependentSequence
 # Trials per block of the exact-rational law: its numerator table of Python
 # ints holds 2^12 outcomes.
 EXACT_LOW_TRIALS = 12
+
+# Steps of the float DP between two shrinks of its band to the nonzero cells.
+BAND_STEPS = 32
 
 
 def failure_function(pattern: Sequence[int]) -> list:
@@ -122,29 +131,102 @@ def dp_distribution(
     return _law(layer.sum(axis=0))
 
 
+def dp_roundings(automaton: RunAutomaton, trials: int) -> int:
+    """The roundings on the way to each mass of the float
+    :func:`dp_distribution` after ``trials`` trials, for
+    :func:`~psdapprox.rounding.gamma`: per trial, one product and the adds
+    of the most contributions a state takes; then the sum over the states.
+    The factor ``1 - p`` is rounded once per trial; an engine given the same
+    factors shares that rounding."""
+    inflow = Counter(nxt for row in automaton.transitions for nxt, _ in row)
+    return trials * max(inflow.values()) + automaton.n_states - 1
+
+
 def forward_layers(automaton: RunAutomaton, trial_probs: Sequence, exact: bool = False):
     """Yield the joint law ``layer[state, count]`` after 0, 1, ..., T trials.
 
     After ``t`` trials only the counts ``0..t`` can carry mass, so the layer
-    holds them alone; each yielded layer is a new array.  Exact mode holds
-    ``Fraction`` masses (the zeros of an object layer are int 0).
+    holds them alone.  The layers come from :func:`step_layers`, each cell
+    summing its contributions in ``(state, symbol)`` order, and each is a
+    view valid until the next yield.  Float mode computes only the band of
+    counts that can hold mass; the zeros outside it are those of a loop
+    over every count.  Exact mode holds ``Fraction`` masses (the zeros of
+    layer 0 are int 0).
     """
-    if exact:
-        probs, dtype, one = [Fraction(p) for p in trial_probs], object, Fraction(1)
-    else:
-        probs, dtype, one = [float(p) for p in trial_probs], float, 1.0
-    S = automaton.n_states
-    layer = np.zeros((S, 1), dtype=dtype)
-    layer[0, 0] = one
-    yield layer
-    for t, p in enumerate(probs):
-        nxt = np.zeros((S, t + 2), dtype=dtype)
-        for s in range(S):
-            (s0, i0), (s1, i1) = automaton.transitions[s]
-            nxt[s0, i0 : i0 + t + 1] += layer[s] * (1 - p)
-            nxt[s1, i1 : i1 + t + 1] += layer[s] * p
-        layer = nxt
-        yield layer
+    plan = [[] for _ in automaton.transitions]
+    for s, row in enumerate(automaton.transitions):
+        for symbol, (nxt, inc) in enumerate(row):
+            plan[nxt].append((s, symbol, inc))
+    start = np.zeros((automaton.n_states, 1), dtype=object if exact else float)
+    start[0, 0] = Fraction(1) if exact else 1.0
+    return step_layers(plan, trial_probs, start)
+
+
+def step_layers(plan: list, trial_probs: Sequence, start: np.ndarray):
+    """Yield ``start``, then the layer ``layer[state, count]`` after each
+    step ``p`` of ``trial_probs``; each is a view valid until the next yield.
+
+    A step sets ``new[d, c]`` to the sum, in the order of ``plan[d]``, of
+    ``layer[s, c - inc]`` times ``1 - p`` or ``p`` for each ``(s, symbol,
+    inc)`` there (``symbol`` and ``inc`` 0 or 1).  Float mode carries only
+    the band of counts that can hold mass: its top grows by one per step,
+    and every ``BAND_STEPS`` steps both edges shrink to the nonzero cells.
+    A cell outside it is an exact zero of the full-width loop too, as
+    ``0 * p`` and ``x + 0`` are exact for ``p`` in ``[0, 1]`` (a ``-0.0``
+    step is taken as ``0.0``), so every mass is that loop's, bit for bit.
+    Two layers are allocated once and swapped; with the views of a block of
+    steps built once, a step is one ``np.multiply`` per symbol and, per
+    state, one ``np.add`` plus one ``+=`` per further contribution.  An
+    object ``start`` runs the same step on ``Fraction`` masses, each step
+    over every count it can reach, with no band.
+    """
+    exact = start.dtype == object
+    probs = [Fraction(p) if exact else float(p) + 0.0 for p in trial_probs]
+    steps, (S, width) = len(probs), start.shape
+    top = width + steps  # no count from top on holds mass
+    # Column c + 1 of a layer holds count c; column 0, count -1, stays 0.
+    layers = np.zeros((2, S, top + 1), dtype=start.dtype)
+    products = np.zeros_like(layers)
+    layers[0, :, 1 : width + 1] = start
+    yield layers[0, :, 1 : width + 1]
+    block = 1 if exact else BAND_STEPS
+    lo, hi, cur = 0, width, 0  # both layers hold 0 outside counts lo..hi-1
+    for begin in range(0, steps, block):
+        if exact:  # every count from 0 to the step's top, so every mass is a Fraction
+            hi += 1
+        else:
+            nonzero = np.flatnonzero((layers[cur, :, lo + 1 : hi + 1] != 0).any(axis=0))
+            layers[1 - cur, :, lo + 1 : hi + 1] = 0
+            lo, hi = lo + nonzero[0], min(lo + nonzero[-1] + 1 + block, top)
+        # Column j of a product scales count lo - 1 + j of the layer.
+        prod = products[:, :, : hi - lo + 1]
+        parts = [[prod[symbol, s, 1 - inc : 1 - inc + hi - lo] for s, symbol, inc in terms]
+                 for terms in plan]
+        views = [(layers[side, :, lo : hi + 1],
+                  _sum_calls(layers[1 - side, :, lo + 1 : hi + 1], parts)) for side in (0, 1)]
+        for k in range(begin, min(begin + block, steps)):
+            p = probs[k]
+            layer, calls = views[cur]
+            np.multiply(layer, 1 - p, out=prod[0])
+            np.multiply(layer, p, out=prod[1])
+            for call, args in calls:
+                call(*args)
+            cur = 1 - cur
+            yield layers[cur, :, 1 : width + k + 2]
+
+
+def _sum_calls(rows: np.ndarray, parts: list) -> list:
+    """``(call, args)`` pairs that set each ``rows[d]`` to the sum of
+    ``parts[d]`` from left to right: one ``np.add``, then one ``+=`` per
+    further part; a lone part is copied."""
+    calls = []
+    for out, (first, *rest) in zip(rows, parts):
+        if not rest:
+            calls.append((np.copyto, (out, first)))
+            continue
+        calls.append((np.add, (first, rest[0], out)))
+        calls.extend((np.add, (out, part, out)) for part in rest[1:])
+    return calls
 
 
 def _law(masses) -> PMFTable:

@@ -502,6 +502,15 @@ class BernoulliProductSequence(DependentSequence):
     def trial_span(self, i: int) -> range:
         return range(i - 1, i)
 
+    @property
+    def automaton(self):
+        """The one-state automaton of pattern ``(1,)``, which counts the ones:
+        the DP law of ``W`` at any ``n``.  Imported here, as
+        :mod:`psdapprox.oracle` imports this module."""
+        from .oracle import RunAutomaton
+
+        return RunAutomaton.from_pattern((1,))
+
     def closed_form_moments(self) -> MomentSet:
         """Exact moments: independent summands, so every moment is a product of ``p``s."""
         p = np.asarray(self.trial_probs)

@@ -9,6 +9,7 @@ enumeration reaches.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from psdapprox.runs import K1K2Model, TwoRunsModel, _conditional_zero_table, nb_
 from psdapprox.sequences import BernoulliProductSequence, compute_moments
 
 from test_grouping import _models
+from test_oracle import _EDGE_TRIALS, assert_same_floats, full_width_layers
 from test_runs import _batched_dp_models
 
 
@@ -82,6 +84,62 @@ def test_the_batch_budget_changes_no_bit_of_either_engine(monkeypatch, per_batch
         monkeypatch.setattr(imbedding, "_WINDOW_CELLS", per_batch * (model.automaton.n_states << 3))
         assert _conditional_zero_table(model) == want
     assert max(sizes) == per_batch
+
+
+# -- the banded passes against per-trial loops --------------------------------------
+
+
+def _backward_cuts_reference(automaton, probs, cuts):
+    """The backward pass as a per-trial loop over the states, prepending
+    each trial to a fresh layer one count wider."""
+    S = automaton.n_states
+    layer = np.ones((S, 1))
+    out, first = {}, min(cuts)
+    for t in range(len(probs), first - 1, -1):
+        if t in cuts:
+            out[t] = imbedding._trim(layer)
+        if t > first:  # prepend trial t
+            p, width = probs[t - 1], layer.shape[1]
+            nxt = np.zeros((S, width + 1))
+            for s, ((s0, i0), (s1, i1)) in enumerate(automaton.transitions):
+                nxt[s, i0 : i0 + width] += layer[s0] * (1.0 - p)
+                nxt[s, i1 : i1 + width] += layer[s1] * p
+            layer = nxt
+    return out
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 40, 300])
+@pytest.mark.parametrize("automaton", [two_runs_automaton(), k1k2_automaton(1, 2),
+                                       k1k2_automaton(3, 3)], ids=["11", "011", "000111"])
+def test_backward_cuts_equal_the_per_trial_loop(automaton, trials):
+    rng = np.random.default_rng(trials)
+    for probs in (rng.uniform(0.05, 0.5, trials), rng.choice(_EDGE_TRIALS, trials),
+                  rng.choice([0.0, 1.0, 0.5], trials)):
+        for cuts in ({0}, set(range(trials + 1)), {trials, trials // 2 + 1}):
+            got = imbedding._backward_cuts(automaton, probs, cuts)
+            want = _backward_cuts_reference(automaton, probs, cuts)
+            assert got.keys() == want.keys()
+            for t in want:
+                assert_same_floats(got[t], want[t])
+
+
+def _ci_model(kind, seed, size, lo, hi, **params):
+    r = random.Random(seed)
+    p = [r.uniform(lo, hi) for _ in range(size)]
+    return TwoRunsModel(p) if kind == "two-runs" else K1K2Model(params["k1"], params["k2"], params["n"], p)
+
+
+@pytest.mark.parametrize("seq", [
+    _ci_model("two-runs", 2, 1001, 0.05, 0.5),
+    _ci_model("k1k2-runs", 3, 602, 0.05, 0.15, k1=1, k2=2, n=300),
+    _ci_model("k1k2-runs", 6, 244, 0.2, 0.4, k1=2, k2=3, n=60),
+], ids=["two-runs-n1000", "k12-n300", "k23-n60"])
+def test_weighted_sums_equal_those_of_the_per_trial_passes(seq, monkeypatch):
+    args = (seq.automaton, seq.trial_probs, seq.n, seq.m)
+    got = imbedded_weighted_sums(*args)
+    monkeypatch.setattr(imbedding, "forward_layers", full_width_layers)
+    monkeypatch.setattr(imbedding, "_backward_cuts", _backward_cuts_reference)
+    assert imbedded_weighted_sums(*args) == got
 
 
 # -- exact-rational reference ------------------------------------------------------

@@ -15,11 +15,13 @@ from psdapprox.oracle import (
     RunAutomaton,
     brute_force_distribution,
     dp_distribution,
+    dp_roundings,
     exact_conditional_D,
     failure_function,
     k1k2_automaton,
     two_runs_automaton,
 )
+from psdapprox.rounding import gamma
 from psdapprox.runs import K1K2Model, TwoRunsModel
 from psdapprox.sequences import (
     BernoulliProductSequence,
@@ -137,12 +139,15 @@ def test_dp_equals_brute_force_float():
     assert np.allclose(dp.as_array(), bf.as_array(), atol=1e-14)
 
 
-def _dp_float_full_width(automaton, trial_probs) -> tuple:
-    """Reference: the float DP updating every count ``0..T`` at every trial."""
+def full_width_layers(automaton, trial_probs):
+    """Reference: the float forward DP as a per-trial loop over the states,
+    updating every count ``0..T`` at every trial into a fresh layer; yields
+    counts ``0..t`` of the layer after each trial ``t``, as new arrays."""
     T, S = len(trial_probs), automaton.n_states
     layer = np.zeros((S, T + 2))
     layer[0, 0] = 1.0
-    for p in trial_probs:
+    yield layer[:, :1].copy()
+    for t, p in enumerate(trial_probs):
         p = float(p)
         nxt = np.zeros_like(layer)
         for s in range(S):
@@ -150,21 +155,76 @@ def _dp_float_full_width(automaton, trial_probs) -> tuple:
             nxt[s0, i0 : i0 + T + 1] += layer[s, : T + 1] * (1.0 - p)
             nxt[s1, i1 : i1 + T + 1] += layer[s, : T + 1] * p
         layer = nxt
-    masses = layer.sum(axis=0)[: T + 1]
-    last = T
-    while last > 0 and masses[last] == 0:
-        last -= 1
-    return tuple(masses[: last + 1])
+        yield layer[:, : t + 2].copy()
 
 
-@pytest.mark.parametrize("automaton, trials", [
-    (two_runs_automaton(), 2000), (k1k2_automaton(1, 2), 600), (k1k2_automaton(3, 3), 200),
-    (k1k2_automaton(3, 3), 1), (k1k2_automaton(3, 3), 3), (two_runs_automaton(), 0)])
+def assert_same_floats(got, want):
+    """``==`` cell by cell, with the sign of every zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_AUTOMATA = [two_runs_automaton(), k1k2_automaton(1, 1), k1k2_automaton(1, 2),
+             k1k2_automaton(2, 2), k1k2_automaton(2, 3), k1k2_automaton(3, 3),
+             RunAutomaton.from_pattern((1,))]
+# Trials at both ends of [0, 1], a negative zero, and ones whose products
+# underflow through the subnormals to 0.
+_EDGE_TRIALS = [0.0, 1.0, 0.5, 1e-300, 5e-324, -0.0]
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 3, 31, 32, 33, 100, 300])
+@pytest.mark.parametrize("automaton", _AUTOMATA, ids=lambda a: "".join(map(str, a.pattern)))
 def test_dp_float_band_equals_full_width_loop(automaton, trials):
     rng = np.random.default_rng(trials)
     for probs in (rng.uniform(0, 1, trials).tolist(),
-                  rng.choice([0.0, 1.0, 0.5], trials).tolist()):
-        assert dp_distribution(automaton, probs).masses == _dp_float_full_width(automaton, probs)
+                  rng.choice(_EDGE_TRIALS, trials).tolist(),
+                  rng.choice([0.0, 1.0, 0.5], trials).tolist(),
+                  [0.5 if t % 7 else 1e-300 for t in range(trials)]):
+        for got, want in zip(oracle.forward_layers(automaton, probs),
+                             full_width_layers(automaton, probs), strict=True):
+            assert_same_floats(got, want)
+        law = dp_distribution(automaton, probs)
+        masses = want.sum(axis=0)
+        last = max([0, *np.flatnonzero(masses)])
+        assert law.masses == tuple(masses[: last + 1])
+        assert list(map(repr, law.masses)) == list(map(repr, masses[: last + 1]))
+
+
+@pytest.mark.parametrize("automaton, trials", [
+    (two_runs_automaton(), 2000), (k1k2_automaton(1, 2), 1000), (k1k2_automaton(3, 3), 600)])
+def test_dp_float_band_equals_full_width_loop_across_many_refreshes(automaton, trials):
+    # Moderate trials move both band edges; 1e-300 trials underflow the top.
+    rng = np.random.default_rng(trials)
+    for probs in (rng.uniform(0.05, 0.5, trials).tolist(),
+                  rng.choice(_EDGE_TRIALS + [0.3, 0.6], trials).tolist()):
+        for got, want in zip(oracle.forward_layers(automaton, probs),
+                             full_width_layers(automaton, probs), strict=True):
+            assert_same_floats(got, want)
+        assert list(map(repr, dp_distribution(automaton, probs).masses)) == list(
+            map(repr, oracle._law(want.sum(axis=0)).masses))
+
+
+def test_dp_band_shrinks_to_the_nonzero_counts(monkeypatch):
+    # Every 1.0 trial after the first completes a 2-run: the mass sits on one
+    # count that climbs, so the band leaves count 0 behind.
+    calls = []
+    real_multiply = np.multiply
+    monkeypatch.setattr(oracle.np, "multiply",
+                        lambda a, *args, **kw: calls.append(a.shape[1]) or real_multiply(a, *args, **kw))
+    law = dp_distribution(two_runs_automaton(), [1.0] * 400)
+    assert law.masses == (0.0,) * 399 + (1.0,)
+    assert max(calls) < 2 * (oracle.BAND_STEPS + 2)
+
+
+def test_dp_exact_masses_are_fractions_through_the_shared_step():
+    probs = [Fraction(x) for x in (0, 1, 1, Fraction(1, 2), 0, 1, Fraction(1, 3))]
+    layers = [layer.copy() for layer in oracle.forward_layers(two_runs_automaton(), probs, exact=True)]
+    assert [layer.shape for layer in layers] == [(2, t + 1) for t in range(len(probs) + 1)]
+    assert all(type(m) is Fraction for layer in layers[1:] for m in layer.ravel())
+    assert sum(layers[-1].ravel()) == 1
+    assert dp_distribution(two_runs_automaton(), [], exact=True).masses == (Fraction(1),)
 
 
 def test_dp_equals_brute_force_exact_rational():
@@ -269,6 +329,73 @@ def test_brute_force_refuses_large_instances():
     with pytest.raises(EnumerationLimitError,
                        match=r"^2\^25 outcomes exceed the enumeration cutoff$"):
         brute_force_distribution(BernoulliProductSequence([0.5] * 25))
+
+
+def test_product_automaton_counts_the_ones():
+    seq = BernoulliProductSequence([0.25, 0.5])
+    assert seq.automaton == RunAutomaton.from_pattern((1,))
+    assert seq.automaton.transitions == (((0, 0), (0, 1)),)
+
+
+@pytest.mark.parametrize("trials", [1, 5, 16])
+def test_product_dp_law_equals_enumeration(trials):
+    seq = BernoulliProductSequence(np.random.default_rng(trials).uniform(0, 1, trials).tolist())
+    dp = dp_distribution(seq.automaton, seq.trial_probs)
+    bf = brute_force_distribution(seq)
+    assert len(dp.masses) == len(bf.masses)
+    np.testing.assert_allclose(dp.as_array(), bf.as_array(), rtol=1e-13, atol=1e-300)
+    rational = seq.exact_trial_probs()
+    assert dp_distribution(seq.automaton, rational, exact=True).masses == (
+        brute_force_distribution(seq, exact=True, exact_probs=rational).masses)
+
+
+def test_product_dp_law_at_30_trials_equals_the_convolution(tmp_path, capsys):
+    p = [(t % 9 + 1) / 10 for t in range(30)]
+    seq = BernoulliProductSequence(p)
+    assert not seq.enumerable
+    law = np.ones(1)
+    exact = [Fraction(1)]
+    for x in p:
+        law = np.convolve(law, [1 - x, x])
+        q = Fraction(x)
+        exact = [a * (1 - q) + b * q for a, b in zip(exact + [0], [0] + exact)]
+    np.testing.assert_allclose(dp_distribution(seq.automaton, p).as_array(), law, rtol=1e-13)
+    assert dp_distribution(seq.automaton, [Fraction(x) for x in p], exact=True).masses == tuple(exact)
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "custom-bernoulli-product", "p": p}))
+    assert main(["oracle", "--model", str(path)]) == 0
+    masses = json.loads(capsys.readouterr().out)["distribution"]["masses"]
+    assert sum(k * m for k, m in enumerate(masses)) == pytest.approx(sum(p), rel=1e-14)
+
+
+def test_verify_checks_the_product_dp_law(tmp_path, capsys, monkeypatch):
+    import psdapprox.cli as cli_mod
+
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "custom-bernoulli-product",
+                                "p": [(t % 7 + 1) / 16 for t in range(12)]}))
+    assert main(["verify", "--model", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS dp-vs-enumeration\n" in out and "PASS dp-vs-enumeration-exact\n" in out
+    # A DP law off by a relative 1e-9 fails: the check's tolerance is derived
+    # from each engine's roundings (a relative 4.6e-13 here), not numpy's 1e-5.
+    real = cli_mod.dp_distribution
+    monkeypatch.setattr(cli_mod, "dp_distribution", lambda automaton, probs, exact=False: (
+        real(automaton, probs, exact) if exact else PMFTable(
+            0, tuple(m * (1 + 1e-9) for m in real(automaton, probs).masses), 0.0)))
+    assert main(["verify", "--model", str(path)]) == 1
+    assert "FAIL dp-vs-enumeration\n" in capsys.readouterr().out
+
+
+def test_rounding_bounds_of_the_dp_and_gamma():
+    # Per trial a product and the adds of a state's inflow, then the state sum.
+    assert dp_roundings(two_runs_automaton(), 100) == 2 * 100 + 1
+    assert dp_roundings(k1k2_automaton(1, 2), 100) == 3 * 100 + 2  # state 1 takes 3
+    assert dp_roundings(RunAutomaton.from_pattern((1,)), 100) == 2 * 100
+    assert gamma(0) == 0.0
+    assert gamma(4) == 4 * 2.0**-53 / (1 - 4 * 2.0**-53)
+    with pytest.raises(ValueError):
+        gamma(2**53)
 
 
 def test_conditional_D_degenerate_is_two():
