@@ -11,9 +11,9 @@ bound, ``d1`` and ``d2`` are one display, ``|Delta g| {(|1-b|/2) sum quad +
 sum lin + |tau (1-b)|}``, fed different inner sums; one assembly builds their
 reports, and ``min`` is the smaller of the ``d1`` and ``d2`` reports.  The
 ``d1`` smoothing constants are one :class:`SmoothingEstimate` per model,
-per-index tuples ``c``, ``raw`` and ``method`` from one call to the model's
-``smoothing_constants()``.  All reports itemize their terms and are
-recomputable from parts.
+per-index read-only float64 arrays ``c`` and ``raw`` and a tuple of labels
+``method``, from one call to the model's ``smoothing_constants()``.  All
+reports itemize their terms and are recomputable from parts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
 from .oracle import exact_conditional_D, outcome_d, shift_regularity
-from .sequences import DependentSequence, MomentSet, _bracket
+from .sequences import DependentSequence, MomentSet, _bracket, read_only
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -94,26 +94,30 @@ def exact_tv(p: PMFTable, q: PMFTable) -> TVInterval:
 # -- smoothing ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothingEstimate:
     """Per-index smoothing constants ``c_i(n)`` with their provenance.
 
     ``c``, ``raw`` and ``method`` each hold one entry per index: the constant
-    the bounds use, the value its method gave, and that method.
+    the bounds use, the value its method gave, and that method.  ``c`` and
+    ``raw`` are read-only float64 arrays, copied from what the constructor
+    is given; a list of ``c`` appears only in a report's JSON.
     :func:`build_smoothing` caps ``c`` at 2 (the shift regularity of any law
     is at most 2), so there a model formula may exceed the cap only through
     ``raw``.  The runs closed-form bounds pass their model constants
     uncapped, as the model bounds state them.
     """
 
-    c: tuple
-    raw: tuple
+    c: np.ndarray
+    raw: np.ndarray
     method: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "c", read_only(self.c))
+        object.__setattr__(self, "raw", read_only(self.raw))
         if not len(self.c) == len(self.raw) == len(self.method):
             raise ValueError("c, raw and method need one entry per index")
-        if any(c < 0 for c in self.c):
+        if np.any(self.c < 0):
             raise ValueError("smoothing constant must be non-negative")
 
     @property
@@ -137,10 +141,10 @@ def build_smoothing(seq: DependentSequence) -> SmoothingEstimate:
     provider = getattr(seq, "smoothing_constants", None)
     if provider is not None:
         raw, method = provider()
-        return SmoothingEstimate(tuple(min(r, 2.0) for r in raw), raw, method)
+        return SmoothingEstimate(np.minimum(raw, 2.0), raw, method)
     if seq.enumerable:
-        worst = tuple(max(max(exact_conditional_D(seq, i, c).values()) for c in ("n2", "n1n2"))
-                      for i in range(1, seq.n + 1))
+        worst = [max(max(exact_conditional_D(seq, i, c).values()) for c in ("n2", "n1n2"))
+                 for i in range(1, seq.n + 1)]
         return SmoothingEstimate(worst, worst, ("exact-conditional",) * seq.n)
     raise UnavailableError(
         "no smoothing provider registered and the instance is not enumerable"
@@ -157,9 +161,10 @@ class BoundReport:
     ``variant`` selects the recomposition formula: the three main variants
     use ``delta_g * (quadratic + linear + tau)``; ``crude`` uses
     ``(2|1-b| g_norm + delta_g) * linear``; ``min`` carries both operands.
-    The runs closed forms also carry their per-index ``moment_terms`` and the
-    smoothing constants used, ``c_constant``.  Its JSON and CSV forms keep
-    a ``slack`` of 0: no bound carries one.
+    The runs closed forms also carry their per-index ``moment_terms``, an
+    ``(n, 2)`` read-only float64 array, and the smoothing constants used,
+    ``c_constant``, one float or a read-only array.  Its JSON and CSV forms
+    keep a ``slack`` of 0: no bound carries one.
     """
 
     variant: str
@@ -172,7 +177,7 @@ class BoundReport:
     g_norm_factor: Optional[float] = None
     one_minus_b: float = 1.0
     operands: Optional[dict] = None
-    moment_terms: Optional[tuple] = None
+    moment_terms: Optional[np.ndarray] = None
     c_constant: object = None
 
     def recompute_total(self) -> float:
@@ -199,14 +204,13 @@ class BoundReport:
         if self.g_norm_factor is not None:
             out["g_norm"] = self.g_norm_factor
         if self.smoothing is not None:
-            out["smoothing_c"] = list(self.smoothing.c)
+            out["smoothing_c"] = self.smoothing.c.tolist()
         if self.operands:
             out["operands"] = dict(self.operands)
         if self.moment_terms is not None:
-            out["moment_terms"] = list(self.moment_terms)
+            out["moment_terms"] = self.moment_terms.tolist()
         if self.c_constant is not None:
-            c = self.c_constant
-            out["c_constant"] = list(c) if isinstance(c, tuple) else c
+            out["c_constant"] = np.asarray(self.c_constant).tolist()
         return out
 
     def csv_row(self, n: Optional[int] = None, params: str = "") -> str:
@@ -388,20 +392,16 @@ def bound_d1(
     _check_n(moments.n, 6, allow_small_n, "use the crude bound below that")
     if smoothing.n != moments.n:
         raise ValueError("smoothing length does not match moment set")
-    c = np.asarray(smoothing.c)
     quad, lin = moments.smoothing_weights()
-    quadratic = abs(1 - spec.b) / 2 * math.fsum(c * quad)
-    linear = math.fsum(c * lin)
+    quadratic = abs(1 - spec.b) / 2 * math.fsum(smoothing.c * quad)
+    linear = math.fsum(smoothing.c * lin)
     return _moment_bound("d1", moments, spec, quadratic, linear, smoothing=smoothing)
 
 
 def bound_d2(moments: MomentSet, spec) -> BoundReport:
     """First-moment-only variant, valid for every ``n >= 1``; no tau term."""
     _check_target(spec, moments.mean_w)
-    quadratic = abs(1 - spec.b) * math.fsum(
-        moments.e_x[i] * moments.e_xn1[i] + moments.e_x_xn1[i]
-        for i in range(moments.n)
-    )
+    quadratic = abs(1 - spec.b) * math.fsum(moments.e_x * moments.e_xn1 + moments.e_x_xn1)
     return _moment_bound("d2", moments, spec, quadratic, math.fsum(moments.e_x), tau=False)
 
 

@@ -336,10 +336,10 @@ class PanjerPSD:
 class PSDSpec:
     """General power-series family ``p_k = coeff(k) theta^k / norm``.
 
-    ``norm`` is computed eagerly at construction when not supplied, so
-    instances are safe to share across threads without lazy-initialization
-    races.  With ``max_support`` the terms ``0..max_support`` are the whole
-    series, summed exactly with tail 0.  Without it the terms stop at two
+    ``norm`` is not a constructor argument: it is computed eagerly at
+    construction, so instances are safe to share across threads without
+    lazy-initialization races.  With ``max_support`` the terms
+    ``0..max_support`` are the whole series, summed exactly with tail 0.  Without it the terms stop at two
     consecutive zero terms, or where the ratio of the last two terms promises
     a geometric tail below ``1e-18`` of their sum; that certificate assumes
     the term ratios do not grow past the cut.
@@ -347,7 +347,7 @@ class PSDSpec:
 
     theta: float
     coeff: Callable[[int], float]
-    norm: Optional[float] = None
+    norm: float = field(init=False)
     max_support: Optional[int] = None
 
     def __post_init__(self):
@@ -356,8 +356,7 @@ class PSDSpec:
         terms, tail = self._terms_with_tail()
         if not any(t > 0 for t in terms):
             raise InvalidFamilyError("no positive coefficient found")
-        if self.norm is None:
-            object.__setattr__(self, "norm", math.fsum(terms) + tail)
+        object.__setattr__(self, "norm", math.fsum(terms) + tail)
         object.__setattr__(self, "_terms", tuple(terms))
         object.__setattr__(self, "_tail", tail)
 

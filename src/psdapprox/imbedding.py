@@ -218,7 +218,7 @@ class ImbeddedConditionalTerms:
     :class:`bounds.ExactConditionalTerms` at any ``n``."""
 
     def __init__(self, automaton: RunAutomaton, trial_probs: Sequence, n: int, m: int):
-        self._args = (automaton, tuple(trial_probs), n, m)
+        self._args = (automaton, trial_probs, n, m)
         self._sums = None
 
     def weighted_sums(self) -> tuple:

@@ -41,8 +41,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import UnavailableError
 from .families import PMFTable
-from .sequences import BLOCK_TRIALS, DependentSequence
+from .sequences import BLOCK_TRIALS, MAX_ENUM_OUTCOMES, DependentSequence
 
 # Trials per block of the exact-rational law: its numerator table of Python
 # ints holds 2^12 outcomes.
@@ -254,7 +255,8 @@ def brute_force_distribution(
     integer numerator over ``D = prod d_t``; the numerators are summed per
     value of ``W`` in Python integers, one block of ``2^12`` outcomes at a time,
     and each mass is one ``Fraction(sum, D)``.  The float law is one row-block
-    count (:func:`_joint`) of every outcome against ``W``.
+    count (:func:`_joint`) of every outcome against ``W``.  Either table is
+    sized by :func:`_cells`, which refuses one past ``MAX_ENUM_OUTCOMES``.
     """
     seq._require_enumerable()
     if exact:
@@ -289,7 +291,7 @@ def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
     of 40 bytes or more each, so their table is kept to ``2^12`` outcomes.
     """
     low = _numerators(probs[:EXACT_LOW_TRIALS])
-    sums = [0] * (int(total.max()) + 1)
+    sums = [0] * _cells(int(total.max()) + 1, "the exact law of W")
     for scale, w in zip(_numerators(probs[EXACT_LOW_TRIALS:]), total.reshape(-1, len(low))):
         order = np.argsort(w, kind="stable")
         values, starts = np.unique(w[order], return_index=True)
@@ -366,10 +368,11 @@ def _joint(seq: DependentSequence, pack, spaces: list, ranks: list,
     of the keys, a later one takes them modulo ``spaces[t] radix``.  One
     ``np.add.at`` per table adds each outcome's probability to its cell in
     enumeration order, as one ``bincount`` of every outcome would: each
-    cell is the same sum, bit for bit."""
+    cell is the same sum, bit for bit.  A table is sized by :func:`_cells`."""
     radix = int(total.max()) + 1
     sizes = [space if keys is None else len(keys) for space, keys in zip(spaces, ranks)]
-    joints = [np.zeros(size * radix) for size in sizes]
+    joints = [np.zeros(_cells(size * radix, f"the joint law of {size} groups and {radix} "
+                                            "values of W")) for size in sizes]
     for rows, probs in seq._prob_blocks():
         key, cell = pack(rows), None
         for t, (joint, space, keys) in enumerate(zip(joints, spaces, ranks)):
@@ -385,6 +388,15 @@ def _joint(seq: DependentSequence, pack, spaces: list, ranks: list,
             if keys is not None:
                 cell = None
     return [joint.reshape(size, radix) for joint, size in zip(joints, sizes)]
+
+
+def _cells(count: int, table: str) -> int:
+    """``count``, the cells of ``table``, or :class:`UnavailableError` past
+    ``MAX_ENUM_OUTCOMES``: summand values, not outcomes, set the count."""
+    if count > MAX_ENUM_OUTCOMES:
+        raise UnavailableError(
+            f"{table} needs {count} cells, past the cutoff of {MAX_ENUM_OUTCOMES}")
+    return count
 
 
 def _packer(cols, lows: tuple, radices: tuple, count: int):

@@ -14,12 +14,12 @@ per-index ``E X_i``, ``E X_i X_{i+1}`` and ``E X_i X_{i+1} X_{i+2}``
 built once, which the occurrence-probability precondition also reads.  Each
 model's closed-form bound is ``bounds.bound_d1`` over that moment set with the
 model's uncapped smoothing constants, which the model's
-``closed_form_bound(spec)`` returns.  The module
-also supplies those constants, each model's ``n`` of them and their labels as
-one pair of arrays from ``smoothing_constants()``, each model's exact theorem
-3.1 terms from the shared ``conditional_terms()`` (the imbedding engine of
-:mod:`psdapprox.imbedding` over the model's automaton, at any ``n``),
-moment-matched target fitting, and the published comparison table.
+``closed_form_bound(spec)`` returns.  The module also supplies those
+constants, each model's ``n`` of them as one read-only float64 array and a
+tuple of their labels from ``smoothing_constants()``, each model's exact
+theorem 3.1 terms from the shared ``conditional_terms()`` (the imbedding
+engine of :mod:`psdapprox.imbedding` over the model's automaton, at any
+``n``), moment-matched target fitting, and the published comparison table.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .sequences import (
     MomentSet,
     model_args,
     neighborhood_moment_set,
+    read_only,
     register_model,
 )
 
@@ -47,20 +48,19 @@ from .sequences import (
 # -- shared by both models: 1-dependent 0/1 summands -------------------------------
 
 
-def _closed_form_bound(moments: MomentSet, c: tuple, labels: tuple, spec, term_weights,
+def _closed_form_bound(moments: MomentSet, c: np.ndarray, labels: tuple, spec, term_weights,
                        c_constant) -> BoundReport:
     """``bound_d1`` with a model's uncapped smoothing constants, as ``closed-form``.
 
     ``c`` and ``labels`` hold each index's constant and its method; the
     model's own validity replaces the generic ``n >= 6``.  ``moment_terms``
-    lists the per-index quadratic and linear summands, each times
-    ``term_weights[i]``.
+    holds the per-index quadratic and linear summands, one row per index,
+    each times ``term_weights``, one weight or one per index.
     """
     d1 = bound_d1(moments, SmoothingEstimate(c, c, labels), spec, allow_small_n=True)
     half = abs(d1.one_minus_b) / 2
     quad, lin = moments.smoothing_weights()
-    w = np.asarray(term_weights)
-    terms = tuple(zip((w * half * quad).tolist(), (w * lin).tolist()))
+    terms = read_only(np.column_stack((term_weights * half * quad, term_weights * lin)))
     return replace(d1, variant="closed-form", smoothing=None, moment_terms=terms,
                    c_constant=c_constant)
 
@@ -92,7 +92,7 @@ class TwoRunsModel(_RunsModel):
         if len(p) < 2:
             raise ValueError("need at least two trials")
         super().__init__(p, n=len(p) - 1, kind="two-runs")
-        self.assumption_ok = bool(np.all(np.asarray(self.trial_probs) <= 0.5))
+        self.assumption_ok = bool(np.all(self.trial_probs <= 0.5))
         self.automaton = two_runs_automaton()
         self.m = 1
 
@@ -113,7 +113,7 @@ class TwoRunsModel(_RunsModel):
         if not self.assumption_ok:
             raise PreconditionError("trial probabilities must satisfy p_i <= 1/2")
         cbar, label = two_runs_cbar_parts(self.n)  # the same at every index
-        return (cbar,) * self.n, (label,) * self.n
+        return read_only(np.full(self.n, cbar)), (label,) * self.n
 
     def closed_form_bound(self, spec: PanjerPSD) -> BoundReport:
         return two_runs_bound(self, spec)
@@ -125,7 +125,7 @@ register_model("two-runs", lambda obj: TwoRunsModel(*model_args(obj)))
 def _trial_products(model: TwoRunsModel) -> list:
     """``E X_i``, ``E X_i X_{i+1}``, ``E X_i X_{i+1} X_{i+2}`` of the 2-runs
     summands: products of 2, 3 and 4 consecutive trials, zero past ``n``."""
-    p = np.asarray(model.trial_probs)
+    p = model.trial_probs
     out, prod = [], p
     for shift in (1, 2, 3):
         prod = prod[:-1] * p[shift:]
@@ -184,7 +184,7 @@ def two_runs_bound(model: TwoRunsModel, spec: PanjerPSD) -> BoundReport:
     before the factor ``cbar``."""
     cs, labels = model.smoothing_constants()  # enforces trials <= 1/2 and n >= 8
     return _closed_form_bound(model.closed_form_moments(), cs, labels, spec,
-                              term_weights=[1.0] * model.n, c_constant=cs[0])
+                              term_weights=1.0, c_constant=cs[0])
 
 
 def nb_bound_closed_form(n: int, p: float) -> float:
@@ -289,9 +289,8 @@ class K1K2Model(_RunsModel):
         self.automaton = k1k2_automaton(k1, k2)
         # Row r of the view holds trials r+1..r+nm, so window 1 of the view is
         # every window at once, by the float operations of window() itself.
-        shifted = np.lib.stride_tricks.sliding_window_view(np.asarray(self.trial_probs), n * m)
-        self.window_probs = self.window(shifted, 1)
-        self.window_probs.flags.writeable = False
+        shifted = np.lib.stride_tricks.sliding_window_view(self.trial_probs, n * m)
+        self.window_probs = read_only(self.window(shifted, 1))
 
     def window(self, trials, j: int):
         """``(1-t_j)...(1-t_{j+k1-1}) t_{j+k1}...t_{j+k1+k2-1}`` for window ``j``
@@ -405,7 +404,7 @@ def _conditional_zero_table(model: K1K2Model) -> dict:
     """:func:`conditional_zero_max` at every index, keyed by index."""
     start = np.eye(model.automaton.n_states)[0]  # state 0, m trials before the window
     out = {}
-    for ells, blocks, pos, layer in window_layers(model.automaton, np.asarray(model.trial_probs),
+    for ells, blocks, pos, layer in window_layers(model.automaton, model.trial_probs,
                                                   model.n, model.m, 1, start, model.m):
         joint = layer.sum(axis=1)  # law of the block values, per index
         codes, ell_bit = np.arange(1 << blocks), 1 << pos
@@ -464,7 +463,7 @@ def k1k2_ci_star_parts(model: K1K2Model) -> tuple:
         v_even, v_odd = value(1, i), value(2, i)  # odd, even summands remain
         values.append(min(v_even, v_odd))
         labels.append("roellin-even" if v_even <= v_odd else "roellin-odd")
-    return tuple(values), tuple(labels)
+    return read_only(values), tuple(labels)
 
 
 def k1k2_bound(
@@ -478,14 +477,15 @@ def k1k2_bound(
     _k1k2_check_conditions(model)
     moments = model.closed_form_moments()
     quad, lin = moments.smoothing_weights()
-    weighted = ((quad != 0.0) | (lin != 0.0)).tolist()
+    weighted = (quad != 0.0) | (lin != 0.0)
     values, labels = k1k2_ci_star_parts(model)
     # An index with nothing to weight gets c = 0 instead of its constant,
     # which may be inf on degenerate instances (and inf * 0 is NaN).
-    cs = tuple(c if w else 0.0 for c, w in zip(values, weighted))
-    labels = tuple(label if w else "zero-weight" for label, w in zip(labels, weighted))
-    if math.inf in cs:
-        vacuous = cs.index(math.inf) + 1
+    cs = read_only(np.where(weighted, values, 0.0))
+    labels = tuple(label if w else "zero-weight" for label, w in zip(labels, weighted.tolist()))
+    infinite = np.flatnonzero(cs == math.inf)
+    if len(infinite):
+        vacuous = int(infinite[0]) + 1
         raise PreconditionError(
             f"c*_{vacuous} is infinite at index {vacuous} of nonzero weight: the model "
             "gives no smoothing information there, so the closed-form bound is vacuous")

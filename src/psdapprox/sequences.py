@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -79,24 +79,39 @@ def model_args(obj: dict, *int_keys: str) -> tuple:
     return (*(obj[key] for key in int_keys), list(map(float, probs)))
 
 
-@dataclass(frozen=True)
+def read_only(values) -> np.ndarray:
+    """A new float64 array of ``values``, marked read-only: the one type of
+    every per-trial and per-index vector, so a memoized vector cannot be
+    changed by a caller, nor a caller's own array frozen."""
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class MomentSet:
     """Neighborhood moments of a dependent sequence, one entry per index.
 
-    Arrays are aligned so position ``i-1`` holds the quantities for summand
-    ``i`` (1-based, as in the bound statements): the mean of ``X_i``, the mean
-    of its radius-1 neighborhood sum, their product moment, the two bracketed
-    third-moment terms, and ``E[X_i (X_{N_{i,2}} - 1)]``.
+    Each of the six per-index fields is a read-only float64 array, copied
+    from what the constructor is given, with position ``i-1`` holding the
+    quantity for summand ``i`` (1-based, as in the bound statements): the
+    mean of ``X_i``, the mean of its radius-1 neighborhood sum, their product
+    moment, the two bracketed third-moment terms, and ``E[X_i (X_{N_{i,2}} -
+    1)]``.  Lists appear only in a report's JSON.
     """
 
-    e_x: tuple
-    e_xn1: tuple
-    e_x_xn1: tuple
-    e_n1_bracket: tuple
-    e_x_n1_bracket: tuple
-    e_x_n2m1: tuple
+    e_x: np.ndarray
+    e_xn1: np.ndarray
+    e_x_xn1: np.ndarray
+    e_n1_bracket: np.ndarray
+    e_x_n1_bracket: np.ndarray
+    e_x_n2m1: np.ndarray
     mean_w: float
     var_w: float
+
+    def __post_init__(self):
+        for f in fields(self)[:6]:  # the per-index fields
+            object.__setattr__(self, f.name, read_only(getattr(self, f.name)))
 
     @property
     def n(self) -> int:
@@ -107,15 +122,11 @@ class MomentSet:
         E[bracket] + E[X_i bracket]`` and the linear weights ``E[X_i
         (X_{N_{i,2}} - 1)]`` that the smoothing constants ``c_i`` multiply in
         the bounds."""
-        x, q1, q2, lin = (np.asarray(v, dtype=float) for v in (
-            self.e_x, self.e_n1_bracket, self.e_x_n1_bracket, self.e_x_n2m1))
-        return x * q1 + q2, lin
+        return self.e_x * self.e_n1_bracket + self.e_x_n1_bracket, self.e_x_n2m1
 
     def var_from_neighborhoods(self) -> float:
         """Variance via the neighborhood display, for identity checks."""
-        return math.fsum(
-            self.e_x_xn1[i] - self.e_x[i] * self.e_xn1[i] for i in range(self.n)
-        )
+        return math.fsum(self.e_x_xn1 - self.e_x * self.e_xn1)
 
 
 def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
@@ -149,10 +160,8 @@ def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
         + 2 * (at(t, -2) + at(t, -1) + at(t, 0))
     )
     e_x_n2m1 = at(a, 0) * (at(a, -2) + at(a, 2)) + at(q, -1) + at(q, 0)
-    fields = [tuple(v.tolist()) for v in (e_x, e_xn1, e_x_xn1, e_n1_bracket,
-                                          e_x_n1_bracket, e_x_n2m1)]
-    return MomentSet(*fields, mean_w=math.fsum(fields[0]),
-                     var_w=math.fsum(e_x_xn1 - e_x * e_xn1))
+    return MomentSet(e_x, e_xn1, e_x_xn1, e_n1_bracket, e_x_n1_bracket, e_x_n2m1,
+                     mean_w=math.fsum(e_x), var_w=math.fsum(e_x_xn1 - e_x * e_xn1))
 
 
 def _row_sums(x: np.ndarray, width: Optional[int] = None) -> np.ndarray:
@@ -186,6 +195,8 @@ def _doubled(trial_probs) -> np.ndarray:
 class DependentSequence:
     """Base carrier: trial probabilities plus the trials -> X mapping.
 
+    ``trial_probs`` is a read-only float64 array, copied from the
+    constructor's argument; a list appears only in :meth:`to_json`.
     Subclasses implement :meth:`x_columns` (vectorized) and give ``n``.
     :meth:`x_columns` maps a ``(rows, T)`` bit block to its ``(rows, n)``
     summand values; blocks arrive column-major, and a mapping that stacks
@@ -206,9 +217,10 @@ class DependentSequence:
 
     def __init__(self, trial_probs: Sequence[float], n: int, kind: str,
                  params: Optional[dict] = None):
-        self.trial_probs = tuple(map(float, trial_probs))
-        probs = np.asarray(self.trial_probs)
-        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
+        self.trial_probs = read_only(trial_probs)
+        if self.trial_probs.ndim != 1:
+            raise ValueError("trial probabilities must be one sequence of numbers")
+        if not np.all((self.trial_probs >= 0) & (self.trial_probs <= 1)):  # NaN fails both
             raise ValueError("trial probabilities must lie in [0,1]")
         self.n = int(n)
         if self.n < 1:
@@ -482,7 +494,7 @@ class DependentSequence:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {"model": self.kind, "p": list(self.trial_probs)}
+        out = {"model": self.kind, "p": self.trial_probs.tolist()}
         out.update(self.params)
         return out
 
@@ -513,7 +525,7 @@ class BernoulliProductSequence(DependentSequence):
 
     def closed_form_moments(self) -> MomentSet:
         """Exact moments: independent summands, so every moment is a product of ``p``s."""
-        p = np.asarray(self.trial_probs)
+        p = self.trial_probs
         pair = p[:-1] * p[1:]
         triple = pair[:-1] * p[2:]
         return neighborhood_moment_set(
@@ -612,14 +624,14 @@ def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     """
     w = seq.outcome_probs()
     bufs = [np.empty(seq.outcome_count) for _ in range(3)]
-    fields = tuple([] for _ in range(6))
+    values = tuple([] for _ in range(6))
     for i in range(1, seq.n + 1):
         windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
         x, xn1, xn2 = seq._window_sums(range(i, i + 1), *windows)
-        for out, v in zip(fields, _moment_columns(x, xn1, xn2, bufs)):
+        for out, v in zip(values, _moment_columns(x, xn1, xn2, bufs)):
             out.append(float(w @ v))
     del bufs, v  # freed before the buffer of W in mean_var
-    return MomentSet(*(tuple(f) for f in fields), *mean_var(seq))
+    return MomentSet(*values, *mean_var(seq))
 
 
 # -- certificates -------------------------------------------------------------------

@@ -127,8 +127,8 @@ def test_build_smoothing_two_runs_formula():
     seq = TwoRunsModel([0.2] * 21)  # n = 20
     est = build_smoothing(seq)
     assert est.n == 20
-    assert est.raw == (pytest.approx(4 / math.sqrt(7), abs=1e-12),) * 20
-    assert est.c == est.raw  # below the cap of 2
+    assert est.raw.tolist() == [pytest.approx(4 / math.sqrt(7), abs=1e-12)] * 20
+    assert np.array_equal(est.c, est.raw)  # below the cap of 2
     assert est.method == ("roellin-even",) * 20
 
 
@@ -136,7 +136,7 @@ def test_build_smoothing_exact_fallback():
     seq = BernoulliProductSequence([0.3] * 8)
     est = build_smoothing(seq)
     assert est.method == ("exact-conditional",) * 8
-    assert est.raw == est.c
+    assert np.array_equal(est.raw, est.c)
     for i, c in enumerate(est.c, start=1):
         assert 0 < c <= 2.0
         # The fallback dominates every conditional D value it summarizes.
@@ -153,8 +153,8 @@ def test_smoothing_unavailable():
 
 def test_smoothing_cap_at_two():
     est = SmoothingEstimate.constant(4.0, 8)
-    assert est.c == (2.0,) * 8
-    assert est.raw == (4.0,) * 8
+    assert est.c.tolist() == [2.0] * 8
+    assert est.raw.tolist() == [4.0] * 8
     assert est.method == ("model-closed-form",) * 8
 
 
@@ -317,7 +317,9 @@ def test_smoothing_from_runs_model_matches_entry():
     model = TwoRunsModel([0.2] * 21)
     est = build_smoothing(model)
     assert est.c[2] == two_runs_cbar(20)
-    assert smoothing_from_runs_model(model) == est
+    other = smoothing_from_runs_model(model)
+    assert np.array_equal(other.c, est.c) and np.array_equal(other.raw, est.raw)
+    assert other.method == est.method
 
 
 # -- reference: each variant's display written out on its own -----------------------
@@ -391,7 +393,8 @@ def _ref_closed_form(moments, cs, spec, term_weights, c_constant):
 def _assert_same_report(report, ref):
     assert type(report) is type(ref)
     for f in dataclasses.fields(ref):
-        assert getattr(report, f.name) == getattr(ref, f.name), f.name
+        got, want = getattr(report, f.name), getattr(ref, f.name)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want, f.name
 
 
 def _fits(moments):

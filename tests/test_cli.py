@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -924,6 +925,19 @@ def test_verify_detects_corrupted_moments(two_runs_model_file, capsys, monkeypat
     monkeypatch.setattr(TwoRunsModel, "closed_form_moments", corrupted)
     assert main(["verify", "--model", two_runs_model_file]) == 1
     assert "FAIL closed-form-moments" in capsys.readouterr().out
+
+
+def test_verify_detects_a_closed_form_mean_off_by_1e_9(two_runs_model_file, capsys,
+                                                      monkeypatch):
+    from psdapprox.runs import TwoRunsModel
+
+    assert main(["verify", "--model", two_runs_model_file]) == 0
+    assert "PASS closed-form-moments\n" in capsys.readouterr().out
+    original = TwoRunsModel.closed_form_moments
+    monkeypatch.setattr(TwoRunsModel, "closed_form_moments", lambda self: dataclasses.replace(
+        original(self), mean_w=original(self).mean_w + 1e-9))
+    assert main(["verify", "--model", two_runs_model_file]) == 1
+    assert "FAIL closed-form-moments\n" in capsys.readouterr().out
 
 
 def test_verify_max_outcomes_guard(tmp_path, capsys):

@@ -683,3 +683,10 @@ def test_stein_solution_off_support_and_origin():
     g = stein_solve(spec, indicator({2}))
     assert g(0) == 0.0
     assert g(-3) == 0.0
+
+
+def test_series_norm_is_computed_not_given():
+    spec = PSDSpec(theta=0.5, coeff=lambda k: 1.0 if k < 4 else 0.0)
+    assert spec.norm == 1.875
+    with pytest.raises(TypeError, match="norm"):
+        PSDSpec(theta=0.5, coeff=lambda k: 1.0, norm=2.0)

@@ -9,7 +9,7 @@ import pytest
 
 import psdapprox.oracle as oracle
 from psdapprox.cli import main
-from psdapprox.errors import EnumerationLimitError
+from psdapprox.errors import EnumerationLimitError, UnavailableError
 from psdapprox.families import PMFTable
 from psdapprox.oracle import (
     RunAutomaton,
@@ -329,6 +329,37 @@ def test_brute_force_refuses_large_instances():
     with pytest.raises(EnumerationLimitError,
                        match=r"^2\^25 outcomes exceed the enumeration cutoff$"):
         brute_force_distribution(BernoulliProductSequence([0.5] * 25))
+
+
+class _WideSums(DependentSequence):
+    """``X_i = 2^27 t_i t_{i+1}``: few outcomes, but ``max W = n 2^27``."""
+
+    def __init__(self, probs):
+        super().__init__(probs, n=len(probs) - 1, kind="wide-sums")
+
+    def x_columns(self, bits):
+        return (bits[:, :-1] * bits[:, 1:]).astype(np.int32) << 27
+
+    def trial_span(self, i):
+        return range(i - 1, i + 1)
+
+
+@pytest.mark.parametrize("call, table", [
+    (lambda seq: exact_conditional_D(seq, 4, "n2"),
+     "the joint law of 11 groups and 939524097 values of W needs 10334765067 "),
+    (brute_force_distribution,
+     "the joint law of 1 groups and 939524097 values of W needs 939524097 "),
+    (lambda seq: brute_force_distribution(seq, exact=True),
+     "the exact law of W needs 939524097 "),
+], ids=["conditional-D", "float-law", "exact-law"])
+def test_tables_past_the_cutoff_are_refused_before_allocation(call, table):
+    """256 outcomes whose ``W`` reaches 7 2^27: the conditional tables and
+    both laws of ``W`` would allocate a cell per value of ``W`` and group
+    (77, 7 and 7 GiB), so each is refused, naming its size."""
+    seq = _WideSums([0.5] * 8)
+    assert int(seq.w_values().max()) == 7 << 27
+    with pytest.raises(UnavailableError, match=table + r"cells, past the cutoff of 16777216$"):
+        call(seq)
 
 
 def test_product_automaton_counts_the_ones():

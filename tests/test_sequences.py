@@ -219,7 +219,7 @@ def test_json_round_trip():
     ]:
         clone = sequence_from_json(seq.to_json())
         assert type(clone) is type(seq)
-        assert clone.trial_probs == seq.trial_probs
+        assert np.array_equal(clone.trial_probs, seq.trial_probs)
         assert clone.n == seq.n
 
 
@@ -303,7 +303,7 @@ def test_streamed_moments_bit_identical_to_full_matrix(name):
     want = _reference_moments(seq)
     for field in ("e_x", "e_xn1", "e_x_xn1", "e_n1_bracket", "e_x_n1_bracket",
                   "e_x_n2m1", "mean_w", "var_w"):
-        assert getattr(got, field) == getattr(want, field), field
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 # -- mean and variance of W without the per-index moments ---------------------------
@@ -402,7 +402,7 @@ def test_buffered_kernels_equal_the_fresh_array_references(name):
     seq = _mean_var_cases()[name]
     m = _moments_by_enumeration(seq)
     got = (m.e_x, m.e_xn1, m.e_x_xn1, m.e_n1_bracket, m.e_x_n1_bracket, m.e_x_n2m1)
-    assert got == _reference_moment_fields(_mean_var_cases()[name])
+    assert np.array_equal(got, _reference_moment_fields(_mean_var_cases()[name]))
     sums = ExactConditionalTerms(seq).weighted_sums()
     assert sums == _reference_weighted_sums(_mean_var_cases()[name])
 
