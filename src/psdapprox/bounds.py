@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import MomentMatchError, PreconditionError, UnavailableError
 from .families import PanjerPSD, PMFTable, delta_g_uniform_bound, g_norm_bound
-from .oracle import exact_conditional_D, outcome_d, shift_regularity
-from .sequences import DependentSequence, MomentSet, _bracket, read_only
+from .oracle import conditional_table, exact_conditional_D, shift_regularity
+from .sequences import DependentSequence, MomentSet, _n1_bracket, read_only
 
 MEAN_MATCH_TOL = 1e-9
 
@@ -268,10 +268,12 @@ class ExactConditionalTerms:
     Computes, by full enumeration, the three per-index expectations in which
     the conditional ``D`` enters as a weight: the two bracketed third-moment
     sums conditioned on the (radius-1, radius-2) pair, and the linear term
-    conditioned on the radius-2 window, computed once.  Each index streams
-    ``X_i`` and its window sums in integers from the trial spans and reads
-    the oracle's two conditional tables, which the sequence keeps for
-    :func:`exact_conditional_D` (and so :func:`build_smoothing`) to read.
+    conditioned on the radius-2 window, computed once.  Each index forms
+    its integrands on its window table and weights each row by its ``D``
+    in the oracle's two conditional tables, which the sequence keeps for
+    :func:`exact_conditional_D` (and so :func:`build_smoothing`); each
+    product, one float rounding per outcome, is expanded into one reused
+    buffer for its dot product (:meth:`~DependentSequence._expand`).
     This is the enumeration oracle; :func:`build_conditional_terms` prefers a
     model's own engine.
     """
@@ -286,33 +288,22 @@ class ExactConditionalTerms:
         if self._sums is not None:
             return self._sums
         seq = self.seq
-        w = seq.outcome_probs()
-        # Three reused buffers: x, an integrand and the integrand times each
-        # outcome's conditional D.  The integrands are small integers, formed
-        # exactly, until that final product.
-        x, col, col_d = (np.empty(seq.outcome_count) for _ in range(3))
-
-        def weighted(d) -> float:
-            return float(w @ np.multiply(d, col, out=col_d))
-
-        sum_q1 = 0.0
-        sum_q2 = 0.0
-        sum_lin = 0.0
+        w, buffer = seq.outcome_probs(), np.empty(seq.outcome_count)
+        sum_q1 = sum_q2 = sum_lin = 0.0
         for i in range(1, seq.n + 1):
-            windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
-            xi, v1, v2 = seq._window_sums(range(i, i + 1), *windows)
-            d = outcome_d(seq, i, "n1n2", (v1, v2))
-            np.copyto(x, xi)
-            _bracket(col, v1, v2)
-            sum_q1 += float(w @ x) * weighted(d)
-            col *= x
-            sum_q2 += weighted(d)
-            del d  # freed before the n2 D is read
-            d = outcome_d(seq, i, "n2", (v1, v2))
-            np.copyto(col, v2)
-            col -= 1
-            col *= x
-            sum_lin += weighted(d)
+            first, stop, (x, v1, v2) = seq._window_table(
+                range(i, i + 1), *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
+
+            def expect(v) -> float:
+                return float(w @ seq._expand(first, stop, v, buffer))
+
+            d = conditional_table(seq, i, "n1n2").d_at((v1, v2))
+            col = _n1_bracket(v1, v2)
+            sum_q1 += expect(x) * expect(d * col)
+            sum_q2 += expect(d * np.multiply(col, x, out=col))
+            del d, col  # freed before the n2 D is read
+            d, col = conditional_table(seq, i, "n2").d_at((v1, v2)), np.subtract(v2, 1.0)
+            sum_lin += expect(d * np.multiply(col, x, out=col))
         self._sums = (sum_q1, sum_q2, sum_lin)
         return self._sums
 

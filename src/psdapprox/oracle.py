@@ -336,6 +336,16 @@ class ConditionalTable:
         """The group of each packed key."""
         return key if self.keys is None else np.searchsorted(self.keys, key)
 
+    def d_at(self, windows) -> np.ndarray:
+        """The ``D`` of each row of the window sums ``(v1, v2)``, as a new
+        float64 array, by row blocks of their keys read through :meth:`ids`."""
+        cols = windows[len(windows) - len(self.radices):]
+        pack, d = _packer(cols, self.lows, self.radices, len(cols[0])), np.empty(len(cols[0]))
+        for rows in _row_blocks(len(d)):
+            # Every id is in range; "clip" spares the copy of out that "raise" makes.
+            np.take(self.d, self.ids(pack(rows)), out=d[rows], mode="clip")
+        return d
+
     def values(self, groups: np.ndarray) -> np.ndarray:
         """The column values of ``groups``, one row per group."""
         if self.keys is not None:
@@ -448,17 +458,6 @@ def _conditional_laws(seq: DependentSequence, pack, digits: list,
     return tables
 
 
-def _with_total(seq: DependentSequence, *windows: range) -> tuple:
-    """The sums over ``windows``, then ``W``: the sequence's cached ``W``
-    where it has one, else ``W`` streamed with the windows by
-    :meth:`~DependentSequence._window_sums`, byte-wide where it fits, and
-    not cached."""
-    cached = seq._cache.get("w")
-    if cached is None:
-        return seq._window_sums(*windows, range(1, seq.n + 1))
-    return (*seq._window_sums(*windows), cached)
-
-
 def conditional_table(seq: DependentSequence, i: int, conditioning: str,
                       windows=None) -> ConditionalTable:
     """The :class:`ConditionalTable` of ``W`` given ``conditioning`` at
@@ -471,9 +470,10 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     over the row blocks (:func:`_joint`) from one packed key.  ``windows``,
     the window sums ``(v1, v2)`` of every outcome where the caller has
     them, are read with the cached :meth:`~DependentSequence.w_values`;
-    else the windows and ``W`` are streamed by :func:`_with_total`, so with
-    the outcome probabilities formed per row block the two tables hold per
-    outcome the two window sums and ``W`` alone, a byte each where they fit.
+    else :meth:`~DependentSequence._window_sums` streams the windows, and
+    ``W`` with them unless it is cached, so with the outcome probabilities
+    formed per row block the two tables hold per outcome the two window
+    sums and ``W`` alone, a byte each where they fit.
     """
     memo = seq._cache.setdefault("conditional", {})
     if conditioning not in ("n2", "n1n2"):
@@ -483,7 +483,10 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     if (i, conditioning) in memo:
         return memo[i, conditioning]
     if windows is None:
-        *windows, total = _with_total(seq, *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
+        windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
+        total = seq._cache.get("w")
+        *windows, total = (seq._window_sums(*windows, range(1, seq.n + 1)) if total is None
+                           else (*seq._window_sums(*windows), total))
     else:
         windows, total = list(windows), seq.w_values()
     lows = tuple(int(col.min()) for col in windows)
@@ -492,21 +495,6 @@ def conditional_table(seq: DependentSequence, i: int, conditioning: str,
     memo[i, "n1n2"], memo[i, "n2"] = _conditional_laws(
         seq, pack, [(lows, radices), (lows[1:], radices[1:])], total)
     return memo[i, conditioning]
-
-
-def outcome_d(seq: DependentSequence, i: int, conditioning: str, windows) -> np.ndarray:
-    """Each outcome's ``D`` in the ``n2`` or ``n1n2`` table of ``windows``
-    ``(v1, v2)`` (:func:`conditional_table`), as a new float64 array, by
-    row blocks: each block's key of the table's columns read through
-    :meth:`ConditionalTable.ids`."""
-    table = conditional_table(seq, i, conditioning, windows)
-    cols = windows[len(windows) - len(table.radices):]
-    pack = _packer(cols, table.lows, table.radices, seq.outcome_count)
-    d = np.empty(seq.outcome_count)
-    for rows in _row_blocks(seq.outcome_count):
-        # Every id is in range; "clip" spares the copy of out that "raise" makes.
-        np.take(table.d, table.ids(pack(rows)), out=d[rows], mode="clip")
-    return d
 
 
 def exact_conditional_D(seq: DependentSequence, i: int, conditioning: str) -> dict:

@@ -18,8 +18,9 @@ moments are exact: vectorized enumeration of the full outcome space (refused
 above ``MAX_ENUM_OUTCOMES``), exact rational enumeration for small
 instances, or a model's closed form, which for 0/1 summands is
 :func:`neighborhood_moment_set`.  Enumerated moments stream over the
-indices, one dot product per moment, each integrand formed in one of three
-reused float64 buffers; their ``mean_w`` and ``var_w`` are :func:`mean_var`,
+indices, one dot product per moment, each integrand formed on the index's
+window table and expanded into one reused float64 buffer; their
+``mean_w`` and ``var_w`` are :func:`mean_var`,
 two dot products over one float64 buffer of ``W``.  The 1-dependence check
 :func:`dependence_certificate` packs the streamed columns into mixed-radix
 keys, the lowest index least significant: a prefix key that gains one column
@@ -439,10 +440,35 @@ class DependentSequence:
                 np.add(low_sums[k], part, dtype=sums[k].dtype, out=out[..., 0])
                 if first:  # s' = 0 copied to every s', from a copy: numpy's overlap check is slow
                     out[..., 1:] = out[..., :1].copy()
-        for total in sums:  # the outcomes below 2^stop, copied to every higher one
-            for t in range(stop, self.trial_count):
-                total[1 << t : 2 << t] = total[: 1 << t]
-        return tuple(sums)
+        return tuple(self._double(total, stop) for total in sums)
+
+    def _double(self, out: np.ndarray, stop: int) -> np.ndarray:
+        """``out`` with its first ``2^stop`` entries copied to every higher
+        outcome, by one doubling copy per trial past ``stop``."""
+        for t in range(stop, self.trial_count):
+            out[1 << t : 2 << t] = out[: 1 << t]
+        return out
+
+    def _window_table(self, *windows: range) -> tuple:
+        """``(first, stop, sums)``: the sum over each of ``windows`` of each
+        outcome of trials ``first..stop-1``, the union of their
+        :meth:`trial_span`, mapped by :meth:`_x_blocks` and summed by
+        :func:`_row_sums`.  Outcome ``r`` of every trial reads row ``(r >>
+        first) & (2^(stop-first) - 1)``: see :meth:`_expand`."""
+        spans = [self.trial_span(j) for window in windows for j in window]
+        first, stop = min(s.start for s in spans), max(s.stop for s in spans)
+        parts = [[] for _ in windows]
+        for _, x in self._x_blocks(first, stop):
+            for part, window in zip(parts, windows):
+                part.append(_row_sums(x[:, window.start - 1 : window.stop - 1], len(window)))
+        return first, stop, tuple(np.concatenate(part) for part in parts)
+
+    def _expand(self, first: int, stop: int, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, outcome-length, set to row ``(r >> first) & (2^(stop-first)
+        - 1)`` of a :meth:`_window_table` ``table`` at each outcome ``r``: one
+        broadcast below ``2^stop``, then :meth:`_double`."""
+        np.copyto(out[: 1 << stop].reshape(-1, 1 << first), table[:, None])
+        return self._double(out, stop)
 
     def exact_trial_probs(self) -> list:
         """Trial probabilities as rationals, ``limit_denominator(10**9)`` of each float."""
@@ -561,36 +587,6 @@ def compute_moments(seq: DependentSequence, method: str = "auto") -> MomentSet:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _bracket(out: np.ndarray, xn1: np.ndarray, xn2: np.ndarray) -> np.ndarray:
-    """``out``, a float64 buffer, set in place to the bracket
-    ``xn1 (2 xn2 - xn1 - 1)`` of the window sums ``xn1`` and ``xn2``."""
-    np.copyto(out, xn2)
-    out *= 2
-    out -= xn1
-    out -= 1
-    out *= xn1
-    return out
-
-
-def _moment_columns(x: np.ndarray, xn1: np.ndarray, xn2: np.ndarray, bufs) -> Iterator:
-    """The six per-outcome integrands of :class:`MomentSet`, one at a time,
-    each formed in place in the three float64 buffers ``bufs``: a caller
-    reads each before the next."""
-    a, b, c = bufs
-    np.copyto(a, x)
-    yield a
-    np.copyto(b, xn1)
-    yield b
-    yield np.multiply(a, b, out=c)
-    yield _bracket(c, b, xn2)
-    c *= a
-    yield c
-    np.copyto(c, xn2)
-    c -= 1
-    c *= a
-    yield c
-
-
 def mean_var(seq: DependentSequence) -> tuple:
     """``(mean_w, var_w)`` exactly as ``compute_moments(seq)`` reports them.
 
@@ -615,23 +611,46 @@ def mean_var(seq: DependentSequence) -> tuple:
 def _moments_by_enumeration(seq: DependentSequence) -> MomentSet:
     """Exact moments, streamed over indices with one ``w @ column`` each.
 
-    Every column holds small integers, formed exactly in float64 from the
-    integer column of ``X_i`` and its window sums, streamed per index by
-    :meth:`~DependentSequence._window_sums`, so it equals the integer column
-    of a full ``(outcomes, n)`` matrix evaluation, and each moment is the
-    same dot product bit for bit.  ``mean_w`` and ``var_w`` come from
-    :func:`mean_var`.
+    Each index's six integrands are formed in turn on the
+    :meth:`~DependentSequence._window_table` of ``X_i`` and its window
+    sums, then expanded into one reused outcome-length float64 buffer
+    (:meth:`~DependentSequence._expand`).  They are small integers, so each
+    column equals the integer column of a full ``(outcomes, n)`` matrix
+    evaluation, and each moment is the same dot product bit for bit.
+    ``mean_w`` and ``var_w`` come from :func:`mean_var`.
     """
     w = seq.outcome_probs()
-    bufs = [np.empty(seq.outcome_count) for _ in range(3)]
+    buffer = np.empty(seq.outcome_count)
     values = tuple([] for _ in range(6))
     for i in range(1, seq.n + 1):
-        windows = (seq.neighborhood_indices(i, ell) for ell in (1, 2))
-        x, xn1, xn2 = seq._window_sums(range(i, i + 1), *windows)
-        for out, v in zip(values, _moment_columns(x, xn1, xn2, bufs)):
-            out.append(float(w @ v))
-    del bufs, v  # freed before the buffer of W in mean_var
+        first, stop, sums = seq._window_table(
+            range(i, i + 1), *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
+        for out, v in zip(values, _moment_integrands(*sums)):
+            out.append(float(w @ seq._expand(first, stop, v, buffer)))
+    del buffer, sums, v  # freed before the buffer of W in mean_var
     return MomentSet(*values, *mean_var(seq))
+
+
+def _moment_integrands(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> Iterator:
+    """The six integrands of :class:`MomentSet` of the integer columns
+    ``x``, ``v1`` and ``v2`` of ``X_i`` and its window sums, one at a time,
+    formed exactly: a caller reads each before the next."""
+    yield x
+    yield v1
+    yield np.multiply(x, v1, dtype=float)
+    bracket = _n1_bracket(v1, v2)
+    yield bracket
+    yield np.multiply(bracket, x, out=bracket)
+    lin = np.subtract(v2, 1.0)
+    yield np.multiply(lin, x, out=lin)
+
+
+def _n1_bracket(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``v1 (2 v2 - v1 - 1)`` of the window sums ``v1`` and ``v2``, in float64."""
+    bracket = np.multiply(v2, 2.0)
+    bracket -= v1
+    bracket -= 1
+    return np.multiply(bracket, v1, out=bracket)
 
 
 # -- certificates -------------------------------------------------------------------

@@ -19,11 +19,7 @@ from psdapprox.sequences import (
     sequence_from_json,
 )
 from psdapprox.bounds import ExactConditionalTerms
-from psdapprox.oracle import (
-    brute_force_distribution,
-    exact_conditional_D,
-    outcome_d,
-)
+from psdapprox.oracle import brute_force_distribution, exact_conditional_D
 from psdapprox.runs import K1K2Model, TwoRunsModel
 
 
@@ -264,6 +260,18 @@ def _reference_moments(seq) -> MomentSet:
                      mean_w, var_w)
 
 
+class _LastTrialCopies(DependentSequence):
+    """``X_1 = ... = X_5 = scale * trial_17`` as ``uint8``: 0 in the first row
+    block of the enumeration, ``scale`` in the second."""
+
+    def __init__(self, scale: int):
+        super().__init__([0.5] * 17, n=5, kind="last-trial-copies")
+        self.scale = scale
+
+    def x_columns(self, bits):
+        return np.repeat(bits[:, -1:] * np.uint8(self.scale), 5, axis=1)
+
+
 def _bit_identity_cases():
     rng = np.random.default_rng(2024)
     return {
@@ -275,6 +283,10 @@ def _bit_identity_cases():
             rng.uniform(0.0, 1.0, 10).tolist() + [0.0, 1.0]
         ),
         "blocked windows": _WindowGroups(rng.uniform(0.1, 0.6, 10).tolist(), k2=2, size=2),
+        # Interior windows read all 18 trials, past one row block.
+        "(2,2)-runs n=5": K1K2Model(2, 2, 5, rng.uniform(0.1, 0.6, 18).tolist()),
+        # Every summand reads every trial: a window table of every outcome.
+        "last-trial copies 52": _LastTrialCopies(52),
     }
 
 
@@ -347,6 +359,8 @@ def _mean_var_cases():
     cases["blocked (1,2)-runs"] = _WindowGroups(rng.uniform(0.1, 0.5, 12).tolist(), k2=2, size=4)
     # 5 * 52 > 255: radius-2 windows past a byte, summed in int32.
     cases["scaled two-runs 52"] = _ScaledTwoRuns([0.5] * 8, 52)
+    cases["(2,2)-runs n=5"] = K1K2Model(2, 2, 5, rng.uniform(0.1, 0.5, 18).tolist())
+    cases["last-trial copies 52"] = _LastTrialCopies(52)
     return cases
 
 
@@ -379,6 +393,16 @@ def _reference_moment_fields(seq) -> tuple:
     return tuple(tuple(f) for f in fields)
 
 
+def _reference_d(seq, i: int, conditioning: str, cols) -> np.ndarray:
+    """Each outcome's ``D`` read from :func:`exact_conditional_D`'s map by
+    the value of its conditioning columns ``cols``; 0.0 for a value the map
+    leaves out, which no outcome of positive probability takes."""
+    d = exact_conditional_D(seq, i, conditioning)
+    values, inverse = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
+    keys = [tuple(v) if len(v) > 1 else v[0] for v in values.tolist()]
+    return np.array([d.get(key, 0.0) for key in keys])[inverse.reshape(-1)]
+
+
 def _reference_weighted_sums(seq) -> tuple:
     """Theorem 3.1's weighted sums with int64 windows summed from slices of
     the summand matrix and a fresh array for every integrand and weight."""
@@ -389,8 +413,8 @@ def _reference_weighted_sums(seq) -> tuple:
         xi = xs[:, i - 1].astype(float)
         v1, v2 = (_window(seq, xs, i, ell).astype(np.int64) for ell in (1, 2))
         bracket = (v1 * (2 * v2 - v1 - 1)).astype(float)
-        d12_w = outcome_d(seq, i, "n1n2", (v1, v2))
-        d2_w = outcome_d(seq, i, "n2", (v1, v2))
+        d12_w = _reference_d(seq, i, "n1n2", (v1, v2))
+        d2_w = _reference_d(seq, i, "n2", (v2,))
         sum_q1 += float(w @ xi) * float(w @ (bracket * d12_w))
         sum_q2 += float(w @ (xi * bracket * d12_w))
         sum_lin += float(w @ (xi * (v2 - 1).astype(float) * d2_w))
@@ -411,16 +435,52 @@ def test_the_kernel_cases_reach_summand_value_two():
     assert _mean_var_cases()["blocked (1,2)-runs"].x_values().max() == 2
 
 
-class _LastTrialCopies(DependentSequence):
-    """``X_1 = ... = X_5 = scale * trial_17`` as ``uint8``: 0 in the first row
-    block of the enumeration, ``scale`` in the second."""
+@pytest.mark.parametrize("name", ["two-runs n=12", "two-runs n=1", "two-runs n=2",
+                                  "(2,2)-runs n=5", "last-trial copies 52"])
+def test_window_tables_expand_to_the_streamed_window_sums(name):
+    """Outcome ``r`` reads row ``(r >> first) & (2^(stop-first) - 1)`` of its
+    window table, which is the sum :meth:`_window_sums` streams, at ``first
+    = 0``, at ``0 < first`` with ``stop < T``, at ``stop = T`` and on the
+    clipped windows of n=1 and n=2."""
+    seq = _bit_identity_cases()[name]
+    r = np.arange(seq.outcome_count)
+    buffer = np.empty(seq.outcome_count)
+    edges = set()
+    for i in range(1, seq.n + 1):
+        windows = (range(i, i + 1), *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
+        first, stop, tables = seq._window_table(*windows)
+        mask = (1 << (stop - first)) - 1
+        for table, want in zip(tables, seq._window_sums(*windows), strict=True):
+            assert len(table) == mask + 1
+            got = seq._expand(first, stop, table, buffer)
+            assert np.array_equal(got, table[(r >> first) & mask])
+            assert np.array_equal(got, want)
+        edges.add((first > 0, stop == seq.trial_count))
+    want = {"two-runs n=12": {(False, False), (True, False), (True, True)},
+            "(2,2)-runs n=5": {(False, False), (False, True), (True, True)}}
+    assert edges == want.get(name, {(False, True)})
 
-    def __init__(self, scale: int):
-        super().__init__([0.5] * 17, n=5, kind="last-trial-copies")
-        self.scale = scale
 
-    def x_columns(self, bits):
-        return np.repeat(bits[:, -1:] * np.uint8(self.scale), 5, axis=1)
+def test_the_enumeration_oracles_stream_each_index_once(monkeypatch):
+    """On the 15-trial 2-runs model the moments read no streamed window,
+    and the weighted sums stream one per index, for the joint law of its
+    two conditional tables."""
+    seq = TwoRunsModel(np.random.default_rng(15).uniform(0.05, 0.5, 15).tolist())
+    calls = []
+    window_sums = DependentSequence._window_sums
+
+    def counted(self, *windows, **kwargs):
+        calls.append(windows)
+        return window_sums(self, *windows, **kwargs)
+
+    monkeypatch.setattr(DependentSequence, "_window_sums", counted)
+    ExactConditionalTerms(seq).weighted_sums()
+    assert [w[:2] for w in calls] == [
+        tuple(seq.neighborhood_indices(i, ell) for ell in (1, 2)) for i in range(1, seq.n + 1)]
+    seq.w_values()
+    calls.clear()
+    _moments_by_enumeration(seq)
+    assert calls == []
 
 
 @pytest.mark.parametrize("scale, dtype", [(51, np.uint8), (52, np.int32)])
@@ -475,15 +535,19 @@ def test_per_index_columns_are_streamed_without_the_summand_matrix(make):
 
 
 @pytest.mark.parametrize("reader, ceiling_mib", [
-    (lambda seq: compute_moments(seq, "enumerate"), 100),
+    (lambda seq: compute_moments(seq, "enumerate"), 56),
+    (lambda seq: ExactConditionalTerms(seq).weighted_sums(), 64),
     (dependence_certificate, 80),
-], ids=["moments", "certificate"])
+], ids=["moments", "weighted sums", "certificate"])
 def test_moments_and_certificate_peak_below_the_summand_matrix(reader, ceiling_mib):
     """At 21 trials an outcome vector of float64 or int64 takes 16 MB, and
     the ``(2^21, 20)`` int16 summand matrix 84 MB.  The moments hold the
-    probabilities, one ``W`` buffer and three integrand buffers; the
+    probabilities and one outcome buffer, for each integrand and then for
+    ``W``; the weighted sums the probabilities, one outcome buffer and the
+    byte-wide windows and ``W`` of one index's conditional tables; the
     certificate the probabilities and three keys, besides a few byte-wide
-    columns.  Holding the matrix as well passes either ceiling."""
+    columns.  A second outcome-length float64 buffer passes the moments'
+    ceiling, two more the weighted sums' one, and the matrix either."""
     seq = TwoRunsModel([0.05] * 21)
     tracemalloc.start()
     try:
