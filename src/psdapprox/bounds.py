@@ -132,11 +132,11 @@ class SmoothingEstimate:
 def build_smoothing(seq: DependentSequence) -> SmoothingEstimate:
     """Bounds on ``D(W_n | X_{N_{i,2}})`` for every index ``i``.
 
-    Uses the model's even/odd-conditioning constants when it has a
+    Uses the model's published constants when it has a
     ``smoothing_constants()`` hook, capped at 2; otherwise falls back to
-    exact conditional evaluation on enumerable instances (the max over both
-    conditioning shapes, so the result is valid wherever either form is
-    consumed).
+    exact conditional evaluation on enumerable instances: the max of ``D``
+    over both window tables of each index, ``n2`` and ``n1n2``, so the
+    result is valid wherever either form is consumed.
     """
     provider = getattr(seq, "smoothing_constants", None)
     if provider is not None:
@@ -179,17 +179,6 @@ class BoundReport:
     operands: Optional[dict] = None
     moment_terms: Optional[np.ndarray] = None
     c_constant: object = None
-
-    def recompute_total(self) -> float:
-        if self.variant == "crude":
-            return (
-                2 * abs(self.one_minus_b) * self.g_norm_factor + self.delta_g_factor
-            ) * self.term_linear
-        if self.variant == "min":
-            return min(self.operands["d1"], self.operands["d2"])
-        return self.delta_g_factor * (
-            self.term_quadratic + self.term_linear + self.term_tau
-        )
 
     def to_json(self) -> dict:
         out = {

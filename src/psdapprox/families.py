@@ -89,11 +89,6 @@ class PMFTable:
     def k_max(self) -> int:
         return self.support_min + len(self.masses) - 1
 
-    def total_with_tail(self):
-        if self.exact:
-            return sum(self.masses) + self.tail_mass_bound
-        return math.fsum(self.masses) + self.tail_mass_bound
-
     def mass(self, k: int):
         j = k - self.support_min
         if 0 <= j < len(self.masses):
@@ -280,28 +275,6 @@ class PanjerPSD:
     def pmf(self, k_max: Optional[int] = None, tail_target: float = _AUTO_TAIL) -> PMFTable:
         """Truncated mass table; see :func:`pmf_panjer`."""
         return pmf_panjer(self, k_max, tail_target=tail_target)
-
-    def pmf_exact(self) -> PMFTable:
-        """Exact rational table; finite-support families only.
-
-        Parameters must be exactly representable as rationals of the stored
-        floats (constructions like ``binomial_family`` with dyadic p qualify).
-        """
-        if self.max_support is None:
-            raise InvalidFamilyError("exact tables require finite support")
-        a = Fraction(self.a).limit_denominator(10**12)
-        b = Fraction(self.b).limit_denominator(10**12)
-        if float(a) != self.a or float(b) != self.b:
-            raise InvalidFamilyError("parameters are not exactly rational")
-        u = [Fraction(1)]
-        for k in range(self.max_support):
-            c = a + b * k
-            if c < 0:
-                c = Fraction(0)
-            u.append(u[-1] * c / (k + 1))
-        total = sum(u)
-        masses = tuple(x / total for x in u)
-        return PMFTable(0, masses, 0.0)
 
     def mean_var(self):
         """Mean ``a/(1-b)`` and variance ``a/(1-b)^2``; requires ``b < 1``,

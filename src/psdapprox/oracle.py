@@ -10,25 +10,25 @@ and yields views of them, each valid until the next yield; in float64 it
 carries only the band of counts that can hold mass, with the masses of a
 per-trial loop over every count, bit for bit.  The float law of ``W`` and
 its conditional laws are counted by row blocks of ``2^16`` outcomes
-(:func:`_joint`): each
-block packs its outcomes' groups and ``W`` into an int64 cell key
-``group * radix + W`` and adds their probabilities to the cells with
-``np.add.at``, in enumeration order, so every cell is the sum one
+(:func:`_joint`): each block writes its outcomes' cells ``group * radix +
+W`` into one reused int64 buffer and adds their probabilities to the cells
+with ``np.add.at``, in enumeration order, so every cell is the sum one
 ``bincount`` of all the outcomes gives.  Each table is one of index ``i``'s
-two window tables, ``n2`` and ``n1n2``, counted in one pass.  A group is
-the mixed-radix key of the window sums, packed by the rule of
-:func:`~psdapprox.sequences.pack_columns` and ranked among the attained
-keys where the key space passes the outcome count.  The outcome
-probabilities come per row block from
-:meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
+two conditional tables, ``n2`` and ``n1n2``, counted in one pass.  Its
+groups are the distinct value tuples of the index's window table, in
+lexicographic order: the window sums ``(v1, v2)`` over the outcomes of the
+trials they read, packed by the rule of
+:func:`~psdapprox.sequences.pack_columns`.  The outcome probabilities come
+per row block from :meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
 The exact-rational law of ``W`` sums integer outcome numerators over the
 sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`.
 The one thing written into a sequence is the memo of
 :func:`conditional_table`: its cache keeps one :class:`ConditionalTable` per
 (index, conditioning), per-group arrays only, so the exact conditional terms,
 :func:`exact_conditional_D` and the smoothing fallback built on it share each
-table.  A table asked for alone streams its window sums and ``W`` from the
-trial spans, with no summand matrix, a byte per outcome each where they fit.
+table.  Building the two tables of an index holds per outcome a byte for
+each table's groups, while it has at most 256, and one for ``W`` where it
+fits, streamed from the trial spans unless it is cached.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import UnavailableError
 from .families import PMFTable
-from .sequences import BLOCK_TRIALS, MAX_ENUM_OUTCOMES, DependentSequence
+from .sequences import BLOCK_TRIALS, MAX_ENUM_OUTCOMES, DependentSequence, pack_columns
 
 # Trials per block of the exact-rational law: its numerator table of Python
 # ints holds 2^12 outcomes.
@@ -267,7 +267,8 @@ def brute_force_distribution(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
         return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
-    joint, = _joint(seq, _packer((), (), (), seq.outcome_count), [1], [None], seq.w_values())
+    one_group = np.broadcast_to(np.uint8(0), seq.outcome_count)
+    joint, = _joint(seq, [(one_group, 1)], seq.w_values())
     return _law([float(m) for m in joint[0]])
 
 
@@ -316,11 +317,9 @@ class ConditionalTable:
     """The conditional laws of ``W`` given a statistic of integer columns,
     summarized per group of outcomes with equal column values.
 
-    A group is the :func:`~psdapprox.sequences.pack_columns` key of
-    ``lows`` and ``radices`` (so groups follow the lexicographic order of
-    the value tuples, and some keys may name no outcome), or, where that
-    key space exceeds the outcome count, the rank of its key in ``keys``,
-    the sorted attained keys.
+    A group is an attained value tuple of the columns, in lexicographic
+    order: its :func:`~psdapprox.sequences.pack_columns` key, of digits
+    ``lows`` and ``radices``, is ``keys[g]``, the sorted attained keys.
     ``d[g]`` is the shift regularity of ``W`` given group ``g``, 0.0 where
     the group has no mass, and ``has_mass[g]`` says whether it has any.
     Every array is per group; none is per outcome.
@@ -330,74 +329,48 @@ class ConditionalTable:
     has_mass: np.ndarray
     lows: tuple
     radices: tuple
-    keys: Optional[np.ndarray] = None
-
-    def ids(self, key: np.ndarray) -> np.ndarray:
-        """The group of each packed key."""
-        return key if self.keys is None else np.searchsorted(self.keys, key)
+    keys: np.ndarray
 
     def d_at(self, windows) -> np.ndarray:
-        """The ``D`` of each row of the window sums ``(v1, v2)``, as a new
-        float64 array, by row blocks of their keys read through :meth:`ids`."""
+        """The ``D`` of each row of the window table ``(v1, v2)`` the table
+        was built from, as a new float64 array: each row's packed key looked
+        up in :attr:`keys`."""
         cols = windows[len(windows) - len(self.radices):]
-        pack, d = _packer(cols, self.lows, self.radices, len(cols[0])), np.empty(len(cols[0]))
-        for rows in _row_blocks(len(d)):
-            # Every id is in range; "clip" spares the copy of out that "raise" makes.
-            np.take(self.d, self.ids(pack(rows)), out=d[rows], mode="clip")
-        return d
+        return self.d[np.searchsorted(self.keys, pack_columns(cols, len(cols[0]))[0])]
 
     def values(self, groups: np.ndarray) -> np.ndarray:
         """The column values of ``groups``, one row per group."""
-        if self.keys is not None:
-            groups = self.keys[groups]
+        keys = self.keys[groups]
         out = np.empty((len(groups), len(self.radices)), dtype=np.int64)
         for j in reversed(range(len(self.radices))):
-            groups, out[:, j] = np.divmod(groups, self.radices[j])
+            keys, out[:, j] = np.divmod(keys, self.radices[j])
         return out + np.asarray(self.lows, dtype=np.int64)
 
 
-def _row_blocks(count: int):
-    """Consecutive slices of ``2^BLOCK_TRIALS`` of ``count`` rows, the row
-    blocks of :meth:`~DependentSequence._prob_blocks`."""
-    size = min(count, 1 << BLOCK_TRIALS)
-    return (slice(start, start + size) for start in range(0, count, size))
-
-
-def _joint(seq: DependentSequence, pack, spaces: list, ranks: list,
-           total: np.ndarray) -> list:
+def _joint(seq: DependentSequence, groups: list, total: np.ndarray) -> list:
     """``joint[g, k]`` of each table, the mass of its group ``g`` at ``W =
     k``, ``total`` being ``W`` of every outcome, counted in one pass over
-    the row blocks of :meth:`~DependentSequence._prob_blocks`.
-    ``pack(rows)`` is the int64 key of a block's outcomes.  Table ``t``
-    groups by that key modulo ``spaces[t]``, which divides the space before,
-    or, with ``ranks[t]``, by its rank among these sorted attained keys;
-    ranked tables come first, their spaces passing the outcome count.  An
-    outcome's cell is ``group radix + W``, ``radix`` being ``max W + 1``
-    over all outcomes, which fits int64 as a group, unlike a key, is below
-    the outcome count.  The first unranked table forms its cells in place
-    of the keys, a later one takes them modulo ``spaces[t] radix``.  One
-    ``np.add.at`` per table adds each outcome's probability to its cell in
-    enumeration order, as one ``bincount`` of every outcome would: each
-    cell is the same sum, bit for bit.  A table is sized by :func:`_cells`."""
+    the row blocks of :meth:`~DependentSequence._prob_blocks`.  ``groups``
+    holds one ``(ids, size)`` per table: the group, below ``size``, of every
+    outcome.  An outcome's cell is ``group radix + W``, ``radix`` being
+    ``max W + 1`` over all outcomes, formed per block in one reused int64
+    buffer: the ids are copied in before they are scaled, so a byte-wide id
+    never meets ``radix`` in its own dtype.  One ``np.add.at`` per table
+    adds each outcome's probability to its cell in enumeration order, as
+    one ``bincount`` of every outcome would: each cell is the same sum, bit
+    for bit.  A table is sized by :func:`_cells`."""
     radix = int(total.max()) + 1
-    sizes = [space if keys is None else len(keys) for space, keys in zip(spaces, ranks)]
     joints = [np.zeros(_cells(size * radix, f"the joint law of {size} groups and {radix} "
-                                            "values of W")) for size in sizes]
+                                            "values of W")) for _, size in groups]
+    buffer = np.empty(min(seq.outcome_count, 1 << BLOCK_TRIALS), dtype=np.int64)
     for rows, probs in seq._prob_blocks():
-        key, cell = pack(rows), None
-        for t, (joint, space, keys) in enumerate(zip(joints, spaces, ranks)):
-            if cell is not None:  # the unranked table before left its cells
-                cell %= space * radix
-            else:
-                if t:
-                    key %= space
-                cell = key if keys is None else np.searchsorted(keys, key)
-                cell *= radix
-                cell += total[rows]
+        cell = buffer[: rows.stop - rows.start]
+        for joint, (ids, _) in zip(joints, groups):
+            np.copyto(cell, ids[rows])
+            cell *= radix
+            cell += total[rows]
             np.add.at(joint, cell, probs)
-            if keys is not None:
-                cell = None
-    return [joint.reshape(size, radix) for joint, size in zip(joints, sizes)]
+    return [joint.reshape(size, radix) for joint, (_, size) in zip(joints, groups)]
 
 
 def _cells(count: int, table: str) -> int:
@@ -409,91 +382,51 @@ def _cells(count: int, table: str) -> int:
     return count
 
 
-def _packer(cols, lows: tuple, radices: tuple, count: int):
-    """``pack(rows)``: the int64 key of the ``rows`` of the columns
-    ``cols``, of ``count`` rows each, packed as
-    :func:`~psdapprox.sequences.pack_columns` packs them with the digits
-    ``lows`` and ``radices`` of the whole columns; 0 with no columns.
-    Blocks of at most ``2^BLOCK_TRIALS`` rows are packed into one buffer,
-    so a caller reads each key before the next."""
-    buffer = np.empty(min(count, 1 << BLOCK_TRIALS), dtype=np.int64)
-
-    def pack(rows):
-        key = buffer[: rows.stop - rows.start]
-        key.fill(0)
-        for col, low, radix in zip(cols, lows, radices):
-            key *= radix
-            key += col[rows]
-            key -= low
-        return key
-    return pack
-
-
-def _conditional_laws(seq: DependentSequence, pack, digits: list,
-                      total: np.ndarray) -> list:
-    """The :class:`ConditionalTable` of ``W`` (``total``) given each of a
-    list of column sets, each the trailing columns of the one before, of
-    digits ``(lows, radices)`` in ``digits``, counted in one :func:`_joint`
-    pass of the keys ``pack(rows)``; a key space past the outcome count is
-    ranked by the sorted union of each block's attained keys.  This is the
-    independent oracle of the conditional laws: the imbedding engine
-    (``psdapprox.imbedding``) shares none of it, and ``verify`` checks the
-    two against each other."""
-    spaces = [math.prod(radices) for _, radices in digits]
-    attained = {t: [] for t, space in enumerate(spaces) if space > seq.outcome_count}
-    for rows in _row_blocks(seq.outcome_count) if attained else ():
-        key = pack(rows)
-        for t, found in attained.items():
-            found.append(np.unique(key % spaces[t]))
-    ranks = [np.unique(np.concatenate(attained[t])) if t in attained else None
-             for t in range(len(digits))]
-    tables = []
-    for joint, (lows, radices), keys in zip(_joint(seq, pack, spaces, ranks, total),
-                                            digits, ranks):
-        mass = joint.sum(axis=1)
-        has_mass = mass > 0
-        d = np.zeros(len(joint))
-        d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
-        tables.append(ConditionalTable(d, has_mass, lows, radices, keys))
-    return tables
-
-
-def conditional_table(seq: DependentSequence, i: int, conditioning: str,
-                      windows=None) -> ConditionalTable:
+def conditional_table(seq: DependentSequence, i: int, conditioning: str) -> ConditionalTable:
     """The :class:`ConditionalTable` of ``W`` given ``conditioning`` at
     index ``i`` (see :func:`exact_conditional_D`).
 
     Each table is built once per sequence and kept in its cache under
     ``"conditional"``, keyed ``(i, conditioning)``; only per-group arrays
     are kept.  A conditioning other than ``n2`` and ``n1n2`` is a
-    ``ValueError``.  A miss counts both tables of index ``i`` in one pass
-    over the row blocks (:func:`_joint`) from one packed key.  ``windows``,
-    the window sums ``(v1, v2)`` of every outcome where the caller has
-    them, are read with the cached :meth:`~DependentSequence.w_values`;
-    else :meth:`~DependentSequence._window_sums` streams the windows, and
-    ``W`` with them unless it is cached, so with the outcome probabilities
-    formed per row block the two tables hold per outcome the two window
-    sums and ``W`` alone, a byte each where they fit.
+    ``ValueError``.  A miss builds both tables of index ``i`` from its
+    window table ``(v1, v2)`` (:meth:`~DependentSequence._window_table`),
+    whose distinct packed keys are the tuples some outcome attains: each
+    row's group is the rank of its key, expanded to every outcome
+    (:meth:`~DependentSequence._expand`), a byte each while there are at
+    most 256 groups, and both tables are counted in one :func:`_joint` pass.
+    ``W`` is the cached :meth:`~DependentSequence.w_values`, else
+    :meth:`~DependentSequence._window_sums` streams it, byte-wide where it
+    fits, before the group arrays are made.  This is the independent oracle
+    of the conditional laws: the imbedding engine (``psdapprox.imbedding``)
+    shares none of it, and ``verify`` checks the two against each other.
     """
     memo = seq._cache.setdefault("conditional", {})
     if conditioning not in ("n2", "n1n2"):
         raise ValueError(f"unknown conditioning {conditioning!r}")
-    if windows is not None and len(windows) != 2:
-        raise ValueError("windows are the (radius-1, radius-2) sums of an n2 or n1n2 table")
     if (i, conditioning) in memo:
         return memo[i, conditioning]
-    if windows is None:
-        windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
-        total = seq._cache.get("w")
-        *windows, total = (seq._window_sums(*windows, range(1, seq.n + 1)) if total is None
-                           else (*seq._window_sums(*windows), total))
-    else:
-        windows, total = list(windows), seq.w_values()
-    lows = tuple(int(col.min()) for col in windows)
-    radices = tuple(int(col.max()) - low + 1 for col, low in zip(windows, lows))
-    pack = _packer(windows, lows, radices, seq.outcome_count)
-    memo[i, "n1n2"], memo[i, "n2"] = _conditional_laws(
-        seq, pack, [(lows, radices), (lows[1:], radices[1:])], total)
+    windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
+    total = seq._cache.get("w")
+    if total is None:
+        total = seq._window_sums()
+    first, stop, sums = seq._window_table(*windows)
+    digits, groups = [], []
+    for cols in (sums, sums[1:]):  # n1n2, then n2
+        key, lows, radices = pack_columns(cols, len(cols[0]))
+        keys, ids = np.unique(key, return_inverse=True)
+        ids = ids.astype(np.min_scalar_type(len(keys) - 1))
+        digits.append((lows, radices, keys))
+        groups.append((seq._expand(first, stop, ids, np.empty(seq.outcome_count, ids.dtype)),
+                       len(keys)))
+    tables = []
+    for joint, (lows, radices, keys) in zip(_joint(seq, groups, total), digits):
+        mass = joint.sum(axis=1)
+        has_mass = mass > 0
+        d = np.zeros(len(joint))
+        d[has_mass] = shift_regularity(joint[has_mass] / mass[has_mass, None])
+        tables.append(ConditionalTable(d, has_mass, lows, radices, keys))
+    memo[i, "n1n2"], memo[i, "n2"] = tables
     return memo[i, conditioning]
 
 

@@ -6,11 +6,12 @@ probabilities and a rule mapping trial outcomes to the summand values
 ``2^BLOCK_TRIALS`` outcomes: each block's bits are built column-major from
 one fixed pattern of the low trials and mapped to summand values at once.
 Each model declares the trials summand ``i`` reads as
-:meth:`DependentSequence.trial_span`, and one routine,
-:meth:`DependentSequence._window_sums`, streams every per-outcome sum of
-summands from the trials their spans read: the column of ``X_i``, each
-window around ``i``, and ``W`` in ``O(2^T)``, not ``O(n 2^T)``.  No
-package path builds the ``(2^T, n)`` summand matrix.  The sequence caches
+:meth:`DependentSequence.trial_span`.  From them
+:meth:`DependentSequence._window_sums` streams ``W`` in ``O(2^T)``, not
+``O(n 2^T)``, and :meth:`DependentSequence._window_table` sums ``X_i`` and
+its windows over the outcomes of only the trials they read, which
+:meth:`DependentSequence._expand` copies to every outcome.  No package
+path builds the ``(2^T, n)`` summand matrix.  The sequence caches
 the outcome probabilities and ``W`` once a caller asks for them;
 :meth:`DependentSequence._prob_blocks` forms the probabilities one row
 block at a time without caching them.  Its
@@ -22,7 +23,7 @@ indices, one dot product per moment, each integrand formed on the index's
 window table and expanded into one reused float64 buffer; their
 ``mean_w`` and ``var_w`` are :func:`mean_var`,
 two dot products over one float64 buffer of ``W``.  The 1-dependence check
-:func:`dependence_certificate` packs the streamed columns into mixed-radix
+:func:`dependence_certificate` packs the expanded columns into mixed-radix
 keys, the lowest index least significant: a prefix key that gains one column
 in place per split, a suffix key packed once that drops its leading column
 in place, and per split one weighted ``bincount`` of their pair key, whose
@@ -30,8 +31,8 @@ row and column sums are the marginals.  It holds three int64 outcome-length
 keys and one table of at most one entry per outcome, ``O(2^T)`` whatever
 ``n`` is.  :func:`pack_columns` is the certificate's mixed-radix packer,
 and refuses with :class:`UnavailableError` a key space past the largest
-int64; the exact conditional oracle packs its window sums by the same rule,
-one row block at a time.
+int64; the exact conditional oracle packs the rows of each window table by
+the same rule.
 """
 
 from __future__ import annotations
@@ -209,11 +210,12 @@ class DependentSequence:
 
     A subclass may also declare :meth:`trial_span`, the 0-based range of
     trials that ``X_i`` reads (every trial by default).  :meth:`_window_sums`
-    maps only the trials a window's spans read, the first row block of them
-    once, so ``W`` (:meth:`w_values`) costs ``O(2^T)`` where the spans are
-    short; a span that leaves out a trial the summand reads gives a wrong
-    ``W``.  With the default spans every window maps all ``2^T`` outcomes,
-    so each index costs ``O(n 2^T)``.
+    maps the first row block of the trials the spans read once, so ``W``
+    (:meth:`w_values`) costs ``O(2^T)`` where the spans are short, and
+    :meth:`_window_table` maps only the trials an index's windows read; a
+    span that leaves out a trial the summand reads gives a wrong ``W``.
+    With the default spans every window table maps all ``2^T`` outcomes, so
+    each index costs ``O(n 2^T)``.
     """
 
     def __init__(self, trial_probs: Sequence[float], n: int, kind: str,
@@ -240,8 +242,8 @@ class DependentSequence:
 
     def trial_span(self, i: int) -> range:
         """The trials ``X_i`` reads, 0-based, for ``i`` in ``1..n``: all of
-        them unless a model declares fewer.  :meth:`_window_sums` and
-        :attr:`dependence_radius` read it."""
+        them unless a model declares fewer.  :meth:`_window_sums`,
+        :meth:`_window_table` and :attr:`dependence_radius` read it."""
         return range(self.trial_count)
 
     @property
@@ -380,67 +382,57 @@ class DependentSequence:
 
     def w_values(self) -> np.ndarray:
         """``W = X_1 + ... + X_n`` of every outcome in :meth:`enumerate_bits`
-        row order, as int32: the window of every index, from
-        :meth:`_window_sums` without the summand values."""
-        return self._cached(
-            "w", lambda: self._window_sums(range(1, self.n + 1), dtype=np.int32)[0])
+        row order, as int32: :meth:`_window_sums`, without the summand
+        values."""
+        return self._cached("w", lambda: self._window_sums(dtype=np.int32))
 
-    def _window_sums(self, *windows: range, dtype=None) -> tuple:
-        """The sum over each of ``windows``, ranges of indices in ``1..n``,
-        of every outcome, in :meth:`enumerate_bits` row order: ``range(i, i
-        + 1)`` gives the column of ``X_i``, ``range(1, n + 1)`` gives ``W``.
+    def _window_sums(self, dtype=None) -> np.ndarray:
+        """``W`` of every outcome, in :meth:`enumerate_bits` row order,
+        summed from the trials the summands' :meth:`trial_span` read.
 
-        The windows' summands read trials ``first..stop-1``, the union of
-        their :meth:`trial_span`; ``L = min(stop - first, BLOCK_TRIALS)``.
-        A window's sum is ``A[u] + C[r >> a]``, ``u`` the outcome of trials
-        ``first..first+L-1``: ``A`` sums its leading summands whose spans
-        end inside those trials over their one row block, and ``C`` the
-        rest, which read trials ``a..stop-1`` only, in row blocks.  One
-        broadcast per block adds the two into the outcomes below ``2^stop``,
-        those of the trials below ``first`` too, and doubling copies them
-        over the rest.  With the default spans past ``BLOCK_TRIALS`` trials,
-        ``a = 0`` and every block is mapped.
+        The summands read trials ``first..stop-1``, the union of their
+        spans; ``L = min(stop - first, BLOCK_TRIALS)``.  ``W`` is ``A[u] +
+        C[r >> a]``, ``u`` the outcome of trials ``first..first+L-1``: ``A``
+        sums the leading summands whose spans end inside those trials over
+        their one row block, and ``C`` the rest, which read trials
+        ``a..stop-1`` only, in row blocks.  One broadcast per block adds the
+        two into the outcomes below ``2^stop``, those of the trials below
+        ``first`` too, and doubling copies them over the rest.  With the
+        default spans past ``BLOCK_TRIALS`` trials, ``a = 0`` and every
+        block is mapped.
 
-        Each sum is in ``dtype`` where given, else ``uint8`` while the
-        window's largest summand value times its width is at most 255, and
-        ``int32`` otherwise: :func:`_row_sums` sums each part at the
-        window's width.
+        ``W`` is in ``dtype`` where given, else ``uint8`` while the largest
+        summand value times ``n`` is at most 255, and ``int32`` otherwise:
+        :func:`_row_sums` sums each part at width ``n``.
         """
         self._require_enumerable()
-        spans = {j: self.trial_span(j) for window in windows for j in window}
-        first = min(span.start for span in spans.values())
-        stop = max(span.stop for span in spans.values())
+        spans = [self.trial_span(j) for j in range(1, self.n + 1)]
+        first = min(span.start for span in spans)
+        stop = max(span.stop for span in spans)
         L = min(stop - first, BLOCK_TRIALS)
-        # Each window splits into its leading summands, whose spans end inside
-        # the first block, and the rest, which read trials a..stop-1 only.
-        low = [range(window.start, next((j for j in window if spans[j].stop > first + L),
-                                        window.stop)) for window in windows]
-        high = [range(cols.stop, window.stop) for cols, window in zip(low, windows)]
-        a = min((spans[j].start for part in high for j in part), default=stop)
+        # The leading summands, whose spans end inside the first block, and
+        # the rest, which read trials a..stop-1 only.
+        low = next((j for j, span in enumerate(spans) if span.stop > first + L), self.n)
+        a = min((span.start for span in spans[low:]), default=stop)
         # Below 2^stop, outcome r = (((q 2^(L-g) + u) 2^(a-first-g) + v) 2^g
         # + s) 2^first + s', g = min(a - first, L): the first block's row is
         # (u, s) and r >> a is (q, u).  A part with no summand is 0.
         g = min(a - first, L)
         shape = (1 << (L - g), 1 << (a - first - g), 1 << g)
-        x = next(self._x_blocks(first, stop))[1] if any(low) else None
-        low_sums = [_row_sums(x[:, cols.start - 1 : cols.stop - 1], len(window))
-                    .reshape(shape[0], 1, shape[2]) if cols else np.uint8(0)
-                    for cols, window in zip(low, windows)]
-        del x  # freed before the blocks past the first are mapped
-        sums = [np.empty(self.outcome_count, part.dtype if dtype is None else dtype)
-                for part in low_sums]
+        low_sum = (_row_sums(next(self._x_blocks(first, stop))[1][:, :low], self.n)
+                   .reshape(shape[0], 1, shape[2]) if low else np.uint8(0))
+        total = np.empty(self.outcome_count, low_sum.dtype if dtype is None else dtype)
         # With no summand past the first block, a = stop: one row of C = 0.
         for rows, x in self._x_blocks(a, stop) if a < stop else [(slice(0, 1), None)]:
-            for k, (cols, window) in enumerate(zip(high, windows)):
-                part = (_row_sums(x[:, cols.start - 1 : cols.stop - 1], len(window))
-                        .reshape(-1, shape[0], 1, 1) if cols else np.uint8(0))
-                if part.itemsize > sums[k].itemsize:
-                    sums[k] = sums[k].astype(part.dtype)
-                out = sums[k][rows.start << a : rows.stop << a].reshape(-1, *shape, 1 << first)
-                np.add(low_sums[k], part, dtype=sums[k].dtype, out=out[..., 0])
-                if first:  # s' = 0 copied to every s', from a copy: numpy's overlap check is slow
-                    out[..., 1:] = out[..., :1].copy()
-        return tuple(self._double(total, stop) for total in sums)
+            part = (_row_sums(x[:, low:], self.n).reshape(-1, shape[0], 1, 1)
+                    if low < self.n else np.uint8(0))
+            if part.itemsize > total.itemsize:
+                total = total.astype(part.dtype)
+            out = total[rows.start << a : rows.stop << a].reshape(-1, *shape, 1 << first)
+            np.add(low_sum, part, dtype=total.dtype, out=out[..., 0])
+            if first:  # s' = 0 copied to every s', from a copy: numpy's overlap check is slow
+                out[..., 1:] = out[..., :1].copy()
+        return self._double(total, stop)
 
     def _double(self, out: np.ndarray, stop: int) -> np.ndarray:
         """``out`` with its first ``2^stop`` entries copied to every higher
@@ -601,8 +593,7 @@ def mean_var(seq: DependentSequence) -> tuple:
         return moments.mean_w, moments.var_w
     w = seq.outcome_probs()
     cached = seq._cache.get("w")
-    total = (seq._window_sums(range(1, seq.n + 1), dtype=float)[0] if cached is None
-             else cached.astype(float))
+    total = seq._window_sums(dtype=float) if cached is None else cached.astype(float)
     mean = float(w @ total)
     np.square(total, out=total)
     return mean, float(w @ total) - mean**2
@@ -707,14 +698,15 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     order on models whose summands read the trials in order, so the
     ``bincount`` writes its table almost in order.
 
-    Each column is streamed by :meth:`~DependentSequence._window_sums` as
-    it is packed, ``X_n..X_1`` into the suffix key and ``X_i`` into the
-    prefix key at split ``i``.  Besides the outcome probabilities and one
-    column, the check holds three int64 outcome-length keys and, per split,
-    one float64 joint table of at most one entry per outcome (the product of
-    the marginals is written over the pair keys once the ``bincount`` has
-    read them; a model with outcomes of probability 0 also counts the
-    attained pairs in a second table): ``O(2^T)`` whatever ``n`` is.
+    Each column is expanded from its :meth:`~DependentSequence._window_table`
+    (:meth:`~DependentSequence._expand`) as it is packed, ``X_n..X_1`` into
+    the suffix key and ``X_i`` into the prefix key at split ``i``.  Besides
+    the outcome probabilities and one column, the check holds three int64
+    outcome-length keys and, per split, one float64 joint table of at most
+    one entry per outcome (the product of the marginals is written over the
+    pair keys once the ``bincount`` has read them; a model with outcomes of
+    probability 0 also counts the attained pairs in a second table):
+    ``O(2^T)`` whatever ``n`` is.
     Where the packed space of all the columns, the product of the ``r_k``,
     passes the largest int64, :func:`pack_columns` refuses the check with
     :class:`UnavailableError`.
@@ -724,8 +716,9 @@ def dependence_certificate(seq: DependentSequence, gap: int = 2) -> bool:
     w = seq.outcome_probs()
     n, count = seq.n, seq.outcome_count
 
-    def column(i):  # X_i of every outcome
-        return seq._window_sums(range(i, i + 1))[0]
+    def column(i):  # X_i of every outcome, expanded from its window table
+        first, stop, (x,) = seq._window_table(range(i, i + 1))
+        return seq._expand(first, stop, x, np.empty(count, x.dtype))
 
     # X_n most significant; the first suffix key drops X_1..X_gap.
     suf, lows, radices = pack_columns(map(column, range(n, 0, -1)), count)

@@ -46,6 +46,7 @@ from psdapprox.runs import (
     two_runs_moment_set,
 )
 from psdapprox.sequences import BernoulliProductSequence, compute_moments
+from reference import recompute_total
 
 
 # -- distance utilities ------------------------------------------------------------
@@ -285,7 +286,7 @@ def test_tau_term_recomputable():
     var_z = spec.a / (1 - spec.b) ** 2
     expected = abs(1 - spec.b) * abs(moments.var_w - var_z)
     assert report.term_tau == pytest.approx(expected, abs=1e-12)
-    assert report.recompute_total() == pytest.approx(report.total, abs=1e-12)
+    assert recompute_total(report) == pytest.approx(report.total, abs=1e-12)
 
 
 def test_reports_serialize():

@@ -859,26 +859,24 @@ def test_verify_reports_skipped_point_mass_fit(tmp_path, capsys):
 def test_verify_computes_the_weighted_sums_once(two_runs_model_file, capsys, monkeypatch):
     import psdapprox.oracle as oracle_mod
 
-    tables = []
-    original = oracle_mod._conditional_laws
-    monkeypatch.setattr(oracle_mod, "_conditional_laws",
-                        lambda seq, pack, digits, total:
-                        tables.extend(digits) or original(seq, pack, digits, total))
+    passes = []  # the tables counted by each _joint pass
+    original = oracle_mod._joint
+    monkeypatch.setattr(oracle_mod, "_joint", lambda seq, groups, total:
+                        passes.append(len(groups)) or original(seq, groups, total))
     assert main(["verify", "--model", two_runs_model_file]) == 0
     out = capsys.readouterr().out
     assert "PASS domination-poisson-theorem31" in out
     assert "PASS domination-nb-theorem31" in out
-    assert len(tables) == 2 * 10  # one (n1n2, n2) pair per index, for both targets
+    assert passes.count(2) == 10  # one (n1n2, n2) pass per index, for both targets
 
 
 def test_verify_shares_the_conditional_tables_with_the_smoothing(tmp_path, capsys, monkeypatch):
     import psdapprox.oracle as oracle_mod
 
-    tables = []
-    original = oracle_mod._conditional_laws
-    monkeypatch.setattr(oracle_mod, "_conditional_laws",
-                        lambda seq, pack, digits, total:
-                        tables.extend(digits) or original(seq, pack, digits, total))
+    passes = []  # the tables counted by each _joint pass
+    original = oracle_mod._joint
+    monkeypatch.setattr(oracle_mod, "_joint", lambda seq, groups, total:
+                        passes.append(len(groups)) or original(seq, groups, total))
     product = tmp_path / "product.json"
     product.write_text(json.dumps({"model": "custom-bernoulli-product", "p": [0.3] * 8}))
     assert main(["verify", "--model", str(product)]) == 0
@@ -886,7 +884,7 @@ def test_verify_shares_the_conditional_tables_with_the_smoothing(tmp_path, capsy
     # The exact smoothing fallback feeds d1 and min; it reads the tables the
     # weighted sums of theorem 3.1 built.
     assert "PASS domination-poisson-d1" in out and "PASS domination-poisson-theorem31" in out
-    assert len(tables) == 2 * 8  # one (n1n2, n2) pair per index, not two
+    assert passes.count(2) == 8  # one (n1n2, n2) pass per index, not two
 
 
 def test_verify_checks_the_conditional_terms_engine(two_runs_model_file, k1k2_model_file,

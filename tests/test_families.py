@@ -35,6 +35,7 @@ from psdapprox.families import (
     stein_apply,
     stein_solve,
 )
+from reference import pmf_exact, total_with_tail
 
 
 # -- mass tables ---------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_normalization_invariant():
         negative_binomial_family(3, 0.3),
         binomial_family(20, 0.2),
     ]:
-        assert abs(spec.pmf().total_with_tail() - 1.0) < 1e-10
+        assert abs(total_with_tail(spec.pmf()) - 1.0) < 1e-10
 
 
 def test_divergent_family_rejected():
@@ -112,7 +113,7 @@ def test_negative_mass_rejected():
 
 def test_pmf_exact_binomial():
     spec = binomial_family(4, 0.5)
-    table = spec.pmf_exact()
+    table = pmf_exact(spec)
     assert table.exact
     assert list(table.masses) == [
         Fraction(1, 16),
@@ -141,7 +142,7 @@ def test_recursion_invariant_property(a, b):
     p = table.as_array()
     for k in range(min(len(p) - 1, 40)):
         assert (k + 1) * p[k + 1] == pytest.approx((a + b * k) * p[k], rel=1e-12)
-    assert abs(table.total_with_tail() - 1.0) < 1e-10
+    assert abs(total_with_tail(table) - 1.0) < 1e-10
     mean_table = float(np.dot(p, np.arange(len(p))))
     assert mean_table == pytest.approx(a / (1 - b), rel=1e-8, abs=1e-8)
 
@@ -272,7 +273,7 @@ def test_tail_below_the_mode_is_honest(spec, frozen):
 def test_large_means_build_certified_tables(mean, family):
     spec = poisson_family(mean) if family == "poisson" else PanjerPSD(mean / 2, 0.5)
     table = spec.pmf()
-    assert abs(table.total_with_tail() - 1.0) < 1e-10
+    assert abs(total_with_tail(table) - 1.0) < 1e-10
     assert table.k_max < mean + 10 * math.sqrt(spec.mean_var()[1])
     assert table.tail_mass_bound < 1e-13
 

@@ -1,17 +1,18 @@
 """The outcome groupings and keys behind the exact oracles, against references.
 
 ``exact_conditional_D`` and ``ExactConditionalTerms.weighted_sums`` read one
-memoized table per (index, conditioning): the law of ``W`` given each packed
-key of index ``i``'s window sums, the radius-2 sum (``n2``) or the radius-1
-and radius-2 pair (``n1n2``), packed by the rule of
-``sequences.pack_columns`` and ranked where the packed key space exceeds
+memoized table per (index, conditioning): the law of ``W`` given each value
+of index ``i``'s window sums, the radius-2 sum (``n2``) or the radius-1 and
+radius-2 pair (``n1n2``).  A table's groups are the distinct tuples of its
+window table, ranked by their keys packed by the rule of
+``sequences.pack_columns``, whether or not the packed key space exceeds
 the outcome count.  Each table, and the float ``brute_force_distribution``,
 is counted by row blocks of ``2^16`` outcomes, adding each block's
 probabilities to the cells ``group * radix + W`` in enumeration order;
 ``_reference_conditional_D`` is one ``bincount`` of all the outcomes, and
 the block counts must equal it bit for bit on models of 8 and 16 row
-blocks, on ranked key spaces, and where the largest ``W`` is reached only
-by outcomes without mass.
+blocks, on key spaces past the outcome count, and where the largest ``W``
+is reached only by outcomes without mass.
 ``dependence_certificate`` packs a prefix key and a suffix key in mixed
 radix, one weighted ``bincount`` of their pair key per split, and reads the
 marginals as the row and column sums of that joint table; where the table
@@ -296,15 +297,6 @@ def test_weighted_sums_read_back_tables_built_without_columns(seq):
     assert all(seq._cache["conditional"][key] is table for key, table in built.items())
 
 
-@pytest.mark.parametrize("conditioning, arity", [("n2", 1), ("n1n2", 3)])
-def test_a_table_refuses_windows_other_than_v1_and_v2(conditioning, arity):
-    seq = TwoRunsModel([0.5] * 5)
-    windows = seq._window_sums(*(seq.neighborhood_indices(2, ell) for ell in (1, 2, 2)))
-    with pytest.raises(ValueError, match="radius-1, radius-2"):
-        conditional_table(seq, 2, conditioning, windows[:arity])
-    assert not seq._cache["conditional"]
-
-
 @pytest.mark.parametrize("i, conditioning", [
     (1, "even"), (0, "even"), (1, "odd"), (0, "n2"), (6, "n2"), (0, "n1n2"), (-1, "n1n2"),
 ])
@@ -319,8 +311,10 @@ def test_exact_conditional_D_refuses_other_conditionings_and_indices_outside_1_t
 def test_scaled_model_groups_past_the_packed_key_space():
     seq = ScaledRuns(_uniform(6, 8))
     assert seq.outcome_count == 256
-    # v1 takes 16 values and v2 26 at index 4: 416 packed keys.
-    assert conditional_table(seq, 4, "n1n2").keys is not None
+    # v1 takes 16 values and v2 26 at index 4: 416 packed keys, of which
+    # the table holds the attained ones alone.
+    table = conditional_table(seq, 4, "n1n2")
+    assert table.radices == (16, 26) and len(table.keys) < seq.outcome_count
     assert conditional_table(seq, 4, "n2").radices == (26,)
     assert conditional_table(seq, 1, "n1n2").radices == (11, 16)
     assert len(exact_conditional_D(seq, 4, "n1n2")) > 1
@@ -393,10 +387,10 @@ def test_dependence_certificate_refuses_a_key_space_past_2_63():
 def test_certificate_and_one_conditional_table_hold_a_fixed_number_of_keys():
     """On an 18-trial product an int64 outcome array takes 2 MB.  Above the
     probabilities, the certificate holds three int64 keys, a float64 table
-    of at most one entry per outcome and one byte-wide streamed column, and
-    one ``n1n2`` table (with ``W`` cached) one int64 key and two byte-wide
-    window sums.  One suffix key per summand would take 18 arrays, and a
-    table key that formed ``ids * radix + W`` out of place two."""
+    of at most one entry per outcome and one byte-wide expanded column, and
+    one ``n1n2`` table (with ``W`` cached) the byte-wide groups of its two
+    tables and one row block of int64 cells.  One suffix key per summand
+    would take 18 arrays, and an int64 group per outcome two."""
     seq = BernoulliProductSequence(_dyadic(18))
     seq.outcome_probs()
     seq.w_values()
@@ -520,26 +514,51 @@ def test_weighted_sums_count_the_tables_of_an_index_in_one_pass(seq, monkeypatch
     assert len(seq._cache["conditional"]) == 2 * seq.n
 
 
-@pytest.mark.parametrize("seq, ranked", [(ScaledRuns(_uniform(6, 8)), True),
-                                         (_NineCells(True), True), (_NineCells(False), False)],
+@pytest.mark.parametrize("seq", [ScaledRuns(_uniform(6, 8)), _NineCells(True), _NineCells(False)],
                          ids=["scaled-runs", "nine-cells-attained", "nine-cells-unattained"])
-def test_ranked_tables_equal_one_bincount(seq, ranked):
-    """Ranked key spaces: ``n1n2`` of the scaled runs, and the
-    ``n1n2`` key space of the nine cells, 25 against 16 outcomes where one
-    takes ``(0, 0)``, and exactly 16 where none does; on their own law and,
-    for the nine cells, on :func:`_nine_cell_law`, which has outcomes
-    without mass."""
+def test_tables_group_the_attained_tuples(seq):
+    """Each table's groups are the distinct value tuples of its window sums
+    over every outcome, in lexicographic order, whether their packed key
+    space passes the outcome count (``n1n2`` of the scaled runs, and of the
+    nine cells, 25 against 16 outcomes where one takes ``(0, 0)``) or not;
+    on their own law and, for the nine cells, on :func:`_nine_cell_law`,
+    which has outcomes without mass."""
     laws = [None, _nine_cell_law()] if isinstance(seq, _NineCells) else [None]
     for probs in laws:
         seq._cache.clear()
         if probs is not None:
             seq._cache["probs"] = probs
+        xs = seq.x_values()
         for i, conditioning in itertools.product(range(1, seq.n + 1), CONDITIONINGS):
             got = exact_conditional_D(seq, i, conditioning)
             assert list(got.items()) == list(
                 _reference_conditional_D(seq, i, conditioning).items())
-        tables = seq._cache["conditional"].values()
-        assert any(table.keys is not None for table in tables) is ranked
+            cols = [_window_values(seq, xs, i, ell).tolist()
+                    for ell in ((1, 2) if conditioning == "n1n2" else (2,))]
+            table = conditional_table(seq, i, conditioning)
+            groups = table.values(np.arange(len(table.keys)))
+            assert list(map(tuple, groups.tolist())) == sorted(set(zip(*cols)))
+
+
+class _WideDigits(DependentSequence):
+    """``X_j = 4^(j-1) (t_{2j-2} + 2 t_{2j-1})`` for 5 summands over 10
+    trials: the radius-2 window sum at index 3 spells all five base-4
+    digits, so ``n1n2`` there has 1024 groups, past the 256 a byte holds."""
+
+    def __init__(self):
+        super().__init__(_uniform(9, 10), n=5, kind="wide-digits")
+
+    def x_columns(self, bits):
+        return ((bits[:, 0::2] + 2 * bits[:, 1::2]) * 4 ** np.arange(5)).astype(np.int16)
+
+
+def test_tables_of_more_groups_than_a_byte_holds_equal_one_bincount():
+    seq = _WideDigits()
+    assert len(conditional_table(seq, 3, "n1n2").keys) == 1024
+    for i, conditioning in itertools.product(range(1, seq.n + 1), CONDITIONINGS):
+        got = exact_conditional_D(seq, i, conditioning)
+        assert list(got.items()) == list(_reference_conditional_D(seq, i, conditioning).items())
+    assert ExactConditionalTerms(seq).weighted_sums() == _reference_weighted_sums(seq)
 
 
 def test_the_radix_counts_W_of_outcomes_without_mass():
@@ -563,9 +582,9 @@ def test_the_radix_counts_W_of_outcomes_without_mass():
 def test_a_table_built_without_columns_holds_three_bytes_per_outcome():
     """On a fresh 20-trial product a float64 outcome array takes 8 MiB.
     Built without its columns, the ``n2`` and ``n1n2`` tables of one index
-    hold per outcome the two window sums and ``W``, a byte each, and the
-    outcome probabilities only one row block at a time; with the
-    probabilities (8), an int32 ``W`` (4) and an int64 cell key (8) per
+    hold per outcome a byte for each table's groups and one for ``W``, and
+    the outcome probabilities and cells only one row block at a time; with
+    the probabilities (8), an int32 ``W`` (4) and an int64 cell key (8) per
     outcome they would take 2.75 arrays."""
     seq = BernoulliProductSequence(_dyadic(20))
     array = 8 * seq.outcome_count

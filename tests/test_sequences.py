@@ -437,12 +437,13 @@ def test_the_kernel_cases_reach_summand_value_two():
 
 @pytest.mark.parametrize("name", ["two-runs n=12", "two-runs n=1", "two-runs n=2",
                                   "(2,2)-runs n=5", "last-trial copies 52"])
-def test_window_tables_expand_to_the_streamed_window_sums(name):
+def test_window_tables_expand_to_the_full_map_window_sums(name):
     """Outcome ``r`` reads row ``(r >> first) & (2^(stop-first) - 1)`` of its
-    window table, which is the sum :meth:`_window_sums` streams, at ``first
-    = 0``, at ``0 < first`` with ``stop < T``, at ``stop = T`` and on the
-    clipped windows of n=1 and n=2."""
+    window table, which is the window's sum over the full summand map, at
+    ``first = 0``, at ``0 < first`` with ``stop < T``, at ``stop = T`` and
+    on the clipped windows of n=1 and n=2."""
     seq = _bit_identity_cases()[name]
+    x = seq.x_columns(seq.enumerate_bits())
     r = np.arange(seq.outcome_count)
     buffer = np.empty(seq.outcome_count)
     edges = set()
@@ -450,59 +451,74 @@ def test_window_tables_expand_to_the_streamed_window_sums(name):
         windows = (range(i, i + 1), *(seq.neighborhood_indices(i, ell) for ell in (1, 2)))
         first, stop, tables = seq._window_table(*windows)
         mask = (1 << (stop - first)) - 1
-        for table, want in zip(tables, seq._window_sums(*windows), strict=True):
+        for table, window in zip(tables, windows, strict=True):
             assert len(table) == mask + 1
             got = seq._expand(first, stop, table, buffer)
             assert np.array_equal(got, table[(r >> first) & mask])
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, x[:, window.start - 1 : window.stop - 1].sum(axis=1))
         edges.add((first > 0, stop == seq.trial_count))
     want = {"two-runs n=12": {(False, False), (True, False), (True, True)},
             "(2,2)-runs n=5": {(False, False), (False, True), (True, True)}}
     assert edges == want.get(name, {(False, True)})
 
 
-def test_the_enumeration_oracles_stream_each_index_once(monkeypatch):
-    """On the 15-trial 2-runs model the moments read no streamed window,
-    and the weighted sums stream one per index, for the joint law of its
-    two conditional tables."""
-    seq = TwoRunsModel(np.random.default_rng(15).uniform(0.05, 0.5, 15).tolist())
+def test_the_tables_stream_W_once_per_build_and_not_once_it_is_cached(monkeypatch):
+    """On the 15-trial 2-runs model :meth:`_window_sums` streams ``W`` once
+    per index's table build of the weighted sums, and not at all once ``W``
+    is cached, for the tables or the moments."""
+    def make():
+        return TwoRunsModel(np.random.default_rng(15).uniform(0.05, 0.5, 15).tolist())
+
     calls = []
     window_sums = DependentSequence._window_sums
 
-    def counted(self, *windows, **kwargs):
-        calls.append(windows)
-        return window_sums(self, *windows, **kwargs)
+    def counted(self, **kwargs):
+        calls.append(kwargs)
+        return window_sums(self, **kwargs)
 
     monkeypatch.setattr(DependentSequence, "_window_sums", counted)
+    seq = make()
     ExactConditionalTerms(seq).weighted_sums()
-    assert [w[:2] for w in calls] == [
-        tuple(seq.neighborhood_indices(i, ell) for ell in (1, 2)) for i in range(1, seq.n + 1)]
+    assert calls == [{}] * seq.n
+    ExactConditionalTerms(seq).weighted_sums()  # read back from the memo
+    assert len(calls) == seq.n
+    seq = make()
     seq.w_values()
     calls.clear()
+    ExactConditionalTerms(seq).weighted_sums()
     _moments_by_enumeration(seq)
     assert calls == []
 
 
 @pytest.mark.parametrize("scale, dtype", [(51, np.uint8), (52, np.int32)])
-def test_streamed_window_sums_widen_past_a_byte(scale, dtype):
-    streamed = _LastTrialCopies(scale)
+def test_window_sums_widen_past_a_byte(scale, dtype):
+    seq = _LastTrialCopies(scale)
     xs = _LastTrialCopies(scale).x_values()
-    v1, v2 = streamed._window_sums(*(streamed.neighborhood_indices(3, ell) for ell in (1, 2)))
-    assert "x" not in streamed._cache  # streamed, not read from the matrix
+    first, stop, (v1, v2) = seq._window_table(
+        *(seq.neighborhood_indices(3, ell) for ell in (1, 2)))
     assert v1.dtype == np.uint8 and v2.dtype == dtype  # 3 * 52 fits a byte, 5 * 52 not
-    assert np.array_equal(v1, xs[:, 1:4].sum(axis=1))
-    assert np.array_equal(v2, xs.sum(axis=1))
-    assert np.array_equal(streamed.w_values(), xs.sum(axis=1))
+    for table, want in ((v1, xs[:, 1:4].sum(axis=1)), (v2, xs.sum(axis=1))):
+        assert np.array_equal(seq._expand(first, stop, table, np.empty(len(xs), int)), want)
+    total = seq._window_sums()
+    assert total.dtype == dtype  # 5 * 51 fits a byte, 5 * 52 not
+    assert np.array_equal(total, xs.sum(axis=1))
+    assert "x" not in seq._cache  # streamed, not read from the matrix
+    assert np.array_equal(seq.w_values(), xs.sum(axis=1))
 
 
 def test_window_sums_stay_byte_wide_after_the_summand_matrix_is_cached():
     seq = TwoRunsModel([0.3] * 12)
     xs = seq.x_values()
+    buffer = np.empty(seq.outcome_count, np.uint8)
     for i in range(1, seq.n + 1):
         windows = [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
-        for got, window in zip(seq._window_sums(*windows), windows):
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, xs[:, window.start - 1 : window.stop - 1].sum(axis=1))
+        first, stop, tables = seq._window_table(*windows)
+        for table, window in zip(tables, windows):
+            assert table.dtype == np.uint8
+            assert np.array_equal(seq._expand(first, stop, table, buffer),
+                                  xs[:, window.start - 1 : window.stop - 1].sum(axis=1))
+    total = seq._window_sums()
+    assert total.dtype == np.uint8 and np.array_equal(total, xs.sum(axis=1))
 
 
 def test_mean_var_holds_two_outcome_vectors():
@@ -544,7 +560,7 @@ def test_moments_and_certificate_peak_below_the_summand_matrix(reader, ceiling_m
     the ``(2^21, 20)`` int16 summand matrix 84 MB.  The moments hold the
     probabilities and one outcome buffer, for each integrand and then for
     ``W``; the weighted sums the probabilities, one outcome buffer and the
-    byte-wide windows and ``W`` of one index's conditional tables; the
+    byte-wide groups and ``W`` of one index's conditional tables; the
     certificate the probabilities and three keys, besides a few byte-wide
     columns.  A second outcome-length float64 buffer passes the moments'
     ceiling, two more the weighted sums' one, and the matrix either."""
@@ -679,17 +695,26 @@ def test_w_values_and_mean_var_equal_the_row_sums_of_the_full_map(name):
     assert mean_var(make()) == mean_var(seq) == expected  # streamed, then cached
 
 
+def _byte_wide(x: np.ndarray, block: np.ndarray, width: int) -> bool:
+    """Whether a sum of ``width`` summands of ``block`` is kept in a byte."""
+    return x.dtype == np.uint8 and int(block.max()) * width <= 255
+
+
 @pytest.mark.parametrize("name", [name for name in _SPAN_CASES if "T=21" not in name])
-def test_window_sums_from_the_spans_equal_the_full_map_windows(name):
+def test_window_tables_and_W_from_the_spans_equal_the_full_map_windows(name):
     seq = _SPAN_CASES[name]()
     x = seq.x_columns(seq.enumerate_bits())
     for i in range(1, seq.n + 1):  # X_i and its radius-1 and radius-2 windows
         windows = [range(i, i + 1)] + [seq.neighborhood_indices(i, ell) for ell in (1, 2)]
-        for got, window in zip(seq._window_sums(*windows), windows):
+        first, stop, tables = seq._window_table(*windows)
+        for table, window in zip(tables, windows):
             block = x[:, window.start - 1 : window.stop - 1]
-            byte = x.dtype == np.uint8 and int(block.max()) * len(window) <= 255
-            assert got.dtype == (np.uint8 if byte else np.int32)
+            got = seq._expand(first, stop, table, np.empty(seq.outcome_count, table.dtype))
+            assert got.dtype == (np.uint8 if _byte_wide(x, block, len(window)) else np.int32)
             assert np.array_equal(got, block.sum(axis=1, dtype=np.int32)), (i, window)
+    total = seq._window_sums()
+    assert total.dtype == (np.uint8 if _byte_wide(x, x, seq.n) else np.int32)
+    assert np.array_equal(total, x.sum(axis=1, dtype=np.int32))
     assert "x" not in seq._cache
 
 
