@@ -297,6 +297,19 @@ def test_weighted_sums_read_back_tables_built_without_columns(seq):
     assert all(seq._cache["conditional"][key] is table for key, table in built.items())
 
 
+@pytest.mark.parametrize("conditioning", ["n1", "even"])
+def test_a_table_refuses_other_conditionings_once_its_index_is_built(conditioning):
+    """The conditioning is checked before anything is built: refused at an
+    index whose tables are cached, it rebuilds neither of them."""
+    seq = TwoRunsModel([0.5] * 5)
+    built = {c: conditional_table(seq, 2, c) for c in ("n2", "n1n2")}
+    with pytest.raises(ValueError, match="unknown conditioning"):
+        conditional_table(seq, 2, conditioning)
+    memo = seq._cache["conditional"]
+    assert sorted(memo) == [(2, "n1n2"), (2, "n2")]
+    assert all(memo[2, c] is table for c, table in built.items())
+
+
 @pytest.mark.parametrize("i, conditioning", [
     (1, "even"), (0, "even"), (1, "odd"), (0, "n2"), (6, "n2"), (0, "n1n2"), (-1, "n1n2"),
 ])
