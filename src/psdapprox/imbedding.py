@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .oracle import RunAutomaton, forward_layers, shift_regularity, step_layers
+from .oracle import RunAutomaton, float_factors, forward_layers, shift_regularity, step_layers
 
 # Cells of one window-DP layer per batch of indices: 8 MB of float64.
 _WINDOW_CELLS = 1 << 20
@@ -95,7 +95,7 @@ def _backward_cuts(automaton: RunAutomaton, probs: np.ndarray, cuts: set) -> dic
     plan = [[(s0, 0, i0), (s1, 1, i1)] for (s0, i0), (s1, i1) in automaton.transitions]
     T, first = len(probs), min(cuts)
     out = {}
-    for k, layer in enumerate(step_layers(plan, probs[first:][::-1],
+    for k, layer in enumerate(step_layers(plan, float_factors(probs[first:][::-1]),
                                           np.ones((automaton.n_states, 1)))):
         if T - k in cuts:
             out[T - k] = _trim(layer).copy()

@@ -5,23 +5,16 @@ formulas it is used to check: run-statistic laws come from a failure-function
 automaton driven by a forward dynamic program (:func:`forward_layers`, whose
 float layers the imbedding engine also reads), cross-checked against direct
 enumeration of the trial space.  Its step, :func:`step_layers`, which the
-imbedding engine's backward pass also runs, swaps two layers allocated once
-and yields views of them, each valid until the next yield; in float64 it
-carries only the band of counts that can hold mass, with the masses of a
-per-trial loop over every count, bit for bit.  The float law of ``W`` and
-its conditional laws are counted by row blocks of ``2^16`` outcomes
-(:func:`_joint`): each block writes its outcomes' cells ``group * radix +
-W`` into one reused int64 buffer and adds their probabilities to the cells
-with ``np.add.at``, in enumeration order, so every cell is the sum one
-``bincount`` of all the outcomes gives.  Each table is one of index ``i``'s
-two conditional tables, ``n2`` and ``n1n2``, counted in one pass.  Its
-groups are the distinct value tuples of the index's window table, in
-lexicographic order: the window sums ``(v1, v2)`` over the outcomes of the
-trials they read, packed by the rule of
-:func:`~psdapprox.sequences.pack_columns`.  The outcome probabilities come
-per row block from :meth:`~psdapprox.sequences.DependentSequence._prob_blocks`.
-The exact-rational law of ``W`` sums integer outcome numerators over the
-sequence's own cached :meth:`~psdapprox.sequences.DependentSequence.w_values`.
+imbedding engine's backward pass also runs, carries only the band of counts
+that can hold mass, in float64 or in Python ints: an exact law is integer
+numerators over ``D = prod d_t`` of trials ``a_t/d_t``, which
+:func:`rational_factors` gives the DP and the enumerated exact law alike,
+each dividing once per mass.  The float law of ``W`` and its conditional
+laws are counted by row blocks of ``2^16`` outcomes (:func:`_joint`), in
+enumeration order, so every cell is the sum one ``bincount`` of all the
+outcomes gives.  Each table is one of index ``i``'s two conditional tables,
+``n2`` and ``n1n2``, counted in one pass; its groups are the distinct value
+tuples ``(v1, v2)`` of the index's window table, in lexicographic order.
 The one thing written into a sequence is the memo of
 :func:`conditional_table`: its cache keeps one :class:`ConditionalTable` per
 (index, conditioning), per-group arrays only, so the exact conditional terms,
@@ -123,13 +116,17 @@ def dp_distribution(
 ) -> PMFTable:
     """Exact law of the automaton count, by forward DP over (state, count).
 
-    The last layer of :func:`forward_layers`, summed over the states.  Float
-    mode accumulates in float64; exact mode runs the same loop on ``Fraction``
-    masses and returns a table of them.
+    The last layer of :func:`forward_layers`, summed over the states: Python
+    floats, or in exact mode integer numerators, each one ``Fraction`` over
+    the ``D`` of :func:`rational_factors`.
     """
     for layer in forward_layers(automaton, trial_probs, exact):
         pass
-    return _law(layer.sum(axis=0))
+    masses = layer.sum(axis=0).tolist()
+    if exact:
+        denominator = rational_factors(trial_probs)[1]
+        masses = [Fraction(m, denominator) for m in masses]
+    return _law(masses)
 
 
 def dp_roundings(automaton: RunAutomaton, trials: int) -> int:
@@ -143,73 +140,78 @@ def dp_roundings(automaton: RunAutomaton, trials: int) -> int:
     return trials * max(inflow.values()) + automaton.n_states - 1
 
 
+def float_factors(trial_probs: Sequence) -> list:
+    """The step factors ``(1 - p, p)`` of each trial ``p``; ``-0.0`` is ``0.0``."""
+    return [(1 - p, p) for p in (float(p) + 0.0 for p in trial_probs)]
+
+
+def rational_factors(trial_probs: Sequence) -> tuple:
+    """``(factors, D)``: the integer factors ``(d_t - a_t, a_t)`` of outcomes
+    0 and 1 of each trial, ``Fraction(p) = a_t/d_t``, and ``D = prod d_t``."""
+    rationals = [Fraction(p) for p in trial_probs]
+    return ([(r.denominator - r.numerator, r.numerator) for r in rationals],
+            math.prod(r.denominator for r in rationals))
+
+
 def forward_layers(automaton: RunAutomaton, trial_probs: Sequence, exact: bool = False):
     """Yield the joint law ``layer[state, count]`` after 0, 1, ..., T trials.
 
     After ``t`` trials only the counts ``0..t`` can carry mass, so the layer
     holds them alone.  The layers come from :func:`step_layers`, each cell
     summing its contributions in ``(state, symbol)`` order, and each is a
-    view valid until the next yield.  Float mode computes only the band of
-    counts that can hold mass; the zeros outside it are those of a loop
-    over every count.  Exact mode holds ``Fraction`` masses (the zeros of
-    layer 0 are int 0).
+    view valid until the next yield.  Float mode steps by
+    :func:`float_factors`; exact mode steps from the Python int 1 by the
+    factors of :func:`rational_factors`, so layer ``t`` holds Python ints,
+    the masses times the first ``t`` denominators.
     """
     plan = [[] for _ in automaton.transitions]
     for s, row in enumerate(automaton.transitions):
         for symbol, (nxt, inc) in enumerate(row):
             plan[nxt].append((s, symbol, inc))
     start = np.zeros((automaton.n_states, 1), dtype=object if exact else float)
-    start[0, 0] = Fraction(1) if exact else 1.0
-    return step_layers(plan, trial_probs, start)
+    start[0, 0] = 1
+    factors = rational_factors(trial_probs)[0] if exact else float_factors(trial_probs)
+    return step_layers(plan, factors, start)
 
 
-def step_layers(plan: list, trial_probs: Sequence, start: np.ndarray):
+def step_layers(plan: list, factors: Sequence, start: np.ndarray):
     """Yield ``start``, then the layer ``layer[state, count]`` after each
-    step ``p`` of ``trial_probs``; each is a view valid until the next yield.
+    step ``(f0, f1)`` of ``factors``, each a view valid until the next yield.
 
     A step sets ``new[d, c]`` to the sum, in the order of ``plan[d]``, of
-    ``layer[s, c - inc]`` times ``1 - p`` or ``p`` for each ``(s, symbol,
-    inc)`` there (``symbol`` and ``inc`` 0 or 1).  Float mode carries only
-    the band of counts that can hold mass: its top grows by one per step,
-    and every ``BAND_STEPS`` steps both edges shrink to the nonzero cells.
-    A cell outside it is an exact zero of the full-width loop too, as
-    ``0 * p`` and ``x + 0`` are exact for ``p`` in ``[0, 1]`` (a ``-0.0``
-    step is taken as ``0.0``), so every mass is that loop's, bit for bit.
-    Two layers are allocated once and swapped; with the views of a block of
-    steps built once, a step is one ``np.multiply`` per symbol and, per
-    state, one ``np.add`` plus one ``+=`` per further contribution.  An
-    object ``start`` runs the same step on ``Fraction`` masses, each step
-    over every count it can reach, with no band.
+    ``layer[s, c - inc]`` times ``f0`` or ``f1`` for each ``(s, symbol,
+    inc)`` there (``symbol`` and ``inc`` 0 or 1).  Only the band of counts
+    that can hold mass is carried: its top grows by one per step, and every
+    ``BAND_STEPS`` steps both edges shrink to the nonzero cells.  A cell
+    outside it is an exact zero of the full-width loop too, as ``0 * f`` and
+    ``x + 0`` are exact for Python ints and for float factors in ``[0, 1]``
+    other than ``-0.0``, so every mass is that loop's, bit for bit.  Two
+    layers of ``start``'s dtype are allocated once and swapped; a step is
+    one ``np.multiply`` per symbol and, per state, one ``np.add`` plus one
+    ``+=`` per further contribution, on views built once per block.
     """
-    exact = start.dtype == object
-    probs = [Fraction(p) if exact else float(p) + 0.0 for p in trial_probs]
-    steps, (S, width) = len(probs), start.shape
+    steps, (S, width) = len(factors), start.shape
     top = width + steps  # no count from top on holds mass
     # Column c + 1 of a layer holds count c; column 0, count -1, stays 0.
     layers = np.zeros((2, S, top + 1), dtype=start.dtype)
     products = np.zeros_like(layers)
     layers[0, :, 1 : width + 1] = start
     yield layers[0, :, 1 : width + 1]
-    block = 1 if exact else BAND_STEPS
     lo, hi, cur = 0, width, 0  # both layers hold 0 outside counts lo..hi-1
-    for begin in range(0, steps, block):
-        if exact:  # every count from 0 to the step's top, so every mass is a Fraction
-            hi += 1
-        else:
-            nonzero = np.flatnonzero((layers[cur, :, lo + 1 : hi + 1] != 0).any(axis=0))
-            layers[1 - cur, :, lo + 1 : hi + 1] = 0
-            lo, hi = lo + nonzero[0], min(lo + nonzero[-1] + 1 + block, top)
+    for begin in range(0, steps, BAND_STEPS):
+        nonzero = np.flatnonzero((layers[cur, :, lo + 1 : hi + 1] != 0).any(axis=0))
+        layers[1 - cur, :, lo + 1 : hi + 1] = 0
+        lo, hi = lo + nonzero[0], min(lo + nonzero[-1] + 1 + BAND_STEPS, top)
         # Column j of a product scales count lo - 1 + j of the layer.
         prod = products[:, :, : hi - lo + 1]
         parts = [[prod[symbol, s, 1 - inc : 1 - inc + hi - lo] for s, symbol, inc in terms]
                  for terms in plan]
         views = [(layers[side, :, lo : hi + 1],
                   _sum_calls(layers[1 - side, :, lo + 1 : hi + 1], parts)) for side in (0, 1)]
-        for k in range(begin, min(begin + block, steps)):
-            p = probs[k]
+        for k, (f0, f1) in enumerate(factors[begin : begin + BAND_STEPS], begin):
             layer, calls = views[cur]
-            np.multiply(layer, 1 - p, out=prod[0])
-            np.multiply(layer, p, out=prod[1])
+            np.multiply(layer, f0, out=prod[0])
+            np.multiply(layer, f1, out=prod[1])
             for call, args in calls:
                 call(*args)
             cur = 1 - cur
@@ -249,14 +251,14 @@ def brute_force_distribution(
     The statistic is re-derived from the sequence's own trials->X mapping, so
     the result is independent of the automaton route.  An instance past the
     enumeration cutoff of :mod:`psdapprox.sequences` is refused.  Exact mode
-    writes each trial probability as ``a_t/d_t`` (``exact_probs``, else
-    :meth:`~DependentSequence.exact_trial_probs`; a list of another length
-    than the trial count is a ``ValueError``), so every outcome has an
-    integer numerator over ``D = prod d_t``; the numerators are summed per
-    value of ``W`` in Python integers, one block of ``2^12`` outcomes at a time,
-    and each mass is one ``Fraction(sum, D)``.  The float law is one row-block
-    count (:func:`_joint`) of every outcome against ``W``.  Either table is
-    sized by :func:`_cells`, which refuses one past ``MAX_ENUM_OUTCOMES``.
+    sums, per value of ``W``, the integer numerators of the outcomes over
+    the ``D`` of the :func:`rational_factors` of ``exact_probs``, else of
+    :meth:`~DependentSequence.exact_trial_probs` (a list of another length
+    than the trial count is a ``ValueError``), in blocks of ``2^12``
+    outcomes: each mass is one ``Fraction(sum, D)``.  The float law is one
+    row-block count (:func:`_joint`) of every outcome against ``W``, as
+    Python floats.  Either table is sized by :func:`_cells`, which refuses
+    one past ``MAX_ENUM_OUTCOMES``.
     """
     seq._require_enumerable()
     if exact:
@@ -266,39 +268,40 @@ def brute_force_distribution(
             raise ValueError(
                 f"{len(exact_probs)} exact probabilities for {seq.trial_count} trials"
             )
-        return _exact_law(seq.w_values(), [Fraction(p) for p in exact_probs])
+        return _exact_law(seq.w_values(), exact_probs)
     one_group = np.broadcast_to(np.uint8(0), seq.outcome_count)
     joint, = _joint(seq, [(one_group, 1)], seq.w_values())
-    return _law([float(m) for m in joint[0]])
+    return _law(joint[0].tolist())
 
 
-def _numerators(probs) -> np.ndarray:
-    """Outcome probabilities times ``prod(p.denominator)``, as Python ints,
-    doubled in trial order like :meth:`DependentSequence.outcome_probs`."""
+def _numerators(factors: list) -> np.ndarray:
+    """The product of the ``factors`` of each outcome of their trials, as
+    Python ints, doubled in trial order like :meth:`DependentSequence.outcome_probs`."""
     nums = np.ones(1, dtype=object)
-    for p in probs:
-        nums = np.concatenate((nums * (p.denominator - p.numerator), nums * p.numerator))
+    for f0, f1 in factors:
+        nums = np.concatenate((nums * f0, nums * f1))
     return nums
 
 
-def _exact_law(total: np.ndarray, probs: list) -> PMFTable:
+def _exact_law(total: np.ndarray, trial_probs: Sequence) -> PMFTable:
     """Exact law of ``W`` from its per-outcome values in enumeration row order.
 
     Row ``h`` of the reshaped ``total`` holds the outcomes whose trials past
-    the first ``EXACT_LOW_TRIALS`` spell ``h``; their numerators are the
-    low-trial numerators times the one high-trial numerator of ``h``, so each
-    block sums the low numerators per value (one stable sort and one
-    ``reduceat``) and scales the sums.  The low numerators are Python ints
-    of 40 bytes or more each, so their table is kept to ``2^12`` outcomes.
+    the first ``EXACT_LOW_TRIALS`` spell ``h``; their numerators, products
+    of :func:`rational_factors`, are the low-trial ones times the one
+    high-trial numerator of ``h``, so each block sums the low numerators per
+    value (one stable sort and one ``reduceat``) and scales the sums, each
+    divided once by ``D``.  The low numerators are Python ints of 40 bytes
+    or more each, so their table is kept to ``2^12`` outcomes.
     """
-    low = _numerators(probs[:EXACT_LOW_TRIALS])
+    factors, denominator = rational_factors(trial_probs)
+    low = _numerators(factors[:EXACT_LOW_TRIALS])
     sums = [0] * _cells(int(total.max()) + 1, "the exact law of W")
-    for scale, w in zip(_numerators(probs[EXACT_LOW_TRIALS:]), total.reshape(-1, len(low))):
+    for scale, w in zip(_numerators(factors[EXACT_LOW_TRIALS:]), total.reshape(-1, len(low))):
         order = np.argsort(w, kind="stable")
         values, starts = np.unique(w[order], return_index=True)
         for v, s in zip(values.tolist(), np.add.reduceat(low[order], starts)):
             sums[v] += scale * s
-    denominator = math.prod(p.denominator for p in probs)
     return _law([Fraction(s, denominator) for s in sums])
 
 

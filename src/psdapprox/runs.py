@@ -38,6 +38,7 @@ from .oracle import RunAutomaton, k1k2_automaton, two_runs_automaton
 from .sequences import (
     DependentSequence,
     MomentSet,
+    consecutive_products,
     model_args,
     neighborhood_moment_set,
     read_only,
@@ -122,20 +123,10 @@ class TwoRunsModel(_RunsModel):
 register_model("two-runs", lambda obj: TwoRunsModel(*model_args(obj)))
 
 
-def _trial_products(model: TwoRunsModel) -> list:
-    """``E X_i``, ``E X_i X_{i+1}``, ``E X_i X_{i+1} X_{i+2}`` of the 2-runs
-    summands: products of 2, 3 and 4 consecutive trials, zero past ``n``."""
-    p = model.trial_probs
-    out, prod = [], p
-    for shift in (1, 2, 3):
-        prod = prod[:-1] * p[shift:]
-        out.append(np.pad(prod, (0, model.n - len(prod))))
-    return out
-
-
 def two_runs_moment_set(model: TwoRunsModel) -> MomentSet:
-    """Full closed-form moment set (no enumeration)."""
-    return neighborhood_moment_set(*_trial_products(model))
+    """Full closed-form moment set (no enumeration): ``E X_i``, ``E X_i X_{i+1}``
+    and ``E X_i X_{i+1} X_{i+2}`` are products of 2, 3 and 4 consecutive trials."""
+    return neighborhood_moment_set(*consecutive_products(model.trial_probs, 2, model.n))
 
 
 def two_runs_cbar_parts(n: int) -> tuple:

@@ -166,6 +166,16 @@ def neighborhood_moment_set(mean, pair, triple) -> MomentSet:
                      mean_w=math.fsum(e_x), var_w=math.fsum(e_x_xn1 - e_x * e_xn1))
 
 
+def consecutive_products(p: np.ndarray, first: int, n: int) -> list:
+    """The products ``p[j] ... p[j+k-1]`` of ``k = first, first + 1, first +
+    2`` consecutive entries of ``p``, multiplied left to right, each array
+    zero-padded to length ``n``: zero where the run passes the end of ``p``."""
+    prods = [p]
+    while len(prods) < first + 2:
+        prods.append(prods[-1][:-1] * p[len(prods):])
+    return [np.pad(v, (0, n - len(v))) for v in prods[first - 1:]]
+
+
 def _row_sums(x: np.ndarray, width: Optional[int] = None) -> np.ndarray:
     """The row sums of a ``(rows, k)`` block of summand values, exactly.
 
@@ -543,11 +553,7 @@ class BernoulliProductSequence(DependentSequence):
 
     def closed_form_moments(self) -> MomentSet:
         """Exact moments: independent summands, so every moment is a product of ``p``s."""
-        p = self.trial_probs
-        pair = p[:-1] * p[1:]
-        triple = pair[:-1] * p[2:]
-        return neighborhood_moment_set(
-            p, *(np.pad(v, (0, self.n - len(v))) for v in (pair, triple)))
+        return neighborhood_moment_set(*consecutive_products(self.trial_probs, 1, self.n))
 
 
 register_model(

@@ -1,9 +1,10 @@
 """Reference computations read only by the tests.
 
 ``total_with_tail`` sums a mass table with its tail bound, ``pmf_exact`` is
-the exact rational table of a finite-support Panjer family, and
-``recompute_total`` rebuilds a bound report's total from its parts.  The
-package computes none of these for its own outputs.
+the exact rational table of a finite-support Panjer family,
+``recompute_total`` rebuilds a bound report's total from its parts, and
+``fraction_dp_masses`` is the exact DP law of a run automaton in ``Fraction``
+arithmetic.  The package computes none of these for its own outputs.
 """
 
 import math
@@ -52,3 +53,25 @@ def recompute_total(report) -> float:
         return min(report.operands["d1"], report.operands["d2"])
     return report.delta_g_factor * (report.term_quadratic + report.term_linear
                                     + report.term_tau)
+
+
+def fraction_dp_masses(automaton, trial_probs) -> tuple:
+    """The exact law of ``automaton``'s count over trials ``trial_probs``,
+    each taken as a ``Fraction``: the forward DP over (state, count) on
+    ``Fraction`` masses, every count ``0..T`` at every trial, summed over
+    the states, with trailing zero masses trimmed (the mass at 0 stays)."""
+    probs = [Fraction(p) for p in trial_probs]
+    counts = len(probs) + 1
+    layer = [[Fraction(0)] * counts for _ in automaton.transitions]
+    layer[0][0] = Fraction(1)
+    for p in probs:
+        new = [[Fraction(0)] * counts for _ in automaton.transitions]
+        for s, row in enumerate(automaton.transitions):
+            for (nxt, inc), weight in zip(row, (1 - p, p)):
+                for c in range(counts - inc):
+                    new[nxt][c + inc] += layer[s][c] * weight
+        layer = new
+    masses = [sum(column) for column in zip(*layer)]
+    while len(masses) > 1 and masses[-1] == 0:
+        masses.pop()
+    return tuple(masses)

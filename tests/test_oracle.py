@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from reference import fraction_dp_masses
 
 import psdapprox.oracle as oracle
 from psdapprox.cli import main
@@ -189,7 +190,7 @@ def test_dp_float_band_equals_full_width_loop(automaton, trials):
         masses = want.sum(axis=0)
         last = max([0, *np.flatnonzero(masses)])
         assert law.masses == tuple(masses[: last + 1])
-        assert list(map(repr, law.masses)) == list(map(repr, masses[: last + 1]))
+        assert list(map(repr, law.masses)) == list(map(repr, masses[: last + 1].tolist()))
 
 
 @pytest.mark.parametrize("automaton, trials", [
@@ -203,7 +204,7 @@ def test_dp_float_band_equals_full_width_loop_across_many_refreshes(automaton, t
                              full_width_layers(automaton, probs), strict=True):
             assert_same_floats(got, want)
         assert list(map(repr, dp_distribution(automaton, probs).masses)) == list(
-            map(repr, oracle._law(want.sum(axis=0)).masses))
+            map(repr, oracle._law(want.sum(axis=0).tolist()).masses))
 
 
 def test_dp_band_shrinks_to_the_nonzero_counts(monkeypatch):
@@ -218,13 +219,54 @@ def test_dp_band_shrinks_to_the_nonzero_counts(monkeypatch):
     assert max(calls) < 2 * (oracle.BAND_STEPS + 2)
 
 
-def test_dp_exact_masses_are_fractions_through_the_shared_step():
-    probs = [Fraction(x) for x in (0, 1, 1, Fraction(1, 2), 0, 1, Fraction(1, 3))]
-    layers = [layer.copy() for layer in oracle.forward_layers(two_runs_automaton(), probs, exact=True)]
-    assert [layer.shape for layer in layers] == [(2, t + 1) for t in range(len(probs) + 1)]
-    assert all(type(m) is Fraction for layer in layers[1:] for m in layer.ravel())
-    assert sum(layers[-1].ravel()) == 1
-    assert dp_distribution(two_runs_automaton(), [], exact=True).masses == (Fraction(1),)
+def test_dp_exact_layers_are_integer_numerators_on_the_float_band(monkeypatch):
+    # Seventy trials refresh the band twice; no float mass underflows, so
+    # both modes have the same nonzero cells.
+    probs = [Fraction(x) for x in (0, 1, 1, Fraction(1, 2), 0, 1, Fraction(1, 3))] * 10
+    real_multiply = np.multiply
+    layers, bands = {}, {}
+    for exact in (False, True):
+        band = bands[exact] = []
+        monkeypatch.setattr(oracle.np, "multiply",
+                            lambda a, *args, **kw: band.append(a.shape) or real_multiply(a, *args, **kw))
+        layers[exact] = [layer.copy() for layer in
+                         oracle.forward_layers(two_runs_automaton(), probs, exact)]
+    monkeypatch.undo()
+    assert bands[True] == bands[False]
+    assert max(width for _, width in bands[True]) < len(probs)  # the band shrank
+    assert [a.shape for a in layers[True]] == [(2, t + 1) for t in range(len(probs) + 1)]
+    for got, floats in zip(layers[True], layers[False], strict=True):
+        assert all(type(m) is int for m in got.ravel())
+        assert np.array_equal(got != 0, floats != 0)
+    assert sum(layers[True][-1].ravel()) == 2**10 * 3**10  # D, the product of the denominators
+    law = dp_distribution(two_runs_automaton(), probs, exact=True)
+    assert all(type(m) is Fraction for m in law.masses) and sum(law.masses) == 1
+    assert law.masses == fraction_dp_masses(two_runs_automaton(), probs)
+
+
+_RANDOM_RATIONALS = [Fraction(x).limit_denominator(10**9)
+                     for x in np.random.default_rng(37).uniform(0, 1, 20).tolist()]
+
+
+@pytest.mark.parametrize("automaton, probs", [
+    (two_runs_automaton(), []),
+    (two_runs_automaton(), [Fraction(1, 3)]),
+    (two_runs_automaton(), [0, 1, 1, Fraction(1, 2), 0, 1, 1, 0, 1]),
+    (two_runs_automaton(), [Fraction(t % 8, 7) for t in range(15)]),
+    (two_runs_automaton(), _RANDOM_RATIONALS),
+    (k1k2_automaton(1, 2), [Fraction(t % 8, 7) for t in range(12)]),
+    (k1k2_automaton(1, 2), _RANDOM_RATIONALS),
+    (k1k2_automaton(2, 2), [Fraction(t % 5 + 1, 11) for t in range(13)]),
+    (k1k2_automaton(2, 2), _RANDOM_RATIONALS),
+    (RunAutomaton.from_pattern((1,)), [Fraction(1, 4), 1, 0, Fraction(2, 3), Fraction(5, 9)]),
+    (RunAutomaton.from_pattern((1,)), _RANDOM_RATIONALS),
+], ids=["2runs-empty", "2runs-1-trial", "2runs-0-and-1", "2runs-sevenths", "2runs-random-20",
+        "12runs-sevenths", "12runs-random-20", "22runs-elevenths", "22runs-random-20",
+        "bernoulli-product", "bernoulli-product-random-20"])
+def test_dp_exact_law_equals_fraction_reference(automaton, probs):
+    law = dp_distribution(automaton, probs, exact=True)
+    assert law.masses == fraction_dp_masses(automaton, probs)
+    assert all(type(m) is Fraction for m in law.masses)
 
 
 def test_dp_equals_brute_force_exact_rational():

@@ -36,7 +36,6 @@ from psdapprox.runs import (
     TABLE1_PRINTED,
     TwoRunsModel,
     _block_moments,
-    _trial_products,
     brown_xia_bound,
     conditional_zero_max,
     k1k2_bound,
@@ -53,7 +52,7 @@ from psdapprox.runs import (
     two_runs_var,
     window_probability,
 )
-from psdapprox.sequences import compute_moments, neighborhood_moment_set
+from psdapprox.sequences import compute_moments, consecutive_products, neighborhood_moment_set
 from reference import recompute_total
 
 
@@ -69,7 +68,7 @@ def _at(arrays, moments, i: int) -> tuple:
 
 def _two_runs_at(model: TwoRunsModel, i: int) -> tuple:
     """``(a1, a2, a3, abar1, abar2, abar3)`` at index ``i``."""
-    return _at(_trial_products(model), two_runs_moment_set(model), i)
+    return _at(consecutive_products(model.trial_probs, 2, model.n), two_runs_moment_set(model), i)
 
 
 # -- (k1,k2) reference: the block moments one scalar window at a time -----------

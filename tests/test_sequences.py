@@ -14,6 +14,7 @@ from psdapprox.sequences import (
     _moments_by_enumeration,
     _row_sums,
     compute_moments,
+    consecutive_products,
     dependence_certificate,
     mean_var,
     sequence_from_json,
@@ -177,6 +178,17 @@ def test_product_closed_form_matches_enumeration(n):
         assert np.allclose(getattr(closed, field), getattr(exact, field), rtol=0, atol=1e-14)
     assert closed.mean_w == pytest.approx(exact.mean_w, abs=1e-14)
     assert closed.var_w == pytest.approx(exact.var_w, abs=1e-13)
+
+
+def test_consecutive_products_multiply_left_to_right_and_pad_with_zeros():
+    p = np.array([0.1, 0.7, 0.3, 0.9])
+    pair, triple, quad = consecutive_products(p, 2, 3)
+    assert pair.tolist() == [0.1 * 0.7, 0.7 * 0.3, 0.3 * 0.9]
+    assert triple.tolist() == [0.1 * 0.7 * 0.3, 0.7 * 0.3 * 0.9, 0.0]
+    assert quad.tolist() == [0.1 * 0.7 * 0.3 * 0.9, 0.0, 0.0]
+    single, *_ = consecutive_products(p, 1, 4)
+    assert single.tolist() == p.tolist()
+    assert [v.tolist() for v in consecutive_products(np.array([0.5]), 1, 1)] == [[0.5], [0.0], [0.0]]
 
 
 def test_no_moments_without_enumeration_or_closed_form():
